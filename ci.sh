@@ -182,6 +182,20 @@ if dune exec bin/mcc.exe -- workload check /tmp/bad-workload.json \
 fi
 grep -q "duration" /tmp/bad-workload.err
 
+# Benchmark output checks: a short seed-1 run of each BENCHMARK.json
+# workload must reproduce the committed digests (perfbench/digests.json)
+# with no failed simulation.
+for W in flid-sweep threshold-keys; do
+  python3 perfbench/run.py --workload "$W" --seed 1 --seconds 3 --trace 0 \
+    > "/tmp/perfbench-$W.txt"
+  tail -n 1 "/tmp/perfbench-$W.txt" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+assert r["correct"] is True and r["failed"] == 0, r
+print("perfbench", r["attempted"], "runs ok")
+'
+done
+
 # Bench regression gate: a baseline saved by the same run must compare
 # clean against itself, and the scheduler-churn figures must also hold
 # up against the committed repo baseline.  The committed gate uses a

@@ -83,9 +83,13 @@ type receiver = {
   shares : (int, Shamir.share) Hashtbl.t array;  (* per level, keyed by x *)
 }
 
+(* One store per level, created at the stdlib's minimum size: a receiver
+   that never sees a share (every Plain one) pays 16 buckets a level, and
+   a store that fills grows as it goes.  Reconstruction interpolates over
+   the whole store, which is independent of its fold order. *)
 let receiver_create ~levels =
   if levels < 1 then invalid_arg "Threshold.receiver_create";
-  { rlevels = levels; shares = Array.init levels (fun _ -> Hashtbl.create 64) }
+  { rlevels = levels; shares = Array.init levels (fun _ -> Hashtbl.create 16) }
 
 let on_shares r pairs =
   List.iter

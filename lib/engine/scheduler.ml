@@ -85,40 +85,65 @@ module Heap = struct
   let size t = t.len
   let capacity t = Array.length t.times
 
-  let[@hot] before t i j =
+  (* 4-ary layout: the children of slot [i] are [4i+1 .. 4i+4] and its
+     parent is [(i-1)/4].  Against a binary heap the tree is half as
+     deep, and the extra comparisons per level land on siblings that
+     share a cache line.
+
+     Both sifts move a hole, not the element: the element being placed
+     stays put (push holds it in its own arguments, pop leaves it
+     staged in the slot just past the shrunken tree) while parents or
+     children shift into the hole, and it is written once at the end.
+     Each level then costs one write-barriered [values] store, not the
+     two of a swap.  [(time, seq)] keys are unique, so the pop order is
+     the same whatever the arity or the sift strategy. *)
+  let[@inline] before t i j =
     let ti = t.times.(i) and tj = t.times.(j) in
-    if ti < tj then true
-    else if tj < ti then false
-    else t.seqs.(i) < t.seqs.(j)
+    ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
 
-  let[@hot] swap t i j =
-    let time = t.times.(i) and seq = t.seqs.(i) and value = t.values.(i) in
-    t.times.(i) <- t.times.(j);
-    t.seqs.(i) <- t.seqs.(j);
-    t.values.(i) <- t.values.(j);
-    t.times.(j) <- time;
-    t.seqs.(j) <- seq;
-    t.values.(j) <- value
+  let[@inline] move t ~src ~dst =
+    t.times.(dst) <- t.times.(src);
+    t.seqs.(dst) <- t.seqs.(src);
+    t.values.(dst) <- t.values.(src)
 
-  let[@hot] rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if before t i parent then begin
-        swap t i parent;
-        sift_up t parent
+  (* The pushed element carries the largest seq yet, so it sorts before
+     a parent exactly when its time is strictly smaller.  [time] is
+     [push]'s own (already boxed) argument passed down unchanged, so the
+     recursion boxes nothing. *)
+  let[@hot] rec sift_up t i time =
+    if i = 0 then i
+    else
+      let parent = (i - 1) lsr 2 in
+      if time < t.times.(parent) then begin
+        move t ~src:parent ~dst:i;
+        sift_up t parent time
       end
-    end
+      else i
 
-  (* Immutable selection, not a [ref] accumulator: a sift runs once per
-     pop, and an int ref cell per call is minor-heap traffic the
-     hot-alloc rule now rejects. *)
-  let[@hot] rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = if l < t.len && before t l i then l else i in
-    let smallest = if r < t.len && before t r smallest then r else smallest in
-    if smallest <> i then begin
-      swap t i smallest;
-      sift_down t smallest
+  (* Smallest of the children [c .. last] of a partial sibling group. *)
+  let[@hot] rec min_child t best c last =
+    if c > last then best
+    else min_child t (if before t c best then c else best) (c + 1) last
+
+  (* Sink the element staged at [s] from the hole at [i]; the tree is
+     [0 .. s-1].  Returns the hole where the staged element belongs. *)
+  let[@hot] rec sift_down t s i =
+    let c = (4 * i) + 1 in
+    if c >= s then i
+    else begin
+      let m =
+        if c + 3 < s then begin
+          let a = if before t (c + 1) c then c + 1 else c in
+          let b = if before t (c + 3) (c + 2) then c + 3 else c + 2 in
+          if before t b a then b else a
+        end
+        else min_child t c (c + 1) (s - 1)
+      in
+      if before t m s then begin
+        move t ~src:m ~dst:i;
+        sift_down t s m
+      end
+      else i
     end
 
   (* Grow in place: allocate the doubled arrays once and blit.  The
@@ -143,43 +168,39 @@ module Heap = struct
     if t.len = Array.length t.times then
       (* lint: allow hot-alloc — amortised doubling, not steady state *)
       grow t value;
-    let i = t.len in
+    let i = sift_up t t.len time in
     t.times.(i) <- time;
     t.seqs.(i) <- t.next_seq;
     t.values.(i) <- value;
     t.next_seq <- t.next_seq + 1;
     t.len <- t.len + 1;
-    if t.len > t.max_len then t.max_len <- t.len;
-    sift_up t i
+    if t.len > t.max_len then t.max_len <- t.len
 
   let peek_time t = if t.len = 0 then None else Some t.times.(0)
+
+  (* Drop the root.  The last element is already staged outside the
+     shrunken tree, at index [len - 1], so it sinks from the root's hole
+     without a copy.  values.(len) keeps aliasing it, which is live
+     anyway: no stale retention beyond one slot. *)
+  let[@hot] remove_root t =
+    let last = t.len - 1 in
+    t.len <- last;
+    if last > 0 then move t ~src:last ~dst:(sift_down t last 0)
 
   let pop t =
     if t.len = 0 then None
     else begin
       let time = t.times.(0) and value = t.values.(0) in
-      let last = t.len - 1 in
-      t.times.(0) <- t.times.(last);
-      t.seqs.(0) <- t.seqs.(last);
-      t.values.(0) <- t.values.(last);
-      (* values.(last) still aliases the element just moved to the root,
-         which is live anyway — no stale retention beyond one slot. *)
-      t.len <- last;
-      if last > 0 then sift_down t 0;
+      remove_root t;
       Some (time, value)
     end
 
   let[@hot] pop_into t cell default =
     if t.len = 0 then default
     else begin
-      let time = t.times.(0) and value = t.values.(0) in
-      let last = t.len - 1 in
-      t.times.(0) <- t.times.(last);
-      t.seqs.(0) <- t.seqs.(last);
-      t.values.(0) <- t.values.(last);
-      t.len <- last;
-      if last > 0 then sift_down t 0;
-      cell := time;
+      let value = t.values.(0) in
+      cell := t.times.(0);
+      remove_root t;
       value
     end
 

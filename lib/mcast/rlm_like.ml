@@ -8,7 +8,6 @@ module Meter = Mcc_util.Meter
 module Prng = Mcc_util.Prng
 module Shamir = Mcc_util.Shamir
 module Threshold = Mcc_delta.Threshold
-module Mux = Mcc_transport.Mux
 module Tuple = Mcc_sigma.Tuple
 module Special = Mcc_sigma.Special
 module Client = Mcc_sigma.Client
@@ -294,7 +293,7 @@ let sender_start ?(at = 0.) topo ~node ~prng config =
   done;
   (* Echo RTT probes: the Equation policy measures its multicast round
      trip against the sender. *)
-  Mux.add_handler (Mux.of_node node) (fun pkt ->
+  Node.add_unicast_handler node (fun pkt ->
       match pkt.Packet.payload with
       | Rtt_probe { session; receiver; sent_at } when session = config.id ->
           Node.originate node
@@ -676,7 +675,7 @@ let receiver_start ?(at = 0.) topo ~host ~prng config =
   (match config.policy with
   | Equation ->
       (* RTT probing toward the session source, one probe per second. *)
-      Mux.add_handler (Mux.of_node host) (fun pkt ->
+      Node.add_unicast_handler host (fun pkt ->
           match pkt.Packet.payload with
           | Rtt_echo { session; receiver; sent_at }
             when session = config.id && receiver = host.Node.id ->

@@ -12,6 +12,7 @@ type t = {
   mcast_out : (int, Link.t list ref) Hashtbl.t;
   local_groups : (int, Packet.t -> unit) Hashtbl.t;
   mutable local_unicast : (Packet.t -> unit) option;
+  mutable unicast_handlers : (Packet.t -> bool) list;
   mutable mcast_filter : (int -> Link.t -> bool) option;
   mutable intercept : (Packet.t -> unit) option;
   mutable on_forward : (int -> Link.t -> Packet.t -> unit) option;
@@ -29,6 +30,7 @@ let create ~sim ~id ~kind =
     mcast_out = Hashtbl.create 16;
     local_groups = Hashtbl.create 16;
     local_unicast = None;
+    unicast_handlers = [];
     mcast_filter = None;
     intercept = None;
     on_forward = None;
@@ -62,6 +64,19 @@ let remove_downstream t ~group link =
 let subscribe_local t ~group handler = Hashtbl.replace t.local_groups group handler
 let unsubscribe_local t ~group = Hashtbl.remove t.local_groups group
 let set_unicast_handler t handler = t.local_unicast <- Some handler
+
+let rec dispatch_unicast pkt = function
+  | [] -> ()
+  | h :: rest -> if not (h pkt) then dispatch_unicast pkt rest
+
+(* The handler list lives on the node, so it is reachable only while the
+   node is: nothing outlives the scenario that built it. *)
+let add_unicast_handler t handler =
+  (match t.unicast_handlers with
+  | [] ->
+      set_unicast_handler t (fun pkt -> dispatch_unicast pkt t.unicast_handlers)
+  | _ :: _ -> ());
+  t.unicast_handlers <- t.unicast_handlers @ [ handler ]
 
 let link_to t neighbor =
   List.find_opt (fun (l : Link.t) -> l.Link.dst = neighbor) t.links

@@ -19,6 +19,9 @@ type t = {
       (** group -> downstream interfaces *)
   local_groups : (int, Packet.t -> unit) Hashtbl.t;
   mutable local_unicast : (Packet.t -> unit) option;
+  mutable unicast_handlers : (Packet.t -> bool) list;
+      (** handlers registered through {!add_unicast_handler}, in
+          registration order *)
   mutable mcast_filter : (int -> Link.t -> bool) option;
       (** consulted before forwarding group traffic onto host- or
           LAN-facing links; SIGMA's enforcement point *)
@@ -53,6 +56,13 @@ val subscribe_local : t -> group:int -> (Packet.t -> unit) -> unit
 val unsubscribe_local : t -> group:int -> unit
 
 val set_unicast_handler : t -> (Packet.t -> unit) -> unit
+
+val add_unicast_handler : t -> (Packet.t -> bool) -> unit
+(** Shares the node's unicast delivery between transport endpoints:
+    handlers are tried in registration order until one returns [true]
+    (claims the packet).  The first call installs the dispatcher as the
+    node's unicast handler; calling {!set_unicast_handler} afterwards
+    would bypass it. *)
 
 val downstream : t -> group:int -> Link.t list
 (** Current downstream interfaces for a group. *)

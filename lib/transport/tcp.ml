@@ -247,13 +247,13 @@ let start ?(config = default_config) ?(at = 0.) topo ~flow ~src ~dst () =
           ~bounds:(Metrics.exponential_bounds ~base:10. ~count:8);
     }
   in
-  Mux.add_handler (Mux.of_node dst) (fun pkt ->
+  Node.add_unicast_handler dst (fun pkt ->
       match pkt.Packet.payload with
       | Tcp_data { flow = f; seq } when f = flow ->
           on_data t seq;
           true
       | _ -> false);
-  Mux.add_handler (Mux.of_node src) (fun pkt ->
+  Node.add_unicast_handler src (fun pkt ->
       match pkt.Packet.payload with
       | Tcp_ack { flow = f; ack } when f = flow ->
           on_ack t ack;

@@ -31,9 +31,10 @@ val start :
   dst:Mcc_net.Node.t ->
   unit ->
   t
-(** Creates the sender at [src] and the sink at [dst] (through the
-    node's {!Mux}) and begins transmitting at time [at] (default 0).
-    [flow] must be unique per (src, dst) pair. *)
+(** Creates the sender at [src] and the sink at [dst] (each claiming
+    its packets through {!Mcc_net.Node.add_unicast_handler}) and begins
+    transmitting at time [at] (default 0).  [flow] must be unique per
+    (src, dst) pair. *)
 
 val delivered_meter : t -> Mcc_util.Meter.t
 (** Goodput meter fed by in-order delivery at the sink. *)

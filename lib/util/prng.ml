@@ -20,17 +20,22 @@ let bits t b =
   if b <= 0 || b > 62 then invalid_arg "Prng.bits";
   Int64.to_int (Int64.shift_right_logical (int64 t) (64 - b))
 
+(* Bit length of [n >= 0] by halving the probe [s] (32, 16, ..., 1):
+   six steps for any int. *)
+let rec bit_length n len s =
+  if s = 0 then len + n
+  else if n lsr s <> 0 then bit_length (n lsr s) (len + s) (s lsr 1)
+  else bit_length n len (s lsr 1)
+
+let rec draw t w bound =
+  let v = bits t w in
+  if v < bound then v else draw t w bound
+
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int";
-  (* Rejection sampling over the smallest covering power of two keeps the
-     distribution exactly uniform. *)
-  let rec width w = if 1 lsl w >= bound then w else width (w + 1) in
-  let w = width 1 in
-  let rec draw () =
-    let v = bits t w in
-    if v < bound then v else draw ()
-  in
-  draw ()
+  (* Rejection sampling over the smallest covering power of two (at
+     least 2^1) keeps the distribution exactly uniform. *)
+  draw t (Stdlib.max 1 (bit_length (bound - 1) 0 32)) bound
 
 let float t =
   (* 53 random bits scaled to [0, 1). *)

@@ -9,7 +9,6 @@ module Spec = Mcc_core.Spec
 module Defaults = Mcc_core.Defaults
 module On_off = Mcc_transport.On_off
 module Tcp = Mcc_transport.Tcp
-module Mux = Mcc_transport.Mux
 
 type installed = { delivered : Meter.t list }
 
@@ -39,7 +38,7 @@ let install (built : Topo_gen.built) ~prng ~duration
     let meter_web_at (host : Node.t) =
       if not (Hashtbl.mem web_metered host.Node.id) then begin
         Hashtbl.replace web_metered host.Node.id ();
-        Mux.add_handler (Mux.of_node host) (fun pkt ->
+        Node.add_unicast_handler host (fun pkt ->
             match pkt.Packet.payload with
             | Payload.Raw ->
                 Meter.record web_meter ~time:(Sim.now sim)

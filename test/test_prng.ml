@@ -66,6 +66,48 @@ let test_exponential_mean () =
   let mean = !sum /. float_of_int n in
   Alcotest.(check bool) "mean near 3" true (abs_float (mean -. 3.) < 0.2)
 
+(* [Prng.int] as it was before its width became a bit-length
+   computation, copied as the reference.  Its width search counts up
+   from 1 until [1 lsl w >= bound]; above 2^61 that never holds (1 lsl 62
+   wraps to min_int), so the search does not terminate and such bounds
+   are checked against [reference_draw] at width 62, the only width
+   [Prng.bits] accepts that covers them. *)
+let reference_draw t w bound =
+  let rec draw () =
+    let v = Prng.bits t w in
+    if v < bound then v else draw ()
+  in
+  draw ()
+
+let reference_int t bound =
+  if bound <= 0 then invalid_arg "Prng.int";
+  let rec width w = if 1 lsl w >= bound then w else width (w + 1) in
+  let w = width 1 in
+  reference_draw t w bound
+
+let test_int_stream_pinned () =
+  let powers = List.init 61 (fun k -> 1 lsl (k + 1)) in
+  let bounds =
+    [ 1; 2; 3; Gf.p; Gf.p - 1; Gf.p + 1; max_int; max_int - 1 ]
+    @ List.concat_map (fun p -> [ p - 1; p; p + 1 ]) powers
+  in
+  List.iter
+    (fun bound ->
+      let reference t =
+        if bound > 1 lsl 61 then reference_draw t 62 bound
+        else reference_int t bound
+      in
+      for seed = 0 to 99 do
+        let a = Prng.create seed and b = Prng.create seed in
+        for draw = 1 to 8 do
+          let got = Prng.int a bound and want = reference b in
+          if got <> want then
+            Alcotest.failf "bound %d seed %d draw %d: %d, reference %d" bound
+              seed draw got want
+        done
+      done)
+    bounds
+
 let prop_int_in_bound =
   QCheck.Test.make ~name:"Prng.int always in [0, bound)" ~count:500
     QCheck.(pair small_int (int_range 1 10_000))
@@ -91,6 +133,7 @@ let suite =
       Alcotest.test_case "bits range" `Quick test_bits_range;
       Alcotest.test_case "bits invalid" `Quick test_bits_invalid;
       Alcotest.test_case "int invalid" `Quick test_int_bound_invalid;
+      Alcotest.test_case "int stream pinned" `Quick test_int_stream_pinned;
       Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
       Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
       QCheck_alcotest.to_alcotest prop_int_in_bound;

@@ -174,6 +174,132 @@ let test_pop_before_differential () =
   Alcotest.(check bool) "heap drained" true (h.Scheduler.is_empty ());
   Alcotest.(check bool) "wheel drained" true (w.Scheduler.is_empty ())
 
+(* Reference model for the heap: a list sorted by (time, seq), the key
+   every backend orders by.  Random interleavings of every queue
+   operation, with tie-heavy times and queues of hundreds to about two
+   thousand events (five to seven levels of the 4-ary heap, with
+   partial last sibling groups), must agree with it at every step. *)
+type heap_op =
+  | Push of float
+  | Pop
+  | Pop_into
+  | Pop_before of float
+  | Clear
+
+let show_heap_op = function
+  | Push t -> Printf.sprintf "push %h" t
+  | Pop -> "pop"
+  | Pop_into -> "pop_into"
+  | Pop_before b -> Printf.sprintf "pop_before %h" b
+  | Clear -> "clear"
+
+(* Mostly a handful of exactly tied times, some spread, and the
+   extremes the heap must order like any other time. *)
+let gen_heap_time =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun k -> 0.5 *. float_of_int k) (int_bound 15));
+        (2, float_range (-10.) 10.);
+        (1, oneofl [ infinity; neg_infinity; -0.; 0. ]);
+      ])
+
+let gen_heap_ops =
+  QCheck.Gen.(
+    list_size (int_range 1000 5000)
+      (frequency
+         [
+           (7000, map (fun t -> Push t) gen_heap_time);
+           (1000, return Pop);
+           (1000, return Pop_into);
+           (1000, map (fun b -> Pop_before b) gen_heap_time);
+           (2, return Clear);
+         ]))
+
+let arb_heap_ops =
+  QCheck.make gen_heap_ops ~print:(fun ops ->
+      String.concat "; " (List.map show_heap_op ops))
+
+let key_before (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2)
+
+let rec model_insert e = function
+  | x :: rest when key_before x e -> x :: model_insert e rest
+  | l -> e :: l
+
+let prop_heap_matches_model =
+  QCheck.Test.make ~name:"Heap matches a sorted-list model" ~count:30
+    arb_heap_ops (fun ops ->
+      let module H = Scheduler.Heap in
+      let q = H.create () in
+      let model = ref [] and next_seq = ref 0 and next_value = ref 0 in
+      let cell = ref nan in
+      let fail op fmt =
+        Printf.ksprintf
+          (fun msg -> QCheck.Test.fail_reportf "%s: %s" (show_heap_op op) msg)
+          fmt
+      in
+      (* pop_into / pop_before answer through [cell] and a default. *)
+      let check_cell_pop op v =
+        match !model with
+        | (t, _, want) :: rest ->
+            if v <> want || not (Float.equal !cell t) then
+              fail op "got %d at %h, model %d at %h" v !cell want t;
+            model := rest
+        | [] -> fail op "popped %d from an empty model" v
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push t ->
+              incr next_value;
+              H.push q ~time:t !next_value;
+              model := model_insert (t, !next_seq, !next_value) !model;
+              incr next_seq
+          | Pop -> (
+              match (H.pop q, !model) with
+              | None, [] -> ()
+              | Some (t, v), (mt, _, mv) :: rest ->
+                  if v <> mv || not (Float.equal t mt) then
+                    fail op "got %d at %h, model %d at %h" v t mv mt;
+                  model := rest
+              | Some (_, v), [] -> fail op "popped %d from an empty model" v
+              | None, _ :: _ -> fail op "empty, model is not")
+          | Pop_into ->
+              cell := nan;
+              let v = H.pop_into q cell 0 in
+              if v = 0 then begin
+                if !model <> [] then fail op "declined, model is not empty";
+                if not (Float.is_nan !cell) then fail op "cell written"
+              end
+              else check_cell_pop op v
+          | Pop_before bound ->
+              cell := nan;
+              let v = H.pop_before q cell ~bound 0 in
+              let due = match !model with (t, _, _) :: _ -> t <= bound | [] -> false in
+              if v = 0 then begin
+                if due then fail op "declined a due event";
+                if not (Float.is_nan !cell) then fail op "cell written"
+              end
+              else if not due then fail op "popped %d past the bound" v
+              else check_cell_pop op v
+          | Clear ->
+              H.clear q;
+              model := [];
+              next_seq := 0);
+          if H.size q <> List.length !model then
+            fail op "size %d, model %d" (H.size q) (List.length !model))
+        ops;
+      let rec drain () =
+        match (H.pop q, !model) with
+        | None, [] -> true
+        | Some (t, v), (mt, _, mv) :: rest
+          when v = mv && Float.equal t mt ->
+            model := rest;
+            drain ()
+        | _ -> QCheck.Test.fail_report "final drain disagrees with the model"
+      in
+      drain ())
+
 (* End-to-end: a Runner batch's sink output must not depend on the
    scheduler backend or the job count.  Everything before the profile is
    the deterministic record; the profile legitimately differs (it names
@@ -237,6 +363,7 @@ let suite =
       Alcotest.test_case "bounded pop contract" `Quick test_bounded_pop_contract;
       Alcotest.test_case "differential: pop_before" `Quick
         test_pop_before_differential;
+      QCheck_alcotest.to_alcotest prop_heap_matches_model;
       Alcotest.test_case "runner output backend-independent" `Slow
         test_runner_backend_identical;
     ] )

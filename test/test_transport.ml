@@ -136,6 +136,46 @@ let test_onoff_until () =
   Alcotest.(check bool) "silent after until" true
     (Meter.mean_kbps meter ~lo:4. ~hi:10. < 1.)
 
+(* Handlers registered on a node are tried in registration order until
+   one claims the packet. *)
+let test_unicast_handlers_in_order () =
+  let sim, _, a, b, _ = path ~rate:1_000_000. ~buffer:20_000 () in
+  let log = ref [] in
+  Node.add_unicast_handler b (fun _ ->
+      log := "first" :: !log;
+      false);
+  Node.add_unicast_handler b (fun _ ->
+      log := "second" :: !log;
+      true);
+  Node.add_unicast_handler b (fun _ ->
+      log := "third" :: !log;
+      true);
+  Node.originate a
+    (Packet.make ~src:a.Node.id ~dst:(Packet.Unicast b.Node.id) ~size:100
+       Mcc_net.Payload.Raw);
+  Sim.run_until sim 1.;
+  Alcotest.(check (list string)) "order" [ "first"; "second" ] (List.rev !log)
+
+(* A finished scenario must be collectable: nothing domain-wide may keep
+   its nodes (and, through their handlers, the whole scenario) alive
+   once the caller drops it. *)
+let[@inline never] tcp_run_leaving_weak_node () =
+  let sim, topo, a, b, _ = path ~rate:1_000_000. ~buffer:20_000 () in
+  ignore (Tcp.start topo ~flow:1 ~src:a ~dst:b ());
+  Sim.run_until sim 2.;
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some a);
+  w
+
+let test_finished_scenario_collected () =
+  let w = tcp_run_leaving_weak_node () in
+  let sim, topo, a, b, _ = path ~rate:1_000_000. ~buffer:20_000 () in
+  let flow = Tcp.start topo ~flow:1 ~src:a ~dst:b () in
+  Sim.run_until sim 2.;
+  Gc.full_major ();
+  Alcotest.(check bool) "second scenario ran" true (Tcp.cwnd flow > 1.);
+  Alcotest.(check bool) "first scenario's node collected" false (Weak.check w 0)
+
 let suite =
   ( "transport",
     [
@@ -149,4 +189,8 @@ let suite =
       Alcotest.test_case "cbr pause/resume" `Quick test_cbr_pause_resume;
       Alcotest.test_case "on-off duty cycle" `Quick test_onoff_duty_cycle;
       Alcotest.test_case "on-off until" `Quick test_onoff_until;
+      Alcotest.test_case "unicast handlers in order" `Quick
+        test_unicast_handlers_in_order;
+      Alcotest.test_case "finished scenario collected" `Quick
+        test_finished_scenario_collected;
     ] )
