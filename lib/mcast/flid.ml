@@ -3,20 +3,13 @@ module Node = Mcc_net.Node
 module Packet = Mcc_net.Packet
 module Payload = Mcc_net.Payload
 module Topology = Mcc_net.Topology
-module Multicast = Mcc_net.Multicast
-module Meter = Mcc_util.Meter
-module Series = Mcc_util.Series
 module Prng = Mcc_util.Prng
 module Key = Mcc_delta.Key
 module Field = Mcc_delta.Field
 module Layered = Mcc_delta.Layered
 module Tuple = Mcc_sigma.Tuple
 module Special = Mcc_sigma.Special
-module Client = Mcc_sigma.Client
 module Metrics = Mcc_obs.Metrics
-module Tracer = Mcc_obs.Tracer
-module Timeseries = Mcc_obs.Timeseries
-module Json = Mcc_obs.Json
 
 type mode = Plain | Robust
 
@@ -83,8 +76,6 @@ let () =
         true
     | _ -> false)
 
-let mask_bit mask g = mask land (1 lsl (g - 1)) <> 0
-
 (* ----------------------------------------------------------------- *)
 (* Sender                                                            *)
 (* ----------------------------------------------------------------- *)
@@ -105,154 +96,98 @@ type sender = {
   s_topo : Topology.t;
   s_node : Node.t;
   s_prng : Prng.t;
-  mutable s_slot : int;
-  s_credits : float array;  (* fractional packets carried across slots *)
   mutable s_keys : (int * Layered.keys) list;  (* (guarded slot, keys) *)
   s_stats : sender_stats;
-  mutable s_tick : Sim.handle option;
-  mutable s_stopped : bool;
 }
 
 let sender_stats s = s.s_stats
-
-let sender_stop s =
-  s.s_stopped <- true;
-  match s.s_tick with Some h -> Sim.cancel h | None -> ()
-
 let sender_keys_for_slot s ~slot = List.assoc_opt slot s.s_keys
 
-let upgrade_mask config slot =
-  let n = config.layering.Layering.groups in
-  let mask = ref 0 in
-  for g = 2 to n do
-    if (slot + g) mod config.upgrade_period g = 0 then
-      mask := !mask lor (1 lsl (g - 1))
-  done;
-  !mask
-
-let emit_packet s ~group ~slot ~seq ~last ~mask ~delta () =
-  if not s.s_stopped then begin
-    let config = s.s_config in
-    let field_bytes =
-      match delta with
-      | Some f -> Field.wire_bytes ~width:config.width f
-      | None -> 0
-    in
-    let pkt =
-      Packet.make ~src:s.s_node.Node.id
-        ~dst:(Packet.Multicast (group_addr config group))
-        ~size:(config.packet_size + field_bytes)
-        (Data
-           { session = config.id; group; slot; seq; last; upgrade_mask = mask;
-             delta })
-    in
-    s.s_stats.data_bits <- s.s_stats.data_bits + (config.packet_size * 8);
-    s.s_stats.delta_bits <- s.s_stats.delta_bits + (field_bytes * 8);
-    Mcc_obs.Lineage.set_origin pkt.Packet.lineage ~session:config.id
-      ~level:group
-      ~time:(Sim.now (Topology.sim s.s_topo));
-    Node.originate s.s_node pkt
-  end
-
-(* One tick per slot: decide the slot's upgrade authorizations, draw the
-   DELTA key material guarding slot+2, distribute the tuples through
-   SIGMA, and schedule every data packet of the slot.  Each packet's
-   fields are computed at its own emission instant from state captured
-   here, so slot boundaries involve no shared mutable state. *)
-let sender_slot_tick_body s () =
+(* Per slot: count the upgrade authorizations, then (Robust) draw the
+   DELTA key material guarding slot+2 and distribute its tuples through
+   SIGMA.  The returned key state feeds every data packet of the slot. *)
+let prepare s ~slot ~mask ~counts:_ =
   let config = s.s_config in
-  let sim = Topology.sim s.s_topo in
-  let tick_now = Sim.now sim in
+  let stats = s.s_stats in
   let n = config.layering.Layering.groups in
-  let slot = s.s_slot in
-  s.s_slot <- slot + 1;
-  let mask = upgrade_mask config slot in
-  s.s_stats.slots <- s.s_stats.slots + 1;
+  stats.slots <- stats.slots + 1;
   for g = 2 to n do
-    if mask_bit mask g then
-      s.s_stats.authorizations.(g - 1) <- s.s_stats.authorizations.(g - 1) + 1
+    if Slotted.mask_bit mask g then
+      stats.authorizations.(g - 1) <- stats.authorizations.(g - 1) + 1
   done;
-  let delta_state =
-    match config.mode with
-    | Plain -> None
-    | Robust ->
-        let upgrades = Array.init n (fun i -> i >= 1 && mask_bit mask (i + 1)) in
-        let st =
-          Layered.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
-            ~upgrades
-        in
-        let keys = Layered.sender_keys st in
-        let guarded = slot + 2 in
-        s.s_keys <- (guarded, keys) :: List.filteri (fun i _ -> i < 3) s.s_keys;
-        let tuples =
-          List.init n (fun i ->
-              let g = i + 1 in
-              Tuple.make ~group:(group_addr config g) ~slot:guarded
-                ~keys:(Layered.valid_keys keys ~group:g) ~minimal:(g = 1))
-        in
-        let stats =
-          Special.distribute ~scheme:config.fec_scheme s.s_topo
-            ~sender:s.s_node ~session:config.id
-            ~via_group:(group_addr config 1) ~width:config.width ~slot:guarded
-            ~slot_duration:config.slot_duration ~tuples ()
-        in
-        s.s_stats.sigma_payload_bits <-
-          s.s_stats.sigma_payload_bits + stats.Special.payload_bits;
-        s.s_stats.sigma_header_bits <-
-          s.s_stats.sigma_header_bits + stats.Special.header_bits;
-        s.s_stats.sigma_packets <-
-          s.s_stats.sigma_packets + stats.Special.packets;
-        s.s_stats.fec_expansion <- stats.Special.expansion;
-        Some st
-  in
-  for g = 1 to n do
-    let rate = Layering.layer_rate config.layering ~group:g in
-    s.s_credits.(g - 1) <-
-      s.s_credits.(g - 1)
-      +. (rate *. config.slot_duration /. float_of_int (config.packet_size * 8));
-    let count = max 1 (int_of_float s.s_credits.(g - 1)) in
-    s.s_credits.(g - 1) <- s.s_credits.(g - 1) -. float_of_int count;
-    let spacing = config.slot_duration /. float_of_int count in
-    (* De-phase groups so slot starts are not synchronized bursts. *)
-    let phase = float_of_int g /. float_of_int (n + 1) *. spacing in
-    for i = 0 to count - 1 do
-      let seq = i in
-      let last = i = count - 1 in
-      let delta () =
-        match delta_state with
-        | Some st ->
-            Some
-              (Field.make
-                 ~component:(Layered.next_component st ~group:g ~last)
-                 ~decrease:(Layered.decrease_field st ~group:g))
-        | None -> None
+  match config.mode with
+  | Plain -> None
+  | Robust ->
+      let upgrades =
+        Array.init n (fun i -> i >= 1 && Slotted.mask_bit mask (i + 1))
       in
-      Sim.post sim
-           ~at:(tick_now +. phase +. (float_of_int i *. spacing))
-           (fun () ->
-             emit_packet s ~group:g ~slot ~seq ~last ~mask ~delta:(delta ()) ())
-    done
-  done
+      let st =
+        Layered.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
+          ~upgrades
+      in
+      let keys = Layered.sender_keys st in
+      let guarded = slot + 2 in
+      s.s_keys <- (guarded, keys) :: List.filteri (fun i _ -> i < 3) s.s_keys;
+      let tuples =
+        List.init n (fun i ->
+            let g = i + 1 in
+            Tuple.make ~group:(group_addr config g) ~slot:guarded
+              ~keys:(Layered.valid_keys keys ~group:g) ~minimal:(g = 1))
+      in
+      let sent =
+        Special.distribute ~scheme:config.fec_scheme s.s_topo ~sender:s.s_node
+          ~session:config.id ~via_group:(group_addr config 1)
+          ~width:config.width ~slot:guarded
+          ~slot_duration:config.slot_duration ~tuples ()
+      in
+      stats.sigma_payload_bits <-
+        stats.sigma_payload_bits + sent.Special.payload_bits;
+      stats.sigma_header_bits <-
+        stats.sigma_header_bits + sent.Special.header_bits;
+      stats.sigma_packets <- stats.sigma_packets + sent.Special.packets;
+      stats.fec_expansion <- sent.Special.expansion;
+      Some st
 
-let sender_slot_tick s () =
-  let prof = Mcc_obs.Prof.span "flid" in
-  sender_slot_tick_body s ();
-  Mcc_obs.Prof.finish prof
+(* A packet's DELTA fields are computed at its own emission instant. *)
+let emit s st ~group ~slot ~seq ~last ~repair:_ ~mask =
+  let config = s.s_config in
+  let delta =
+    match st with
+    | Some st ->
+        Some
+          (Field.make
+             ~component:(Layered.next_component st ~group ~last)
+             ~decrease:(Layered.decrease_field st ~group))
+    | None -> None
+  in
+  let field_bytes =
+    match delta with
+    | Some f -> Field.wire_bytes ~width:config.width f
+    | None -> 0
+  in
+  let pkt =
+    Packet.make ~src:s.s_node.Node.id
+      ~dst:(Packet.Multicast (group_addr config group))
+      ~size:(config.packet_size + field_bytes)
+      (Data
+         { session = config.id; group; slot; seq; last; upgrade_mask = mask;
+           delta })
+  in
+  s.s_stats.data_bits <- s.s_stats.data_bits + (config.packet_size * 8);
+  s.s_stats.delta_bits <- s.s_stats.delta_bits + (field_bytes * 8);
+  Mcc_obs.Lineage.set_origin pkt.Packet.lineage ~session:config.id
+    ~level:group
+    ~time:(Sim.now (Topology.sim s.s_topo));
+  Node.originate s.s_node pkt
 
-let sender_start ?(at = 0.) topo ~node ~prng config =
+let sender_start ?at topo ~node ~prng config =
   let n = config.layering.Layering.groups in
-  let sim = Topology.sim topo in
-  for g = 1 to n do
-    Topology.register_group topo ~group:(group_addr config g) ~source:node
-  done;
   let s =
     {
       s_config = config;
       s_topo = topo;
       s_node = node;
       s_prng = prng;
-      s_slot = 0;
-      s_credits = Array.make n 0.;
       s_keys = [];
       s_stats =
         {
@@ -265,12 +200,15 @@ let sender_start ?(at = 0.) topo ~node ~prng config =
           authorizations = Array.make n 0;
           fec_expansion = 1.;
         };
-      s_tick = None;
-      s_stopped = false;
     }
   in
-  s.s_tick <-
-    Some (Sim.every sim ~start:at ~period:config.slot_duration (sender_slot_tick s));
+  Slotted.sender_start ?at ~span:"flid" topo ~node ~base_group:config.base_group
+    ~rates:
+      (Array.init n (fun i ->
+           Layering.layer_rate config.layering ~group:(i + 1)))
+    ~packet_size:config.packet_size ~repair_fraction:0.
+    ~slot_duration:config.slot_duration ~upgrade_period:config.upgrade_period
+    ~prepare:(prepare s) ~emit:(emit s) ();
   s
 
 (* ----------------------------------------------------------------- *)
@@ -304,123 +242,34 @@ type adversary = {
 
 type behavior = Well_behaved | Inflate_after of float | Adversarial of adversary
 
-type group_slot_rec = {
-  mutable count : int;
-  mutable last_seq : int option;
-  mutable saw_last : bool;
-  mutable marked : int;
-      (** ECN-marked arrivals: trusted edge routers scrub their DELTA
-          components, so the receiver counts them as congestion rather
-          than attempting a key it cannot reconstruct *)
-}
-
-type slot_rec = {
-  per_group : group_slot_rec array;
-  delta_recv : Layered.receiver option;
-  mutable mask : int;
-}
-
-type receiver = {
-  r_config : config;
-  r_topo : Topology.t;
-  r_host : Node.t;
-  r_behavior : behavior;
-  r_prng : Prng.t;
-  r_meter : Meter.t;
-  r_series : Series.t;
-  mutable r_level : int;
-  r_active_since : int array;  (* first slot each group is evaluated for *)
-  r_slots : (int, slot_rec) Hashtbl.t;
-  mutable r_base : float;
-  mutable r_synced : bool;
-  mutable r_next_eval : int;
-  r_highest : int array;  (* per group: highest slot seen (self-clocking) *)
-  mutable r_congestions : int;
-  r_client : Client.t option;
-  mutable r_misbehaving : bool;
-  mutable r_joined_all : bool;
-  mutable r_stopped : bool;
-  mutable r_history : submission list;
+type state = {
+  adversary : adversary option;
+  prng : Prng.t;
+  mutable congestions : int;
+  mutable misbehaving : bool;
+  mutable joined_all : bool;
+  mutable history : submission list;
       (** honest (slot, pairs) submissions, newest first, bounded: what
           a colluder copies and what a stale-replay adversary mines *)
-  mutable r_collude_source : receiver option;
+  mutable collude_source : receiver option;
       (** when set, this receiver replays that receiver's submissions
           instead of reconstructing keys itself (paper Section 4.2) *)
 }
 
-let receiver_meter r = r.r_meter
-let receiver_level r = r.r_level
-let level_series r = r.r_series
-let congestion_events r = r.r_congestions
-let receiver_stop r = r.r_stopped <- true
+and receiver = (Layered.receiver, state) Slotted.t
 
-let receiver_leave r =
-  if not r.r_stopped then begin
-    let config = r.r_config in
-    let groups =
-      List.init (max 0 r.r_level) (fun i -> group_addr config (i + 1))
-    in
-    (match (config.mode, r.r_client) with
-    | Robust, Some client when groups <> [] ->
-        Client.unsubscribe client ~groups
-    | (Robust | Plain), _ ->
-        List.iter
-          (fun group -> Multicast.host_leave r.r_topo ~host:r.r_host ~group)
-          groups);
-    r.r_stopped <- true
-  end
+let receiver_meter (r : receiver) = r.Slotted.meter
+let receiver_level (r : receiver) = r.Slotted.level
+let level_series (r : receiver) = r.Slotted.series
+let congestion_events (r : receiver) = r.Slotted.state.congestions
+let receiver_stop = Slotted.stop
+let receiver_leave = Slotted.leave
+let receiver_history (r : receiver) = r.Slotted.state.history
 
-let slot_rec r slot =
-  match Hashtbl.find_opt r.r_slots slot with
-  | Some rec_ -> rec_
-  | None ->
-      let n = r.r_config.layering.Layering.groups in
-      let rec_ =
-        {
-          per_group =
-            Array.init n (fun _ ->
-                { count = 0; last_seq = None; saw_last = false; marked = 0 });
-          delta_recv =
-            (match r.r_config.mode with
-            | Robust -> Some (Layered.receiver_create ~groups:n)
-            | Plain -> None);
-          mask = 0;
-        }
-      in
-      Hashtbl.replace r.r_slots slot rec_;
-      rec_
+let set_colluder (r : receiver) ~source =
+  r.Slotted.state.collude_source <- Some source
 
-let record_level r =
-  let time = Sim.now (Topology.sim r.r_topo) in
-  Series.add r.r_series ~time ~value:(float_of_int r.r_level);
-  Metrics.tick "flid.level_changes";
-  if Tracer.enabled () then
-    Tracer.emit ~sim_time:time ~component:"flid.receiver" ~event:"level"
-      (fun () ->
-        [
-          ("host", Json.Int r.r_host.Node.id);
-          ("level", Json.Int r.r_level);
-        ])
-
-(* Largest level e <= r_level such that every group 1..e has been
-   subscribed since before slot [slot]: partial slots of freshly joined
-   groups must not count as losses. *)
-let effective_level r slot =
-  let rec climb e =
-    if e >= r.r_level then r.r_level
-    else if r.r_active_since.(e) <= slot then climb (e + 1)
-    else e
-  in
-  if r.r_active_since.(0) <= slot then climb 1 else 0
-
-let group_lost rec_ g =
-  let gs = rec_.per_group.(g - 1) in
-  if gs.count = 0 then true
-  else if gs.marked > 0 then true
-  else if not gs.saw_last then true
-  else match gs.last_seq with Some l -> gs.count < l + 1 | None -> true
-
-let random_key r = Key.nonce r.r_prng ~width:r.r_config.width
+let now (r : (_, _) Slotted.t) = Sim.now (Topology.sim r.Slotted.topo)
 
 (* Inflation guesses: claim every group of the session, drawing a random
    key for each one the receiver is not eligible for.  This is the single
@@ -448,342 +297,183 @@ let inflation_adversary ~at =
         ]);
   }
 
-let subscribe_robust r ~slot ~entitled_pairs =
-  match r.r_client with
-  | None -> ()
-  | Some client ->
-      let config = r.r_config in
-      let entitled =
-        List.map (fun (g, k) -> (group_addr config g, k)) entitled_pairs
-      in
-      r.r_history <-
-        { sub_slot = slot; sub_pairs = entitled }
-        :: List.filteri (fun i _ -> i < 15) r.r_history;
-      let submissions =
-        match r.r_behavior with
-        | Adversarial a when r.r_misbehaving ->
-            let ctx =
-              {
-                actx_time = Sim.now (Topology.sim r.r_topo);
-                actx_slot = slot;
-                actx_entitled = entitled;
-                actx_groups =
-                  List.init config.layering.Layering.groups (fun i ->
-                      group_addr config (i + 1));
-                actx_fresh_key = (fun () -> random_key r);
-                actx_history = r.r_history;
-              }
-            in
-            a.adv_submit ctx
-        | Adversarial _ | Well_behaved | Inflate_after _ ->
-            [ { sub_slot = slot; sub_pairs = entitled } ]
-      in
-      List.iter
-        (fun { sub_slot; sub_pairs } ->
-          if sub_pairs <> [] then
-            Client.subscribe client ~slot:sub_slot ~pairs:sub_pairs)
-        submissions
+let subscribe_robust (rx : receiver) ~slot ~entitled_pairs =
+  let r = rx.Slotted.state in
+  let entitled = List.map (fun (g, k) -> (Slotted.addr rx g, k)) entitled_pairs in
+  r.history <-
+    { sub_slot = slot; sub_pairs = entitled }
+    :: List.filteri (fun i _ -> i < 15) r.history;
+  let submissions =
+    match r.adversary with
+    | Some a when r.misbehaving ->
+        a.adv_submit
+          {
+            actx_time = now rx;
+            actx_slot = slot;
+            actx_entitled = entitled;
+            actx_groups =
+              List.init rx.proto.groups (fun i -> Slotted.addr rx (i + 1));
+            actx_fresh_key =
+              (fun () -> Key.nonce r.prng ~width:rx.proto.key_width);
+            actx_history = r.history;
+          }
+    | Some _ | None -> [ { sub_slot = slot; sub_pairs = entitled } ]
+  in
+  List.iter
+    (fun { sub_slot; sub_pairs } -> Slotted.subscribe rx ~slot:sub_slot sub_pairs)
+    submissions
 
-let plain_inflate r =
-  if not r.r_joined_all then begin
-    r.r_joined_all <- true;
-    let config = r.r_config in
-    let n = config.layering.Layering.groups in
-    for g = 1 to n do
-      Multicast.host_join r.r_topo ~host:r.r_host ~group:(group_addr config g)
+(* Plain-mode inflation: IGMP-join every group at once. *)
+let plain_inflate (rx : receiver) =
+  let r = rx.Slotted.state in
+  if not r.joined_all then begin
+    r.joined_all <- true;
+    for g = 1 to rx.proto.groups do
+      Slotted.join rx g
     done;
-    r.r_level <- n;
-    record_level r
+    Slotted.set_level rx rx.proto.groups
   end
 
-let eval_plain r slot rec_ effective congested =
-  let config = r.r_config in
-  let n = config.layering.Layering.groups in
+let eval_plain (rx : receiver) slot rec_ effective congested =
+  let level = rx.Slotted.level in
   if congested then begin
-    let new_level = max 1 (r.r_level - 1) in
-    if new_level < r.r_level then begin
-      for g = new_level + 1 to r.r_level do
-        Multicast.host_leave r.r_topo ~host:r.r_host
-          ~group:(group_addr config g);
-        r.r_active_since.(g - 1) <- max_int
+    let new_level = max 1 (level - 1) in
+    if new_level < level then begin
+      for g = new_level + 1 to level do
+        Slotted.leave_group rx g;
+        rx.active_since.(g - 1) <- max_int
       done;
       (* A pulse adversary that went quiet resumes honest behaviour:
          once a group is shed it must be able to re-inflate later. *)
-      r.r_joined_all <- false;
-      r.r_level <- new_level;
-      record_level r
+      rx.state.joined_all <- false;
+      Slotted.set_level rx new_level
     end
   end
-  else if effective = r.r_level && r.r_level < n
-          && mask_bit rec_.mask (r.r_level + 1) then begin
-    let g = r.r_level + 1 in
-    Multicast.host_join r.r_topo ~host:r.r_host ~group:(group_addr config g);
-    r.r_active_since.(g - 1) <- slot + 2;
-    r.r_level <- g;
-    record_level r
+  else if effective = level && level < rx.proto.groups
+          && Slotted.mask_bit rec_.Slotted.mask (level + 1) then begin
+    let g = level + 1 in
+    Slotted.join rx g;
+    rx.active_since.(g - 1) <- slot + 2;
+    Slotted.set_level rx g
   end
 
-let eval_robust r slot rec_ effective congested lost =
-  let config = r.r_config in
-  match rec_.delta_recv with
-  | None -> ()
-  | Some delta ->
-      let upgrade_to j =
-        effective = r.r_level
-        && j <= config.layering.Layering.groups
-        && mask_bit rec_.mask j
-      in
-      let outcome =
-        Layered.slot_end delta ~level:effective ~congested ~lost ~upgrade_to
-      in
-      subscribe_robust r ~slot:(slot + 2) ~entitled_pairs:outcome.Layered.keys;
-      let new_level =
-        if effective = r.r_level then outcome.Layered.next_level
-        else if congested then outcome.Layered.next_level
-        else r.r_level
-      in
-      if new_level < r.r_level then begin
-        if (not r.r_misbehaving) && new_level < r.r_level then begin
-          match r.r_client with
-          | Some client ->
-              let dropped =
-                List.init (r.r_level - max 0 new_level) (fun i ->
-                    group_addr config (max 0 new_level + i + 1))
-              in
-              Client.unsubscribe client ~groups:dropped
-          | None -> ()
-        end;
-        for g = max 1 new_level + 1 to r.r_level do
-          r.r_active_since.(g - 1) <- max_int
-        done
-      end;
-      if new_level > r.r_level then
-        r.r_active_since.(new_level - 1) <- slot + 2;
-      if new_level = 0 then begin
-        (* Even the minimal group's key chain broke: re-admit through
-           SIGMA's session-join once the current grant lapses. *)
-        (match r.r_client with
-        | Some client -> Client.session_join client ~group:(group_addr config 1)
-        | None -> ());
-        r.r_active_since.(0) <- slot + 3;
-        if r.r_level <> 1 then begin
-          r.r_level <- 1;
-          record_level r
-        end
-      end
-      else if new_level <> r.r_level then begin
-        r.r_level <- new_level;
-        record_level r
-      end;
-      (* A silent minimal group while nominally subscribed means the
-         grant lapsed (e.g. during an outage): keep knocking. *)
-      if rec_.per_group.(0).count = 0 && r.r_level = 1 then
-        match r.r_client with
-        | Some client -> Client.session_join client ~group:(group_addr config 1)
-        | None -> ()
-
-let set_colluder r ~source = r.r_collude_source <- Some source
-let receiver_history r = r.r_history
+let eval_robust (rx : receiver) slot rec_ delta effective congested lost =
+  let upgrade_to j =
+    effective = rx.Slotted.level && j <= rx.proto.groups
+    && Slotted.mask_bit rec_.Slotted.mask j
+  in
+  let outcome =
+    Layered.slot_end delta ~level:effective ~congested ~lost ~upgrade_to
+  in
+  subscribe_robust rx ~slot:(slot + 2) ~entitled_pairs:outcome.Layered.keys;
+  let new_level =
+    if effective = rx.level || congested then outcome.Layered.next_level
+    else rx.level
+  in
+  Slotted.resubscribe rx ~slot ~release:(not rx.state.misbehaving) new_level;
+  Slotted.knock rx rec_
 
 (* A colluding receiver does not reconstruct anything: it replays, slot
    for slot, whatever its accomplice last submitted. *)
-let collude r source =
-  match (r.r_client, source.r_history) with
-  | Some client, { sub_slot = slot; sub_pairs = pairs } :: _ when pairs <> [] ->
-      Client.subscribe client ~slot ~pairs
-  | _, _ -> ()
+let collude rx (source : receiver) =
+  match source.Slotted.state.history with
+  | { sub_slot = slot; sub_pairs } :: _ -> Slotted.subscribe rx ~slot sub_pairs
+  | [] -> ()
 
-let eval_slot r slot =
-  let rec_ = slot_rec r slot in
+let eval_slot (rx : receiver) slot rec_ =
+  let r = rx.Slotted.state in
   Metrics.tick "flid.slots";
-  let level_before = r.r_level in
-  (match r.r_behavior with
-  | Adversarial a ->
-      r.r_misbehaving <- a.adv_active ~time:(Sim.now (Topology.sim r.r_topo))
-  | Inflate_after t when Sim.now (Topology.sim r.r_topo) >= t ->
-      (* Normalised to [Adversarial] at receiver_start; kept for receivers
-         constructed with the record directly in tests. *)
-      r.r_misbehaving <- true
-  | Inflate_after _ | Well_behaved -> ());
-  let effective = effective_level r slot in
-  let lost g = g <= effective && group_lost rec_ g in
+  let level_before = rx.level in
+  Option.iter (fun a -> r.misbehaving <- a.adv_active ~time:(now rx)) r.adversary;
+  let effective = Slotted.effective_level rx slot in
+  let lost g =
+    g <= effective
+    && (Slotted.group_lost rec_ g || rec_.Slotted.lanes.(g - 1).marked > 0)
+  in
   let congested =
     effective >= 1 && List.exists lost (List.init effective (fun i -> i + 1))
   in
   if congested then begin
-    r.r_congestions <- r.r_congestions + 1;
+    r.congestions <- r.congestions + 1;
     Metrics.tick "flid.inferred_losses"
   end;
-  (match r.r_config.mode with
-  | Plain ->
-      if r.r_misbehaving then plain_inflate r
-      else if effective >= 1 then eval_plain r slot rec_ effective congested
-  | Robust -> (
-      if effective >= 1 then eval_robust r slot rec_ effective congested lost;
-      match r.r_collude_source with
-      | Some source -> collude r source
-      | None -> ()));
-  let delta = r.r_level - level_before in
+  (match rec_.keys with
+  | None ->
+      if r.misbehaving then plain_inflate rx
+      else if effective >= 1 then eval_plain rx slot rec_ effective congested
+  | Some delta ->
+      if effective >= 1 then eval_robust rx slot rec_ delta effective congested lost;
+      Option.iter (collude rx) r.collude_source);
+  let delta = rx.level - level_before in
   if delta > 0 then Metrics.tick "flid.joins" ~by:delta
-  else if delta < 0 then Metrics.tick "flid.leaves" ~by:(-delta);
-  (* Drop bookkeeping for this and any older slot. *)
-  let stale =
-    Hashtbl.fold (fun s _ acc -> if s <= slot then s :: acc else acc) r.r_slots []
-  in
-  List.iter (Hashtbl.remove r.r_slots) stale
+  else if delta < 0 then Metrics.tick "flid.leaves" ~by:(-delta)
 
-(* A group's slot is closed once its flagged last packet arrived or a
-   packet of a later slot did: the path is FIFO, so nothing of the slot
-   can still be in flight.  A slot is ready for evaluation when every
-   group of the effective subscription closed it. *)
-let slot_closed r slot =
-  let effective = effective_level r slot in
-  effective >= 1
-  &&
-  let rec check g =
-    if g > effective then true
-    else
-      let closed =
-        r.r_highest.(g - 1) > slot
-        ||
-        match Hashtbl.find_opt r.r_slots slot with
-        | Some rec_ -> rec_.per_group.(g - 1).saw_last
-        | None -> false
-      in
-      closed && check (g + 1)
-  in
-  check 1
-
-let rec try_eval r =
-  if (not r.r_stopped) && slot_closed r r.r_next_eval then begin
-    let slot = r.r_next_eval in
-    eval_slot r slot;
-    r.r_next_eval <- slot + 1;
-    try_eval r
-  end
-
-(* Wall-clock fallback: when a subscribed group goes completely silent
-   nothing closes the slot, so evaluate [processing_margin] of a slot
-   after the boundary regardless (late packets then count as lost, as in
-   FLID-DL). *)
-let rec schedule_eval r =
-  if not r.r_stopped then begin
-    let sim = Topology.sim r.r_topo in
-    let config = r.r_config in
-    let slot = r.r_next_eval in
-    let at =
-      r.r_base
-      +. (float_of_int (slot + 1) *. config.slot_duration)
-      +. (config.processing_margin *. config.slot_duration)
-    in
-    let at = Float.max at (Sim.now sim) in
-    Sim.post sim ~at (fun () ->
-           if not r.r_stopped then begin
-             if r.r_next_eval = slot then begin
-               eval_slot r slot;
-               r.r_next_eval <- slot + 1;
-               try_eval r
-             end;
-             schedule_eval r
-           end)
-  end
-
-let on_data r pkt =
-  match pkt.Packet.payload with
-  | Data { session; group; slot; seq; last; upgrade_mask; delta }
-    when session = r.r_config.id ->
-      let now = Sim.now (Topology.sim r.r_topo) in
-      Meter.record r.r_meter ~time:now ~bytes:pkt.Packet.size;
-      let candidate_base =
-        now -. (float_of_int slot *. r.r_config.slot_duration)
-      in
-      if not r.r_synced then begin
-        r.r_synced <- true;
-        r.r_base <- candidate_base;
-        r.r_next_eval <- slot + 1;
-        if r.r_active_since.(0) = max_int then
-          r.r_active_since.(0) <- slot + 1;
-        schedule_eval r
-      end
-      else r.r_base <- Float.min r.r_base candidate_base;
-      r.r_highest.(group - 1) <- max r.r_highest.(group - 1) slot;
-      if slot >= r.r_next_eval then begin
-        let rec_ = slot_rec r slot in
-        let gs = rec_.per_group.(group - 1) in
-        gs.count <- gs.count + 1;
-        if pkt.Packet.ecn then gs.marked <- gs.marked + 1;
-        if last then begin
-          gs.saw_last <- true;
-          gs.last_seq <- Some seq
-        end;
-        rec_.mask <- rec_.mask lor upgrade_mask;
-        (match (rec_.delta_recv, delta) with
-        | Some dr, Some f ->
+(* The receiving half of the wire format: one lane per group, layered
+   DELTA key state per slot in Robust mode. *)
+let receiver_proto config ~names ~law ~attrs =
+  let n = config.layering.Layering.groups in
+  {
+    Slotted.names;
+    session = config.id;
+    base_group = config.base_group;
+    groups = n;
+    lane_count = n;
+    slot_duration = config.slot_duration;
+    processing_margin = config.processing_margin;
+    key_width = config.width;
+    new_keys =
+      (match config.mode with
+      | Robust -> Some (fun () -> Layered.receiver_create ~groups:n)
+      | Plain -> None);
+    feed =
+      (fun dr -> function
+        | Data { group; delta = Some f; _ } ->
             Layered.on_packet dr ~group ~component:f.Field.component
               ~decrease:f.Field.decrease
-        | _, _ -> ())
-      end;
-      try_eval r
+        | _ -> ());
+    lane_of = (fun ~level:_ ~group -> group - 1);
+    law;
+    attrs;
+  }
+
+let on_data rx pkt =
+  match pkt.Packet.payload with
+  | Data { session; group; slot; seq; last; upgrade_mask; _ }
+    when session = rx.Slotted.proto.session ->
+      Slotted.on_packet rx pkt ~group ~slot ~seq ~last ~mask:upgrade_mask
   | _ -> ()
 
-let receiver_start ?(at = 0.) ?(behavior = Well_behaved) topo ~host ~prng
-    config =
+let receiver_start ?at ?(behavior = Well_behaved) topo ~host ~prng config =
   (* The legacy constructor is sugar for the canonical inflation
      adversary, so the Figure 1 misbehaviour has a single
      implementation. *)
-  let behavior =
+  let adversary =
     match behavior with
-    | Inflate_after at -> Adversarial (inflation_adversary ~at)
-    | (Well_behaved | Adversarial _) as b -> b
+    | Well_behaved -> None
+    | Inflate_after at -> Some (inflation_adversary ~at)
+    | Adversarial a -> Some a
   in
-  let n = config.layering.Layering.groups in
-  let r =
+  let names =
     {
-      r_config = config;
-      r_topo = topo;
-      r_host = host;
-      r_behavior = behavior;
-      r_prng = prng;
-      r_meter = Meter.create ();
-      r_series = Series.create ();
-      r_level = 1;
-      r_active_since = Array.make n max_int;
-      r_slots = Hashtbl.create 8;
-      r_base = infinity;
-      r_synced = false;
-      r_next_eval = 0;
-      r_highest = Array.make n (-1);
-      r_congestions = 0;
-      r_client =
-        (match config.mode with
-        | Robust -> Some (Client.create ~width:config.width topo ~host)
-        | Plain -> None);
-      r_misbehaving = false;
-      r_joined_all = false;
-      r_stopped = false;
-      r_history = [];
-      r_collude_source = None;
+      Slotted.prefix = "flid";
+      component = "flid.receiver";
+      event = "level";
+      field = "level";
+      changes = "flid.level_changes";
     }
   in
-  (* Per-receiver trajectories (no-op unless sampling is on): goodput in
-     kbit/s and the current subscription level — the curves of the
-     paper's attack/recovery figures. *)
-  if Timeseries.enabled () then begin
-    let name suffix =
-      Printf.sprintf "flid.s%d.h%d.%s" config.id host.Node.id suffix
-    in
-    Timeseries.sample_rate ~scale:0.008 (name "goodput_kbps") (fun () ->
-        float_of_int (Meter.total_bytes r.r_meter));
-    Timeseries.sample_gauge (name "level") (fun () -> float_of_int r.r_level)
-  end;
-  for g = 1 to n do
-    Node.subscribe_local host ~group:(group_addr config g) (on_data r)
-  done;
-  Sim.post (Topology.sim topo) ~at (fun () ->
-         match (config.mode, r.r_client) with
-         | Plain, _ ->
-             Multicast.host_join topo ~host ~group:(group_addr config 1)
-         | Robust, Some client ->
-             Client.session_join client ~group:(group_addr config 1)
-         | Robust, None -> ());
-  r
+  let rx =
+    Slotted.create topo ~host
+      (receiver_proto config ~names ~law:eval_slot ~attrs:(fun _ -> []))
+      {
+        adversary;
+        prng;
+        congestions = 0;
+        misbehaving = false;
+        joined_all = false;
+        history = [];
+        collude_source = None;
+      }
+  in
+  Slotted.start ?at rx (on_data rx);
+  rx

@@ -106,11 +106,10 @@ val sender_start :
     ticking and per-group emission at [at] (default 0). *)
 
 val sender_stats : sender -> sender_stats
-val sender_stop : sender -> unit
 
 val sender_keys_for_slot :
   sender -> slot:int -> Mcc_delta.Layered.keys option
-(** Keys guarding [slot] (Robust mode; the two most recent slots are
+(** Keys guarding [slot] (Robust mode; the four most recent slots are
     retained).  Exposed for tests. *)
 
 (** {1 Receivers} *)
@@ -217,3 +216,24 @@ val set_colluder : receiver -> source:receiver -> unit
     typically a receiver behind a cleaner path — last made, instead of
     reconstructing keys from its own reception.  Defeated by the SIGMA
     agent's [interface_keys] option, which makes keys interface-specific. *)
+
+(** {1 The wire format for other control laws}
+
+    {!Oversub} runs its own control law over FLID's packets. *)
+
+val receiver_proto :
+  config ->
+  names:Slotted.names ->
+  law:
+    ((Mcc_delta.Layered.receiver, 's) Slotted.t ->
+    int ->
+    Mcc_delta.Layered.receiver Slotted.slot ->
+    unit) ->
+  attrs:('s -> (string * Mcc_obs.Json.t) list) ->
+  (Mcc_delta.Layered.receiver, 's) Slotted.proto
+(** One lane per group and, in [Robust] mode, layered DELTA key state
+    per slot. *)
+
+val on_data :
+  (Mcc_delta.Layered.receiver, 's) Slotted.t -> Mcc_net.Packet.t -> unit
+(** The receiver's packet handler, for {!Slotted.start}. *)

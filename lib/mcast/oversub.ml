@@ -1,17 +1,8 @@
-module Sim = Mcc_engine.Sim
 module Node = Mcc_net.Node
-module Packet = Mcc_net.Packet
-module Topology = Mcc_net.Topology
-module Multicast = Mcc_net.Multicast
-module Meter = Mcc_util.Meter
-module Series = Mcc_util.Series
 module Prng = Mcc_util.Prng
 module Key = Mcc_delta.Key
 module Layered = Mcc_delta.Layered
-module Field = Mcc_delta.Field
-module Client = Mcc_sigma.Client
 module Metrics = Mcc_obs.Metrics
-module Tracer = Mcc_obs.Tracer
 module Timeseries = Mcc_obs.Timeseries
 module Json = Mcc_obs.Json
 
@@ -53,121 +44,30 @@ let sender_start ?at topo ~node ~prng config =
   Flid.sender_start ?at topo ~node ~prng config.flid
 
 let sender_stats = Flid.sender_stats
-let sender_stop = Flid.sender_stop
 
 (* ----------------------------------------------------------------- *)
 (* Receiver                                                          *)
 (* ----------------------------------------------------------------- *)
 
-let mask_bit mask g = mask land (1 lsl (g - 1)) <> 0
-
-type group_slot_rec = {
-  mutable count : int;
-  mutable last_seq : int option;
-  mutable saw_last : bool;
-  mutable marked : int;  (** ECN-marked arrivals *)
+type state = {
+  config : config;
+  mutable rate : float;  (** the CC rate variable, bps *)
+  mutable ewma : float;  (** EWMA of the per-slot mark fraction *)
+  mutable exp : int;  (** consecutive uncongested slots (probe exponent) *)
+  mutable congestions : int;
+  mutable decreases : int;
 }
 
-type slot_rec = {
-  per_group : group_slot_rec array;
-  delta_recv : Layered.receiver option;
-  mutable mask : int;
-}
+type receiver = (Layered.receiver, state) Slotted.t
 
-type receiver = {
-  r_config : config;
-  r_topo : Topology.t;
-  r_host : Node.t;
-  r_meter : Meter.t;
-  r_series : Series.t;
-  mutable r_level : int;
-  mutable r_rate : float;  (** the CC rate variable, bps *)
-  mutable r_ewma : float;  (** EWMA of the per-slot mark fraction *)
-  mutable r_exp : int;  (** consecutive uncongested slots (probe exponent) *)
-  r_active_since : int array;
-  r_slots : (int, slot_rec) Hashtbl.t;
-  mutable r_base : float;
-  mutable r_synced : bool;
-  mutable r_next_eval : int;
-  r_highest : int array;
-  mutable r_congestions : int;
-  mutable r_decreases : int;
-  r_client : Client.t option;
-  mutable r_stopped : bool;
-}
-
-let receiver_meter r = r.r_meter
-let receiver_level r = r.r_level
-let level_series r = r.r_series
-let congestion_events r = r.r_congestions
-let decrease_events r = r.r_decreases
-let mark_ewma r = r.r_ewma
-let receiver_stop r = r.r_stopped <- true
-
-let receiver_leave r =
-  if not r.r_stopped then begin
-    let config = r.r_config in
-    let groups =
-      List.init (max 0 r.r_level) (fun i -> group_addr config (i + 1))
-    in
-    (match (config.flid.Flid.mode, r.r_client) with
-    | Flid.Robust, Some client when groups <> [] ->
-        Client.unsubscribe client ~groups
-    | (Flid.Robust | Flid.Plain), _ ->
-        List.iter
-          (fun group -> Multicast.host_leave r.r_topo ~host:r.r_host ~group)
-          groups);
-    r.r_stopped <- true
-  end
-
-let slot_rec r slot =
-  match Hashtbl.find_opt r.r_slots slot with
-  | Some rec_ -> rec_
-  | None ->
-      let n = r.r_config.flid.Flid.layering.Layering.groups in
-      let rec_ =
-        {
-          per_group =
-            Array.init n (fun _ ->
-                { count = 0; last_seq = None; saw_last = false; marked = 0 });
-          delta_recv =
-            (match r.r_config.flid.Flid.mode with
-            | Flid.Robust -> Some (Layered.receiver_create ~groups:n)
-            | Flid.Plain -> None);
-          mask = 0;
-        }
-      in
-      Hashtbl.replace r.r_slots slot rec_;
-      rec_
-
-let record_level r =
-  let time = Sim.now (Topology.sim r.r_topo) in
-  Series.add r.r_series ~time ~value:(float_of_int r.r_level);
-  Metrics.tick "oversub.level_changes";
-  if Tracer.enabled () then
-    Tracer.emit ~sim_time:time ~component:"oversub.receiver" ~event:"level"
-      (fun () ->
-        [
-          ("host", Json.Int r.r_host.Node.id);
-          ("level", Json.Int r.r_level);
-          ("ewma", Json.Float r.r_ewma);
-        ])
-
-let effective_level r slot =
-  let rec climb e =
-    if e >= r.r_level then r.r_level
-    else if r.r_active_since.(e) <= slot then climb (e + 1)
-    else e
-  in
-  if r.r_active_since.(0) <= slot then climb 1 else 0
-
-(* Loss is missing packets only: a marked packet arrived, so it counts
-   toward the mark fraction, not toward loss. *)
-let group_lost rec_ g =
-  let gs = rec_.per_group.(g - 1) in
-  if gs.count = 0 then true
-  else if not gs.saw_last then true
-  else match gs.last_seq with Some l -> gs.count < l + 1 | None -> true
+let receiver_meter (r : receiver) = r.Slotted.meter
+let receiver_level (r : receiver) = r.Slotted.level
+let level_series (r : receiver) = r.Slotted.series
+let congestion_events (r : receiver) = r.Slotted.state.congestions
+let decrease_events (r : receiver) = r.Slotted.state.decreases
+let mark_ewma (r : receiver) = r.Slotted.state.ewma
+let receiver_stop = Slotted.stop
+let receiver_leave = Slotted.leave
 
 (* The control law (per slot): EWMA of the slot's ECN mark fraction,
    with packet loss saturating the congestion signal.  Above the target,
@@ -176,46 +76,47 @@ let group_lost rec_ g =
    exponentially growing quantum.  Returns the level the rate variable
    asks for, before key/authorization constraints. *)
 let control_update r rec_ ~effective ~any_lost =
-  let c = r.r_config in
+  let c = r.config in
   let layering = c.flid.Flid.layering in
   let received = ref 0 and marked = ref 0 in
   for g = 1 to effective do
-    let gs = rec_.per_group.(g - 1) in
-    received := !received + gs.count;
-    marked := !marked + gs.marked
+    let lane = rec_.Slotted.lanes.(g - 1) in
+    received := !received + lane.count;
+    marked := !marked + lane.marked
   done;
   let fraction =
     if any_lost || !received = 0 then 1.0
     else float_of_int !marked /. float_of_int !received
   in
-  r.r_ewma <- ((1. -. c.alpha) *. r.r_ewma) +. (c.alpha *. fraction);
-  let congested = r.r_ewma > c.target in
+  r.ewma <- ((1. -. c.alpha) *. r.ewma) +. (c.alpha *. fraction);
+  let congested = r.ewma > c.target in
   if congested then begin
-    r.r_decreases <- r.r_decreases + 1;
+    r.decreases <- r.decreases + 1;
     Metrics.tick "oversub.decreases";
-    r.r_rate <-
+    r.rate <-
       Float.max layering.Layering.min_rate_bps
-        (r.r_rate *. (1. -. ((r.r_ewma -. c.target) *. c.md)));
-    r.r_exp <- 0
+        (r.rate *. (1. -. ((r.ewma -. c.target) *. c.md)));
+    r.exp <- 0
   end
   else begin
-    let quantum = c.ai_bps *. (2. ** float_of_int (min r.r_exp c.max_exp)) in
-    r.r_exp <- r.r_exp + 1;
-    r.r_rate <- Float.min (Layering.top_rate layering) (r.r_rate +. quantum)
+    let quantum = c.ai_bps *. (2. ** float_of_int (min r.exp c.max_exp)) in
+    r.exp <- r.exp + 1;
+    r.rate <- Float.min (Layering.top_rate layering) (r.rate +. quantum)
   end;
-  (!marked, max 1 (Layering.fair_level layering ~rate_bps:r.r_rate))
+  (!marked, max 1 (Layering.fair_level layering ~rate_bps:r.rate))
 
 (* Desired level after the per-slot constraints: decreases may span
    several levels at once, increases move one level per slot and only
    when the slot's mask authorized an upgrade to level+1. *)
-let constrain_desired r rec_ ~effective ~desired =
-  let c = r.r_config in
-  let layering = c.flid.Flid.layering in
+let constrain_desired (rx : receiver) rec_ ~effective ~desired =
+  let r = rx.Slotted.state in
+  let layering = r.config.flid.Flid.layering in
+  let level = rx.level in
   let desired =
-    if desired > r.r_level then
-      if effective = r.r_level && mask_bit rec_.mask (r.r_level + 1) then
-        r.r_level + 1
-      else r.r_level
+    if desired > level then
+      if effective = level && Slotted.mask_bit rec_.Slotted.mask (level + 1)
+      then level + 1
+      else level
     else desired
   in
   (* Bound probe overshoot to one pending level so a long wait for an
@@ -224,262 +125,115 @@ let constrain_desired r rec_ ~effective ~desired =
     Layering.cumulative_rate layering
       ~level:(min layering.Layering.groups (desired + 1))
   in
-  r.r_rate <- Float.min r.r_rate cap;
+  r.rate <- Float.min r.rate cap;
   desired
 
-let eval_plain r slot rec_ ~effective ~desired =
-  let config = r.r_config in
-  ignore rec_;
-  if desired < r.r_level then begin
-    for g = desired + 1 to r.r_level do
-      Multicast.host_leave r.r_topo ~host:r.r_host ~group:(group_addr config g);
-      r.r_active_since.(g - 1) <- max_int
+let eval_plain (rx : receiver) slot ~effective ~desired =
+  let level = rx.Slotted.level in
+  if desired < level then begin
+    for g = desired + 1 to level do
+      Slotted.leave_group rx g;
+      rx.active_since.(g - 1) <- max_int
     done;
-    r.r_level <- desired;
-    record_level r
+    Slotted.set_level rx desired
   end
-  else if desired > r.r_level && effective = r.r_level then begin
-    let g = r.r_level + 1 in
-    Multicast.host_join r.r_topo ~host:r.r_host ~group:(group_addr config g);
-    r.r_active_since.(g - 1) <- slot + 2;
-    r.r_level <- g;
-    record_level r
+  else if desired > level && effective = level then begin
+    let g = level + 1 in
+    Slotted.join rx g;
+    rx.active_since.(g - 1) <- slot + 2;
+    Slotted.set_level rx g
   end
 
-let eval_robust r slot rec_ ~effective ~desired ~any_lost ~any_marked ~lost =
-  let config = r.r_config in
-  match rec_.delta_recv with
-  | None -> ()
-  | Some delta ->
-      (* Marked components were scrubbed by a trusted ECN edge, so the
-         top keys cannot be reconstructed: marks force the decrease-key
-         path even when the EWMA alone would not decrease — the DELTA
-         synergy this protocol exists to exercise. *)
-      let key_congested = any_lost || any_marked || desired < r.r_level in
-      let upgrade_to j =
-        (not key_congested)
-        && desired > r.r_level
-        && j = r.r_level + 1
-        && mask_bit rec_.mask j
-      in
-      let outcome =
-        Layered.slot_end delta ~level:effective ~congested:key_congested ~lost
-          ~upgrade_to
-      in
-      let new_level =
-        if key_congested then min outcome.Layered.next_level desired
-        else if effective = r.r_level then outcome.Layered.next_level
-        else r.r_level
-      in
-      let keys =
-        List.filter (fun (g, _) -> g <= max new_level 1) outcome.Layered.keys
-      in
-      let pairs = List.map (fun (g, k) -> (group_addr config g, k)) keys in
-      (match r.r_client with
-      | Some client when pairs <> [] ->
-          Client.subscribe client ~slot:(slot + 2) ~pairs
-      | Some _ | None -> ());
-      if new_level < r.r_level then begin
-        (match r.r_client with
-        | Some client ->
-            let dropped =
-              List.init (r.r_level - max 0 new_level) (fun i ->
-                  group_addr config (max 0 new_level + i + 1))
-            in
-            Client.unsubscribe client ~groups:dropped
-        | None -> ());
-        for g = max 1 new_level + 1 to r.r_level do
-          r.r_active_since.(g - 1) <- max_int
-        done;
-        (* The key chain forced the rate below what the EWMA asked for:
-           the rate variable follows the attainable level down. *)
-        r.r_rate <-
-          Float.min r.r_rate
-            (Layering.cumulative_rate config.flid.Flid.layering
-               ~level:(max 1 new_level))
-      end;
-      if new_level > r.r_level then
-        r.r_active_since.(new_level - 1) <- slot + 2;
-      if new_level = 0 then begin
-        (match r.r_client with
-        | Some client -> Client.session_join client ~group:(group_addr config 1)
-        | None -> ());
-        r.r_active_since.(0) <- slot + 3;
-        if r.r_level <> 1 then begin
-          r.r_level <- 1;
-          record_level r
-        end
-      end
-      else if new_level <> r.r_level then begin
-        r.r_level <- new_level;
-        record_level r
-      end;
-      if rec_.per_group.(0).count = 0 && r.r_level = 1 then
-        match r.r_client with
-        | Some client -> Client.session_join client ~group:(group_addr config 1)
-        | None -> ()
+let eval_robust (rx : receiver) slot rec_ delta ~effective ~desired ~any_lost
+    ~any_marked ~lost =
+  let r = rx.Slotted.state in
+  let level = rx.level in
+  (* Marked components were scrubbed by a trusted ECN edge, so the
+     top keys cannot be reconstructed: marks force the decrease-key
+     path even when the EWMA alone would not decrease — the DELTA
+     synergy this protocol exists to exercise. *)
+  let key_congested = any_lost || any_marked || desired < level in
+  let upgrade_to j =
+    (not key_congested) && desired > level && j = level + 1
+    && Slotted.mask_bit rec_.Slotted.mask j
+  in
+  let outcome =
+    Layered.slot_end delta ~level:effective ~congested:key_congested ~lost
+      ~upgrade_to
+  in
+  let new_level =
+    if key_congested then min outcome.Layered.next_level desired
+    else if effective = level then outcome.Layered.next_level
+    else level
+  in
+  Slotted.subscribe rx ~slot:(slot + 2)
+    (List.filter_map
+       (fun (g, k) ->
+         if g <= max new_level 1 then Some (Slotted.addr rx g, k) else None)
+       outcome.Layered.keys);
+  (* The key chain forced the rate below what the EWMA asked for: the
+     rate variable follows the attainable level down. *)
+  if new_level < level then
+    r.rate <-
+      Float.min r.rate
+        (Layering.cumulative_rate r.config.flid.Flid.layering
+           ~level:(max 1 new_level));
+  Slotted.resubscribe rx ~slot ~release:true new_level;
+  Slotted.knock rx rec_
 
-let eval_slot r slot =
-  let rec_ = slot_rec r slot in
+let eval_slot (rx : receiver) slot rec_ =
+  let r = rx.Slotted.state in
   Metrics.tick "oversub.slots";
-  let effective = effective_level r slot in
-  (if effective >= 1 then begin
-     let lost g = g <= effective && group_lost rec_ g in
-     let any_lost = List.exists lost (List.init effective (fun i -> i + 1)) in
-     let marked, rate_level = control_update r rec_ ~effective ~any_lost in
-     if any_lost then Metrics.tick "oversub.lossy_slots";
-     if any_lost || marked > 0 then begin
-       r.r_congestions <- r.r_congestions + 1;
-       Metrics.tick "oversub.congested_slots"
-     end;
-     let desired = constrain_desired r rec_ ~effective ~desired:rate_level in
-     match r.r_config.flid.Flid.mode with
-     | Flid.Plain -> eval_plain r slot rec_ ~effective ~desired
-     | Flid.Robust ->
-         eval_robust r slot rec_ ~effective ~desired ~any_lost
-           ~any_marked:(marked > 0) ~lost
-   end);
-  let stale =
-    Hashtbl.fold (fun s _ acc -> if s <= slot then s :: acc else acc) r.r_slots []
-  in
-  List.iter (Hashtbl.remove r.r_slots) stale
-
-let slot_closed r slot =
-  let effective = effective_level r slot in
-  effective >= 1
-  &&
-  let rec check g =
-    if g > effective then true
-    else
-      let closed =
-        r.r_highest.(g - 1) > slot
-        ||
-        match Hashtbl.find_opt r.r_slots slot with
-        | Some rec_ -> rec_.per_group.(g - 1).saw_last
-        | None -> false
-      in
-      closed && check (g + 1)
-  in
-  check 1
-
-let rec try_eval r =
-  if (not r.r_stopped) && slot_closed r r.r_next_eval then begin
-    let slot = r.r_next_eval in
-    eval_slot r slot;
-    r.r_next_eval <- slot + 1;
-    try_eval r
+  let effective = Slotted.effective_level rx slot in
+  if effective >= 1 then begin
+    (* Loss is missing packets only: a marked packet arrived, so it
+       counts toward the mark fraction, not toward loss. *)
+    let lost g = g <= effective && Slotted.group_lost rec_ g in
+    let any_lost = List.exists lost (List.init effective (fun i -> i + 1)) in
+    let marked, rate_level = control_update r rec_ ~effective ~any_lost in
+    if any_lost then Metrics.tick "oversub.lossy_slots";
+    if any_lost || marked > 0 then begin
+      r.congestions <- r.congestions + 1;
+      Metrics.tick "oversub.congested_slots"
+    end;
+    let desired = constrain_desired rx rec_ ~effective ~desired:rate_level in
+    match rec_.keys with
+    | None -> eval_plain rx slot ~effective ~desired
+    | Some delta ->
+        eval_robust rx slot rec_ delta ~effective ~desired ~any_lost
+          ~any_marked:(marked > 0) ~lost
   end
 
-let rec schedule_eval r =
-  if not r.r_stopped then begin
-    let sim = Topology.sim r.r_topo in
-    let config = r.r_config.flid in
-    let slot = r.r_next_eval in
-    let at =
-      r.r_base
-      +. (float_of_int (slot + 1) *. config.Flid.slot_duration)
-      +. (config.Flid.processing_margin *. config.Flid.slot_duration)
-    in
-    let at = Float.max at (Sim.now sim) in
-    Sim.post sim ~at (fun () ->
-        if not r.r_stopped then begin
-          if r.r_next_eval = slot then begin
-            eval_slot r slot;
-            r.r_next_eval <- slot + 1;
-            try_eval r
-          end;
-          schedule_eval r
-        end)
-  end
-
-let on_data r pkt =
-  match pkt.Packet.payload with
-  | Flid.Data { session; group; slot; seq; last; upgrade_mask; delta }
-    when session = r.r_config.flid.Flid.id ->
-      let now = Sim.now (Topology.sim r.r_topo) in
-      Meter.record r.r_meter ~time:now ~bytes:pkt.Packet.size;
-      let candidate_base =
-        now -. (float_of_int slot *. r.r_config.flid.Flid.slot_duration)
-      in
-      if not r.r_synced then begin
-        r.r_synced <- true;
-        r.r_base <- candidate_base;
-        r.r_next_eval <- slot + 1;
-        if r.r_active_since.(0) = max_int then
-          r.r_active_since.(0) <- slot + 1;
-        schedule_eval r
-      end
-      else r.r_base <- Float.min r.r_base candidate_base;
-      r.r_highest.(group - 1) <- max r.r_highest.(group - 1) slot;
-      if slot >= r.r_next_eval then begin
-        let rec_ = slot_rec r slot in
-        let gs = rec_.per_group.(group - 1) in
-        gs.count <- gs.count + 1;
-        if pkt.Packet.ecn then gs.marked <- gs.marked + 1;
-        if last then begin
-          gs.saw_last <- true;
-          gs.last_seq <- Some seq
-        end;
-        rec_.mask <- rec_.mask lor upgrade_mask;
-        (match (rec_.delta_recv, delta) with
-        | Some dr, Some f ->
-            Layered.on_packet dr ~group ~component:f.Field.component
-              ~decrease:f.Field.decrease
-        | _, _ -> ())
-      end;
-      try_eval r
-  | _ -> ()
-
-let receiver_start ?(at = 0.) topo ~host ~prng config =
+let receiver_start ?at topo ~host ~prng config =
   (* An honest Oversub receiver draws no randomness; the parameter keeps
      receiver construction uniform across the protocol library. *)
   ignore (prng : Prng.t);
-  let n = config.flid.Flid.layering.Layering.groups in
-  let r =
+  let names =
     {
-      r_config = config;
-      r_topo = topo;
-      r_host = host;
-      r_meter = Meter.create ();
-      r_series = Series.create ();
-      r_level = 1;
-      r_rate = config.flid.Flid.layering.Layering.min_rate_bps;
-      r_ewma = 0.;
-      r_exp = 0;
-      r_active_since = Array.make n max_int;
-      r_slots = Hashtbl.create 8;
-      r_base = infinity;
-      r_synced = false;
-      r_next_eval = 0;
-      r_highest = Array.make n (-1);
-      r_congestions = 0;
-      r_decreases = 0;
-      r_client =
-        (match config.flid.Flid.mode with
-        | Flid.Robust ->
-            Some (Client.create ~width:config.flid.Flid.width topo ~host)
-        | Flid.Plain -> None);
-      r_stopped = false;
+      Slotted.prefix = "oversub";
+      component = "oversub.receiver";
+      event = "level";
+      field = "level";
+      changes = "oversub.level_changes";
     }
   in
-  if Timeseries.enabled () then begin
-    let name suffix =
-      Printf.sprintf "oversub.s%d.h%d.%s" config.flid.Flid.id host.Node.id
-        suffix
-    in
-    Timeseries.sample_rate ~scale:0.008 (name "goodput_kbps") (fun () ->
-        float_of_int (Meter.total_bytes r.r_meter));
-    Timeseries.sample_gauge (name "level") (fun () -> float_of_int r.r_level);
-    Timeseries.sample_gauge (name "mark_ewma") (fun () -> r.r_ewma)
-  end;
-  for g = 1 to n do
-    Node.subscribe_local host ~group:(group_addr config g) (on_data r)
-  done;
-  Sim.post (Topology.sim topo) ~at (fun () ->
-      match (config.flid.Flid.mode, r.r_client) with
-      | Flid.Plain, _ ->
-          Multicast.host_join topo ~host ~group:(group_addr config 1)
-      | Flid.Robust, Some client ->
-          Client.session_join client ~group:(group_addr config 1)
-      | Flid.Robust, None -> ());
-  r
+  let rx =
+    Slotted.create topo ~host
+      (Flid.receiver_proto config.flid ~names ~law:eval_slot ~attrs:(fun r ->
+           [ ("ewma", Json.Float r.ewma) ]))
+      {
+        config;
+        rate = config.flid.Flid.layering.Layering.min_rate_bps;
+        ewma = 0.;
+        exp = 0;
+        congestions = 0;
+        decreases = 0;
+      }
+  in
+  if Timeseries.enabled () then
+    Timeseries.sample_gauge
+      (Printf.sprintf "oversub.s%d.h%d.mark_ewma" config.flid.Flid.id
+         host.Node.id)
+      (fun () -> rx.state.ewma);
+  Slotted.start ?at rx (Flid.on_data rx);
+  rx

@@ -72,7 +72,6 @@ val sender_start :
   sender
 
 val sender_stats : sender -> Flid.sender_stats
-val sender_stop : sender -> unit
 
 (** {1 Receiver} *)
 

@@ -3,20 +3,13 @@ module Node = Mcc_net.Node
 module Packet = Mcc_net.Packet
 module Payload = Mcc_net.Payload
 module Topology = Mcc_net.Topology
-module Multicast = Mcc_net.Multicast
-module Meter = Mcc_util.Meter
-module Series = Mcc_util.Series
 module Prng = Mcc_util.Prng
 module Key = Mcc_delta.Key
 module Field = Mcc_delta.Field
 module Replicated = Mcc_delta.Replicated
 module Tuple = Mcc_sigma.Tuple
 module Special = Mcc_sigma.Special
-module Client = Mcc_sigma.Client
 module Metrics = Mcc_obs.Metrics
-module Tracer = Mcc_obs.Tracer
-module Timeseries = Mcc_obs.Timeseries
-module Json = Mcc_obs.Json
 
 type config = {
   id : int;
@@ -72,8 +65,6 @@ let () =
         true
     | _ -> false)
 
-let mask_bit mask g = mask land (1 lsl (g - 1)) <> 0
-
 (* ----------------------------------------------------------------- *)
 (* Sender                                                            *)
 (* ----------------------------------------------------------------- *)
@@ -83,455 +74,237 @@ type sender = {
   s_topo : Topology.t;
   s_node : Node.t;
   s_prng : Prng.t;
-  mutable s_slot : int;
-  s_credits : float array;
-  mutable s_keys : (int * Replicated.keys) list;
-  mutable s_tick : Sim.handle option;
-  mutable s_stopped : bool;
+  mutable s_keys : (int * Replicated.keys) list;  (* (guarded slot, keys) *)
 }
-
-let sender_stop s =
-  s.s_stopped <- true;
-  match s.s_tick with Some h -> Sim.cancel h | None -> ()
 
 let sender_keys_for_slot s ~slot = List.assoc_opt slot s.s_keys
 
-let upgrade_mask config slot =
-  let n = config.layering.Layering.groups in
-  let mask = ref 0 in
-  for g = 2 to n do
-    if (slot + g) mod config.upgrade_period g = 0 then
-      mask := !mask lor (1 lsl (g - 1))
-  done;
-  !mask
-
-let emit s ~group ~slot ~seq ~last ~mask ~delta () =
-  if not s.s_stopped then begin
-    let config = s.s_config in
-    let field_bytes =
-      match delta with
-      | Some f -> Field.wire_bytes ~width:config.width f
-      | None -> 0
-    in
-    Node.originate s.s_node
-      (Packet.make ~src:s.s_node.Node.id
-         ~dst:(Packet.Multicast (group_addr config group))
-         ~size:(config.packet_size + field_bytes)
-         (Rep_data
-            { session = config.id; group; slot; seq; last; upgrade_mask = mask;
-              delta }))
-  end
-
-let sender_slot_tick s () =
+let prepare s ~slot ~mask ~counts:_ =
   let config = s.s_config in
-  let sim = Topology.sim s.s_topo in
-  let tick_now = Sim.now sim in
   let n = config.layering.Layering.groups in
-  let slot = s.s_slot in
-  s.s_slot <- slot + 1;
-  let mask = upgrade_mask config slot in
-  let delta_state =
-    match config.mode with
-    | Flid.Plain -> None
-    | Flid.Robust ->
-        let upgrades = Array.init n (fun i -> i >= 1 && mask_bit mask (i + 1)) in
-        let st =
-          Replicated.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
-            ~upgrades
-        in
-        let keys = Replicated.sender_keys st in
-        let guarded = slot + 2 in
-        s.s_keys <- (guarded, keys) :: List.filteri (fun i _ -> i < 3) s.s_keys;
-        let tuples =
-          List.init n (fun i ->
-              let g = i + 1 in
-              Tuple.make ~group:(group_addr config g) ~slot:guarded
-                ~keys:(Replicated.valid_keys keys ~group:g) ~minimal:(g = 1))
-        in
-        ignore
-          (Special.distribute s.s_topo ~sender:s.s_node ~session:config.id
-             ~via_group:(group_addr config 1) ~width:config.width ~slot:guarded
-             ~slot_duration:config.slot_duration ~tuples ());
-        Some st
-  in
-  for g = 1 to n do
-    (* Each group carries the full content: group g transmits at the
-       cumulative rate R_g, not a layer residue. *)
-    let rate = Layering.cumulative_rate config.layering ~level:g in
-    s.s_credits.(g - 1) <-
-      s.s_credits.(g - 1)
-      +. (rate *. config.slot_duration /. float_of_int (config.packet_size * 8));
-    let count = max 1 (int_of_float s.s_credits.(g - 1)) in
-    s.s_credits.(g - 1) <- s.s_credits.(g - 1) -. float_of_int count;
-    let spacing = config.slot_duration /. float_of_int count in
-    let phase = float_of_int g /. float_of_int (n + 1) *. spacing in
-    for i = 0 to count - 1 do
-      let last = i = count - 1 in
-      let delta () =
-        match delta_state with
-        | Some st ->
-            Some
-              (Field.make
-                 ~component:(Replicated.next_component st ~group:g ~last)
-                 ~decrease:(Replicated.decrease_field st ~group:g))
-        | None -> None
+  match config.mode with
+  | Flid.Plain -> None
+  | Flid.Robust ->
+      let upgrades =
+        Array.init n (fun i -> i >= 1 && Slotted.mask_bit mask (i + 1))
       in
-      Sim.post sim
-           ~at:(tick_now +. phase +. (float_of_int i *. spacing))
-           (fun () -> emit s ~group:g ~slot ~seq:i ~last ~mask ~delta:(delta ()) ())
-    done
-  done
+      let st =
+        Replicated.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
+          ~upgrades
+      in
+      let keys = Replicated.sender_keys st in
+      let guarded = slot + 2 in
+      s.s_keys <- (guarded, keys) :: List.filteri (fun i _ -> i < 3) s.s_keys;
+      let tuples =
+        List.init n (fun i ->
+            let g = i + 1 in
+            Tuple.make ~group:(group_addr config g) ~slot:guarded
+              ~keys:(Replicated.valid_keys keys ~group:g) ~minimal:(g = 1))
+      in
+      ignore
+        (Special.distribute s.s_topo ~sender:s.s_node ~session:config.id
+           ~via_group:(group_addr config 1) ~width:config.width ~slot:guarded
+           ~slot_duration:config.slot_duration ~tuples ());
+      Some st
 
-let sender_start ?(at = 0.) topo ~node ~prng config =
-  let n = config.layering.Layering.groups in
-  for g = 1 to n do
-    Topology.register_group topo ~group:(group_addr config g) ~source:node
-  done;
-  let s =
-    {
-      s_config = config;
-      s_topo = topo;
-      s_node = node;
-      s_prng = prng;
-      s_slot = 0;
-      s_credits = Array.make n 0.;
-      s_keys = [];
-      s_tick = None;
-      s_stopped = false;
-    }
+let emit s st ~group ~slot ~seq ~last ~repair:_ ~mask =
+  let config = s.s_config in
+  let delta =
+    match st with
+    | Some st ->
+        Some
+          (Field.make
+             ~component:(Replicated.next_component st ~group ~last)
+             ~decrease:(Replicated.decrease_field st ~group))
+    | None -> None
   in
-  s.s_tick <-
-    Some
-      (Sim.every (Topology.sim topo) ~start:at ~period:config.slot_duration
-         (sender_slot_tick s));
+  let field_bytes =
+    match delta with
+    | Some f -> Field.wire_bytes ~width:config.width f
+    | None -> 0
+  in
+  Node.originate s.s_node
+    (Packet.make ~src:s.s_node.Node.id
+       ~dst:(Packet.Multicast (group_addr config group))
+       ~size:(config.packet_size + field_bytes)
+       (Rep_data
+          { session = config.id; group; slot; seq; last; upgrade_mask = mask;
+            delta }))
+
+let sender_start ?at topo ~node ~prng config =
+  let s =
+    { s_config = config; s_topo = topo; s_node = node; s_prng = prng; s_keys = [] }
+  in
+  (* Each group carries the full content: group g transmits at the
+     cumulative rate R_g, not a layer residue. *)
+  Slotted.sender_start ?at topo ~node ~base_group:config.base_group
+    ~rates:
+      (Array.init config.layering.Layering.groups (fun i ->
+           Layering.cumulative_rate config.layering ~level:(i + 1)))
+    ~packet_size:config.packet_size ~repair_fraction:0.
+    ~slot_duration:config.slot_duration ~upgrade_period:config.upgrade_period
+    ~prepare:(prepare s) ~emit:(emit s) ();
   s
 
 (* ----------------------------------------------------------------- *)
 (* Receiver                                                          *)
 (* ----------------------------------------------------------------- *)
 
-type slot_rec = {
-  mutable count : int;
-  mutable last_seq : int option;
-  mutable saw_last : bool;
-  mutable mask : int;
-  delta_recv : Replicated.receiver option;
+(* A replicated receiver is a one-lane chassis: the lane counts only the
+   subscribed group's packets, and the chassis level is that group. *)
+
+type state = {
+  adversary : Flid.adversary option;
+  prng : Prng.t;
+  mutable misbehaving : bool;
+  mutable joined_all : bool;
 }
 
-type receiver = {
-  r_config : config;
-  r_topo : Topology.t;
-  r_host : Node.t;
-  r_behavior : Flid.behavior;
-  r_prng : Prng.t;
-  r_meter : Meter.t;
-  r_series : Series.t;
-  mutable r_group : int;  (* currently subscribed group; 0 = re-admitting *)
-  mutable r_active_since : int;  (* first slot the group is evaluated for *)
-  r_slots : (int, slot_rec) Hashtbl.t;
-  mutable r_base : float;
-  mutable r_synced : bool;
-  mutable r_next_eval : int;
-  mutable r_highest : int;  (* highest slot seen on the current group *)
-  r_client : Client.t option;
-  mutable r_misbehaving : bool;
-  mutable r_joined_all : bool;
-  mutable r_stopped : bool;
-}
+type receiver = (Replicated.receiver, state) Slotted.t
 
-let receiver_meter r = r.r_meter
-let receiver_group r = r.r_group
-let group_series r = r.r_series
-let receiver_stop r = r.r_stopped <- true
+let receiver_meter (r : receiver) = r.Slotted.meter
+let receiver_group (r : receiver) = r.Slotted.level
+let group_series (r : receiver) = r.Slotted.series
+let receiver_stop = Slotted.stop
 
-let slot_rec r slot =
-  match Hashtbl.find_opt r.r_slots slot with
-  | Some rec_ -> rec_
-  | None ->
-      let rec_ =
-        {
-          count = 0;
-          last_seq = None;
-          saw_last = false;
-          mask = 0;
-          delta_recv =
-            (match r.r_config.mode with
-            | Flid.Robust ->
-                Some
-                  (Replicated.receiver_create
-                     ~groups:r.r_config.layering.Layering.groups)
-            | Flid.Plain -> None);
-        }
-      in
-      Hashtbl.replace r.r_slots slot rec_;
-      rec_
+(* Plain switch: join the new group before leaving the old one. *)
+let switch (rx : receiver) ~slot group =
+  Slotted.join rx group;
+  Slotted.leave_group rx rx.Slotted.level;
+  rx.active_since.(0) <- slot + 2;
+  Slotted.set_level rx group
 
-let record_group r =
-  let time = Sim.now (Topology.sim r.r_topo) in
-  Series.add r.r_series ~time ~value:(float_of_int r.r_group);
-  Metrics.tick "rep.switches";
-  if Tracer.enabled () then
-    Tracer.emit ~sim_time:time ~component:"rep.receiver" ~event:"switch"
-      (fun () ->
-        [
-          ("host", Json.Int r.r_host.Node.id);
-          ("group", Json.Int r.r_group);
-        ])
-
-let lost rec_ =
-  rec_.count = 0
-  || (not rec_.saw_last)
-  || match rec_.last_seq with Some l -> rec_.count < l + 1 | None -> true
-
-let switch_plain r ~from_group ~to_group =
-  let config = r.r_config in
-  if to_group >= 1 then
-    Multicast.host_join r.r_topo ~host:r.r_host
-      ~group:(group_addr config to_group);
-  if from_group >= 1 && from_group <> to_group then
-    Multicast.host_leave r.r_topo ~host:r.r_host
-      ~group:(group_addr config from_group)
-
-let plain_inflate r =
-  if not r.r_joined_all then begin
-    r.r_joined_all <- true;
-    let n = r.r_config.layering.Layering.groups in
+let plain_inflate (rx : receiver) =
+  let r = rx.Slotted.state in
+  if not r.joined_all then begin
+    r.joined_all <- true;
     (* Replicated inflation: jump straight to the fastest group (and,
        greedily, keep everything else too). *)
-    for g = 1 to n do
-      Multicast.host_join r.r_topo ~host:r.r_host
-        ~group:(group_addr r.r_config g)
+    for g = 1 to rx.proto.groups do
+      Slotted.join rx g
     done;
-    r.r_group <- n;
-    record_group r
+    Slotted.set_level rx rx.proto.groups
   end
 
-let eval_slot r slot =
-  let config = r.r_config in
-  let n = config.layering.Layering.groups in
-  let rec_ = slot_rec r slot in
-  (match r.r_behavior with
-  | Flid.Adversarial a ->
-      (* Replicated receivers hold one group at a time, so every active
-         adversary degrades to the same misbehaviour: claim the faster
-         streams with guessed keys (Robust) or plain joins. *)
-      r.r_misbehaving <- a.Flid.adv_active ~time:(Sim.now (Topology.sim r.r_topo))
-  | Flid.Inflate_after t when Sim.now (Topology.sim r.r_topo) >= t ->
-      r.r_misbehaving <- true
-  | Flid.Inflate_after _ | Flid.Well_behaved -> ());
-  Metrics.tick "rep.slots";
-  if r.r_group >= 1 && r.r_active_since <= slot then begin
-    let congested = lost rec_ in
-    if congested then Metrics.tick "rep.inferred_losses";
-    let g = r.r_group in
-    match config.mode with
-    | Flid.Plain ->
-        if r.r_misbehaving then plain_inflate r
-        else if congested then begin
-          let to_group = max 1 (g - 1) in
-          if to_group <> g then begin
-            switch_plain r ~from_group:g ~to_group;
-            r.r_group <- to_group;
-            r.r_active_since <- slot + 2;
-            record_group r
-          end
-        end
-        else if g < n && mask_bit rec_.mask (g + 1) then begin
-          switch_plain r ~from_group:g ~to_group:(g + 1);
-          r.r_group <- g + 1;
-          r.r_active_since <- slot + 2;
-          record_group r
-        end
-    | Flid.Robust -> (
-        match rec_.delta_recv with
-        | None -> ()
-        | Some delta ->
-            let outcome =
-              Replicated.slot_end delta ~group:g ~congested
-                ~upgrade_to:(fun j -> j <= n && mask_bit rec_.mask j)
-            in
-            let pairs =
-              match outcome.Replicated.key with
-              | Some k when outcome.Replicated.next_group >= 1 ->
-                  [ (group_addr config outcome.Replicated.next_group, k) ]
-              | Some _ | None -> []
-            in
-            let pairs =
-              if r.r_misbehaving then
-                (* Claim every faster group with guessed keys. *)
-                pairs
-                @ List.filter_map
-                    (fun j ->
-                      if j > outcome.Replicated.next_group then
-                        Some
-                          ( group_addr config j,
-                            Key.nonce r.r_prng ~width:config.width )
-                      else None)
-                    (List.init n (fun i -> i + 1))
-              else pairs
-            in
-            (match r.r_client with
-            | Some client when pairs <> [] ->
-                Client.subscribe client ~slot:(slot + 2) ~pairs
-            | Some _ | None -> ());
-            let next = outcome.Replicated.next_group in
-            if next = 0 then begin
-              (match r.r_client with
-              | Some client ->
-                  Client.session_join client ~group:(group_addr config 1)
-              | None -> ());
-              r.r_group <- 1;
-              r.r_active_since <- slot + 3;
-              record_group r
-            end
-            else if next <> g then begin
-              (* Switch, don't stack: a replicated receiver leaves its
-                 old group as it moves, otherwise both rates transit the
-                 bottleneck and the overlap itself causes congestion. *)
-              (if not r.r_misbehaving then
-                 match r.r_client with
-                 | Some client ->
-                     Client.unsubscribe client ~groups:[ group_addr config g ]
-                 | None -> ());
-              r.r_group <- next;
-              r.r_active_since <- slot + 2;
-              record_group r
-            end;
-            (* Total silence while nominally subscribed: knock again. *)
-            if rec_.count = 0 && r.r_group = 1 then
-              match r.r_client with
-              | Some client ->
-                  Client.session_join client ~group:(group_addr config 1)
-              | None -> ())
-  end;
-  let stale =
-    Hashtbl.fold (fun s _ acc -> if s <= slot then s :: acc else acc) r.r_slots []
+let eval_robust (rx : receiver) slot rec_ delta ~congested =
+  let r = rx.Slotted.state in
+  let n = rx.proto.groups in
+  let g = rx.level in
+  let outcome =
+    Replicated.slot_end delta ~group:g ~congested ~upgrade_to:(fun j ->
+        j <= n && Slotted.mask_bit rec_.Slotted.mask j)
   in
-  List.iter (Hashtbl.remove r.r_slots) stale
+  let next = outcome.Replicated.next_group in
+  let pairs =
+    match outcome.Replicated.key with
+    | Some k when next >= 1 -> [ (Slotted.addr rx next, k) ]
+    | Some _ | None -> []
+  in
+  let pairs =
+    if r.misbehaving then
+      (* Claim every faster group with guessed keys. *)
+      pairs
+      @ List.filter_map
+          (fun j ->
+            if j > next then
+              Some (Slotted.addr rx j, Key.nonce r.prng ~width:rx.proto.key_width)
+            else None)
+          (List.init n (fun i -> i + 1))
+    else pairs
+  in
+  Slotted.subscribe rx ~slot:(slot + 2) pairs;
+  if next = 0 then begin
+    Slotted.session_join rx;
+    rx.active_since.(0) <- slot + 3;
+    Slotted.set_level rx 1
+  end
+  else if next <> g then begin
+    (* Switch, don't stack: a replicated receiver leaves its old group
+       as it moves, otherwise both rates transit the bottleneck and the
+       overlap itself causes congestion. *)
+    if not r.misbehaving then Slotted.unsubscribe rx g g;
+    rx.active_since.(0) <- slot + 2;
+    Slotted.set_level rx next
+  end;
+  (* Total silence while nominally subscribed: knock again. *)
+  Slotted.knock rx rec_
 
-let slot_closed r slot =
-  r.r_group >= 1 && r.r_active_since <= slot
-  && (r.r_highest > slot
-     ||
-     match Hashtbl.find_opt r.r_slots slot with
-     | Some rec_ -> rec_.saw_last
-     | None -> false)
-
-let rec try_eval r =
-  if (not r.r_stopped) && slot_closed r r.r_next_eval then begin
-    let slot = r.r_next_eval in
-    eval_slot r slot;
-    r.r_next_eval <- slot + 1;
-    try_eval r
+let eval_slot (rx : receiver) slot rec_ =
+  let r = rx.Slotted.state in
+  (* Replicated receivers hold one group at a time, so every active
+     adversary degrades to the same misbehaviour: claim the faster
+     streams with guessed keys (Robust) or plain joins. *)
+  Option.iter
+    (fun a ->
+      r.misbehaving <-
+        a.Flid.adv_active ~time:(Sim.now (Topology.sim rx.Slotted.topo)))
+    r.adversary;
+  Metrics.tick "rep.slots";
+  if Slotted.effective_level rx slot >= 1 then begin
+    let congested = Slotted.group_lost rec_ 1 in
+    if congested then Metrics.tick "rep.inferred_losses";
+    let g = rx.level in
+    match rec_.keys with
+    | None ->
+        if r.misbehaving then plain_inflate rx
+        else if congested then (if g > 1 then switch rx ~slot (g - 1))
+        else if g < rx.proto.groups && Slotted.mask_bit rec_.mask (g + 1) then
+          switch rx ~slot (g + 1)
+    | Some delta -> eval_robust rx slot rec_ delta ~congested
   end
 
-let rec schedule_eval r =
-  if not r.r_stopped then begin
-    let sim = Topology.sim r.r_topo in
-    let config = r.r_config in
-    let slot = r.r_next_eval in
-    let at =
-      r.r_base
-      +. (float_of_int (slot + 1) *. config.slot_duration)
-      +. (config.processing_margin *. config.slot_duration)
-    in
-    let at = Float.max at (Sim.now sim) in
-    Sim.post sim ~at (fun () ->
-           if not r.r_stopped then begin
-             if r.r_next_eval = slot then begin
-               eval_slot r slot;
-               r.r_next_eval <- slot + 1;
-               try_eval r
-             end;
-             schedule_eval r
-           end)
-  end
-
-let on_data r pkt =
+let on_data rx pkt =
   match pkt.Packet.payload with
-  | Rep_data { session; group; slot; seq; last; upgrade_mask; delta }
-    when session = r.r_config.id ->
-      let now = Sim.now (Topology.sim r.r_topo) in
-      Meter.record r.r_meter ~time:now ~bytes:pkt.Packet.size;
-      let candidate_base =
-        now -. (float_of_int slot *. r.r_config.slot_duration)
-      in
-      if not r.r_synced then begin
-        r.r_synced <- true;
-        r.r_base <- candidate_base;
-        r.r_next_eval <- slot + 1;
-        if r.r_active_since = max_int then r.r_active_since <- slot + 1;
-        schedule_eval r
-      end
-      else r.r_base <- Float.min r.r_base candidate_base;
-      if group = r.r_group then
-        r.r_highest <- max r.r_highest slot;
-      if slot >= r.r_next_eval then begin
-        (* Only the subscribed group's packets feed congestion state; a
-           packet from another group (stale forwarding during a switch)
-           still feeds the DELTA accumulators, which are per-group. *)
-        let rec_ = slot_rec r slot in
-        if group = r.r_group then begin
-          rec_.count <- rec_.count + 1;
-          if last then begin
-            rec_.saw_last <- true;
-            rec_.last_seq <- Some seq
-          end
-        end;
-        rec_.mask <- rec_.mask lor upgrade_mask;
-        match (rec_.delta_recv, delta) with
-        | Some dr, Some f ->
-            Replicated.on_packet dr ~group ~component:f.Field.component
-              ~decrease:f.Field.decrease
-        | _, _ -> ()
-      end;
-      try_eval r
+  | Rep_data { session; group; slot; seq; last; upgrade_mask; _ }
+    when session = rx.Slotted.proto.session ->
+      Slotted.on_packet rx pkt ~group ~slot ~seq ~last ~mask:upgrade_mask
   | _ -> ()
 
-let receiver_start ?(at = 0.) ?(behavior = Flid.Well_behaved) topo ~host ~prng
+let receiver_start ?at ?(behavior = Flid.Well_behaved) topo ~host ~prng
     config =
   let n = config.layering.Layering.groups in
-  let r =
-    {
-      r_config = config;
-      r_topo = topo;
-      r_host = host;
-      r_behavior = behavior;
-      r_prng = prng;
-      r_meter = Meter.create ();
-      r_series = Series.create ();
-      r_group = 1;
-      r_active_since = max_int;
-      r_slots = Hashtbl.create 8;
-      r_base = infinity;
-      r_synced = false;
-      r_next_eval = 0;
-      r_highest = -1;
-      r_client =
-        (match config.mode with
-        | Flid.Robust -> Some (Client.create ~width:config.width topo ~host)
-        | Flid.Plain -> None);
-      r_misbehaving = false;
-      r_joined_all = false;
-      r_stopped = false;
-    }
+  let adversary =
+    match behavior with
+    | Flid.Well_behaved -> None
+    | Flid.Inflate_after at -> Some (Flid.inflation_adversary ~at)
+    | Flid.Adversarial a -> Some a
   in
-  if Timeseries.enabled () then begin
-    let name suffix =
-      Printf.sprintf "rep.s%d.h%d.%s" config.id host.Node.id suffix
-    in
-    Timeseries.sample_rate ~scale:0.008 (name "goodput_kbps") (fun () ->
-        float_of_int (Meter.total_bytes r.r_meter));
-    Timeseries.sample_gauge (name "group") (fun () -> float_of_int r.r_group)
-  end;
-  for g = 1 to n do
-    Node.subscribe_local host ~group:(group_addr config g) (on_data r)
-  done;
-  Sim.post (Topology.sim topo) ~at (fun () ->
-         match (config.mode, r.r_client) with
-         | Flid.Plain, _ ->
-             Multicast.host_join topo ~host ~group:(group_addr config 1)
-         | Flid.Robust, Some client ->
-             Client.session_join client ~group:(group_addr config 1)
-         | Flid.Robust, None -> ());
-  r
+  let rx =
+    Slotted.create topo ~host
+      {
+        Slotted.names =
+          {
+            Slotted.prefix = "rep";
+            component = "rep.receiver";
+            event = "switch";
+            field = "group";
+            changes = "rep.switches";
+          };
+        session = config.id;
+        base_group = config.base_group;
+        groups = n;
+        lane_count = 1;
+        slot_duration = config.slot_duration;
+        processing_margin = config.processing_margin;
+        key_width = config.width;
+        new_keys =
+          (match config.mode with
+          | Flid.Robust -> Some (fun () -> Replicated.receiver_create ~groups:n)
+          | Flid.Plain -> None);
+        (* A packet of another group (stale forwarding during a switch)
+           counts in no lane but still feeds the DELTA accumulators,
+           which are per-group. *)
+        feed =
+          (fun dr -> function
+            | Rep_data { group; delta = Some f; _ } ->
+                Replicated.on_packet dr ~group ~component:f.Field.component
+                  ~decrease:f.Field.decrease
+            | _ -> ());
+        lane_of = (fun ~level ~group -> if group = level then 0 else -1);
+        law = eval_slot;
+        attrs = (fun _ -> []);
+      }
+      { adversary; prng; misbehaving = false; joined_all = false }
+  in
+  Slotted.start ?at rx (on_data rx);
+  rx

@@ -59,7 +59,6 @@ val sender_start :
   config ->
   sender
 
-val sender_stop : sender -> unit
 
 val sender_keys_for_slot :
   sender -> slot:int -> Mcc_delta.Replicated.keys option

@@ -99,7 +99,6 @@ val sender_start :
   config ->
   sender
 
-val sender_stop : sender -> unit
 
 val share_overhead_bits : sender -> int
 (** Total share bits emitted so far — the threshold scheme's
