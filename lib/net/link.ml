@@ -60,7 +60,6 @@ type t = {
   mutable busy : bool;
   mutable rev : t option;
   mutable deliver : Packet.t -> unit;
-  mutable on_event : (event -> Packet.t -> unit) option;
   mutable tx_packets : int;
   mutable tx_bytes : int;
   mutable enqueues : int;
@@ -97,7 +96,6 @@ let create ~sim ~id ~src ~dst ~dst_kind ~rate_bps ~delay_s ~buffer_bytes
       busy = false;
       rev = None;
       deliver = (fun _ -> ());
-      on_event = None;
       tx_packets = 0;
       tx_bytes = 0;
       enqueues = 0;
@@ -124,9 +122,6 @@ let create ~sim ~id ~src ~dst ~dst_kind ~rate_bps ~delay_s ~buffer_bytes
   t
 
 let[@hot] tx_time t pkt = float_of_int (pkt.Packet.size * 8) /. t.rate_bps
-
-let[@hot] emit t event pkt =
-  match t.on_event with Some f -> f event pkt | None -> ()
 
 (* Hot path: [Tracer.enabled] first, so runs without a sink pay one
    branch and allocate nothing. *)
@@ -158,7 +153,6 @@ let[@hot] hop_name = function
 
 let[@hot] note t event pkt =
   Lineage.hop pkt.Packet.lineage ~time:(Sim.now t.sim) (hop_name event);
-  emit t event pkt;
   trace t event pkt
 
 let rec start_tx t pkt =
@@ -236,6 +230,5 @@ let send t pkt =
   Prof.finish sp;
   accepted
 
-let observed t = Option.is_some t.on_event
 let occupancy_bytes t = t.queued_bytes
 let control_delay t = t.delay_s

@@ -18,7 +18,7 @@ type event =
 
 val event_name : event -> string
 (** Short stable name ("tx", "enq", "drop", "mark", "rx") used by the
-    structured tracer and {!Trace.pp}. *)
+    structured tracer. *)
 
 type metrics
 (** Domain-aggregate {!Mcc_obs.Metrics} counter handles
@@ -48,8 +48,6 @@ type t = {
   mutable busy : bool;
   mutable rev : t option;  (** reverse direction of a duplex pair *)
   mutable deliver : Packet.t -> unit;
-  mutable on_event : (event -> Packet.t -> unit) option;
-      (** observability tap (see {!Trace}); never affects forwarding *)
   (* per-link packet and byte counters *)
   mutable tx_packets : int;
   mutable tx_bytes : int;
@@ -80,13 +78,8 @@ val create :
 val send : t -> Packet.t -> bool
 (** Transmit or queue the packet ([true]), or drop it ([false]).  A
     [false] return is synchronous: the link holds no reference to the
-    packet, which lets the multicast fan-out recycle unobserved branch
+    packet, which lets the multicast fan-out recycle dropped branch
     copies ({!Packet.release}). *)
-
-val observed : t -> bool
-(** Whether an [on_event] tap is installed.  A tap may retain packets
-    (the {!Trace} ring does), so the forwarding path only recycles
-    dropped copies on unobserved links. *)
 
 val occupancy_bytes : t -> int
 (** Bytes currently queued (not counting the packet in service). *)

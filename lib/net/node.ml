@@ -108,8 +108,7 @@ let may_forward_on t ~group link pkt =
 
 (* Branch copies come from the packet pool, and a copy that dies in a
    synchronous drop goes straight back — provided nothing could have
-   kept a reference: no on_forward hook saw it and the link carries no
-   observability tap. *)
+   kept a reference: no on_forward hook saw it. *)
 let forward_multicast t ~from ~group pkt =
   let same_link l = match from with Some f -> l == f | None -> false in
   List.iter
@@ -119,11 +118,8 @@ let forward_multicast t ~from ~group pkt =
         Lineage.hop fresh.Packet.lineage ~time:(Mcc_engine.Sim.now t.sim)
           "node.fwd";
         (match t.on_forward with Some h -> h group link fresh | None -> ());
-        if
-          (not (Link.send link fresh))
-          && Option.is_none t.on_forward
-          && not (Link.observed link)
-        then Packet.release fresh
+        if (not (Link.send link fresh)) && Option.is_none t.on_forward then
+          Packet.release fresh
       end)
     (downstream t ~group)
 
@@ -139,8 +135,7 @@ let receive_body t ~from pkt =
         (fun link ->
           if not (leads_back link) then begin
             let fresh = Packet.copy_pooled pkt in
-            if (not (Link.send link fresh)) && not (Link.observed link) then
-              Packet.release fresh
+            if not (Link.send link fresh) then Packet.release fresh
           end)
         t.links
   | Host ->

@@ -45,9 +45,9 @@ val release : t -> unit
 (** Returns a packet to this domain's free list for reuse by
     {!copy_pooled}.  The caller asserts no live references remain — the
     forwarding path only releases copies it allocated itself that died
-    in a synchronous, unobserved drop.  The list is bounded (further
-    releases are dropped on the floor), so never releasing is merely the
-    pre-pool allocation behaviour. *)
+    in a synchronous drop no forwarding hook saw.  The list is bounded
+    (further releases are dropped on the floor), so never releasing is
+    merely the pre-pool allocation behaviour. *)
 
 val pooled : unit -> int
 (** Number of packets currently parked in this domain's free list
