@@ -143,38 +143,30 @@ let ensure_agent t =
         t.agent <- Some agent;
         Some agent
 
-let add_multicast ?slot ?layering ?fec_scheme ?packet_size ?receiver_mode t
-    ~mode ~receivers () =
-  let layering = match layering with Some l -> l | None -> Defaults.layering () in
-  let slot =
-    match slot with
-    | Some s -> s
-    | None -> (
-        match mode with
-        | Flid.Plain -> Defaults.flid_dl_slot
-        | Flid.Robust -> Defaults.flid_ds_slot)
-  in
-  (match mode with Flid.Robust -> ignore (ensure_agent t) | Flid.Plain -> ());
+let fresh_session t ~groups =
   let id = t.next_session in
   t.next_session <- id + 1;
   let base_group = t.next_base_group in
-  t.next_base_group <- base_group + layering.Layering.groups;
-  let config =
-    Flid.make_config ?fec_scheme ?packet_size ~id ~base_group ~layering
-      ~slot_duration:slot ~mode ()
-  in
+  t.next_base_group <- base_group + groups;
+  (id, base_group)
+
+(* What every add_* shares: the SIGMA agent of a Robust session, a fresh
+   session id and group block, a sender host, and one receiver host per
+   spec.  The PRNG splits keep one order (agent scrubber, sender, then
+   receivers in spec order), so a scenario stays a function of its seed.
+   [receiver_mode] models receivers behind a legacy edge: a Plain-mode
+   receiver of a Robust session falls back to IGMP control while the
+   sender still pays the DELTA/SIGMA overhead (paper Section 3.2.3). *)
+let add_session ?receiver_mode t ~mode ~layering ~make ~with_mode ~sender
+    ~receiver specs =
+  (match mode with Flid.Robust -> ignore (ensure_agent t) | Flid.Plain -> ());
+  let id, base_group = fresh_session t ~groups:layering.Layering.groups in
+  let config = make ~id ~base_group in
+  let topo = t.db.Dumbbell.topo in
   let sender_host = Dumbbell.add_sender t.db in
-  let sender =
-    Flid.sender_start t.db.Dumbbell.topo ~node:sender_host
-      ~prng:(Prng.split t.prng) config
-  in
-  (* [receiver_mode] models receivers behind a legacy edge: a Plain-mode
-     receiver of a Robust session falls back to IGMP control while the
-     sender still pays the DELTA/SIGMA overhead (paper Section 3.2.3). *)
+  let sender = sender topo ~node:sender_host ~prng:(Prng.split t.prng) config in
   let receiver_config =
-    match receiver_mode with
-    | Some m -> { config with Flid.mode = m }
-    | None -> config
+    match receiver_mode with Some m -> with_mode config m | None -> config
   in
   let receivers =
     List.map
@@ -183,8 +175,30 @@ let add_multicast ?slot ?layering ?fec_scheme ?packet_size ?receiver_mode t
           Dumbbell.add_receiver ?delay_s:spec.access_delay_s
             ?rate_bps:spec.access_rate_bps t.db
         in
-        Flid.receiver_start ~at:spec.start_at ~behavior:spec.behavior
-          t.db.Dumbbell.topo ~host ~prng:(Prng.split t.prng) receiver_config)
+        receiver spec topo ~host ~prng:(Prng.split t.prng) receiver_config)
+      specs
+  in
+  (config, sender, receivers)
+
+let default_layering = function Some l -> l | None -> Defaults.layering ()
+
+let add_multicast ?slot ?layering ?fec_scheme ?packet_size ?receiver_mode t
+    ~mode ~receivers () =
+  let layering = default_layering layering in
+  let slot =
+    match (slot, mode) with
+    | Some s, _ -> s
+    | None, Flid.Plain -> Defaults.flid_dl_slot
+    | None, Flid.Robust -> Defaults.flid_ds_slot
+  in
+  let config, sender, receivers =
+    add_session ?receiver_mode t ~mode ~layering
+      ~make:(Flid.make_config ?fec_scheme ?packet_size ~layering
+               ~slot_duration:slot ~mode ())
+      ~with_mode:(fun c m -> { c with Flid.mode = m })
+      ~sender:(fun topo ~node ~prng c -> Flid.sender_start topo ~node ~prng c)
+      ~receiver:(fun spec ->
+        Flid.receiver_start ~at:spec.start_at ~behavior:spec.behavior)
       receivers
   in
   { config; sender; receivers }
@@ -195,46 +209,21 @@ type replicated_session = {
   rep_receivers : Mcc_mcast.Replicated_proto.receiver list;
 }
 
-let fresh_session t ~groups =
-  let id = t.next_session in
-  t.next_session <- id + 1;
-  let base_group = t.next_base_group in
-  t.next_base_group <- base_group + groups;
-  (id, base_group)
-
 let add_replicated ?slot ?layering ?receiver_mode t ~mode ~receivers () =
   let module Rep = Mcc_mcast.Replicated_proto in
-  let layering =
-    match layering with Some l -> l | None -> Defaults.layering ()
-  in
-  let slot = Option.value slot ~default:Defaults.flid_ds_slot in
-  (match mode with Flid.Robust -> ignore (ensure_agent t) | Flid.Plain -> ());
-  let id, base_group = fresh_session t ~groups:layering.Layering.groups in
-  let config =
-    Rep.make_config ~id ~base_group ~layering ~slot_duration:slot ~mode ()
-  in
-  let sender_host = Dumbbell.add_sender t.db in
-  let sender =
-    Rep.sender_start t.db.Dumbbell.topo ~node:sender_host
-      ~prng:(Prng.split t.prng) config
-  in
-  let receiver_config =
-    match receiver_mode with
-    | Some m -> { config with Rep.mode = m }
-    | None -> config
-  in
-  let rep_receivers =
-    List.map
-      (fun spec ->
-        let host =
-          Dumbbell.add_receiver ?delay_s:spec.access_delay_s
-            ?rate_bps:spec.access_rate_bps t.db
-        in
-        Rep.receiver_start ~at:spec.start_at ~behavior:spec.behavior
-          t.db.Dumbbell.topo ~host ~prng:(Prng.split t.prng) receiver_config)
+  let layering = default_layering layering in
+  let rep_config, rep_sender, rep_receivers =
+    add_session ?receiver_mode t ~mode ~layering
+      ~make:(Rep.make_config ~layering
+               ~slot_duration:(Option.value slot ~default:Defaults.flid_ds_slot)
+               ~mode ())
+      ~with_mode:(fun c m -> { c with Rep.mode = m })
+      ~sender:(fun topo ~node ~prng c -> Rep.sender_start topo ~node ~prng c)
+      ~receiver:(fun spec ->
+        Rep.receiver_start ~at:spec.start_at ~behavior:spec.behavior)
       receivers
   in
-  { rep_config = config; rep_sender = sender; rep_receivers }
+  { rep_config; rep_sender; rep_receivers }
 
 type rlm_session = {
   rlm_config : Mcc_mcast.Rlm_like.config;
@@ -244,38 +233,18 @@ type rlm_session = {
 
 let add_rlm ?slot ?layering ?policy ?receiver_mode t ~mode ~receivers () =
   let module Rlm = Mcc_mcast.Rlm_like in
-  let layering =
-    match layering with Some l -> l | None -> Defaults.layering ()
-  in
-  let slot = Option.value slot ~default:Defaults.flid_ds_slot in
-  (match mode with Flid.Robust -> ignore (ensure_agent t) | Flid.Plain -> ());
-  let id, base_group = fresh_session t ~groups:layering.Layering.groups in
-  let config =
-    Rlm.make_config ?policy ~id ~base_group ~layering ~slot_duration:slot
-      ~mode ()
-  in
-  let sender_host = Dumbbell.add_sender t.db in
-  let sender =
-    Rlm.sender_start t.db.Dumbbell.topo ~node:sender_host
-      ~prng:(Prng.split t.prng) config
-  in
-  let receiver_config =
-    match receiver_mode with
-    | Some m -> { config with Rlm.mode = m }
-    | None -> config
-  in
-  let rlm_receivers =
-    List.map
-      (fun spec ->
-        let host =
-          Dumbbell.add_receiver ?delay_s:spec.access_delay_s
-            ?rate_bps:spec.access_rate_bps t.db
-        in
-        Rlm.receiver_start ~at:spec.start_at t.db.Dumbbell.topo ~host
-          ~prng:(Prng.split t.prng) receiver_config)
+  let layering = default_layering layering in
+  let rlm_config, rlm_sender, rlm_receivers =
+    add_session ?receiver_mode t ~mode ~layering
+      ~make:(Rlm.make_config ?policy ~layering
+               ~slot_duration:(Option.value slot ~default:Defaults.flid_ds_slot)
+               ~mode ())
+      ~with_mode:(fun c m -> { c with Rlm.mode = m })
+      ~sender:(fun topo ~node ~prng c -> Rlm.sender_start topo ~node ~prng c)
+      ~receiver:(fun spec -> Rlm.receiver_start ~at:spec.start_at)
       receivers
   in
-  { rlm_config = config; rlm_sender = sender; rlm_receivers }
+  { rlm_config; rlm_sender; rlm_receivers }
 
 type oversub_session = {
   ovs_config : Mcc_mcast.Oversub.config;
@@ -285,37 +254,18 @@ type oversub_session = {
 
 let add_oversub ?slot ?layering ?receiver_mode t ~mode ~receivers () =
   let module Ovs = Mcc_mcast.Oversub in
-  let layering =
-    match layering with Some l -> l | None -> Defaults.layering ()
-  in
-  let slot = Option.value slot ~default:Defaults.flid_ds_slot in
-  (match mode with Flid.Robust -> ignore (ensure_agent t) | Flid.Plain -> ());
-  let id, base_group = fresh_session t ~groups:layering.Layering.groups in
-  let config =
-    Ovs.make_config ~id ~base_group ~layering ~slot_duration:slot ~mode ()
-  in
-  let sender_host = Dumbbell.add_sender t.db in
-  let sender =
-    Ovs.sender_start t.db.Dumbbell.topo ~node:sender_host
-      ~prng:(Prng.split t.prng) config
-  in
-  let receiver_config =
-    match receiver_mode with
-    | Some m -> { config with Ovs.flid = { config.Ovs.flid with Flid.mode = m } }
-    | None -> config
-  in
-  let ovs_receivers =
-    List.map
-      (fun spec ->
-        let host =
-          Dumbbell.add_receiver ?delay_s:spec.access_delay_s
-            ?rate_bps:spec.access_rate_bps t.db
-        in
-        Ovs.receiver_start ~at:spec.start_at t.db.Dumbbell.topo ~host
-          ~prng:(Prng.split t.prng) receiver_config)
+  let layering = default_layering layering in
+  let ovs_config, ovs_sender, ovs_receivers =
+    add_session ?receiver_mode t ~mode ~layering
+      ~make:(Ovs.make_config ~layering
+               ~slot_duration:(Option.value slot ~default:Defaults.flid_ds_slot)
+               ~mode ())
+      ~with_mode:(fun c m -> { c with Ovs.flid = { c.Ovs.flid with Flid.mode = m } })
+      ~sender:(fun topo ~node ~prng c -> Ovs.sender_start topo ~node ~prng c)
+      ~receiver:(fun spec -> Ovs.receiver_start ~at:spec.start_at)
       receivers
   in
-  { ovs_config = config; ovs_sender = sender; ovs_receivers }
+  { ovs_config; ovs_sender; ovs_receivers }
 
 let add_tcp ?(at = 0.) t =
   t.tcp_flows <- t.tcp_flows + 1;
