@@ -163,16 +163,28 @@ test -s /tmp/scorecard.md
 grep -q "BREACH" /tmp/scorecard.md
 grep -q "contained" /tmp/scorecard.md
 grep -q "DELTA+SIGMA contains every attack" /tmp/scorecard.md
+# ... and the same guard over every protocol column: the default
+# 96-cell matrix at the quick horizon, at one and two jobs and on the
+# wheel backend.
+dune exec bin/mcc.exe -- matrix --quick --json /tmp/matrix-q1.jsonl --quiet
+dune exec bin/mcc.exe -- matrix --quick --jobs 2 \
+  --json /tmp/matrix-q2.jsonl --quiet
+dune exec bin/mcc.exe -- matrix --quick --jobs 2 --sched wheel \
+  --json /tmp/matrix-q3.jsonl --quiet
+cmp /tmp/matrix-q1.jsonl /tmp/matrix-q2.jsonl
+cmp /tmp/matrix-q1.jsonl /tmp/matrix-q3.jsonl
 
-# Workload smoke: every committed workload file must validate, and a
-# run through the declarative pipeline must stay byte-identical across
-# job counts, just like the matrix above.
+# Workload smoke: every committed workload file must validate, and
+# every run through the declarative pipeline must stay byte-identical
+# across job counts, just like the matrix above.
 dune exec bin/mcc.exe -- workload check --all
-dune exec bin/mcc.exe -- workload run workloads/fat_tree_flash_crowd.json \
-  --quick --json /tmp/workload1.jsonl --quiet
-dune exec bin/mcc.exe -- workload run workloads/fat_tree_flash_crowd.json \
-  --quick --jobs 4 --json /tmp/workload2.jsonl --quiet
-cmp /tmp/workload1.jsonl /tmp/workload2.jsonl
+for W in workloads/*.json; do
+  dune exec bin/mcc.exe -- workload run "$W" --quick \
+    --json /tmp/workload1.jsonl --quiet
+  dune exec bin/mcc.exe -- workload run "$W" --quick --jobs 4 \
+    --json /tmp/workload2.jsonl --quiet
+  cmp /tmp/workload1.jsonl /tmp/workload2.jsonl
+done
 # ... and a malformed document must be rejected with a nonzero exit.
 printf '{"version": 1, "name": "bad"}\n' > /tmp/bad-workload.json
 if dune exec bin/mcc.exe -- workload check /tmp/bad-workload.json \
