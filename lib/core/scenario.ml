@@ -143,13 +143,6 @@ let ensure_agent t =
         t.agent <- Some agent;
         Some agent
 
-let fresh_session t ~groups =
-  let id = t.next_session in
-  t.next_session <- id + 1;
-  let base_group = t.next_base_group in
-  t.next_base_group <- base_group + groups;
-  (id, base_group)
-
 (* What every add_* shares: the SIGMA agent of a Robust session, a fresh
    session id and group block, a sender host, and one receiver host per
    spec.  The PRNG splits keep one order (agent scrubber, sender, then
@@ -160,7 +153,10 @@ let fresh_session t ~groups =
 let add_session ?receiver_mode t ~mode ~layering ~make ~with_mode ~sender
     ~receiver specs =
   (match mode with Flid.Robust -> ignore (ensure_agent t) | Flid.Plain -> ());
-  let id, base_group = fresh_session t ~groups:layering.Layering.groups in
+  let id = t.next_session in
+  t.next_session <- id + 1;
+  let base_group = t.next_base_group in
+  t.next_base_group <- base_group + layering.Layering.groups;
   let config = make ~id ~base_group in
   let topo = t.db.Dumbbell.topo in
   let sender_host = Dumbbell.add_sender t.db in
@@ -260,7 +256,8 @@ let add_oversub ?slot ?layering ?receiver_mode t ~mode ~receivers () =
       ~make:(Ovs.make_config ~layering
                ~slot_duration:(Option.value slot ~default:Defaults.flid_ds_slot)
                ~mode ())
-      ~with_mode:(fun c m -> { c with Ovs.flid = { c.Ovs.flid with Flid.mode = m } })
+      ~with_mode:(fun c m ->
+        { c with Ovs.flid = { c.Ovs.flid with Flid.mode = m } })
       ~sender:(fun topo ~node ~prng c -> Ovs.sender_start topo ~node ~prng c)
       ~receiver:(fun spec -> Ovs.receiver_start ~at:spec.start_at)
       receivers

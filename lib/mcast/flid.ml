@@ -299,7 +299,9 @@ let inflation_adversary ~at =
 
 let subscribe_robust (rx : receiver) ~slot ~entitled_pairs =
   let r = rx.Slotted.state in
-  let entitled = List.map (fun (g, k) -> (Slotted.addr rx g, k)) entitled_pairs in
+  let entitled =
+    List.map (fun (g, k) -> (Slotted.addr rx g, k)) entitled_pairs
+  in
   r.history <-
     { sub_slot = slot; sub_pairs = entitled }
     :: List.filteri (fun i _ -> i < 15) r.history;
@@ -320,7 +322,8 @@ let subscribe_robust (rx : receiver) ~slot ~entitled_pairs =
     | Some _ | None -> [ { sub_slot = slot; sub_pairs = entitled } ]
   in
   List.iter
-    (fun { sub_slot; sub_pairs } -> Slotted.subscribe rx ~slot:sub_slot sub_pairs)
+    (fun { sub_slot; sub_pairs } ->
+      Slotted.subscribe rx ~slot:sub_slot sub_pairs)
     submissions
 
 (* Plain-mode inflation: IGMP-join every group at once. *)
@@ -384,8 +387,12 @@ let eval_slot (rx : receiver) slot rec_ =
   let r = rx.Slotted.state in
   Metrics.tick "flid.slots";
   let level_before = rx.level in
-  Option.iter (fun a -> r.misbehaving <- a.adv_active ~time:(now rx)) r.adversary;
+  Option.iter
+    (fun a -> r.misbehaving <- a.adv_active ~time:(now rx))
+    r.adversary;
   let effective = Slotted.effective_level rx slot in
+  (* A marked arrival counts as a loss: a trusted edge scrubbed its DELTA
+     component, so no key can be rebuilt from it. *)
   let lost g =
     g <= effective
     && (Slotted.group_lost rec_ g || rec_.Slotted.lanes.(g - 1).marked > 0)
@@ -402,7 +409,8 @@ let eval_slot (rx : receiver) slot rec_ =
       if r.misbehaving then plain_inflate rx
       else if effective >= 1 then eval_plain rx slot rec_ effective congested
   | Some delta ->
-      if effective >= 1 then eval_robust rx slot rec_ delta effective congested lost;
+      if effective >= 1 then
+        eval_robust rx slot rec_ delta effective congested lost;
       Option.iter (collude rx) r.collude_source);
   let delta = rx.level - level_before in
   if delta > 0 then Metrics.tick "flid.joins" ~by:delta

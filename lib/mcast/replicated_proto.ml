@@ -133,7 +133,13 @@ let emit s st ~group ~slot ~seq ~last ~repair:_ ~mask =
 
 let sender_start ?at topo ~node ~prng config =
   let s =
-    { s_config = config; s_topo = topo; s_node = node; s_prng = prng; s_keys = [] }
+    {
+      s_config = config;
+      s_topo = topo;
+      s_node = node;
+      s_prng = prng;
+      s_keys = [];
+    }
   in
   (* Each group carries the full content: group g transmits at the
      cumulative rate R_g, not a layer residue. *)
@@ -207,7 +213,9 @@ let eval_robust (rx : receiver) slot rec_ delta ~congested =
       @ List.filter_map
           (fun j ->
             if j > next then
-              Some (Slotted.addr rx j, Key.nonce r.prng ~width:rx.proto.key_width)
+              Some
+                ( Slotted.addr rx j,
+                  Key.nonce r.prng ~width:rx.proto.key_width )
             else None)
           (List.init n (fun i -> i + 1))
     else pairs

@@ -77,7 +77,8 @@ val receiver_start :
 val receiver_meter : receiver -> Mcc_util.Meter.t
 
 val receiver_group : receiver -> int
-(** The single group currently subscribed (0 while re-admitting). *)
+(** The single group currently subscribed; re-admission through SIGMA's
+    session-join restarts at group 1. *)
 
 val group_series : receiver -> Mcc_util.Series.t
 val receiver_stop : receiver -> unit

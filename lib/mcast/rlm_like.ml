@@ -239,7 +239,8 @@ type receiver = (Threshold.receiver * Threshold.receiver, state) Slotted.t
 let receiver_meter (r : receiver) = r.Slotted.meter
 let receiver_level (r : receiver) = r.Slotted.level
 let receiver_rtt (r : receiver) = r.Slotted.state.srtt
-let receiver_loss_rate (r : receiver) = Tfrc.Loss_estimator.value r.Slotted.state.loss_est
+let receiver_loss_rate (r : receiver) =
+  Tfrc.Loss_estimator.value r.Slotted.state.loss_est
 let receiver_stop = Slotted.stop
 
 (* Expected packets of a group this slot, falling back to the rate-based
@@ -303,23 +304,14 @@ let eval_robust (rx : receiver) slot rec_ (top_recv, inc_recv) ~g ~target =
      done
    with Exit -> ());
   Slotted.subscribe rx ~slot:(slot + 2) !pairs;
-  let next = !reachable in
-  let level = rx.level in
-  if next = 0 then begin
-    Slotted.session_join rx;
-    rx.active_since.(0) <- slot + 3;
-    if level <> 1 then Slotted.set_level rx 1
-  end
-  else begin
-    if next > level then rx.active_since.(next - 1) <- slot + 2;
-    if next < level then begin
-      Slotted.unsubscribe rx (next + 1) level;
-      for l = next + 1 to level do
-        rx.active_since.(l - 1) <- max_int
-      done
-    end;
-    if next <> level then Slotted.set_level rx next
-  end
+  match !reachable with
+  | 0 ->
+      (* Not even the minimal key: knock again.  The upper groups are
+         not unsubscribed; their grants lapse unrenewed. *)
+      Slotted.session_join rx;
+      rx.active_since.(0) <- slot + 3;
+      if rx.level <> 1 then Slotted.set_level rx 1
+  | next -> Slotted.resubscribe rx ~slot ~release:true next
 
 let eval_plain (rx : receiver) slot ~target =
   let next = if target = 0 then 1 else target in
@@ -383,7 +375,9 @@ let eval_slot (rx : receiver) slot rec_ =
   end;
   let delta = rx.level - level_before in
   if delta <> 0 then
-    Metrics.tick (if delta > 0 then "rlm.joins" else "rlm.leaves") ~by:(abs delta)
+    Metrics.tick
+      (if delta > 0 then "rlm.joins" else "rlm.leaves")
+      ~by:(abs delta)
 
 (* RTT probing toward the session source, one probe per second. *)
 let start_probes ~at (rx : receiver) =
@@ -461,7 +455,9 @@ let receiver_start ?(at = 0.) topo ~host ~prng config =
             | Rlm_data { top_shares; inc_shares; _ } ->
                 Threshold.on_shares top top_shares;
                 Threshold.on_shares inc
-                  (List.map (fun (target, share) -> (target - 1, share)) inc_shares)
+                  (List.map
+                     (fun (target, share) -> (target - 1, share))
+                     inc_shares)
             | _ -> ());
         lane_of = (fun ~level:_ ~group -> group - 1);
         law = eval_slot;

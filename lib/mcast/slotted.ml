@@ -21,7 +21,8 @@ let mask_bit mask g = mask land (1 lsl (g - 1)) <> 0
 let upgrade_mask ~groups ~upgrade_period slot =
   let mask = ref 0 in
   for g = 2 to groups do
-    if (slot + g) mod upgrade_period g = 0 then mask := !mask lor (1 lsl (g - 1))
+    if (slot + g) mod upgrade_period g = 0 then
+      mask := !mask lor (1 lsl (g - 1))
   done;
   !mask
 
@@ -240,13 +241,15 @@ let group_lost rec_ g =
   let lane = rec_.lanes.(g - 1) in
   lane.count = 0 || lane.last < 0 || lane.count < lane.last + 1
 
-let eval_slot t slot =
+let eval_next t =
+  let slot = t.next_eval in
   t.proto.law t slot (slot_rec t slot);
   (* Drop bookkeeping for this and any older slot. *)
   let stale =
     Hashtbl.fold (fun s _ acc -> if s <= slot then s :: acc else acc) t.slots []
   in
-  List.iter (Hashtbl.remove t.slots) stale
+  List.iter (Hashtbl.remove t.slots) stale;
+  t.next_eval <- slot + 1
 
 (* A lane's slot is closed once its flagged last packet arrived or a
    packet of a later slot did: the path is FIFO, so nothing of the slot
@@ -270,9 +273,7 @@ let slot_closed t slot =
 
 let rec try_eval t =
   if (not t.stopped) && slot_closed t t.next_eval then begin
-    let slot = t.next_eval in
-    eval_slot t slot;
-    t.next_eval <- slot + 1;
+    eval_next t;
     try_eval t
   end
 
@@ -294,8 +295,7 @@ let rec schedule_eval t =
     Sim.post sim ~at (fun () ->
         if not t.stopped then begin
           if t.next_eval = slot then begin
-            eval_slot t slot;
-            t.next_eval <- slot + 1;
+            eval_next t;
             try_eval t
           end;
           schedule_eval t
@@ -339,9 +339,9 @@ let create topo ~host proto state =
       topo;
       host;
       client =
-        Option.map
-          (fun _ -> Client.create ~width:proto.key_width topo ~host)
-          proto.new_keys;
+        (match proto.new_keys with
+        | Some _ -> Some (Client.create ~width:proto.key_width topo ~host)
+        | None -> None);
       meter = Meter.create ();
       series = Series.create ();
       level = 1;

@@ -106,7 +106,8 @@ and ('k, 's) proto = {
   slot_duration : float;
   processing_margin : float;
       (** fraction of a slot after its end at which a slot that never
-          closed is evaluated anyway (see {!try_eval}) *)
+          closed (a silent group) is evaluated anyway; later packets of
+          it count as lost *)
   key_width : int;  (** key width of the SIGMA client *)
   new_keys : (unit -> 'k) option;
       (** [Some] in [Robust] mode: the receiver joins through SIGMA and
@@ -122,7 +123,11 @@ and ('k, 's) proto = {
 }
 
 val create :
-  Mcc_net.Topology.t -> host:Mcc_net.Node.t -> ('k, 's) proto -> 's -> ('k, 's) t
+  Mcc_net.Topology.t ->
+  host:Mcc_net.Node.t ->
+  ('k, 's) proto ->
+  's ->
+  ('k, 's) t
 (** A receiver at level 1 with no lane active yet.  Creates the SIGMA
     client in [Robust] mode and registers the goodput and level
     samplers. *)
@@ -151,7 +156,8 @@ val effective_level : ('k, 's) t -> int -> int
     before the slot: partial slots of fresh lanes are not losses. *)
 
 val group_lost : 'k slot -> int -> bool
-(** Whether lane [g] (1-based) missed a packet or saw a mark. *)
+(** Whether lane [g] (1-based) missed a packet: none arrived, the
+    flagged last one did not, or fewer arrived than it numbers. *)
 
 val set_level : ('k, 's) t -> int -> unit
 (** Sets the level and records it: series, counter and trace record. *)

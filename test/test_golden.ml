@@ -2,9 +2,8 @@
    protocols.  Each case runs a 40 s dumbbell scenario and hashes
    everything a receiver exposes: meter bins, level/group series,
    accessors, the metrics and time-series snapshots and the receivers'
-   tracer records.  The digests were recorded before the protocols were
-   rebuilt on the shared slotted chassis, so any behavioural drift in a
-   refactor shows up as a changed digest.
+   tracer records.  A change that is meant to keep behaviour must keep
+   every digest; one that changes behaviour on purpose re-pins them.
 
    The matrix is {FLID, RLM ladder, RLM equation, replicated, oversub}
    x {Plain, Robust, Robust sender with Plain receivers} x {ECN off,
@@ -152,7 +151,8 @@ let run proto modes ecn =
                   add_meter b (Rlm.receiver_meter r);
                   add_tag b "acc";
                   add_int b (Rlm.receiver_level r);
-                  add_float b (Option.value (Rlm.receiver_rtt r) ~default:(-1.));
+                  add_float b
+                    (Option.value (Rlm.receiver_rtt r) ~default:(-1.));
                   add_float b (Rlm.receiver_loss_rate r))
                 s.Scenario.rlm_receivers
         | P_rep ->
@@ -220,7 +220,7 @@ let case_name (proto, modes, ecn) =
   Printf.sprintf "golden %s %s ecn-%s" (proto_name proto) (modes_name modes)
     (if ecn then "on" else "off")
 
-(* Recorded before the chassis refactor; in the order of [cases]. *)
+(* One digest per entry of [cases], in order. *)
 let expected =
   [
     "275600756632365e18ad8f3029cfbfd9";
