@@ -61,6 +61,18 @@ let add_series b s =
   add_tag b "series";
   add_pairs b (Series.to_list s)
 
+(* The metrics snapshot minus the "engine.queue_capacity" gauges: those
+   measure the scheduler's storage, not the simulated system, so a
+   change that only moves the event queue's load keeps every digest.
+   Runner drops them from its deterministic records for the same
+   reason. *)
+let simulated_metrics () =
+  Metrics.values_json
+    (List.filter
+       (fun (name, _) ->
+         not (String.starts_with ~prefix:"engine.queue_capacity" name))
+       (Metrics.snapshot ()))
+
 let run proto modes ecn =
   Metrics.reset ();
   Timeseries.enable ~dt:0.5 ();
@@ -196,7 +208,7 @@ let run proto modes ecn =
       Scenario.run t ~seconds:40.;
       finish ();
       add_tag b "metrics";
-      Buffer.add_string b (Json.to_string (Metrics.snapshot_json ()));
+      Buffer.add_string b (Json.to_string (simulated_metrics ()));
       add_tag b "series";
       Buffer.add_string b
         (Json.to_string (Timeseries.snapshot_json (Timeseries.snapshot ())));
@@ -223,36 +235,36 @@ let case_name (proto, modes, ecn) =
 (* One digest per entry of [cases], in order. *)
 let expected =
   [
-    "275600756632365e18ad8f3029cfbfd9";
-    "795cc261b4563ac0ff5bd7f0f59cc612";
-    "62a09da004b266f92b88efc8fa121277";
-    "b0b40bcb2a91b95b2a6e6a94d1aef7c6";
-    "b95ff98ed5231c131989aa2347d54b0b";
-    "66b12d0e938b6e7675a13183cb41b630";
-    "dc899668c7e4293876dd09a88a1199c2";
-    "41f641e11465c9f38ed6345610a09c89";
-    "0d0c7154149c94e39911220195d9ea6d";
-    "c9c406c65654b80ac873d4af80347b31";
-    "e0d3491acb113648cc8f8309be65b67c";
-    "ad97b5a2719a8b213a7d3294f89abf94";
-    "b2b86cf80eb92b75a0e307d5db409cbb";
-    "8ef1e09c39a13eabfb3912a469592cc2";
-    "b8b5408b0eb8c7af6edebe751b5dcb44";
-    "21a1332b00f9b6f6efb9f868e959ad00";
-    "d906b62bfc98d898aff7b04a9e795872";
-    "aeb9d25e8b1afd5e639bc1891211aa1e";
-    "ea945e8bb4d52eaac650c3557b67cd84";
-    "04eb2da60d27e5baabb91788bd1b2de5";
-    "f151895497b9d34b1b6f1dfcfe182a9d";
-    "773ce5e963247841a1886ed9ef8e25d7";
-    "115258a4b21aecfcb961f4a0f60cf319";
-    "e8e96dec92d5fc9685e1b586bef39eb9";
-    "ab5634a009f64cc80a3254ddb6a67735";
-    "b9f6c04d9af5ac439aa49ca85df2f829";
-    "fca9b0ae20a5a333e130a77d65f640f4";
-    "26a8e0bc494a5ffc773e15ca797a028f";
-    "113b66cbb2526c9e1a02f94c270b2f5c";
-    "dcaf82a0407cb523bb67413b5dca6f4c";
+    "3ebcca238b565f82ee75194ca2b1f7bd";
+    "322c28d6b23003ba749e86462a4cc75b";
+    "5d4ddb6a3c45aae1b8f1ab2ae649f1e7";
+    "24b70bf92a70fd3032ced5ee81571622";
+    "1fb4c06ddf6a1300e0b9589bfd09c35f";
+    "29b36c879aa5dbf67299718446fbe802";
+    "40cc47538b5d3bda3d5347f630579384";
+    "9dcbc43e39ae3c3fd534993633735c66";
+    "84ec995716beb088c8ca24913d64e772";
+    "b61779aea14cdf9d8e4376e2e69749a0";
+    "534564c72af224e9222cd7453fc1aaa1";
+    "8e35ea4bb380f2da79b6214e2b1c5c63";
+    "fac7e30975a55610dd692b818a5db421";
+    "e5def30132ea6b41a0832be27ee59179";
+    "7dc94316399e05d9aa380e099046c1b3";
+    "d0e3ff70e37a3286a4e4a34b16961f8b";
+    "28ace7803dc3e23bfd324d29ce4bd2ad";
+    "7f835b0af171ecc28d0bd73e3a92bed3";
+    "949353b025d005af439b897e2950586f";
+    "3ad06359f1076bd9f539c885b594042a";
+    "304f162e2a6da2f80110159a53319db6";
+    "3979efb5efdba3d3d2d5ca4a42dde064";
+    "963bcbde10522fbd438efbdec7a76dfd";
+    "a1c04ae487214152af84f72d66a8f3b8";
+    "e1201f2a57f10b3e7d854af15e959e98";
+    "06e35f3a87f8b8ba803c88dae0cb33b0";
+    "f24ec75dba2fcf0908b1b74e9f419a83";
+    "eb52c46b8193b2aa3e9f287a9562ed0c";
+    "9e9749edd9728c26e02727e633bdf86c";
+    "e9740746f2a969c522b5befef7d9f8dc";
   ]
 
 let suite =
