@@ -4,7 +4,16 @@
    (time, seq): time orders events, the insertion sequence number breaks
    ties first-in first-out.  Every backend implements exactly that
    contract, so schedules are byte-identical no matter which backend a
-   run selects — the choice is purely a performance knob. *)
+   run selects — the choice is purely a performance knob.
+
+   A sequence number can also be issued ahead of its push: [reserve]
+   hands out a block of them and [push_keyed] queues an event under one
+   later, so a caller can hold back events whose keys are already
+   fixed and queue each only when it is next due. *)
+
+(* A one-field all-float record is stored flat, so writing [time]
+   boxes nothing; a [float ref] is polymorphic and boxes every write. *)
+type cell = { mutable time : float }
 
 module type S = sig
   val name : string
@@ -15,27 +24,35 @@ module type S = sig
   val is_empty : 'a t -> bool
   val size : 'a t -> int
   val push : 'a t -> time:float -> 'a -> unit
+
+  val reserve : 'a t -> int -> int
+  (** [reserve t n] issues the next [n] sequence numbers without
+      queuing anything and returns the first. *)
+
+  val push_keyed : 'a t -> time:float -> seq:int -> 'a -> unit
+  (** [push_keyed t ~time ~seq v] queues [v] under a reserved key. *)
+
   val peek_time : 'a t -> float option
   val pop : 'a t -> (float * 'a) option
 
   val pop_into : 'a t -> float ref -> 'a -> 'a
-  (** [pop_into t cell default] pops the earliest event, writing its
-      time into [cell] and returning its value, or returns [default]
-      with [cell] untouched when empty.  Same order as {!pop}, but
-      allocation-free: the float lands in the ref's unboxed field and
-      no option or tuple is built — the simulator's hot loop runs on
-      this with a sentinel as [default]. *)
+  (** [pop_into t r default] pops the earliest event, writing its time
+      into [r] and returning its value, or returns [default] with [r]
+      untouched when empty.  The write boxes the float; {!Sim}'s loops
+      use {!pop_before} and its flat {!cell} instead. *)
 
   val next_before : 'a t -> float -> bool
   (** [next_before t bound] is true iff the queue is non-empty and the
       earliest time is [<= bound] — {!peek_time} for bounded loops,
       without the option/boxed-float allocation. *)
 
-  val pop_before : 'a t -> float ref -> bound:float -> 'a -> 'a
-  (** [pop_before t cell ~bound default] is {!pop_into} restricted to
-      events at time [<= bound]: the {!next_before}/{!pop_into} pair of
-      a bounded run loop fused into one call, peeking the key exactly
-      once per event. *)
+  val pop_before : 'a t -> cell -> bound:float -> 'a -> 'a
+  (** [pop_before t cell ~bound default] pops the earliest event at
+      time [<= bound], writing its time into [cell] and returning its
+      value, or returns [default] with [cell] untouched: the
+      {!next_before}/{!pop_into} pair of a bounded run loop fused into
+      one call, peeking the key exactly once per event, allocation-free
+      (the cell is stored flat). *)
 
   val clear : 'a t -> unit
   val capacity : 'a t -> int
@@ -49,6 +66,12 @@ module type S = sig
 end
 
 let nan_message = "Scheduler.push: NaN time"
+let unissued_message = "Scheduler.push_keyed: seq was not reserved"
+
+(* Shared by both backends: issue [n] sequence numbers from [next]. *)
+let reserve_block ~next n =
+  if n < 0 then invalid_arg "Scheduler.reserve: negative count";
+  next + n
 
 module Heap = struct
   let name = "heap"
@@ -120,6 +143,19 @@ module Heap = struct
       end
       else i
 
+  (* A reserved seq can be older than a parent's, so [push_keyed] sifts
+     on the full [(time, seq)] key. *)
+  let[@hot] rec sift_up_keyed t i time seq =
+    if i = 0 then i
+    else
+      let parent = (i - 1) lsr 2 in
+      let tp = t.times.(parent) in
+      if time < tp || (time = tp && seq < t.seqs.(parent)) then begin
+        move t ~src:parent ~dst:i;
+        sift_up_keyed t parent time seq
+      end
+      else i
+
   (* Smallest of the children [c .. last] of a partial sibling group. *)
   let[@hot] rec min_child t best c last =
     if c > last then best
@@ -163,18 +199,34 @@ module Heap = struct
     t.values <- values';
     t.growth_caps <- cap' :: t.growth_caps
 
+  let[@hot] settle t i ~time ~seq value =
+    t.times.(i) <- time;
+    t.seqs.(i) <- seq;
+    t.values.(i) <- value;
+    t.len <- t.len + 1;
+    if t.len > t.max_len then t.max_len <- t.len
+
   let[@hot] push t ~time value =
     if Float.is_nan time then invalid_arg nan_message;
     if t.len = Array.length t.times then
       (* lint: allow hot-alloc — amortised doubling, not steady state *)
       grow t value;
-    let i = sift_up t t.len time in
-    t.times.(i) <- time;
-    t.seqs.(i) <- t.next_seq;
-    t.values.(i) <- value;
-    t.next_seq <- t.next_seq + 1;
-    t.len <- t.len + 1;
-    if t.len > t.max_len then t.max_len <- t.len
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    settle t (sift_up t t.len time) ~time ~seq value
+
+  let reserve t n =
+    let first = t.next_seq in
+    t.next_seq <- reserve_block ~next:first n;
+    first
+
+  let[@hot] push_keyed t ~time ~seq value =
+    if Float.is_nan time then invalid_arg nan_message;
+    if seq < 0 || seq >= t.next_seq then invalid_arg unissued_message;
+    if t.len = Array.length t.times then
+      (* lint: allow hot-alloc — amortised doubling, not steady state *)
+      grow t value;
+    settle t (sift_up_keyed t t.len time seq) ~time ~seq value
 
   let peek_time t = if t.len = 0 then None else Some t.times.(0)
 
@@ -195,11 +247,11 @@ module Heap = struct
       Some (time, value)
     end
 
-  let[@hot] pop_into t cell default =
+  let pop_into t r default =
     if t.len = 0 then default
     else begin
       let value = t.values.(0) in
-      cell := t.times.(0);
+      r := t.times.(0);
       remove_root t;
       value
     end
@@ -208,7 +260,12 @@ module Heap = struct
 
   let[@hot] pop_before t cell ~bound default =
     if t.len = 0 || t.times.(0) > bound then default
-    else pop_into t cell default
+    else begin
+      let value = t.values.(0) in
+      cell.time <- t.times.(0);
+      remove_root t;
+      value
+    end
 
   (* A cleared queue is as good as new: sequence numbers restart (a
      queue reused across thousands of batch runs never overflows them)
@@ -224,8 +281,9 @@ module Heap = struct
     t.max_len <- 0;
     t.growth_caps <- []
 
-  (* next_seq increments exactly once per push, so it doubles as the
-     push counter. *)
+  (* next_seq advances once per plain push and once per reserved key,
+     so it counts keys issued: the pushes a post-per-event schedule
+     would have made. *)
   let stats t =
     {
       Mcc_obs.Profile.pushes = t.next_seq;
@@ -377,7 +435,7 @@ module Wheel = struct
     t.values <- values';
     t.growth_caps <- cap' :: t.growth_caps
 
-  let[@hot] alloc_cell t ~time ~tick value =
+  let[@hot] alloc_cell t ~time ~seq ~tick value =
     if t.free = nil then begin
       (* lint: allow hot-alloc — amortised doubling, not steady state *)
       grow t value;
@@ -387,10 +445,9 @@ module Wheel = struct
     let i = t.free in
     t.free <- t.nexts.(i);
     t.times.(i) <- time;
-    t.seqs.(i) <- t.next_seq;
+    t.seqs.(i) <- seq;
     t.ticks.(i) <- tick;
     t.values.(i) <- value;
-    t.next_seq <- t.next_seq + 1;
     i
 
   let[@hot] free_cell t i =
@@ -532,11 +589,15 @@ module Wheel = struct
     end
     else drain_insert_after t t.drain i
 
-  let[@hot] push t ~time value =
+  let[@hot] check_time time =
     if Float.is_nan time then invalid_arg nan_message;
-    if time < 0. then invalid_arg "Scheduler.push: negative time (wheel)";
+    if time < 0. then invalid_arg "Scheduler.push: negative time (wheel)"
+
+  (* A plain push and a keyed one place alike: the drain insert and the
+     bucket sort both order by the full [(time, seq)] key. *)
+  let[@hot] insert t ~time ~seq value =
     let tick = tick_of_time time in
-    let i = alloc_cell t ~time ~tick value in
+    let i = alloc_cell t ~time ~seq ~tick value in
     t.size <- t.size + 1;
     if t.size > t.max_size then t.max_size <- t.size;
     if tick <= t.drain_tick then begin
@@ -544,6 +605,22 @@ module Wheel = struct
       t.drain_inserted <- t.drain_inserted + 1
     end
     else place t i
+
+  let[@hot] push t ~time value =
+    check_time time;
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    insert t ~time ~seq value
+
+  let reserve t n =
+    let first = t.next_seq in
+    t.next_seq <- reserve_block ~next:first n;
+    first
+
+  let[@hot] push_keyed t ~time ~seq value =
+    check_time time;
+    if seq < 0 || seq >= t.next_seq then invalid_arg unissued_message;
+    insert t ~time ~seq value
 
   (* The wheel proper is empty: rebase the cursor on the earliest
      overflow tick and re-place every overflow cell (the earliest lands
@@ -641,13 +718,13 @@ module Wheel = struct
       Some (time, value)
     end
 
-  let[@hot] pop_into t cell default =
+  let pop_into t r default =
     if t.size = 0 then default
     else begin
       if t.drain = nil then advance t;
       let i = t.drain in
       let value = t.values.(i) in
-      cell := t.times.(i);
+      r := t.times.(i);
       t.drain <- t.nexts.(i);
       t.size <- t.size - 1;
       free_cell t i;
@@ -677,7 +754,7 @@ module Wheel = struct
       if time > bound then default
       else begin
         let value = t.values.(i) in
-        cell := time;
+        cell.time <- time;
         t.drain <- t.nexts.(i);
         t.size <- t.size - 1;
         free_cell t i;
@@ -751,9 +828,11 @@ let set_default b = Domain.DLS.set default_key b
 
 type 'a queue = {
   push : time:float -> 'a -> unit;
+  reserve : int -> int;
+  push_keyed : time:float -> seq:int -> 'a -> unit;
   pop : unit -> (float * 'a) option;
   pop_into : float ref -> 'a -> 'a;
-  pop_before : float ref -> bound:float -> 'a -> 'a;
+  pop_before : cell -> bound:float -> 'a -> 'a;
   peek_time : unit -> float option;
   next_before : float -> bool;
   size : unit -> int;
@@ -768,6 +847,8 @@ let instantiate (module B : S) () =
   let q = B.create () in
   {
     push = (fun ~time v -> B.push q ~time v);
+    reserve = (fun n -> B.reserve q n);
+    push_keyed = (fun ~time ~seq v -> B.push_keyed q ~time ~seq v);
     pop = (fun () -> B.pop q);
     pop_into = (fun cell default -> B.pop_into q cell default);
     pop_before = (fun cell ~bound default -> B.pop_before q cell ~bound default);

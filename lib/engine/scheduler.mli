@@ -7,7 +7,19 @@
     the backend choice is purely a performance knob and never a
     semantics knob.  {!Sim.create} selects a backend per simulation; the
     [--sched heap|wheel] CLI flag and the batch drivers route through
-    {!set_default}. *)
+    {!set_default}.
+
+    Keys can be issued ahead of their events: {!S.reserve} hands out a
+    block of sequence numbers and {!S.push_keyed} queues an event under
+    one of them later.  An event then pops exactly where it would have
+    popped had it been pushed when its key was issued, so a caller can
+    hold back events whose keys are fixed — a slot's packet train, a
+    re-armed timer — and keep only the next one queued. *)
+
+type cell = { mutable time : float }
+(** Where {!S.pop_before} writes the popped time.  A one-field float
+    record is stored flat, so the write boxes nothing (a [float ref]
+    would box every write: two minor words per pop). *)
 
 (** Interface every backend implements. *)
 module type S = sig
@@ -22,9 +34,29 @@ module type S = sig
   val size : 'a t -> int
 
   val push : 'a t -> time:float -> 'a -> unit
-  (** @raise Invalid_argument on a NaN time (every backend), or on a
+  (** Queues an event under the key [(time, s)], where [s] is the next
+      sequence number.
+      @raise Invalid_argument on a NaN time (every backend), or on a
       negative time for backends that quantise to non-negative integer
       ticks ({!Wheel}). *)
+
+  val reserve : 'a t -> int -> int
+  (** [reserve t n] issues the next [n] sequence numbers without queuing
+      anything and returns the first, [s]: the keys [s .. s+n-1] are
+      exactly those [n] plain pushes made now would get.
+      @raise Invalid_argument if [n < 0]. *)
+
+  val push_keyed : 'a t -> time:float -> seq:int -> 'a -> unit
+  (** [push_keyed t ~time ~seq v] queues [v] under the key [(time, seq)]
+      for a [seq] issued by {!reserve}.  The caller keeps two rules:
+      each reserved key is queued at most once at a time, and [time] is
+      no earlier than the last popped event's (what {!Sim} enforces for
+      every event anyway).  [(time, seq)] then pops where it sorts, among
+      plain pushes and other keyed ones alike.  Plain {!push} keeps its
+      shortcut that a new event carries the newest seq; a keyed push
+      sifts ({!Heap}) or inserts ({!Wheel}) on the full key.
+      @raise Invalid_argument as {!push} does, or if [seq] was never
+      issued. *)
 
   val peek_time : 'a t -> float option
   (** Earliest event time, if any. *)
@@ -33,25 +65,27 @@ module type S = sig
   (** Removes and returns the earliest event; ties pop in push order. *)
 
   val pop_into : 'a t -> float ref -> 'a -> 'a
-  (** [pop_into t cell default] pops the earliest event, writing its
-      time into [cell] and returning its value, or returns [default]
-      with [cell] untouched when empty.  Same order as {!pop}, but
-      allocation-free: the time lands in the ref's unboxed float field
-      and no option or tuple is built.  {!Sim}'s per-event loop runs on
-      this with a sentinel as [default]. *)
+  (** [pop_into t r default] pops the earliest event, writing its time
+      into [r] and returning its value, or returns [default] with [r]
+      untouched when empty.  Same order as {!pop}, with no option or
+      tuple built; the write into the polymorphic ref still boxes the
+      float.  {!Sim}'s loops run on {!pop_before}, which writes into a
+      flat {!cell}. *)
 
   val next_before : 'a t -> float -> bool
   (** [next_before t bound] is true iff the queue is non-empty and the
       earliest time is [<= bound] — {!peek_time} for bounded run loops,
       without the option/boxed-float allocation. *)
 
-  val pop_before : 'a t -> float ref -> bound:float -> 'a -> 'a
-  (** [pop_before t cell ~bound default] is {!pop_into} restricted to
-      events at time [<= bound]: pops and returns the earliest such
-      event, or returns [default] with [cell] untouched when the queue
-      is empty or its earliest event lies beyond the bound.  Fuses the
-      {!next_before}/{!pop_into} pair of a bounded run loop into one
-      call so the hot path peeks the key exactly once per event. *)
+  val pop_before : 'a t -> cell -> bound:float -> 'a -> 'a
+  (** [pop_before t cell ~bound default] pops the earliest event if its
+      time is [<= bound], writing the time into [cell] and returning the
+      value; otherwise it returns [default] with [cell] untouched.
+      Fuses the {!next_before}/pop pair of a bounded run loop into one
+      call that peeks the key exactly once, and allocates nothing: no
+      option or tuple, and the cell stores the float flat.  {!Sim}'s
+      loops run on it with a sentinel as [default] (and a bound of
+      [infinity] when unbounded). *)
 
   val clear : 'a t -> unit
   (** Empties the queue and restores it to its freshly-created state:
@@ -68,8 +102,10 @@ module type S = sig
       mark. *)
 
   val stats : 'a t -> Mcc_obs.Profile.sched_stats
-  (** Backend introspection since the last [create]/[clear]: pushes,
-      size high-water and the capacity trajectory for every backend;
+  (** Backend introspection since the last [create]/[clear]: pushes
+      (keys issued: plain pushes plus reserved keys, so holding events
+      back does not change the count), size high-water and the capacity
+      trajectory for every backend;
       {!Wheel} additionally fills the per-level bucket-placement
       histogram (cascade re-placements included), overflow placements,
       draining-tick inserts and cell free-list hit/miss counters.  All
@@ -135,9 +171,11 @@ val set_default : backend -> unit
 
 type 'a queue = {
   push : time:float -> 'a -> unit;
+  reserve : int -> int;
+  push_keyed : time:float -> seq:int -> 'a -> unit;
   pop : unit -> (float * 'a) option;
   pop_into : float ref -> 'a -> 'a;
-  pop_before : float ref -> bound:float -> 'a -> 'a;
+  pop_before : cell -> bound:float -> 'a -> 'a;
   peek_time : unit -> float option;
   next_before : float -> bool;
   size : unit -> int;

@@ -1,5 +1,9 @@
 module Metrics = Mcc_obs.Metrics
 
+(* A queue entry.  A popped entry always runs [fire]; it counts as an
+   executed event only if it is not [cancelled].  [cancel] swaps a
+   user event's closure for [noop], so only a timer's superseded entry
+   runs code while cancelled: the hook that re-queues it. *)
 type handle = {
   mutable cancelled : bool;
   mutable fire : unit -> unit;
@@ -14,10 +18,11 @@ type t = {
   queue : handle Scheduler.queue;
   mutable clock : float;
   mutable executed : int;
-  (* Hot-loop scratch: [pop_into] writes the event time into
-     [time_cell] (an unboxed store) and returns [sentinel] when the
-     queue is empty, so a step allocates nothing. *)
-  time_cell : float ref;
+  (* Hot-loop scratch: [pop_before] writes the event time into
+     [time_cell] (a flat float record, so the store boxes nothing) and
+     returns [sentinel] when nothing is due, so a step allocates
+     nothing. *)
+  time_cell : Scheduler.cell;
   sentinel : handle;
   (* Free list of recyclable handles: [post]/[post_after] reuse fired
      records, so steady-state fire-and-forget scheduling allocates
@@ -55,10 +60,13 @@ let flush_metrics t =
 let now t = t.clock
 let sched_name t = t.queue.Scheduler.backend
 
+(* Out of line so the formatted message is built only on the error
+   path, never in a hot caller's own body. *)
+let in_past name at clock =
+  invalid_arg (Printf.sprintf "Sim.%s: at=%g is before now=%g" name at clock)
+
 let schedule t ~at f =
-  if at < t.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule: at=%g is before now=%g" at t.clock);
+  if at < t.clock then in_past "schedule" at t.clock;
   let h = { cancelled = false; fire = f; recycle = false } in
   t.queue.Scheduler.push ~time:at h;
   h
@@ -96,21 +104,135 @@ let[@hot] put_handle t h =
   t.pool.(t.pool_len) <- h;
   t.pool_len <- t.pool_len + 1
 
-(* Out of line so the formatted message is built only on the error
-   path, never in [post]'s own (hot) body. *)
-let post_in_past at clock =
-  invalid_arg (Printf.sprintf "Sim.post: at=%g is before now=%g" at clock)
-
 let[@hot] post t ~at f =
-  if at < t.clock then post_in_past at t.clock;
+  if at < t.clock then in_past "post" at t.clock;
   t.queue.Scheduler.push ~time:at (take_handle t f)
 
 let[@hot] post_after t ~delay f =
   if delay < 0. then invalid_arg "Sim.post_after: negative delay";
   post t ~at:(t.clock +. delay) f
 
-let cancel h = h.cancelled <- true
+let cancel h =
+  h.cancelled <- true;
+  h.fire <- noop
+
 let cancelled h = h.cancelled
+
+(* --- Trains --------------------------------------------------------- *)
+
+(* One queue entry walks the whole train: firing element [i] re-queues
+   the entry under element [i+1]'s reserved key, so the queue holds one
+   entry per train however long it is. *)
+type train = {
+  owner : t;
+  entry : handle;
+  emit : int -> unit;
+  first : float;
+  spacing : float;
+  count : int;
+  base : int;  (** element [i]'s seq is [base + i] *)
+  mutable next : int;  (** the element the queued entry stands for *)
+}
+
+let[@hot] train_step tr =
+  let i = tr.next in
+  let j = i + 1 in
+  if j < tr.count then begin
+    tr.next <- j;
+    tr.owner.queue.Scheduler.push_keyed
+      ~time:(tr.first +. (float_of_int j *. tr.spacing))
+      ~seq:(tr.base + j) tr.entry
+  end;
+  tr.emit i
+
+let post_train t ~count ~at ~spacing f =
+  if count < 0 then invalid_arg "Sim.post_train: negative count";
+  if at < t.clock then in_past "post_train" at t.clock;
+  if not (Float.is_finite spacing && spacing >= 0.) then
+    invalid_arg "Sim.post_train: spacing must be finite and >= 0";
+  if count > 0 then begin
+    let base = t.queue.Scheduler.reserve count in
+    let entry = { cancelled = false; fire = noop; recycle = false } in
+    let tr =
+      { owner = t; entry; emit = f; first = at; spacing; count; base; next = 0 }
+    in
+    entry.fire <- (fun () -> train_step tr);
+    t.queue.Scheduler.push_keyed ~time:at ~seq:base entry
+  end
+
+(* --- Timers --------------------------------------------------------- *)
+
+(* A timer keeps at most one live entry.  Arming issues the key
+   [schedule] would; when the queued entry sits at an earlier key it
+   is marked cancelled (uncounted) and, on popping, re-queues itself
+   under the armed key.  Only arming earlier than the queued entry
+   abandons it for a fresh one. *)
+type timer = {
+  sim : t;
+  mutable entry : handle;
+  mutable action : unit -> unit;
+  mutable armed : bool;
+  mutable at : float;  (** armed key: [(at, seq)] *)
+  mutable seq : int;
+  mutable queued : bool;  (** [entry] is in the queue ... *)
+  mutable queued_at : float;  (** ... at this time *)
+}
+
+let[@hot] queue_entry tm =
+  tm.queued <- true;
+  tm.queued_at <- tm.at;
+  tm.entry.cancelled <- false;
+  tm.sim.queue.Scheduler.push_keyed ~time:tm.at ~seq:tm.seq tm.entry
+
+(* The entry's [fire]: runs for every pop of the live entry, counted or
+   not. *)
+let[@hot] timer_pop tm =
+  if not tm.armed then tm.queued <- false
+  else if tm.entry.cancelled then queue_entry tm
+  else begin
+    tm.armed <- false;
+    tm.queued <- false;
+    tm.action ()
+  end
+
+let timer t =
+  let entry = { cancelled = true; fire = noop; recycle = false } in
+  let tm =
+    {
+      sim = t;
+      entry;
+      action = noop;
+      armed = false;
+      at = 0.;
+      seq = 0;
+      queued = false;
+      queued_at = 0.;
+    }
+  in
+  entry.fire <- (fun () -> timer_pop tm);
+  tm
+
+let[@hot] arm tm ~at f =
+  if at < tm.sim.clock then in_past "arm" at tm.sim.clock;
+  tm.action <- f;
+  tm.armed <- true;
+  tm.at <- at;
+  tm.seq <- tm.sim.queue.Scheduler.reserve 1;
+  if not tm.queued then queue_entry tm
+  else if at < tm.queued_at then begin
+    (* The queued entry would pop too late: leave it to pop as a plain
+       cancelled event and queue a fresh one. *)
+    let old = tm.entry in
+    (* lint: allow hot-alloc — only when re-armed earlier, which is rare *)
+    tm.entry <- { cancelled = false; fire = old.fire; recycle = false };
+    cancel old;
+    queue_entry tm
+  end
+  else tm.entry.cancelled <- true
+
+let disarm tm =
+  tm.armed <- false;
+  tm.entry.cancelled <- true
 
 let every t ~start ~period f =
   if period <= 0. then invalid_arg "Sim.every: period <= 0";
@@ -140,7 +262,7 @@ let create ?sched () =
       queue;
       clock = 0.;
       executed = 0;
-      time_cell = ref 0.;
+      time_cell = { Scheduler.time = 0. };
       sentinel = { cancelled = true; fire = noop; recycle = false };
       pool = [||];
       pool_len = 0;
@@ -167,91 +289,51 @@ let create ?sched () =
   | None -> ());
   t
 
-let[@hot] step t =
-  let h = t.queue.Scheduler.pop_into t.time_cell t.sentinel in
-  if h == t.sentinel then false
-  else begin
-    t.clock <- !(t.time_cell);
-    if not h.cancelled then begin
-      t.executed <- t.executed + 1;
-      h.fire ()
-    end;
+(* Pops and runs every event due by [bound].  A popped entry always
+   runs its [fire] (see [handle]) and counts only when live. *)
+let[@hot] rec drain t bound =
+  let h = t.queue.Scheduler.pop_before t.time_cell ~bound t.sentinel in
+  if h != t.sentinel then begin
+    t.clock <- t.time_cell.Scheduler.time;
+    if not h.cancelled then t.executed <- t.executed + 1;
+    h.fire ();
     if h.recycle then put_handle t h;
-    true
+    drain t bound
   end
 
-(* The profiled loop variants live apart from the plain ones so the
-   disabled path stays byte-for-byte the existing loop: [run]/[run_until]
-   branch ONCE on [Prof.enabled] at entry, never per event.  Inside the
-   instrumented loop, scheduler time (pop + requeue bookkeeping) accrues
-   to "engine.sched" and callback time to whatever spans the components
+(* The profiled variant lives apart from the plain one so the disabled
+   path stays the plain loop: [run]/[run_until] branch ONCE on
+   [Prof.enabled] at entry, never per event.  Inside the instrumented
+   loop, scheduler time (pop + requeue bookkeeping) accrues to
+   "engine.sched" and callback time to whatever spans the components
    open; the remainder is the engine's own self time. *)
-let run_until_profiled t horizon =
+let drain_profiled t bound =
   let root = Mcc_obs.Prof.span "engine" in
   let running = ref true in
   while !running do
     let sp = Mcc_obs.Prof.span "engine.sched" in
-    let h = t.queue.Scheduler.pop_before t.time_cell ~bound:horizon t.sentinel in
+    let h = t.queue.Scheduler.pop_before t.time_cell ~bound t.sentinel in
     Mcc_obs.Prof.finish sp;
     if h == t.sentinel then running := false
     else begin
-      t.clock <- !(t.time_cell);
-      if not h.cancelled then begin
-        t.executed <- t.executed + 1;
-        h.fire ()
-      end;
+      t.clock <- t.time_cell.Scheduler.time;
+      if not h.cancelled then t.executed <- t.executed + 1;
+      h.fire ();
       if h.recycle then put_handle t h
     end
   done;
   Mcc_obs.Prof.finish root
 
+let run_events t bound =
+  if Mcc_obs.Prof.enabled () then drain_profiled t bound else drain t bound
+
 let run_until t horizon =
-  if Mcc_obs.Prof.enabled () then run_until_profiled t horizon
-  else begin
-    let running = ref true in
-    while !running do
-      let h =
-        t.queue.Scheduler.pop_before t.time_cell ~bound:horizon t.sentinel
-      in
-      if h == t.sentinel then running := false
-      else begin
-        t.clock <- !(t.time_cell);
-        if not h.cancelled then begin
-          t.executed <- t.executed + 1;
-          h.fire ()
-        end;
-        if h.recycle then put_handle t h
-      end
-    done
-  end;
+  run_events t horizon;
   t.clock <- max t.clock horizon;
   flush_metrics t
 
-let run_profiled t =
-  let root = Mcc_obs.Prof.span "engine" in
-  let running = ref true in
-  while !running do
-    let sp = Mcc_obs.Prof.span "engine.sched" in
-    let h = t.queue.Scheduler.pop_into t.time_cell t.sentinel in
-    Mcc_obs.Prof.finish sp;
-    if h == t.sentinel then running := false
-    else begin
-      t.clock <- !(t.time_cell);
-      if not h.cancelled then begin
-        t.executed <- t.executed + 1;
-        h.fire ()
-      end;
-      if h.recycle then put_handle t h
-    end
-  done;
-  Mcc_obs.Prof.finish root
-
 let run t =
-  if Mcc_obs.Prof.enabled () then run_profiled t
-  else
-    while step t do
-      ()
-    done;
+  run_events t infinity;
   flush_metrics t
 
 let events_executed t = t.executed

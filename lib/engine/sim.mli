@@ -43,10 +43,42 @@ val post : t -> at:float -> (unit -> unit) -> unit
 val post_after : t -> delay:float -> (unit -> unit) -> unit
 (** Fire-and-forget {!schedule_after}. *)
 
+val post_train :
+  t -> count:int -> at:float -> spacing:float -> (int -> unit) -> unit
+(** [post_train t ~count ~at ~spacing f] fires [f 0], ..., [f (count-1)],
+    element [i] at [at +. (float_of_int i *. spacing)].  Each element
+    fires exactly where the [i]-th of [count] {!post}s made now would
+    fire, ties included: the train takes those [count] keys up front
+    ({!Scheduler.S.reserve}) but queues only the next element, so the
+    queue holds one entry per train.  Each element counts as one
+    executed event.
+    @raise Invalid_argument if [count < 0], if [at] is in the past, or if
+    [spacing] is negative or not finite (the times would decrease). *)
+
 val cancel : handle -> unit
 (** Cancelling a fired or already-cancelled event is a no-op. *)
 
 val cancelled : handle -> bool
+
+type timer
+(** A re-armable one-shot timer: one pending expiry that can be moved
+    or withdrawn.  It fires exactly where a {!schedule} made at the last
+    {!arm} would fire, with every earlier arm {!cancel}led, but without
+    leaving a cancelled entry in the queue per re-arm: its one queued
+    entry, if it pops before the armed time, re-queues itself under the
+    armed key.  Such a pop, like a cancelled one, is not an executed
+    event. *)
+
+val timer : t -> timer
+(** A fresh, disarmed timer on this sim. *)
+
+val arm : timer -> at:float -> (unit -> unit) -> unit
+(** [arm tm ~at f] makes [f] the timer's next expiry, at [at], replacing
+    any pending one.  It takes the key [schedule t ~at f] would take now.
+    @raise Invalid_argument if [at] is in the past. *)
+
+val disarm : timer -> unit
+(** Withdraws the pending expiry, if any.  Idempotent. *)
 
 val every : t -> start:float -> period:float -> (unit -> unit) -> handle
 (** Periodic task: fires at [start], [start+period], ...  Cancelling the
@@ -55,7 +87,9 @@ val every : t -> start:float -> period:float -> (unit -> unit) -> handle
 
 val run_until : t -> float -> unit
 (** Execute events in time order until the queue is empty or the next
-    event is later than the horizon; the clock ends at the horizon. *)
+    event is later than the horizon; the clock ends at the horizon.
+    The loop allocates nothing per event: each pop writes its time
+    into a flat {!Scheduler.cell}. *)
 
 val run : t -> unit
 (** Execute until the queue drains.  Periodic tasks never drain, so most

@@ -29,8 +29,9 @@ let upgrade_mask ~groups ~upgrade_period slot =
 (* One tick per slot: the upgrade mask, the credit-paced packet counts,
    the protocol's key state for the slot (whose SIGMA distribution must
    precede the data posts), then every data packet of the slot, group by
-   group.  Counts are decided up front, which is what lets Shamir
-   polynomials be sized exactly. *)
+   group, as one train per group: the train takes its packets' event
+   keys here but queues only the next packet.  Counts are decided up
+   front, which is what lets Shamir polynomials be sized exactly. *)
 let sender_start ?(at = 0.) ?span topo ~node ~base_group ~rates ~packet_size
     ~repair_fraction ~slot_duration ~upgrade_period ~prepare ~emit () =
   let n = Array.length rates in
@@ -70,13 +71,11 @@ let sender_start ?(at = 0.) ?span topo ~node ~base_group ~rates ~packet_size
       let spacing = slot_duration /. float_of_int count in
       (* De-phase groups so slot starts are not synchronized bursts. *)
       let phase = float_of_int g /. float_of_int (n + 1) *. spacing in
-      for i = 0 to count - 1 do
-        let last = i = count - 1 in
-        let repair = i >= originals.(g - 1) in
-        Sim.post sim
-          ~at:(tick_now +. phase +. (float_of_int i *. spacing))
-          (fun () -> emit st ~group:g ~slot ~seq:i ~last ~repair ~mask)
-      done
+      let repairs_from = originals.(g - 1) in
+      (* Packet i goes at (tick_now +. phase) +. (float_of_int i *. spacing). *)
+      Sim.post_train sim ~count ~at:(tick_now +. phase) ~spacing (fun i ->
+          emit st ~group:g ~slot ~seq:i ~last:(i = count - 1)
+            ~repair:(i >= repairs_from) ~mask)
     done
   in
   let tick =

@@ -58,7 +58,8 @@ type t = {
   mutable rto : float;
   mutable backoff : float;
   mutable timing : (int * float) option;  (* (seq, send time) RTT sample *)
-  mutable rto_timer : Sim.handle option;
+  rto_timer : Sim.timer;
+  on_rto : unit -> unit;  (* [on_timeout] of this flow, built once *)
   mutable retransmissions : int;
   mutable timeouts : int;
   mutable running : bool;
@@ -78,13 +79,6 @@ let timeouts t = t.timeouts
 
 let flight t = t.snd_nxt - t.snd_una
 
-let cancel_rto t =
-  match t.rto_timer with
-  | Some h ->
-      Sim.cancel h;
-      t.rto_timer <- None
-  | None -> ()
-
 let send_segment t ~seq ~retransmit =
   if retransmit then begin
     t.retransmissions <- t.retransmissions + 1;
@@ -102,14 +96,16 @@ let send_segment t ~seq ~retransmit =
   in
   Node.originate t.src pkt
 
+(* Re-arms the flow's one RTO timer in place; disarms it only when
+   nothing is left to time. *)
 let rec arm_rto t =
-  cancel_rto t;
-  if flight t > 0 && t.running then
+  if flight t > 0 && t.running then begin
     let delay = min t.config.max_rto (t.rto *. t.backoff) in
-    t.rto_timer <- Some (Sim.schedule_after t.sim ~delay (fun () -> on_timeout t))
+    Sim.arm t.rto_timer ~at:(Sim.now t.sim +. delay) t.on_rto
+  end
+  else Sim.disarm t.rto_timer
 
 and on_timeout t =
-  t.rto_timer <- None;
   if flight t > 0 && t.running then begin
     t.timeouts <- t.timeouts + 1;
     Metrics.incr t.m_rto_fires;
@@ -214,7 +210,7 @@ let on_data t seq =
 
 let start ?(config = default_config) ?(at = 0.) topo ~flow ~src ~dst () =
   let sim = Mcc_net.Topology.sim topo in
-  let t =
+  let rec t =
     {
       config;
       sim;
@@ -234,7 +230,8 @@ let start ?(config = default_config) ?(at = 0.) topo ~flow ~src ~dst () =
       rto = 3.;
       backoff = 1.;
       timing = None;
-      rto_timer = None;
+      rto_timer = Sim.timer sim;
+      on_rto = (fun () -> on_timeout t);
       retransmissions = 0;
       timeouts = 0;
       running = false;
@@ -266,4 +263,4 @@ let start ?(config = default_config) ?(at = 0.) topo ~flow ~src ~dst () =
 
 let stop t =
   t.running <- false;
-  cancel_rto t
+  Sim.disarm t.rto_timer

@@ -1,5 +1,6 @@
 module Scheduler = Mcc_engine.Scheduler
 module Sim = Mcc_engine.Sim
+module Prng = Mcc_util.Prng
 
 (* Queue-contract tests run against every backend: the Scheduler
    interface promises byte-identical pop sequences, so the same
@@ -282,6 +283,190 @@ let test_wheel_stats () =
   Alcotest.(check bool) "wheel free-list hit" true
     (s.Mcc_obs.Profile.free_hits >= 1)
 
+(* --- Trains and timers ------------------------------------------------ *)
+
+(* The keyed primitives, or the same schedule spelled out the old way:
+   a post per train element, and a [schedule] per arm that cancels the
+   timer's previous one. *)
+type prims = {
+  post : at:float -> (unit -> unit) -> unit;
+  train : count:int -> at:float -> spacing:float -> (int -> unit) -> unit;
+  arm : int -> at:float -> (unit -> unit) -> unit;
+  disarm : int -> unit;
+}
+
+let timers = 3
+
+let keyed sim =
+  let tms = Array.init timers (fun _ -> Sim.timer sim) in
+  {
+    post = (fun ~at f -> Sim.post sim ~at f);
+    train =
+      (fun ~count ~at ~spacing f -> Sim.post_train sim ~count ~at ~spacing f);
+    arm = (fun k ~at f -> Sim.arm tms.(k) ~at f);
+    disarm = (fun k -> Sim.disarm tms.(k));
+  }
+
+let spelled_out sim =
+  let pending = Array.make timers None in
+  let disarm k =
+    Option.iter Sim.cancel pending.(k);
+    pending.(k) <- None
+  in
+  {
+    post = (fun ~at f -> Sim.post sim ~at f);
+    train =
+      (fun ~count ~at ~spacing f ->
+        for i = 0 to count - 1 do
+          Sim.post sim ~at:(at +. (float_of_int i *. spacing)) (fun () -> f i)
+        done);
+    arm =
+      (fun k ~at f ->
+        disarm k;
+        pending.(k) <-
+          Some
+            (Sim.schedule sim ~at (fun () ->
+                 pending.(k) <- None;
+                 f ())));
+    disarm;
+  }
+
+(* A seeded random program: every fired event logs (time, label) and
+   draws up to two further actions from one PRNG stream, so both
+   spellings make the same draws exactly as long as they fire in the
+   same order.  Times sit on a 0.25 s grid from the current clock, so
+   posts, train elements and timer expiries tie often, the current
+   instant included.  [moves] counts the timer arms by kind: fresh,
+   later than the pending expiry, earlier than it. *)
+let run_program ~seed ~moves sched build =
+  let sim = Sim.create ~sched () in
+  let p = build sim in
+  let prng = Prng.create seed in
+  let log = ref [] and budget = ref 300 and id = ref 0 in
+  let pending = Array.make timers None in
+  let rec fired label () =
+    log := (Sim.now sim, label) :: !log;
+    act 2
+  and act n =
+    for _ = 1 to n do
+      if !budget > 0 then begin
+        decr budget;
+        incr id;
+        let now = Sim.now sim in
+        let at k = now +. (0.25 *. float_of_int k) in
+        match Prng.int prng 6 with
+        | 0 | 1 ->
+            p.post ~at:(at (Prng.int prng 6)) (fired (Printf.sprintf "p%d" !id))
+        | 2 ->
+            let count = 1 + Prng.int prng 5 in
+            let spacing = 0.25 *. float_of_int (Prng.int prng 3) in
+            let name = Printf.sprintf "t%d" !id in
+            p.train ~count ~at:(at (Prng.int prng 6)) ~spacing (fun i ->
+                fired (Printf.sprintf "%s.%d" name i) ())
+        | 3 | 4 ->
+            let k = Prng.int prng timers in
+            let expiry = at (Prng.int prng 10) in
+            let kind =
+              match pending.(k) with
+              | Some e when e > now -> if expiry >= e then 1 else 2
+              | Some _ | None -> 0
+            in
+            moves.(kind) <- moves.(kind) + 1;
+            pending.(k) <- Some expiry;
+            let name = Printf.sprintf "k%d.%d" k !id in
+            p.arm k ~at:expiry (fun () ->
+                pending.(k) <- None;
+                fired name ())
+        | _ ->
+            let k = Prng.int prng timers in
+            pending.(k) <- None;
+            p.disarm k
+      end
+    done
+  in
+  act 6;
+  Sim.run sim;
+  (List.rev !log, Sim.events_executed sim)
+
+let test_keyed_differential () =
+  let moves = Array.make 3 0 in
+  for seed = 1 to 40 do
+    let runs =
+      List.concat_map
+        (fun sched ->
+          List.map
+            (fun (name, build) ->
+              ( Printf.sprintf "seed %d %s %s" seed
+                  (Scheduler.backend_name sched) name,
+                run_program ~seed ~moves sched build ))
+            [ ("spelled-out", spelled_out); ("keyed", keyed) ])
+        backends
+    in
+    match runs with
+    | (_, (log, events)) :: rest ->
+        Alcotest.(check bool) "program fires" true (List.length log > 50);
+        List.iter
+          (fun (name, (log', events')) ->
+            Alcotest.(check (list (pair (float 0.) string)))
+              (name ^ " fired") log log';
+            Alcotest.(check int) (name ^ " events") events events')
+          rest
+    | [] -> assert false
+  done;
+  Array.iteri
+    (fun i n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "arm kind %d exercised" i)
+        true (n > 0))
+    moves
+
+(* One train entry and one timer entry stand for a thousand events
+   each, and the push counter still counts every key. *)
+let test_keyed_queue_load () =
+  List.iter
+    (fun sched ->
+      let name = Scheduler.backend_name sched in
+      let sim = Sim.create ~sched () in
+      let tm = Sim.timer sim and timeouts = ref 0 in
+      Sim.post_train sim ~count:1000 ~at:0. ~spacing:0.01 (fun _ ->
+          Sim.arm tm ~at:(Sim.now sim +. 0.5) (fun () -> incr timeouts));
+      ignore (Mcc_obs.Profile.take_sched_stats ());
+      Sim.run sim;
+      Alcotest.(check int) (name ^ " one timeout") 1 !timeouts;
+      Alcotest.(check int) (name ^ " events") 1001 (Sim.events_executed sim);
+      match Mcc_obs.Profile.take_sched_stats () with
+      | Some s ->
+          Alcotest.(check int) (name ^ " keys issued") 2000 s.Mcc_obs.Profile.pushes;
+          Alcotest.(check int) (name ^ " queue high-water") 2
+            s.Mcc_obs.Profile.max_size
+      | None -> Alcotest.fail "no scheduler stats")
+    backends
+
+let test_keyed_rejects () =
+  let sim = Sim.create () in
+  Sim.run_until sim 1.;
+  let rejects what f =
+    Alcotest.(check bool) what true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "train in the past" (fun () ->
+      Sim.post_train sim ~count:2 ~at:0.5 ~spacing:0.1 ignore);
+  rejects "decreasing train" (fun () ->
+      Sim.post_train sim ~count:2 ~at:2. ~spacing:(-0.1) ignore);
+  rejects "NaN spacing" (fun () ->
+      Sim.post_train sim ~count:2 ~at:2. ~spacing:Float.nan ignore);
+  rejects "negative count" (fun () ->
+      Sim.post_train sim ~count:(-1) ~at:2. ~spacing:0.1 ignore);
+  rejects "timer in the past" (fun () ->
+      Sim.arm (Sim.timer sim) ~at:0.5 ignore);
+  Sim.post_train sim ~count:0 ~at:2. ~spacing:0.1 (fun _ ->
+      Alcotest.fail "empty train fired");
+  Sim.run sim;
+  Alcotest.(check int) "nothing fired" 0 (Sim.events_executed sim)
+
 let suite =
   ( "engine",
     [
@@ -304,4 +489,10 @@ let suite =
       Alcotest.test_case "sim periodic" `Quick test_sim_every;
       Alcotest.test_case "run_until clock" `Quick test_sim_run_until_clock;
       Alcotest.test_case "nested schedule" `Quick test_sim_nested_schedule;
+      Alcotest.test_case "trains and timers match posts and cancels" `Quick
+        test_keyed_differential;
+      Alcotest.test_case "trains and timers keep one entry" `Quick
+        test_keyed_queue_load;
+      Alcotest.test_case "trains and timers reject bad times" `Quick
+        test_keyed_rejects;
     ] )

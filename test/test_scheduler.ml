@@ -109,18 +109,18 @@ let test_differential_same_tick () =
   List.iter2 (check_same_event "same-tick drain") (drain h) (drain w)
 
 (* pop_into / pop_before / next_before agree with pop on both backends,
-   and leave the cell untouched when they decline. *)
+   and leave the ref or cell untouched when they decline. *)
 let test_bounded_pop_contract () =
   List.iter
     (fun backend ->
       let name = Scheduler.backend_name backend in
       let q = Scheduler.instantiate backend () in
-      let cell = ref (-1.) in
+      let r = ref (-1.) and cell = { Scheduler.time = -1. } in
       Alcotest.(check int)
         (name ^ " empty pop_into default")
         0
-        (q.Scheduler.pop_into cell 0);
-      Alcotest.(check (float 0.)) (name ^ " cell untouched") (-1.) !cell;
+        (q.Scheduler.pop_into r 0);
+      Alcotest.(check (float 0.)) (name ^ " ref untouched") (-1.) !r;
       q.Scheduler.push ~time:2. 22;
       q.Scheduler.push ~time:1. 11;
       q.Scheduler.push ~time:3. 33;
@@ -134,17 +134,18 @@ let test_bounded_pop_contract () =
         (name ^ " pop_before declines")
         0
         (q.Scheduler.pop_before cell ~bound:0.5 0);
-      Alcotest.(check (float 0.)) (name ^ " cell still untouched") (-1.) !cell;
+      Alcotest.(check (float 0.))
+        (name ^ " cell untouched") (-1.) cell.Scheduler.time;
       Alcotest.(check int)
         (name ^ " pop_before pops")
         11
         (q.Scheduler.pop_before cell ~bound:1.5 0);
-      Alcotest.(check (float 0.)) (name ^ " cell time") 1. !cell;
+      Alcotest.(check (float 0.)) (name ^ " cell time") 1. cell.Scheduler.time;
       Alcotest.(check int)
         (name ^ " pop_into pops")
         22
-        (q.Scheduler.pop_into cell 0);
-      Alcotest.(check (float 0.)) (name ^ " cell time 2") 2. !cell;
+        (q.Scheduler.pop_into r 0);
+      Alcotest.(check (float 0.)) (name ^ " ref time") 2. !r;
       Alcotest.(check int) (name ^ " one left") 1 (q.Scheduler.size ()))
     Scheduler.all
 
@@ -159,7 +160,7 @@ let test_pop_before_differential () =
     h.Scheduler.push ~time:t i;
     w.Scheduler.push ~time:t i
   done;
-  let cell_h = ref 0. and cell_w = ref 0. in
+  let cell_h = { Scheduler.time = 0. } and cell_w = { Scheduler.time = 0. } in
   List.iter
     (fun bound ->
       let continue = ref true in
@@ -168,26 +169,34 @@ let test_pop_before_differential () =
         let vw = w.Scheduler.pop_before cell_w ~bound 0 in
         Alcotest.(check int) "bounded value" vh vw;
         if vh = 0 then continue := false
-        else Alcotest.(check (float 0.)) "bounded time" !cell_h !cell_w
+        else
+          Alcotest.(check (float 0.))
+            "bounded time" cell_h.Scheduler.time cell_w.Scheduler.time
       done)
     [ 1e-3; 5e-3; 1.; 3600.; infinity ];
   Alcotest.(check bool) "heap drained" true (h.Scheduler.is_empty ());
   Alcotest.(check bool) "wheel drained" true (w.Scheduler.is_empty ())
 
-(* Reference model for the heap: a list sorted by (time, seq), the key
-   every backend orders by.  Random interleavings of every queue
+(* Reference model for every backend: a list sorted by (time, seq),
+   the key the backends order by.  Random interleavings of every queue
    operation, with tie-heavy times and queues of hundreds to about two
    thousand events (five to seven levels of the 4-ary heap, with
-   partial last sibling groups), must agree with it at every step. *)
-type heap_op =
+   partial last sibling groups), must agree with it at every step.
+   Keys reserved in blocks are pushed later, in any order, at times no
+   earlier than the last pop (the engine's rule), among plain pushes. *)
+type queue_op =
   | Push of float
+  | Reserve of int
+  | Push_keyed of int * float  (** pending key index, time *)
   | Pop
   | Pop_into
   | Pop_before of float
   | Clear
 
-let show_heap_op = function
+let show_queue_op = function
   | Push t -> Printf.sprintf "push %h" t
+  | Reserve n -> Printf.sprintf "reserve %d" n
+  | Push_keyed (k, t) -> Printf.sprintf "push_keyed #%d %h" k t
   | Pop -> "pop"
   | Pop_into -> "pop_into"
   | Pop_before b -> Printf.sprintf "pop_before %h" b
@@ -204,21 +213,31 @@ let gen_heap_time =
         (1, oneofl [ infinity; neg_infinity; -0.; 0. ]);
       ])
 
-let gen_heap_ops =
+(* The wheel takes non-negative times only: the same ties, sub-tick
+   spacings that share a bucket, and times past its horizon. *)
+let gen_wheel_time =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun k -> 0.5 *. float_of_int k) (int_bound 15));
+        (2, float_range 0. 10.);
+        (1, map (fun k -> 1. +. (1e-8 *. float_of_int k)) (int_bound 50));
+        (1, oneofl [ infinity; 0.; 2e5 ]);
+      ])
+
+let gen_queue_ops gen_time =
   QCheck.Gen.(
     list_size (int_range 1000 5000)
       (frequency
          [
-           (7000, map (fun t -> Push t) gen_heap_time);
+           (5000, map (fun t -> Push t) gen_time);
+           (300, map (fun n -> Reserve n) (int_bound 12));
+           (1700, map2 (fun k t -> Push_keyed (k, t)) nat gen_time);
            (1000, return Pop);
            (1000, return Pop_into);
-           (1000, map (fun b -> Pop_before b) gen_heap_time);
+           (1000, map (fun b -> Pop_before b) gen_time);
            (2, return Clear);
          ]))
-
-let arb_heap_ops =
-  QCheck.make gen_heap_ops ~print:(fun ops ->
-      String.concat "; " (List.map show_heap_op ops))
 
 let key_before (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2)
 
@@ -226,71 +245,93 @@ let rec model_insert e = function
   | x :: rest when key_before x e -> x :: model_insert e rest
   | l -> e :: l
 
-let prop_heap_matches_model =
-  QCheck.Test.make ~name:"Heap matches a sorted-list model" ~count:30
-    arb_heap_ops (fun ops ->
-      let module H = Scheduler.Heap in
-      let q = H.create () in
+(* [monotone] also holds plain pushes to no earlier than the last pop:
+   the wheel's own contract, where the heap takes any time. *)
+let prop_matches_model ~name ~monotone gen_time (module B : Scheduler.S) =
+  QCheck.Test.make ~name ~count:30
+    (QCheck.make (gen_queue_ops gen_time) ~print:(fun ops ->
+         String.concat "; " (List.map show_queue_op ops)))
+    (fun ops ->
+      let q = B.create () in
       let model = ref [] and next_seq = ref 0 and next_value = ref 0 in
-      let cell = ref nan in
+      let pending = ref [] and last_pop = ref neg_infinity in
+      let r = ref nan and cell = { Scheduler.time = nan } in
       let fail op fmt =
         Printf.ksprintf
-          (fun msg -> QCheck.Test.fail_reportf "%s: %s" (show_heap_op op) msg)
+          (fun msg -> QCheck.Test.fail_reportf "%s: %s" (show_queue_op op) msg)
           fmt
       in
-      (* pop_into / pop_before answer through [cell] and a default. *)
-      let check_cell_pop op v =
+      let not_before_last t = if t < !last_pop then !last_pop else t in
+      let popped op v t =
         match !model with
-        | (t, _, want) :: rest ->
-            if v <> want || not (Float.equal !cell t) then
-              fail op "got %d at %h, model %d at %h" v !cell want t;
-            model := rest
+        | (mt, _, want) :: rest ->
+            if v <> want || not (Float.equal t mt) then
+              fail op "got %d at %h, model %d at %h" v t want mt;
+            model := rest;
+            last_pop := t
         | [] -> fail op "popped %d from an empty model" v
+      in
+      let add ~time ~seq push =
+        incr next_value;
+        push !next_value;
+        model := model_insert (time, seq, !next_value) !model
       in
       List.iter
         (fun op ->
           (match op with
           | Push t ->
-              incr next_value;
-              H.push q ~time:t !next_value;
-              model := model_insert (t, !next_seq, !next_value) !model;
+              let time = if monotone then not_before_last t else t in
+              add ~time ~seq:!next_seq (B.push q ~time);
               incr next_seq
+          | Reserve n ->
+              let first = B.reserve q n in
+              if first <> !next_seq then fail op "first %d, model %d" first !next_seq;
+              pending := !pending @ List.init n (fun i -> first + i);
+              next_seq := !next_seq + n
+          | Push_keyed (k, t) -> (
+              match !pending with
+              | [] -> ()
+              | keys ->
+                  let seq = List.nth keys (k mod List.length keys) in
+                  pending := List.filter (fun s -> s <> seq) keys;
+                  let time = not_before_last t in
+                  add ~time ~seq (B.push_keyed q ~time ~seq))
           | Pop -> (
-              match (H.pop q, !model) with
+              match (B.pop q, !model) with
               | None, [] -> ()
-              | Some (t, v), (mt, _, mv) :: rest ->
-                  if v <> mv || not (Float.equal t mt) then
-                    fail op "got %d at %h, model %d at %h" v t mv mt;
-                  model := rest
-              | Some (_, v), [] -> fail op "popped %d from an empty model" v
+              | Some (t, v), _ -> popped op v t
               | None, _ :: _ -> fail op "empty, model is not")
           | Pop_into ->
-              cell := nan;
-              let v = H.pop_into q cell 0 in
+              r := nan;
+              let v = B.pop_into q r 0 in
               if v = 0 then begin
                 if !model <> [] then fail op "declined, model is not empty";
-                if not (Float.is_nan !cell) then fail op "cell written"
+                if not (Float.is_nan !r) then fail op "ref written"
               end
-              else check_cell_pop op v
+              else popped op v !r
           | Pop_before bound ->
-              cell := nan;
-              let v = H.pop_before q cell ~bound 0 in
+              cell.Scheduler.time <- nan;
+              let v = B.pop_before q cell ~bound 0 in
               let due = match !model with (t, _, _) :: _ -> t <= bound | [] -> false in
               if v = 0 then begin
                 if due then fail op "declined a due event";
-                if not (Float.is_nan !cell) then fail op "cell written"
+                if not (Float.is_nan cell.Scheduler.time) then fail op "cell written"
               end
               else if not due then fail op "popped %d past the bound" v
-              else check_cell_pop op v
+              else popped op v cell.Scheduler.time
           | Clear ->
-              H.clear q;
+              B.clear q;
               model := [];
+              pending := [];
+              last_pop := neg_infinity;
               next_seq := 0);
-          if H.size q <> List.length !model then
-            fail op "size %d, model %d" (H.size q) (List.length !model))
+          if B.size q <> List.length !model then
+            fail op "size %d, model %d" (B.size q) (List.length !model))
         ops;
+      if (B.stats q).Mcc_obs.Profile.pushes <> !next_seq then
+        QCheck.Test.fail_report "pushes is not the keys issued";
       let rec drain () =
-        match (H.pop q, !model) with
+        match (B.pop q, !model) with
         | None, [] -> true
         | Some (t, v), (mt, _, mv) :: rest
           when v = mv && Float.equal t mt ->
@@ -299,6 +340,27 @@ let prop_heap_matches_model =
         | _ -> QCheck.Test.fail_report "final drain disagrees with the model"
       in
       drain ())
+
+let prop_heap_matches_model =
+  prop_matches_model ~name:"Heap matches a sorted-list model" ~monotone:false
+    gen_heap_time (module Scheduler.Heap)
+
+let prop_wheel_matches_model =
+  prop_matches_model ~name:"Wheel matches a sorted-list model" ~monotone:true
+    gen_wheel_time (module Scheduler.Wheel)
+
+(* A keyed push must name a key [reserve] issued. *)
+let test_push_keyed_unissued () =
+  List.iter
+    (fun backend ->
+      let q = Scheduler.instantiate backend () in
+      let first = q.Scheduler.reserve 2 in
+      q.Scheduler.push_keyed ~time:1. ~seq:(first + 1) ();
+      Alcotest.check_raises
+        (Scheduler.backend_name backend ^ " unissued")
+        (Invalid_argument "Scheduler.push_keyed: seq was not reserved")
+        (fun () -> q.Scheduler.push_keyed ~time:1. ~seq:(first + 2) ()))
+    Scheduler.all
 
 (* End-to-end: a Runner batch's sink output must not depend on the
    scheduler backend or the job count.  Everything before the profile is
@@ -364,6 +426,9 @@ let suite =
       Alcotest.test_case "differential: pop_before" `Quick
         test_pop_before_differential;
       QCheck_alcotest.to_alcotest prop_heap_matches_model;
+      QCheck_alcotest.to_alcotest prop_wheel_matches_model;
+      Alcotest.test_case "push_keyed needs a reserved seq" `Quick
+        test_push_keyed_unissued;
       Alcotest.test_case "runner output backend-independent" `Slow
         test_runner_backend_identical;
     ] )
