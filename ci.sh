@@ -83,6 +83,23 @@ print("telemetry smoke ok")
 EOF
 fi
 
+# Queue-load gate: slot trains and in-place RTO timers keep the event
+# queue to what is due next.  The high-water mark counts simulated work,
+# so it is deterministic and cannot flake with host speed.  fig8d-ds-n18
+# reads 487; pre-posting every packet of a slot, or leaving a cancelled
+# RTO entry per ack, takes it past 1,000.
+dune exec bin/mcc.exe -- run --only fig8d-ds-n18 --quick \
+  --json /tmp/queue-load.jsonl --quiet
+python3 - <<'EOF'
+import json
+
+with open("/tmp/queue-load.jsonl") as f:
+    row = json.loads(f.readline())
+size = row["profile"]["sched_stats"]["max_size"]
+assert size <= 1000, f"fig8d-ds-n18 queue high-water {size} > 1000"
+print("queue load ok:", size)
+EOF
+
 # Time-series + forensics smoke: a sampled run, a warn-level trace, and
 # an offline report over both (no rerun).
 dune exec bin/mcc.exe -- run --only fig7 --quick --series=/tmp/series.jsonl \
