@@ -66,12 +66,8 @@ module type S = sig
 end
 
 let nan_message = "Scheduler.push: NaN time"
+let reserve_message = "Scheduler.reserve: negative count"
 let unissued_message = "Scheduler.push_keyed: seq was not reserved"
-
-(* Shared by both backends: issue [n] sequence numbers from [next]. *)
-let reserve_block ~next n =
-  if n < 0 then invalid_arg "Scheduler.reserve: negative count";
-  next + n
 
 module Heap = struct
   let name = "heap"
@@ -199,7 +195,7 @@ module Heap = struct
     t.values <- values';
     t.growth_caps <- cap' :: t.growth_caps
 
-  let[@hot] settle t i ~time ~seq value =
+  let[@hot] [@inline] settle t i ~time ~seq value =
     t.times.(i) <- time;
     t.seqs.(i) <- seq;
     t.values.(i) <- value;
@@ -216,8 +212,9 @@ module Heap = struct
     settle t (sift_up t t.len time) ~time ~seq value
 
   let reserve t n =
+    if n < 0 then invalid_arg reserve_message;
     let first = t.next_seq in
-    t.next_seq <- reserve_block ~next:first n;
+    t.next_seq <- first + n;
     first
 
   let[@hot] push_keyed t ~time ~seq value =
@@ -589,13 +586,13 @@ module Wheel = struct
     end
     else drain_insert_after t t.drain i
 
-  let[@hot] check_time time =
+  let[@hot] [@inline] check_time time =
     if Float.is_nan time then invalid_arg nan_message;
     if time < 0. then invalid_arg "Scheduler.push: negative time (wheel)"
 
   (* A plain push and a keyed one place alike: the drain insert and the
      bucket sort both order by the full [(time, seq)] key. *)
-  let[@hot] insert t ~time ~seq value =
+  let[@hot] [@inline] insert t ~time ~seq value =
     let tick = tick_of_time time in
     let i = alloc_cell t ~time ~seq ~tick value in
     t.size <- t.size + 1;
@@ -613,8 +610,9 @@ module Wheel = struct
     insert t ~time ~seq value
 
   let reserve t n =
+    if n < 0 then invalid_arg reserve_message;
     let first = t.next_seq in
-    t.next_seq <- reserve_block ~next:first n;
+    t.next_seq <- first + n;
     first
 
   let[@hot] push_keyed t ~time ~seq value =

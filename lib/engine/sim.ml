@@ -168,7 +168,7 @@ let post_train t ~count ~at ~spacing f =
    under the armed key.  Only arming earlier than the queued entry
    abandons it for a fresh one. *)
 type timer = {
-  sim : t;
+  owner : t;
   mutable entry : handle;
   mutable action : unit -> unit;
   mutable armed : bool;
@@ -182,7 +182,7 @@ let[@hot] queue_entry tm =
   tm.queued <- true;
   tm.queued_at <- tm.at;
   tm.entry.cancelled <- false;
-  tm.sim.queue.Scheduler.push_keyed ~time:tm.at ~seq:tm.seq tm.entry
+  tm.owner.queue.Scheduler.push_keyed ~time:tm.at ~seq:tm.seq tm.entry
 
 (* The entry's [fire]: runs for every pop of the live entry, counted or
    not. *)
@@ -199,7 +199,7 @@ let timer t =
   let entry = { cancelled = true; fire = noop; recycle = false } in
   let tm =
     {
-      sim = t;
+      owner = t;
       entry;
       action = noop;
       armed = false;
@@ -213,11 +213,11 @@ let timer t =
   tm
 
 let[@hot] arm tm ~at f =
-  if at < tm.sim.clock then in_past "arm" at tm.sim.clock;
+  if at < tm.owner.clock then in_past "arm" at tm.owner.clock;
   tm.action <- f;
   tm.armed <- true;
   tm.at <- at;
-  tm.seq <- tm.sim.queue.Scheduler.reserve 1;
+  tm.seq <- tm.owner.queue.Scheduler.reserve 1;
   if not tm.queued then queue_entry tm
   else if at < tm.queued_at then begin
     (* The queued entry would pop too late: leave it to pop as a plain
