@@ -848,7 +848,7 @@ let instantiate (module B : S) () =
     reserve = (fun n -> B.reserve q n);
     push_keyed = (fun ~time ~seq v -> B.push_keyed q ~time ~seq v);
     pop = (fun () -> B.pop q);
-    pop_into = (fun cell default -> B.pop_into q cell default);
+    pop_into = (fun r default -> B.pop_into q r default);
     pop_before = (fun cell ~bound default -> B.pop_before q cell ~bound default);
     peek_time = (fun () -> B.peek_time q);
     next_before = (fun bound -> B.next_before q bound);
