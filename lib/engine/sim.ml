@@ -134,6 +134,9 @@ type train = {
   mutable next : int;  (** the element the queued entry stands for *)
 }
 
+(* The next element's time is boxed for the [push_keyed] call, as a
+   [post]'s computed time always was (2 words; float boxing is outside
+   what the hot-alloc lint models).  Nothing else here allocates. *)
 let[@hot] train_step tr =
   let i = tr.next in
   let j = i + 1 in
