@@ -8,9 +8,15 @@
    The matrix is {FLID, RLM ladder, RLM equation, replicated, oversub}
    x {Plain, Robust, Robust sender with Plain receivers} x {ECN off,
    ECN on}.  FLID and replicated add an inflating receiver, FLID a
-   colluder, and FLID and oversub an orderly leave at 30 s. *)
+   colluder, and FLID and oversub an orderly leave at 30 s.
+
+   A second set pins the workload builder ([Build.run]) for every
+   protocol under every defence: a generated fat tree with a flash
+   crowd and a key-guessing bare attacker, hashed through the
+   workload result and the metrics snapshot. *)
 
 module Sim = Mcc_engine.Sim
+module Spec = Mcc_core.Spec
 module Scenario = Mcc_core.Scenario
 module Flid = Mcc_mcast.Flid
 module Rlm = Mcc_mcast.Rlm_like
@@ -267,6 +273,85 @@ let expected =
     "e9740746f2a969c522b5befef7d9f8dc";
   ]
 
+(* --- Workload builder ------------------------------------------------ *)
+
+let workload_run protocol defence =
+  Metrics.reset ();
+  Fun.protect ~finally:Metrics.reset (fun () ->
+      let r =
+        Mcc_workload.Build.run
+          {
+            Spec.seed = 71;
+            duration = 40.;
+            topology = Spec.Fat_tree { k = 4; core_rate_bps = 2_000_000. };
+            protocol;
+            defence;
+            receivers = 4;
+            churn =
+              Spec.Flash_crowd { at = 10.; arrivals = 3; leave_after = 15. };
+            traffic = [];
+            attack = Some (Spec.Key_guessing { budget_per_slot = 4 });
+            attack_at = 15.;
+          }
+      in
+      let b = Buffer.create 4096 in
+      add_tag b "result";
+      List.iter (add_int b)
+        [
+          r.Mcc_core.Experiments.w_nodes;
+          r.w_links;
+          r.w_receivers;
+          r.w_drops;
+          r.w_marks;
+          r.w_keys_rejected;
+          r.w_lockouts;
+        ];
+      List.iter (add_float b)
+        [
+          r.w_mean_goodput_kbps;
+          r.w_min_goodput_kbps;
+          r.w_max_goodput_kbps;
+          r.w_cross_kbps;
+          r.w_attacker_kbps;
+        ];
+      add_tag b "metrics";
+      Buffer.add_string b (Json.to_string (simulated_metrics ()));
+      Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let workload_cases =
+  List.concat_map
+    (fun protocol ->
+      List.map
+        (fun defence -> (protocol, defence))
+        [ Spec.Undefended; Spec.Delta_only; Spec.Delta_sigma;
+          Spec.Delta_sigma_ecn ])
+    [ Spec.Flid_ds; Spec.Rlm_threshold; Spec.Replicated; Spec.Oversub ]
+
+let workload_case_name (protocol, defence) =
+  Printf.sprintf "golden workload %s %s" (Spec.protocol_str protocol)
+    (Spec.defence_str defence)
+
+(* One digest per entry of [workload_cases], in order. *)
+let workload_expected =
+  [
+    "93c0564b7413d14fa9734e26efeb06a8";
+    "dc5cb39af0976bedd3487094c2e54836";
+    "81ca5d3937abd77a9bdab4c068fbbf88";
+    "ff51dbcadde082b355c3a6194934b64f";
+    "0154e07c463da0a8c5c3fdc944dffbc8";
+    "1e5c7c13d62f546fc8f6f8b246f23c10";
+    "51d500d2db8286228977849646b85672";
+    "51d500d2db8286228977849646b85672";
+    "16148ade8ab4dd50f0e0d487a1199493";
+    "e5f011a732a3faa4ec59595fd4b173cb";
+    "a7ad018bff4f3e2eabfc3203a4119c52";
+    "ae4c44523113ffca54e3623f43326d0c";
+    "976a36e19f9caa9ea876b47c36c0cd8a";
+    "8215043564e88ddddfce7f7e41a54449";
+    "86e9b150fb032c9edf3015d8fc09b44c";
+    "f38c99511e08f30e7a7d76f26171180e";
+  ]
+
 let suite =
   ( "golden",
     List.mapi
@@ -274,4 +359,12 @@ let suite =
         Alcotest.test_case (case_name case) `Quick (fun () ->
             Alcotest.(check string)
               (case_name case) (List.nth expected i) (run proto modes ecn)))
-      cases )
+      cases
+    @ List.mapi
+        (fun i ((protocol, defence) as case) ->
+          Alcotest.test_case (workload_case_name case) `Quick (fun () ->
+              Alcotest.(check string)
+                (workload_case_name case)
+                (List.nth workload_expected i)
+                (workload_run protocol defence)))
+        workload_cases )
