@@ -6,9 +6,6 @@ module Scenario = Mcc_core.Scenario
 module Defaults = Mcc_core.Defaults
 module Dumbbell = Mcc_core.Dumbbell
 module Flid = Mcc_mcast.Flid
-module Rlm = Mcc_mcast.Rlm_like
-module Rep = Mcc_mcast.Replicated_proto
-module Oversub = Mcc_mcast.Oversub
 module Router_agent = Mcc_sigma.Router_agent
 module Tcp = Mcc_transport.Tcp
 module Meter = Mcc_util.Meter
@@ -56,16 +53,19 @@ let containment ~attack_at ~duration ~victim sample =
    - Delta_sigma: Robust end to end, SIGMA agent with interface keys.
    - Delta_sigma_ecn: additionally ECN marking + component scrubbing.
 
-   The adversary is a session-A member where the protocol supports
-   misbehaving receivers (FLID), a standalone bare attacker otherwise —
-   and always for grace churn (which acts on the control channel) and
-   collusion (free-riding hosts replaying an honest member's keys). *)
+   The protocol's adversary context ([P.history], FLID only) picks the
+   adversary.  With a context, member attacks run as a session-A
+   member, and collusion as free-riding hosts replaying an honest
+   member's keys.  Grace churn (which acts on the control channel) and
+   every attack on a protocol without a context get one standalone
+   bare attacker. *)
 
 let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
   let ({ seed; duration; attack_at; attack; protocol; defence }
         : Spec.adversary_params) =
     p
   in
+  let module P = (val Spec.impl protocol) in
   let sigma_enforced =
     match defence with
     | Spec.Delta_sigma | Spec.Delta_sigma_ecn -> true
@@ -85,6 +85,9 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
     Scenario.create ~seed ~ecn ~sigma:sigma_enforced ~agent_config
       ~bottleneck_rate_bps:1_000_000. ()
   in
+  let add receivers =
+    Scenario.add_session (module P) ?receiver_mode t ~mode ~receivers ()
+  in
   let strat = Strategy.of_kind attack in
   (* The attacker's own randomness (guessed keys); decoupled from the
      scenario seed stream so adding a strategy never perturbs the honest
@@ -96,14 +99,16 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
     in
     Scenario.receiver ~behavior:(Flid.Adversarial (Strategy.member inst)) ()
   in
-  let launch_bare ?feed ~groups ~slot_duration () =
+  let launch_bare ?feed config =
+    let slot_duration = P.slot_duration config in
     let inst =
       strat.Strategy.instantiate ~attack_at ~slot_duration ~prng:attacker_prng
     in
     let host = Dumbbell.add_receiver (Scenario.dumbbell t) in
     let target =
       {
-        Strategy.tgt_groups = groups;
+        Strategy.tgt_groups =
+          List.init Defaults.groups (fun g -> P.group_addr config (g + 1));
         tgt_slot_duration = slot_duration;
         tgt_sigma = sigma_enforced;
       }
@@ -115,119 +120,32 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
     in
     Strategy.bare_meter bare
   in
-  let flid_slot =
-    match mode with
-    | Flid.Plain -> Defaults.flid_dl_slot
-    | Flid.Robust -> Defaults.flid_ds_slot
-  in
   (* Session A plus its adversary; returns the attacker-side meters. *)
   let attacker_meters =
-    match protocol with
-    | Spec.Flid_ds -> (
-        match attack with
-        | Spec.Grace_churn _ ->
-            let a =
-              Scenario.add_multicast t ~mode ?receiver_mode
-                ~receivers:[ Scenario.receiver () ] ()
-            in
-            [
-              launch_bare
-                ~groups:
-                  (List.init Defaults.groups (fun g ->
-                       Flid.group_addr a.Scenario.config (g + 1)))
-                ~slot_duration:a.Scenario.config.Flid.slot_duration ();
-            ]
-        | Spec.Collusion { colluders } ->
-            (* One honest session member is the accomplice; the
-               colluders are free-riding hosts replaying its key
-               submissions from their own interfaces (just IGMP joiners
-               where the edge does not enforce keys). *)
-            let a =
-              Scenario.add_multicast t ~mode ?receiver_mode
-                ~receivers:[ Scenario.receiver () ] ()
-            in
-            let accomplice = List.hd a.Scenario.receivers in
-            let groups =
-              List.init Defaults.groups (fun g ->
-                  Flid.group_addr a.Scenario.config (g + 1))
-            in
-            List.init colluders (fun _ ->
-                launch_bare
-                  ~feed:(fun () -> Flid.receiver_history accomplice)
-                  ~groups ~slot_duration:a.Scenario.config.Flid.slot_duration
-                  ())
-        | Spec.Persistent_inflation | Spec.Pulse_inflation _
-        | Spec.Key_guessing _ | Spec.Stale_replay _ ->
-            let a =
-              Scenario.add_multicast t ~mode ?receiver_mode
-                ~receivers:[ member_receiver flid_slot ] ()
-            in
-            [ Flid.receiver_meter (List.hd a.Scenario.receivers) ])
-    | Spec.Rlm_threshold ->
-        let a =
-          Scenario.add_rlm t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        [
-          launch_bare
-            ~groups:
-              (List.init Defaults.groups (fun g ->
-                   Rlm.group_addr a.Scenario.rlm_config (g + 1)))
-            ~slot_duration:a.Scenario.rlm_config.Rlm.slot_duration ();
-        ]
-    | Spec.Replicated ->
-        let a =
-          Scenario.add_replicated t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        [
-          launch_bare
-            ~groups:
-              (List.init Defaults.groups (fun g ->
-                   Rep.group_addr a.Scenario.rep_config (g + 1)))
-            ~slot_duration:a.Scenario.rep_config.Rep.slot_duration ();
-        ]
-    | Spec.Oversub ->
-        let a =
-          Scenario.add_oversub t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        [
-          launch_bare
-            ~groups:
-              (List.init Defaults.groups (fun g ->
-                   Oversub.group_addr a.Scenario.ovs_config (g + 1)))
-            ~slot_duration:
-              a.Scenario.ovs_config.Oversub.flid.Flid.slot_duration ();
-        ]
+    match (P.history, attack) with
+    | ( Some _,
+        ( Spec.Persistent_inflation | Spec.Pulse_inflation _
+        | Spec.Key_guessing _ | Spec.Stale_replay _ ) ) ->
+        let member = member_receiver (P.default_slot mode) in
+        let _, _, receivers = add [ member ] in
+        [ P.receiver_meter (List.hd receivers) ]
+    | Some history, Spec.Collusion { colluders } ->
+        (* One honest session member is the accomplice; the colluders
+           are free-riding hosts replaying its key submissions from
+           their own interfaces (just IGMP joiners where the edge does
+           not enforce keys). *)
+        let config, _, receivers = add [ Scenario.receiver () ] in
+        let accomplice = List.hd receivers in
+        List.init colluders (fun _ ->
+            launch_bare ~feed:(fun () -> history accomplice) config)
+    | None, _ | Some _, Spec.Grace_churn _ ->
+        let config, _, _ = add [ Scenario.receiver () ] in
+        [ launch_bare config ]
   in
   (* Session B: the honest victim whose goodput measures the damage. *)
   let victim_meter =
-    match protocol with
-    | Spec.Flid_ds ->
-        let b =
-          Scenario.add_multicast t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        Flid.receiver_meter (List.hd b.Scenario.receivers)
-    | Spec.Rlm_threshold ->
-        let b =
-          Scenario.add_rlm t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        Rlm.receiver_meter (List.hd b.Scenario.rlm_receivers)
-    | Spec.Replicated ->
-        let b =
-          Scenario.add_replicated t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        Rep.receiver_meter (List.hd b.Scenario.rep_receivers)
-    | Spec.Oversub ->
-        let b =
-          Scenario.add_oversub t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        Oversub.receiver_meter (List.hd b.Scenario.ovs_receivers)
+    let _, _, receivers = add [ Scenario.receiver () ] in
+    P.receiver_meter (List.hd receivers)
   in
   let tcp = Scenario.add_tcp t in
   Scenario.run t ~seconds:duration;
@@ -290,10 +208,9 @@ let default_attacks =
     Spec.Collusion { colluders = 3 };
   ]
 
-(* Derived from the Spec registry so a protocol added there shows up as
-   a matrix column (and a scorecard heading) without touching this
-   file. *)
-let default_protocols = List.map (fun (p, _, _) -> p) Spec.protocols
+(* The Spec registry, so a protocol added there shows up as a matrix
+   column (and a scorecard heading) without touching this file. *)
+let default_protocols = Spec.protocols
 
 let default_defences =
   [ Spec.Undefended; Spec.Delta_only; Spec.Delta_sigma; Spec.Delta_sigma_ecn ]

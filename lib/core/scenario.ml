@@ -145,24 +145,35 @@ let ensure_agent t =
 
 (* What every add_* shares: the SIGMA agent of a Robust session, a fresh
    session id and group block, a sender host, and one receiver host per
-   spec.  The PRNG splits keep one order (agent scrubber, sender, then
-   receivers in spec order), so a scenario stays a function of its seed.
-   [receiver_mode] models receivers behind a legacy edge: a Plain-mode
-   receiver of a Robust session falls back to IGMP control while the
-   sender still pays the DELTA/SIGMA overhead (paper Section 3.2.3). *)
-let add_session ?receiver_mode t ~mode ~layering ~make ~with_mode ~sender
-    ~receiver specs =
+   spec, all started through the protocol's module.  The PRNG splits
+   keep one order (agent scrubber, sender, then receivers in spec
+   order), so a scenario stays a function of its seed.  [receiver_mode]
+   models receivers behind a legacy edge: a Plain-mode receiver of a
+   Robust session falls back to IGMP control while the sender still
+   pays the DELTA/SIGMA overhead (paper Section 3.2.3).  [make] stands
+   in for [P.make] where an add_* exposes more of the protocol's
+   config. *)
+let session (type c s r)
+    (module P : Protocol.S
+      with type config = c
+       and type sender = s
+       and type receiver = r) ?receiver_mode ?slot ?layering ?(make = P.make)
+    t ~mode specs =
+  let layering = Option.value layering ~default:(Defaults.layering ()) in
+  let slot_duration = Option.value slot ~default:(P.default_slot mode) in
   (match mode with Flid.Robust -> ignore (ensure_agent t) | Flid.Plain -> ());
   let id = t.next_session in
   t.next_session <- id + 1;
   let base_group = t.next_base_group in
   t.next_base_group <- base_group + layering.Layering.groups;
-  let config = make ~id ~base_group in
+  let config = make ~id ~base_group ~layering ~slot_duration ~mode in
   let topo = t.db.Dumbbell.topo in
   let sender_host = Dumbbell.add_sender t.db in
-  let sender = sender topo ~node:sender_host ~prng:(Prng.split t.prng) config in
+  let sender =
+    P.sender_start topo ~node:sender_host ~prng:(Prng.split t.prng) config
+  in
   let receiver_config =
-    match receiver_mode with Some m -> with_mode config m | None -> config
+    match receiver_mode with Some m -> P.with_mode config m | None -> config
   in
   let receivers =
     List.map
@@ -171,31 +182,23 @@ let add_session ?receiver_mode t ~mode ~layering ~make ~with_mode ~sender
           Dumbbell.add_receiver ?delay_s:spec.access_delay_s
             ?rate_bps:spec.access_rate_bps t.db
         in
-        receiver spec topo ~host ~prng:(Prng.split t.prng) receiver_config)
+        P.receiver_start ~at:spec.start_at ~behavior:spec.behavior topo ~host
+          ~prng:(Prng.split t.prng) receiver_config)
       specs
   in
   (config, sender, receivers)
 
-let default_layering = function Some l -> l | None -> Defaults.layering ()
+let add_session m ?receiver_mode t ~mode ~receivers () =
+  session m ?receiver_mode t ~mode receivers
 
 let add_multicast ?slot ?layering ?fec_scheme ?packet_size ?receiver_mode t
     ~mode ~receivers () =
-  let layering = default_layering layering in
-  let slot =
-    match (slot, mode) with
-    | Some s, _ -> s
-    | None, Flid.Plain -> Defaults.flid_dl_slot
-    | None, Flid.Robust -> Defaults.flid_ds_slot
-  in
   let config, sender, receivers =
-    add_session ?receiver_mode t ~mode ~layering
-      ~make:(Flid.make_config ?fec_scheme ?packet_size ~layering
-               ~slot_duration:slot ~mode ())
-      ~with_mode:(fun c m -> { c with Flid.mode = m })
-      ~sender:(fun topo ~node ~prng c -> Flid.sender_start topo ~node ~prng c)
-      ~receiver:(fun spec ->
-        Flid.receiver_start ~at:spec.start_at ~behavior:spec.behavior)
-      receivers
+    session (module Protocol.Flid) ?receiver_mode ?slot ?layering
+      ~make:(fun ~id ~base_group ~layering ~slot_duration ~mode ->
+        Flid.make_config ?fec_scheme ?packet_size ~id ~base_group ~layering
+          ~slot_duration ~mode ())
+      t ~mode receivers
   in
   { config; sender; receivers }
 
@@ -206,17 +209,8 @@ type replicated_session = {
 }
 
 let add_replicated ?slot ?layering ?receiver_mode t ~mode ~receivers () =
-  let module Rep = Mcc_mcast.Replicated_proto in
-  let layering = default_layering layering in
   let rep_config, rep_sender, rep_receivers =
-    add_session ?receiver_mode t ~mode ~layering
-      ~make:(Rep.make_config ~layering
-               ~slot_duration:(Option.value slot ~default:Defaults.flid_ds_slot)
-               ~mode ())
-      ~with_mode:(fun c m -> { c with Rep.mode = m })
-      ~sender:(fun topo ~node ~prng c -> Rep.sender_start topo ~node ~prng c)
-      ~receiver:(fun spec ->
-        Rep.receiver_start ~at:spec.start_at ~behavior:spec.behavior)
+    session (module Protocol.Replicated) ?receiver_mode ?slot ?layering t ~mode
       receivers
   in
   { rep_config; rep_sender; rep_receivers }
@@ -228,17 +222,12 @@ type rlm_session = {
 }
 
 let add_rlm ?slot ?layering ?policy ?receiver_mode t ~mode ~receivers () =
-  let module Rlm = Mcc_mcast.Rlm_like in
-  let layering = default_layering layering in
   let rlm_config, rlm_sender, rlm_receivers =
-    add_session ?receiver_mode t ~mode ~layering
-      ~make:(Rlm.make_config ?policy ~layering
-               ~slot_duration:(Option.value slot ~default:Defaults.flid_ds_slot)
-               ~mode ())
-      ~with_mode:(fun c m -> { c with Rlm.mode = m })
-      ~sender:(fun topo ~node ~prng c -> Rlm.sender_start topo ~node ~prng c)
-      ~receiver:(fun spec -> Rlm.receiver_start ~at:spec.start_at)
-      receivers
+    session (module Protocol.Rlm) ?receiver_mode ?slot ?layering
+      ~make:(fun ~id ~base_group ~layering ~slot_duration ~mode ->
+        Mcc_mcast.Rlm_like.make_config ?policy ~id ~base_group ~layering
+          ~slot_duration ~mode ())
+      t ~mode receivers
   in
   { rlm_config; rlm_sender; rlm_receivers }
 
@@ -249,17 +238,8 @@ type oversub_session = {
 }
 
 let add_oversub ?slot ?layering ?receiver_mode t ~mode ~receivers () =
-  let module Ovs = Mcc_mcast.Oversub in
-  let layering = default_layering layering in
   let ovs_config, ovs_sender, ovs_receivers =
-    add_session ?receiver_mode t ~mode ~layering
-      ~make:(Ovs.make_config ~layering
-               ~slot_duration:(Option.value slot ~default:Defaults.flid_ds_slot)
-               ~mode ())
-      ~with_mode:(fun c m ->
-        { c with Ovs.flid = { c.Ovs.flid with Flid.mode = m } })
-      ~sender:(fun topo ~node ~prng c -> Ovs.sender_start topo ~node ~prng c)
-      ~receiver:(fun spec -> Ovs.receiver_start ~at:spec.start_at)
+    session (module Protocol.Oversub) ?receiver_mode ?slot ?layering t ~mode
       receivers
   in
   { ovs_config; ovs_sender; ovs_receivers }

@@ -61,6 +61,25 @@ val delta_transform :
     builders over generated topologies ([Mcc_workload]) can install the
     same scrubber on every edge agent; one PRNG per agent. *)
 
+val add_session :
+  (module Protocol.S
+     with type config = 'c
+      and type sender = 's
+      and type receiver = 'r) ->
+  ?receiver_mode:Mcc_mcast.Flid.mode ->
+  t ->
+  mode:Mcc_mcast.Flid.mode ->
+  receivers:receiver_spec list ->
+  unit ->
+  'c * 's * 'r list
+(** Adds a session of any protocol: a sender host on the left, one
+    receiver host per spec on the right, the protocol started with its
+    default config, the default layering and the module's
+    [default_slot].  [receiver_mode] overrides the mode receivers run
+    in: Plain receivers of a Robust session model hosts behind a legacy
+    edge that still drive subscriptions over IGMP.  Receiver behaviours
+    reach only the protocols that model them ({!Protocol.S}). *)
+
 val add_multicast :
   ?slot:float ->
   ?layering:Mcc_mcast.Layering.t ->

@@ -166,25 +166,25 @@ let attack_str = function
   | Grace_churn _ -> "churn"
   | Collusion _ -> "collude"
 
-(* The protocol registry: every scheme the matrix can run, with its CLI
-   short name and scorecard column heading.  Matrix columns, scorecard
-   headings and CLI parsing all derive from this single list, so adding
-   a protocol here is all it takes to grow the matrix. *)
-let protocols =
-  [
-    (Flid_ds, "flid", "FLID-DS (layered, XOR keys)");
-    (Rlm_threshold, "rlm", "RLM-like (threshold keys)");
-    (Replicated, "replicated", "Replicated streams");
-    (Oversub, "oversub", "Oversub (ECN-EWMA layered)");
-  ]
+(* The protocol registry: every scheme the matrix can run, in matrix
+   column order, and the one match that maps a protocol to its module.
+   Names, headings, matrix columns and CLI parsing all derive from
+   these two. *)
+let protocols = [ Flid_ds; Rlm_threshold; Replicated; Oversub ]
+
+let impl : protocol -> (module Protocol.S) = function
+  | Flid_ds -> (module Protocol.Flid)
+  | Rlm_threshold -> (module Protocol.Rlm)
+  | Replicated -> (module Protocol.Replicated)
+  | Oversub -> (module Protocol.Oversub)
 
 let protocol_str p =
-  let _, s, _ = List.find (fun (q, _, _) -> q = p) protocols in
-  s
+  let module P = (val impl p) in
+  P.name
 
 let protocol_heading p =
-  let _, _, h = List.find (fun (q, _, _) -> q = p) protocols in
-  h
+  let module P = (val impl p) in
+  P.heading
 
 let defence_str = function
   | Undefended -> "plain"

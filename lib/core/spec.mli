@@ -230,18 +230,21 @@ val default_workload : workload_params
 val attack_str : attack_kind -> string
 (** "inflate", "pulse", "guess", "replay", "churn" or "collude". *)
 
-val protocols : (protocol * string * string) list
-(** The protocol registry: (variant, CLI short name, scorecard column
-    heading), in matrix column order.  {!protocol_str},
+val protocols : protocol list
+(** The protocol registry, in matrix column order.  {!protocol_str},
     {!protocol_heading}, the matrix's default protocol set and the CLI
-    [--protocols] parser all derive from this list, so registering a
-    protocol here is the only step needed to add a matrix column. *)
+    [--protocols] parser all derive from this list and {!impl}. *)
+
+val impl : protocol -> (module Protocol.S)
+(** The protocol's module: everything a scenario builder needs to run
+    it.  The only dispatch on {!protocol}; adding a protocol means one
+    {!Protocol} module, one arm here and one {!protocols} entry. *)
 
 val protocol_str : protocol -> string
-(** "flid", "rlm", "replicated" or "oversub". *)
+(** The module's [name]: "flid", "rlm", "replicated" or "oversub". *)
 
 val protocol_heading : protocol -> string
-(** The scorecard column heading from the {!protocols} registry. *)
+(** The module's scorecard column heading. *)
 
 val topology_str : topology_spec -> string
 (** "dumbbell", "fat_tree", "star_lans" or "isp_random". *)

@@ -204,14 +204,7 @@ let run_lint ~name ~ledger_default paths rules disable allow json sarif
               Printf.eprintf "%s: %s\n" name msg;
               exit 2)
     in
-    let config =
-      {
-        Lint.rules = enabled;
-        allowlist;
-        build_dir;
-        registry = Lint.default_registry;
-      }
-    in
+    let config = { Lint.rules = enabled; allowlist; build_dir } in
     let report, elapsed =
       Profile.with_wall_clock (fun () -> Lint.run config paths)
     in
@@ -379,8 +372,9 @@ let man =
        and walks the Typedtree: $(b,domain-escape) flags mutable values \
        captured by closures passed to Domain.spawn / Domain.DLS.new_key, \
        $(b,hot-alloc) flags allocating expressions inside functions marked \
-       [@hot], and $(b,registry-exhaustive) checks that every \
-       Spec.protocols entry reaches every dispatch.  A missing .cmt is \
+       [@hot], and $(b,registry-exhaustive) flags catch-all patterns \
+       over Spec.protocol, so a new protocol fails to compile until \
+       Spec.impl gives it a module.  A missing .cmt is \
        reported as a note and degrades that file to syntactic coverage — \
        it never fails the run.";
     `P

@@ -82,10 +82,9 @@ let rule_doc = function
        function marked [@hot]; the engine's hot loops are \
        allocation-free by contract"
   | Registry_exhaustive ->
-      "[typed] a catch-all pattern over the Spec.protocol registry type, \
-       or a registry consumer that neither derives from Spec.protocols \
-       nor names every constructor; new protocols must reach every \
-       dispatch"
+      "[typed] a catch-all pattern in a match over the Spec.protocol \
+       registry type; name every constructor so a new protocol fails to \
+       compile until Spec.impl gives it a module"
 
 type finding = {
   rule : rule;
@@ -97,43 +96,13 @@ type finding = {
 
 type allow_entry = { allow_rule : rule; allow_path : string }
 
-type registry_check = {
-  reg_def : string;
-  reg_type : string;
-  reg_accessors : string list;
-  reg_consumers : string list;
-}
-
-(* The Spec.protocols registry (PR 9): matrix dispatch, workload schema,
-   Build.run dispatch and the scorecard headings must each track it. *)
-let default_registry =
-  {
-    reg_def = "lib/core/spec.ml";
-    reg_type = "protocol";
-    reg_accessors = [ "protocols"; "protocol_str"; "protocol_heading" ];
-    reg_consumers =
-      [
-        "lib/attack/matrix.ml";
-        "lib/attack/scorecard.ml";
-        "lib/workload/schema.ml";
-        "lib/workload/build.ml";
-      ];
-  }
-
 type config = {
   rules : rule list;
   allowlist : allow_entry list;
   build_dir : string option;
-  registry : registry_check;
 }
 
-let default_config =
-  {
-    rules = all_rules;
-    allowlist = [];
-    build_dir = None;
-    registry = default_registry;
-  }
+let default_config = { rules = all_rules; allowlist = []; build_dir = None }
 
 type report = {
   findings : finding list;

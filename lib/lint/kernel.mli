@@ -41,27 +41,12 @@ type allow_entry = {
   allow_path : string;  (** exact path, or a prefix when ending in [/] *)
 }
 
-type registry_check = {
-  reg_def : string;  (** the [.ml] defining the registry, root-relative *)
-  reg_type : string;  (** the variant type name, e.g. [protocol] *)
-  reg_accessors : string list;
-      (** value names in the defining module whose use counts as
-          deriving from the registry *)
-  reg_consumers : string list;
-      (** files that must handle every registry entry *)
-}
-
-val default_registry : registry_check
-(** [Spec.protocols] and its four consumers (matrix dispatch, scorecard
-    headings, workload schema, workload Build.run dispatch). *)
-
 type config = {
   rules : rule list;  (** enabled rules *)
   allowlist : allow_entry list;
   build_dir : string option;
       (** where to look for [.cmt] files; [None] autodetects
           ([_build/default] when present, else the current directory) *)
-  registry : registry_check;
 }
 
 val default_config : config

@@ -1,22 +1,12 @@
-(* registry-exhaustive: the Spec.protocols registry must reach every
-   dispatch.
+(* registry-exhaustive: no catch-all over the Spec.protocol registry.
 
-   Two complementary checks, both over the Typedtree so the registry
-   type is identified by its resolved path rather than by name
-   coincidence:
-
-   - catch-all: in any match/function with two or more cases whose
-     patterns have the registry type, a catch-all case (_, a variable,
-     an alias or or-pattern reducing to one) silently swallows future
-     registry entries — the whole point of a variant registry is that
-     adding a constructor breaks every dispatch at compile time.
-
-   - consumer completeness: each registered consumer file must either
-     reference one of the registry's accessor values (deriving its
-     behaviour from Spec.protocols and friends, which track the
-     registry by construction) or name every constructor itself.  The
-     finding attaches to line 1 of the consumer, so a line-1 pragma
-     can suppress it if a consumer is ever intentionally partial. *)
+   In any match/function with two or more cases whose patterns have the
+   registry type, a catch-all case (_, a variable, an alias or
+   or-pattern reducing to one) silently swallows future registry
+   entries — the whole point of a variant registry is that adding a
+   constructor breaks every dispatch at compile time.  The check runs
+   over the Typedtree so the registry type is identified by its
+   resolved path rather than by name coincidence. *)
 
 open Typedtree
 
@@ -41,24 +31,25 @@ let seg_last s =
   | Some start -> String.sub after_dot start (String.length after_dot - start)
   | None -> after_dot
 
-let def_module (registry : Kernel.registry_check) =
-  String.capitalize_ascii
-    (Filename.remove_extension (Filename.basename registry.reg_def))
+(* The registry: the variant [Spec.protocol], defined in
+   lib/core/spec.ml. *)
+let reg_def = "lib/core/spec.ml"
+let def_module = "Spec"
+let reg_type = "protocol"
 
 (* Is [p] the registry type?  Either a dotted path whose module segment
    is the defining module, or — only inside the defining file itself —
    the bare type name. *)
-let is_registry_type ~in_def (registry : Kernel.registry_check) p =
-  String.equal (Path.last p) registry.reg_type
+let is_registry_type ~in_def p =
+  String.equal (Path.last p) reg_type
   &&
   let name = Path.name p in
-  if String.equal name registry.reg_type then in_def
+  if String.equal name reg_type then in_def
   else
     let modpart =
-      String.sub name 0
-        (String.length name - String.length registry.reg_type - 1)
+      String.sub name 0 (String.length name - String.length reg_type - 1)
     in
-    String.equal (seg_last modpart) (def_module registry)
+    String.equal (seg_last modpart) def_module
 
 let rec is_catch_all : type k. k general_pattern -> bool =
  fun p ->
@@ -79,10 +70,10 @@ let finding ~path ~line ~col message =
     message;
   }
 
-let check_catch_all ~path ~registry str =
+let check_catch_all ~path str =
   let in_def =
     let wanted = Kernel.normalize_path path in
-    let def = Kernel.normalize_path registry.Kernel.reg_def in
+    let def = Kernel.normalize_path reg_def in
     String.equal wanted def || String.ends_with ~suffix:("/" ^ def) wanted
     || String.ends_with ~suffix:("/" ^ Filename.basename def) wanted
   in
@@ -97,7 +88,7 @@ let check_catch_all ~path ~registry str =
             let p = c.c_lhs in
             match Types.get_desc p.pat_type with
             | Types.Tconstr (tp, _, _)
-              when is_registry_type ~in_def registry tp ->
+              when is_registry_type ~in_def tp ->
                 if is_catch_all p then
                   findings :=
                     finding ~path ~line:p.pat_loc.loc_start.pos_lnum
@@ -109,7 +100,7 @@ let check_catch_all ~path ~registry str =
                           enumerate the constructors so new registry entries \
                           fail to compile here instead of being silently \
                           swallowed"
-                         (def_module registry) registry.Kernel.reg_type)
+                         def_module reg_type)
                     :: !findings
             | _ -> ())
           cases
@@ -125,79 +116,3 @@ let check_catch_all ~path ~registry str =
   let it = { default with expr } in
   it.structure it str;
   List.rev !findings
-
-(* Constructor names of the registry variant, from the defining file's
-   typed tree. *)
-let constructors ~registry str =
-  let found = ref [] in
-  let default = Tast_iterator.default_iterator in
-  let type_declaration _it (td : type_declaration) =
-    if String.equal td.typ_name.Asttypes.txt registry.Kernel.reg_type then
-      match td.typ_kind with
-      | Ttype_variant cds ->
-          found := List.map (fun cd -> cd.cd_name.Asttypes.txt) cds
-      | _ -> ()
-  in
-  let it = { default with type_declaration } in
-  it.structure it str;
-  !found
-
-let check_consumer ~path ~registry ~ctors str =
-  let accessor_used = ref false in
-  let mentioned = Hashtbl.create 16 in
-  let dm = def_module registry in
-  let note_accessor name =
-    List.iter
-      (fun acc ->
-        if
-          String.ends_with ~suffix:("." ^ acc) name
-          && String.equal
-               (seg_last
-                  (String.sub name 0
-                     (String.length name - String.length acc - 1)))
-               dm
-        then accessor_used := true)
-      registry.Kernel.reg_accessors
-  in
-  let note_ctor (cd : Types.constructor_description) =
-    match Types.get_desc cd.cstr_res with
-    | Types.Tconstr (tp, _, _) when is_registry_type ~in_def:false registry tp
-      ->
-        Hashtbl.replace mentioned cd.cstr_name ()
-    | _ -> ()
-  in
-  let default = Tast_iterator.default_iterator in
-  let expr it (e : expression) =
-    (match e.exp_desc with
-    | Texp_ident (p, _, _) -> note_accessor (Path.name p)
-    | Texp_construct (_, cd, _) -> note_ctor cd
-    | _ -> ());
-    default.expr it e
-  in
-  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
-   fun it p ->
-    (match p.pat_desc with
-    | Tpat_construct (_, cd, _, _) -> note_ctor cd
-    | _ -> ());
-    default.pat it p
-  in
-  let it = { default with expr; pat } in
-  it.structure it str;
-  if !accessor_used then []
-  else
-    let missing =
-      List.filter (fun c -> not (Hashtbl.mem mentioned c)) ctors
-    in
-    if missing = [] then []
-    else
-      [
-        finding ~path ~line:1 ~col:0
-          (Printf.sprintf
-             "registry consumer neither references %s.%s nor names every %s \
-              constructor (missing: %s); new registry entries would silently \
-              skip this dispatch"
-             dm
-             (String.concat "/" registry.Kernel.reg_accessors)
-             registry.Kernel.reg_type
-             (String.concat ", " missing));
-      ]

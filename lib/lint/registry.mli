@@ -1,29 +1,10 @@
-(** [registry-exhaustive]: the protocol registry must reach every
-    dispatch.
+(** [registry-exhaustive]: no catch-all over the protocol registry.
 
-    Per-file: {!check_catch_all} flags catch-all patterns in multi-case
-    matches whose patterns have the registry type.  Cross-file:
-    {!constructors} extracts the variant's constructor names from the
-    defining file's typed tree, and {!check_consumer} verifies a
-    consumer either references a registry accessor
-    ([Spec.protocols] & co.) or names every constructor; its finding
-    attaches to line 1 of the consumer so a line-1 pragma can suppress
-    an intentionally partial consumer. *)
+    {!check_catch_all} flags catch-all patterns in multi-case matches
+    whose patterns have the registry type [Spec.protocol] (defined in
+    [lib/core/spec.ml]).  [Spec.impl] is the one dispatch on that type,
+    so an exhaustive match there is what makes a new protocol fail to
+    compile until it has a module. *)
 
 val check_catch_all :
-  path:string ->
-  registry:Kernel.registry_check ->
-  Typedtree.structure ->
-  Kernel.finding list
-
-val constructors :
-  registry:Kernel.registry_check -> Typedtree.structure -> string list
-(** Constructor names of the registry variant; [[]] when the defining
-    file declares no variant of that name. *)
-
-val check_consumer :
-  path:string ->
-  registry:Kernel.registry_check ->
-  ctors:string list ->
-  Typedtree.structure ->
-  Kernel.finding list
+  path:string -> Typedtree.structure -> Kernel.finding list

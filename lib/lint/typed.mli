@@ -14,5 +14,4 @@ type result = {
 
 val run : Kernel.config -> string list -> result
 (** [run config files] runs the enabled typed rules over every [.ml]
-    in [files].  The registry consumer check only considers consumers
-    that are themselves part of [files]. *)
+    in [files]. *)

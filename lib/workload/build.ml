@@ -10,9 +10,6 @@ module Defaults = Mcc_core.Defaults
 module Scenario = Mcc_core.Scenario
 module Router_agent = Mcc_sigma.Router_agent
 module Flid = Mcc_mcast.Flid
-module Rlm = Mcc_mcast.Rlm_like
-module Rep = Mcc_mcast.Replicated_proto
-module Oversub = Mcc_mcast.Oversub
 module Strategy = Mcc_attack.Strategy
 
 (* One receiver instance realised from a churn interval: its goodput
@@ -72,94 +69,26 @@ let run (p : Spec.workload_params) : Experiments.workload_result =
     else []
   in
   let layering = Defaults.layering () in
-  let id = 1 and base_group = 0x1000 in
-  (* Protocol dispatch: the sender goes up immediately; [start] realises
-     one receiver instance, [leave] is its orderly departure (protocols
+  (* The protocol's module: the sender goes up immediately; [start]
+     realises one receiver instance, [leave] is its departure (protocols
      without an explicit leave decay via key expiry). *)
-  let start, group_addrs =
-    match p.Spec.protocol with
-    | Spec.Flid_ds ->
-        let config =
-          Flid.make_config ~id ~base_group ~layering ~slot_duration:slot ~mode ()
-        in
-        let rconfig =
-          match receiver_mode with
-          | Some m -> { config with Flid.mode = m }
-          | None -> config
-        in
-        ignore
-          (Flid.sender_start topo ~node:built.Topo_gen.sender
-             ~prng:(Prng.split prng) config);
-        ( (fun ~at ~host ->
-            let r =
-              Flid.receiver_start ~at topo ~host ~prng:(Prng.split prng) rconfig
-            in
-            (Flid.receiver_meter r, fun () -> Flid.receiver_leave r)),
-          List.init layering.Mcc_mcast.Layering.groups (fun g ->
-              Flid.group_addr config (g + 1)) )
-    | Spec.Rlm_threshold ->
-        let config =
-          Rlm.make_config ~id ~base_group ~layering ~slot_duration:slot ~mode ()
-        in
-        let rconfig =
-          match receiver_mode with
-          | Some m -> { config with Rlm.mode = m }
-          | None -> config
-        in
-        ignore
-          (Rlm.sender_start topo ~node:built.Topo_gen.sender
-             ~prng:(Prng.split prng) config);
-        ( (fun ~at ~host ->
-            let r =
-              Rlm.receiver_start ~at topo ~host ~prng:(Prng.split prng) rconfig
-            in
-            (Rlm.receiver_meter r, fun () -> Rlm.receiver_stop r)),
-          List.init layering.Mcc_mcast.Layering.groups (fun g ->
-              Rlm.group_addr config (g + 1)) )
-    | Spec.Replicated ->
-        let config =
-          Rep.make_config ~id ~base_group ~layering ~slot_duration:slot ~mode ()
-        in
-        let rconfig =
-          match receiver_mode with
-          | Some m -> { config with Rep.mode = m }
-          | None -> config
-        in
-        ignore
-          (Rep.sender_start topo ~node:built.Topo_gen.sender
-             ~prng:(Prng.split prng) config);
-        ( (fun ~at ~host ->
-            let r =
-              Rep.receiver_start ~at topo ~host ~prng:(Prng.split prng) rconfig
-            in
-            (Rep.receiver_meter r, fun () -> Rep.receiver_stop r)),
-          List.init layering.Mcc_mcast.Layering.groups (fun g ->
-              Rep.group_addr config (g + 1)) )
-    | Spec.Oversub ->
-        let config =
-          Oversub.make_config ~id ~base_group ~layering ~slot_duration:slot
-            ~mode ()
-        in
-        let rconfig =
-          match receiver_mode with
-          | Some m ->
-              {
-                config with
-                Oversub.flid = { config.Oversub.flid with Flid.mode = m };
-              }
-          | None -> config
-        in
-        ignore
-          (Oversub.sender_start topo ~node:built.Topo_gen.sender
-             ~prng:(Prng.split prng) config);
-        ( (fun ~at ~host ->
-            let r =
-              Oversub.receiver_start ~at topo ~host ~prng:(Prng.split prng)
-                rconfig
-            in
-            (Oversub.receiver_meter r, fun () -> Oversub.receiver_leave r)),
-          List.init layering.Mcc_mcast.Layering.groups (fun g ->
-              Oversub.group_addr config (g + 1)) )
+  let module P = (val Spec.impl p.Spec.protocol) in
+  let config =
+    P.make ~id:1 ~base_group:0x1000 ~layering ~slot_duration:slot ~mode
+  in
+  let rconfig =
+    match receiver_mode with Some m -> P.with_mode config m | None -> config
+  in
+  ignore
+    (P.sender_start topo ~node:built.Topo_gen.sender ~prng:(Prng.split prng)
+       config);
+  let start ~at ~host =
+    let r = P.receiver_start ~at topo ~host ~prng:(Prng.split prng) rconfig in
+    (P.receiver_meter r, fun () -> P.receiver_leave r)
+  in
+  let group_addrs =
+    List.init layering.Mcc_mcast.Layering.groups (fun g ->
+        P.group_addr config (g + 1))
   in
   (* Membership timeline: one fresh receiver instance per interval. *)
   let intervals =

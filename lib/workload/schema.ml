@@ -67,12 +67,14 @@ let positive ctx what v =
 (* --- Enumerations from the Spec registries ------------------------------ *)
 
 let protocol_of_string ctx s =
-  match List.find_opt (fun (_, n, _) -> String.equal n s) Spec.protocols with
-  | Some (p, _, _) -> Ok p
+  match
+    List.find_opt (fun p -> String.equal (Spec.protocol_str p) s) Spec.protocols
+  with
+  | Some p -> Ok p
   | None ->
       err ctx
         (Printf.sprintf "unknown protocol %S (one of: %s)" s
-           (String.concat ", " (List.map (fun (_, n, _) -> n) Spec.protocols)))
+           (String.concat ", " (List.map Spec.protocol_str Spec.protocols)))
 
 let defences =
   [ Spec.Undefended; Spec.Delta_only; Spec.Delta_sigma; Spec.Delta_sigma_ecn ]

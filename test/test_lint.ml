@@ -7,12 +7,7 @@ module Lint = Mcc_lint.Lint
 let fixture name = Filename.concat "lint_fixtures" name
 
 let config ?(allow = []) ?build_dir rules =
-  {
-    Lint.rules;
-    allowlist = allow;
-    build_dir;
-    registry = Lint.default_registry;
-  }
+  { Lint.rules; allowlist = allow; build_dir }
 
 let check ?allow rules file =
   match Lint.check_file (config ?allow rules) (fixture file) with
@@ -190,42 +185,6 @@ let test_registry_exhaustive () =
   Alcotest.(check (list int)) "all-constructor match clean" []
     (lines (typed_check [ Lint.Registry_exhaustive ] "registry_ok.ml"))
 
-let test_registry_consumer () =
-  let consumer file =
-    {
-      Lint.rules = [ Lint.Registry_exhaustive ];
-      allowlist = [];
-      build_dir = Some "..";
-      registry =
-        {
-          Lint.default_registry with
-          Lint.reg_consumers = [ "lint_fixtures/typed/" ^ file ];
-        };
-    }
-  in
-  let run file =
-    Lint.run (consumer file) [ fixture ("typed/" ^ file) ]
-  in
-  let bad = run "registry_consumer_bad.ml" in
-  Alcotest.(check (list string)) "rule id" [ "registry-exhaustive" ]
-    (ids bad.Lint.findings);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i =
-      i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "names the missing constructors" true
-    (List.exists
-       (fun (f : Lint.finding) ->
-         contains f.message "Rlm_threshold"
-         && contains f.message "Replicated"
-         && contains f.message "Oversub")
-       bad.Lint.findings);
-  Alcotest.(check (list int)) "complete consumer clean" []
-    (lines (run "registry_consumer_ok.ml").Lint.findings)
-
 let test_missing_cmt () =
   let probe = "typed_probe_no_cmt.ml" in
   let oc = open_out probe in
@@ -291,8 +250,6 @@ let suite =
       Alcotest.test_case "hot-alloc fixture" `Quick test_hot_alloc;
       Alcotest.test_case "registry-exhaustive fixture" `Quick
         test_registry_exhaustive;
-      Alcotest.test_case "registry consumer completeness" `Quick
-        test_registry_consumer;
       Alcotest.test_case "missing .cmt degrades gracefully" `Quick
         test_missing_cmt;
       Alcotest.test_case "exit codes" `Quick test_exit_codes;
