@@ -1427,17 +1427,14 @@ let workload_cmd =
           (topology generators, churn and traffic models, optional attack).")
     [ workload_run_cmd; workload_check_cmd; workload_list_cmd ]
 
-(* The invariant linter, mounted from the shared surface in
-   Mcc_lint.Cli (the standalone mcc-lint binary is the same command).
-   Mounted here it records in the run ledger by default, so lint drift
-   shows up in `mcc history` and `mcc diff` next to perf drift. *)
+(* The invariant linter (Mcc_lint.Cli; `dune build @lint` runs it with
+   --no-ledger).  It records in the run ledger by default, so lint
+   drift shows up in `mcc history` and `mcc diff` next to perf drift. *)
 let lint_cmd =
   let exit_nonzero code = if code <> 0 then exit code in
   Cmd.v
     (Mcc_lint.Cli.info ~name:"lint")
-    Term.(
-      const exit_nonzero
-      $ Mcc_lint.Cli.term ~name:"mcc lint" ~ledger_default:true)
+    Term.(const exit_nonzero $ Mcc_lint.Cli.term ~name:"mcc lint")
 
 let main =
   Cmd.group

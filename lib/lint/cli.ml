@@ -1,10 +1,8 @@
-(* The linter's command-line surface, shared by the standalone
-   mcc-lint executable (what `dune build @lint` runs) and the
-   `mcc lint` subcommand.  The two differ only in their name and in
-   whether a run is recorded in the run ledger by default: the
-   subcommand records (so `mcc history` / `mcc diff` show lint drift
-   alongside perf drift), the standalone gate does not (CI loops and
-   editor integrations should not grow the ledger). *)
+(* The linter's command-line surface, mounted as the `mcc lint`
+   subcommand (which `dune build @lint` runs).  A run is recorded in the
+   run ledger unless --no-ledger is given, so `mcc history` / `mcc diff`
+   show lint drift alongside perf drift; CI loops and editor
+   integrations opt out. *)
 
 open Cmdliner
 module Json = Mcc_obs.Json
@@ -163,8 +161,8 @@ let ledger_payload ~paths ~enabled (r : Lint.report) =
 
 (* --- the command --------------------------------------------------------- *)
 
-let run_lint ~name ~ledger_default paths rules disable allow json sarif
-    build_dir quiet list_rules ledger =
+let run_lint ~name paths rules disable allow json sarif build_dir quiet
+    list_rules no_ledger =
   if list_rules then begin
     List.iter
       (fun r ->
@@ -246,8 +244,7 @@ let run_lint ~name ~ledger_default paths rules disable allow json sarif
     (match sarif with
     | None -> ()
     | Some path -> write_doc path (sarif_of_report report));
-    let record = Option.value ~default:ledger_default ledger in
-    if record then begin
+    if not no_ledger then begin
       (* Recording is telemetry: a ledger failure warns and never fails
          the lint run that produced the findings. *)
       let dir = Ledger.default_dir () in
@@ -332,30 +329,22 @@ let list_rules_arg =
     value & flag
     & info [ "list-rules" ] ~doc:"Print every rule id with its rationale.")
 
-let ledger_arg =
+let no_ledger_arg =
   Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "ledger" ]
-              ~doc:
-                "Record this invocation in the run ledger ($(b,.mcc/ledger), \
-                 overridable via $(b,MCC_LEDGER)); $(b,mcc history) and \
-                 $(b,mcc diff) then show lint drift." );
-          ( Some false,
-            info [ "no-ledger" ]
-              ~doc:"Do not record this invocation in the run ledger." );
-        ])
+    value & flag
+    & info [ "no-ledger" ]
+        ~doc:
+          "Do not record this invocation in the run ledger \
+           ($(b,.mcc/ledger), overridable via $(b,MCC_LEDGER)).")
 
-let term ~name ~ledger_default =
+let term ~name =
   (* bound before the local open: Term also exports a (deprecated)
      [name], which would shadow the parameter inside Term.(...) *)
-  let run = run_lint ~name ~ledger_default in
+  let run = run_lint ~name in
   Term.(
     const run
     $ paths_arg $ rules_arg $ disable_arg $ allow_arg $ json_arg $ sarif_arg
-    $ build_dir_arg $ quiet_arg $ list_rules_arg $ ledger_arg)
+    $ build_dir_arg $ quiet_arg $ list_rules_arg $ no_ledger_arg)
 
 let man =
   [
@@ -391,5 +380,3 @@ let info ~name =
      invariants"
   in
   Cmd.info name ~doc ~man
-
-let cmd ~name ~ledger_default = Cmd.v (info ~name) (term ~name ~ledger_default)

@@ -1,19 +1,11 @@
-(** The linter's command-line surface, shared by the standalone
-    [mcc-lint] executable and the [mcc lint] subcommand.
+(** The linter's command-line surface, mounted as the [mcc lint]
+    subcommand.  A run is recorded in the run ledger unless
+    [--no-ledger] is given, as for [mcc run], [matrix] and [profile]. *)
 
-    [ledger_default] sets whether a run is recorded in the run ledger
-    when neither [--ledger] nor [--no-ledger] is given: the [mcc lint]
-    subcommand records by default (lint drift then shows up in
-    [mcc history] / [mcc diff]), the standalone gate does not. *)
-
-val term : name:string -> ledger_default:bool -> int Cmdliner.Term.t
+val term : name:string -> int Cmdliner.Term.t
 (** The command term; evaluates to the process exit code (0 clean,
-    1 findings, 2 errors). *)
+    1 findings, 2 errors).  [name] prefixes diagnostics. *)
 
 val info : name:string -> Cmdliner.Cmd.info
-(** The shared command metadata (doc string and man page) under the
-    given command name. *)
-
-val cmd : name:string -> ledger_default:bool -> int Cmdliner.Cmd.t
-(** {!term} packaged as a complete command named [name], with the
-    shared man page. *)
+(** The command metadata (doc string and man page) under the given
+    command name. *)
