@@ -19,7 +19,9 @@ val run_cell :
     (keys in band, nothing enforced, receivers on IGMP); [Delta_sigma] =
     SIGMA agent with interface-specific keys; [Delta_sigma_ecn] adds ECN
     marking and component scrubbing.  The adversary is a session member
-    for FLID member attacks, a standalone bare attacker otherwise. *)
+    for member attacks on a protocol whose module carries an adversary
+    context ({!Mcc_core.Protocol.S.history}: FLID), a standalone bare
+    attacker otherwise. *)
 
 val default_attacks : Mcc_core.Spec.attack_kind list
 (** All six strategies at catalogue parameters. *)
