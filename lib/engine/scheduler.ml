@@ -73,15 +73,24 @@ module Heap = struct
   let name = "heap"
   let initial_capacity = 64
 
-  (* Unboxed parallel arrays: [times] is a flat float array (OCaml
-     unboxes float arrays), [seqs] a flat int array, so the only
-     allocation a push performs is the amortised storage doubling.  The
-     previous representation ('a entry option array) boxed an option and
-     an entry record per element and re-boxed the whole heap through
-     Array.append on every growth. *)
+  (* Each value is written once, into a parking slot of [values], and
+     stays there until it pops.  The 4-ary heap orders three flat
+     arrays: [times] (OCaml unboxes float arrays), [seqs], and [ids],
+     the parking slot of each entry's value.  A sift therefore moves
+     unboxed floats and ints only, and no sift level pays a
+     write-barriered store of a value.
+
+     [ids] is a permutation of the parking slots: [ids.(0 .. len-1)]
+     are the live entries in heap order, and [ids.(len .. capacity-1)]
+     is the free stack, its top at [len].  A push takes the slot on
+     top, a pop puts the root's slot back.  A free slot keeps its last
+     value reachable until a push reuses it — bounded by the heap's
+     high-water mark, and dropped entirely by [clear] (the wheel's free
+     list makes the same trade). *)
   type 'a t = {
     mutable times : float array;
     mutable seqs : int array;
+    mutable ids : int array;
     mutable values : 'a array;
     mutable len : int;
     mutable next_seq : int;
@@ -93,6 +102,7 @@ module Heap = struct
     {
       times = [||];
       seqs = [||];
+      ids = [||];
       values = [||];
       len = 0;
       next_seq = 0;
@@ -113,92 +123,116 @@ module Heap = struct
      stays put (push holds it in its own arguments, pop leaves it
      staged in the slot just past the shrunken tree) while parents or
      children shift into the hole, and it is written once at the end.
-     Each level then costs one write-barriered [values] store, not the
-     two of a swap.  [(time, seq)] keys are unique, so the pop order is
-     the same whatever the arity or the sift strategy. *)
-  let[@inline] before t i j =
-    let ti = t.times.(i) and tj = t.times.(j) in
-    ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
+     [(time, seq)] keys are unique, so the pop order is the same
+     whatever the arity or the sift strategy.
 
-  let[@inline] move t ~src ~dst =
-    t.times.(dst) <- t.times.(src);
-    t.seqs.(dst) <- t.seqs.(src);
-    t.values.(dst) <- t.values.(src)
+     The sift helpers take the arrays themselves, typed: left
+     polymorphic, [<] would compile to a [caml_lessthan] call.  Every
+     index they touch is below [len <= capacity], so they index
+     unchecked; nothing else in the scheduler does. *)
+  let[@hot] [@inline] before (times : float array) (seqs : int array) i j =
+    let ti = Array.unsafe_get times i and tj = Array.unsafe_get times j in
+    ti < tj || (ti = tj && Array.unsafe_get seqs i < Array.unsafe_get seqs j)
+
+  let[@hot] [@inline] move (times : float array) (seqs : int array)
+      (ids : int array) ~src ~dst =
+    Array.unsafe_set times dst (Array.unsafe_get times src);
+    Array.unsafe_set seqs dst (Array.unsafe_get seqs src);
+    Array.unsafe_set ids dst (Array.unsafe_get ids src)
 
   (* The pushed element carries the largest seq yet, so it sorts before
      a parent exactly when its time is strictly smaller.  [time] is
      [push]'s own (already boxed) argument passed down unchanged, so the
      recursion boxes nothing. *)
-  let[@hot] rec sift_up t i time =
+  let[@hot] rec sift_up (times : float array) (seqs : int array)
+      (ids : int array) i (time : float) =
     if i = 0 then i
     else
       let parent = (i - 1) lsr 2 in
-      if time < t.times.(parent) then begin
-        move t ~src:parent ~dst:i;
-        sift_up t parent time
+      if time < Array.unsafe_get times parent then begin
+        move times seqs ids ~src:parent ~dst:i;
+        sift_up times seqs ids parent time
       end
       else i
 
   (* A reserved seq can be older than a parent's, so [push_keyed] sifts
      on the full [(time, seq)] key. *)
-  let[@hot] rec sift_up_keyed t i time seq =
+  let[@hot] rec sift_up_keyed (times : float array) (seqs : int array)
+      (ids : int array) i (time : float) (seq : int) =
     if i = 0 then i
     else
       let parent = (i - 1) lsr 2 in
-      let tp = t.times.(parent) in
-      if time < tp || (time = tp && seq < t.seqs.(parent)) then begin
-        move t ~src:parent ~dst:i;
-        sift_up_keyed t parent time seq
+      let tp = Array.unsafe_get times parent in
+      if time < tp || (time = tp && seq < Array.unsafe_get seqs parent) then begin
+        move times seqs ids ~src:parent ~dst:i;
+        sift_up_keyed times seqs ids parent time seq
       end
       else i
 
   (* Smallest of the children [c .. last] of a partial sibling group. *)
-  let[@hot] rec min_child t best c last =
+  let[@hot] rec min_child (times : float array) (seqs : int array) best c
+      last =
     if c > last then best
-    else min_child t (if before t c best then c else best) (c + 1) last
+    else
+      min_child times seqs
+        (if before times seqs c best then c else best)
+        (c + 1) last
 
   (* Sink the element staged at [s] from the hole at [i]; the tree is
      [0 .. s-1].  Returns the hole where the staged element belongs. *)
-  let[@hot] rec sift_down t s i =
+  let[@hot] rec sift_down (times : float array) (seqs : int array)
+      (ids : int array) s i =
     let c = (4 * i) + 1 in
     if c >= s then i
     else begin
       let m =
         if c + 3 < s then begin
-          let a = if before t (c + 1) c then c + 1 else c in
-          let b = if before t (c + 3) (c + 2) then c + 3 else c + 2 in
-          if before t b a then b else a
+          let a = if before times seqs (c + 1) c then c + 1 else c in
+          let b = if before times seqs (c + 3) (c + 2) then c + 3 else c + 2 in
+          if before times seqs b a then b else a
         end
-        else min_child t c (c + 1) (s - 1)
+        else min_child times seqs c (c + 1) (s - 1)
       in
-      if before t m s then begin
-        move t ~src:m ~dst:i;
-        sift_down t s m
+      if before times seqs m s then begin
+        move times seqs ids ~src:m ~dst:i;
+        sift_down times seqs ids s m
       end
       else i
     end
 
-  (* Grow in place: allocate the doubled arrays once and blit.  The
-     [values] filler is the value being pushed — a sentinel that every
-     slot >= len holds until overwritten, never observed. *)
+  (* Grow in place, only ever when full: allocate the doubled arrays
+     once and blit.  The new parking slots [cap .. cap'-1] become the
+     free stack, in order.  The [values] filler is the value being
+     pushed — a sentinel that every free slot holds until a push parks
+     a value there, never observed. *)
   let grow t filler =
     let cap = Array.length t.times in
     let cap' = if cap = 0 then initial_capacity else 2 * cap in
     let times' = Array.make cap' 0. in
     let seqs' = Array.make cap' 0 in
+    let ids' = Array.init cap' Fun.id in
     let values' = Array.make cap' filler in
-    Array.blit t.times 0 times' 0 t.len;
-    Array.blit t.seqs 0 seqs' 0 t.len;
-    Array.blit t.values 0 values' 0 t.len;
+    Array.blit t.times 0 times' 0 cap;
+    Array.blit t.seqs 0 seqs' 0 cap;
+    Array.blit t.ids 0 ids' 0 cap;
+    Array.blit t.values 0 values' 0 cap;
     t.times <- times';
     t.seqs <- seqs';
+    t.ids <- ids';
     t.values <- values';
     t.growth_caps <- cap' :: t.growth_caps
 
-  let[@hot] [@inline] settle t i ~time ~seq value =
+  (* Park [value] in the free slot on top of the stack, at [ids.(len)],
+     before the sift overwrites that entry. *)
+  let[@hot] [@inline] park t value =
+    let id = t.ids.(t.len) in
+    t.values.(id) <- value;
+    id
+
+  let[@hot] [@inline] settle t i ~time ~seq id =
     t.times.(i) <- time;
     t.seqs.(i) <- seq;
-    t.values.(i) <- value;
+    t.ids.(i) <- id;
     t.len <- t.len + 1;
     if t.len > t.max_len then t.max_len <- t.len
 
@@ -209,7 +243,8 @@ module Heap = struct
       grow t value;
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    settle t (sift_up t t.len time) ~time ~seq value
+    let id = park t value in
+    settle t (sift_up t.times t.seqs t.ids t.len time) ~time ~seq id
 
   let reserve t n =
     if n < 0 then invalid_arg reserve_message;
@@ -223,34 +258,37 @@ module Heap = struct
     if t.len = Array.length t.times then
       (* lint: allow hot-alloc — amortised doubling, not steady state *)
       grow t value;
-    settle t (sift_up_keyed t t.len time seq) ~time ~seq value
+    let id = park t value in
+    settle t (sift_up_keyed t.times t.seqs t.ids t.len time seq) ~time ~seq id
 
   let peek_time t = if t.len = 0 then None else Some t.times.(0)
 
-  (* Drop the root.  The last element is already staged outside the
-     shrunken tree, at index [len - 1], so it sinks from the root's hole
-     without a copy.  values.(len) keeps aliasing it, which is live
-     anyway: no stale retention beyond one slot. *)
+  (* Drop the root and return its value.  The last element is already
+     staged outside the shrunken tree, at index [len - 1], so it sinks
+     from the root's hole without a copy; its old index then takes the
+     root's parking slot as the new top of the free stack. *)
   let[@hot] remove_root t =
+    let root = t.ids.(0) in
     let last = t.len - 1 in
     t.len <- last;
-    if last > 0 then move t ~src:last ~dst:(sift_down t last 0)
+    if last > 0 then
+      move t.times t.seqs t.ids ~src:last
+        ~dst:(sift_down t.times t.seqs t.ids last 0);
+    t.ids.(last) <- root;
+    t.values.(root)
 
   let pop t =
     if t.len = 0 then None
     else begin
-      let time = t.times.(0) and value = t.values.(0) in
-      remove_root t;
-      Some (time, value)
+      let time = t.times.(0) in
+      Some (time, remove_root t)
     end
 
   let pop_into t r default =
     if t.len = 0 then default
     else begin
-      let value = t.values.(0) in
       r := t.times.(0);
-      remove_root t;
-      value
+      remove_root t
     end
 
   let[@hot] next_before t bound = t.len > 0 && t.times.(0) <= bound
@@ -258,10 +296,8 @@ module Heap = struct
   let[@hot] pop_before t cell ~bound default =
     if t.len = 0 || t.times.(0) > bound then default
     else begin
-      let value = t.values.(0) in
       cell.time <- t.times.(0);
-      remove_root t;
-      value
+      remove_root t
     end
 
   (* A cleared queue is as good as new: sequence numbers restart (a
@@ -272,6 +308,7 @@ module Heap = struct
   let clear t =
     t.times <- [||];
     t.seqs <- [||];
+    t.ids <- [||];
     t.values <- [||];
     t.len <- 0;
     t.next_seq <- 0;

@@ -116,17 +116,22 @@ module type S = sig
 end
 
 module Heap : S
-(** 4-ary min-heap over unboxed parallel arrays ([float array] times,
-    [int array] seqs, ['a array] values; the children of slot [i] are
-    [4i+1 .. 4i+4]): O(log n) push/pop, zero allocation per operation
-    outside the amortised storage doubling.  Sifts move a hole rather
-    than swapping: the element being placed waits (push holds it in its
+(** 4-ary min-heap with parked values: a push writes its value once
+    into a parking slot taken from a free stack, and the heap orders
+    unboxed parallel arrays of keys and slot indices ([float array]
+    times, [int array] seqs and slot ids; the children of slot [i] are
+    [4i+1 .. 4i+4]); a pop reads its value once and frees the slot.
+    O(log n) push/pop, zero allocation per operation outside the
+    amortised storage doubling.  Sifts move a hole rather than
+    swapping: the element being placed waits (push holds it in its
     arguments, pop leaves it staged in the slot just past the shrunken
-    tree) while parents or children shift into the hole, so each level
-    costs one [values] store, and the tree is half as deep as a binary
-    one.  No extra slot is reserved, so {!S.capacity} and its growth
-    points are those of a plain array heap.  Handles any time,
-    including negatives and infinities. *)
+    tree) while parents or children shift into the hole, so a level
+    moves only unboxed keys and an index, with no write barrier, and
+    the tree is half as deep as a binary one.  No extra slot is
+    reserved, so {!S.capacity} and its growth points are those of a
+    plain array heap.  A free parking slot keeps its last value
+    reachable until a push reuses it; [clear] drops the store.  Handles
+    any time, including negatives and infinities. *)
 
 module Wheel : S
 (** Hierarchical timing wheel (calendar queue): float times are
