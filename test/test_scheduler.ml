@@ -362,6 +362,43 @@ let test_push_keyed_unissued () =
         (fun () -> q.Scheduler.push_keyed ~time:1. ~seq:(first + 2) ()))
     Scheduler.all
 
+(* A popped value can outlive its pop: the heap's parking slot and the
+   wheel's cell keep it reachable until a push reuses the slot.  [clear]
+   drops the store, so nothing pushed before it outlives it.  Fresh
+   blocks, watched through a [Weak] array, are pushed and partly popped
+   by a function of their own, so no caller frame holds one when the
+   collector runs; the queue itself stays live throughout, so only
+   [clear] can release them. *)
+let watched_values = 300
+
+let[@inline never] push_watched q watched =
+  for i = 0 to watched_values - 1 do
+    let v = Bytes.make 8 'v' in
+    Weak.set watched i (Some v);
+    q.Scheduler.push ~time:(float_of_int (i mod 17)) v
+  done;
+  for _ = 1 to watched_values / 3 do
+    ignore (q.Scheduler.pop ())
+  done
+
+let test_clear_releases_values backend () =
+  let q = Scheduler.instantiate backend () in
+  let watched = Weak.create watched_values in
+  push_watched q watched;
+  let reachable () =
+    List.length
+      (List.filter (Weak.check watched) (List.init watched_values Fun.id))
+  in
+  Gc.full_major ();
+  Alcotest.(check bool)
+    "every queued value is still reachable" true
+    (reachable () >= q.Scheduler.size ());
+  q.Scheduler.clear ();
+  Gc.full_major ();
+  Alcotest.(check int) "reachable after clear" 0 (reachable ());
+  Alcotest.(check int) "the cleared queue is still in use" 0
+    (q.Scheduler.size ())
+
 (* End-to-end: a Runner batch's sink output must not depend on the
    scheduler backend or the job count.  Everything before the profile is
    the deterministic record; the profile legitimately differs (it names
@@ -429,6 +466,10 @@ let suite =
       QCheck_alcotest.to_alcotest prop_wheel_matches_model;
       Alcotest.test_case "push_keyed needs a reserved seq" `Quick
         test_push_keyed_unissued;
+      Alcotest.test_case "heap: parked values do not outlive clear" `Quick
+        (test_clear_releases_values Scheduler.heap);
+      Alcotest.test_case "wheel: parked values do not outlive clear" `Quick
+        (test_clear_releases_values Scheduler.wheel);
       Alcotest.test_case "runner output backend-independent" `Slow
         test_runner_backend_identical;
     ] )
