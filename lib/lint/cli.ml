@@ -361,7 +361,9 @@ let man =
        and walks the Typedtree: $(b,domain-escape) flags mutable values \
        captured by closures passed to Domain.spawn / Domain.DLS.new_key, \
        $(b,hot-alloc) flags allocating expressions inside functions marked \
-       [@hot], and $(b,registry-exhaustive) flags catch-all patterns \
+       [@hot], $(b,hot-poly-compare) flags comparisons there that the \
+       compiler cannot specialise (they call caml_compare), and \
+       $(b,registry-exhaustive) flags catch-all patterns \
        over Spec.protocol, so a new protocol fails to compile until \
        Spec.impl gives it a module.  A missing .cmt is \
        reported as a note and degrades that file to syntactic coverage — \

@@ -16,14 +16,15 @@
    Everything is per-index mutable state created by [create]; nothing
    is shared at module level. *)
 
-type read_result = (string * Typedtree.structure, string) result
+type unit_info = { structure : Typedtree.structure; load_path : string list }
+type read_result = (string * unit_info, string) result
 
 type t = {
   build_dir : string;
   by_module : (string, string list) Hashtbl.t;
   mutable scanned : bool;
   reads : (string, read_result) Hashtbl.t;
-  sources : (string, (Typedtree.structure, string) result) Hashtbl.t;
+  sources : (string, (unit_info, string) result) Hashtbl.t;
   mutable loaded : int;
 }
 
@@ -91,6 +92,15 @@ let scan t =
     walk t.build_dir
   end
 
+(* The compiler records its load path relative to the directory it ran
+   in, which is the build directory (absolute entries, such as the
+   stdlib's, stay as they are). *)
+let resolve_load_path t dirs =
+  List.map
+    (fun dir ->
+      if Filename.is_relative dir then Filename.concat t.build_dir dir else dir)
+    dirs
+
 let read_cmt t path =
   match Hashtbl.find_opt t.reads path with
   | Some r -> r
@@ -102,8 +112,11 @@ let read_cmt t path =
         | infos -> (
             match (infos.Cmt_format.cmt_sourcefile, infos.Cmt_format.cmt_annots)
             with
-            | Some src, Cmt_format.Implementation str ->
-                Ok (Kernel.normalize_path src, str)
+            | Some src, Cmt_format.Implementation structure ->
+                let load_path =
+                  resolve_load_path t infos.Cmt_format.cmt_loadpath
+                in
+                Ok (Kernel.normalize_path src, { structure; load_path })
             | Some _, _ -> Error "not a whole-implementation .cmt"
             | None, _ -> Error ".cmt records no source file")
       in
@@ -135,8 +148,8 @@ let lookup t source =
         List.filter_map
           (fun path ->
             match read_cmt t path with
-            | Ok (recorded, str) when source_matches ~recorded ~wanted ->
-                Some (recorded, str)
+            | Ok (recorded, info) when source_matches ~recorded ~wanted ->
+                Some (recorded, info)
             | Ok _ | Error _ -> None)
           candidates
       in
@@ -145,7 +158,7 @@ let lookup t source =
       in
       let r =
         match (exact, matches) with
-        | (_, str) :: _, _ | [], [ (_, str) ] -> Ok str
+        | (_, info) :: _, _ | [], [ (_, info) ] -> Ok info
         | [], [] ->
             if candidates = [] then
               Error

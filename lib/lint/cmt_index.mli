@@ -21,7 +21,16 @@ val default_build_dir : unit -> string
 
 val build_dir : t -> string
 
-val lookup : t -> string -> (Typedtree.structure, string) result
+type unit_info = {
+  structure : Typedtree.structure;
+  load_path : string list;
+      (** the compiler's [-I] path for the unit, relative entries
+          resolved against the build directory: what a rule needs to
+          rebuild a typing environment ({!Envaux}) from the tree's
+          environment summaries *)
+}
+
+val lookup : t -> string -> (unit_info, string) result
 (** [lookup t source] finds the typed tree of [source] ([.ml]).  The
     recorded source path must equal the (normalised) request, or end
     with it at a [/] boundary — covering lookups made from a

@@ -14,6 +14,7 @@ type rule =
   | Gc_stats
   | Domain_escape
   | Hot_alloc
+  | Hot_poly_compare
   | Registry_exhaustive
 
 let all_rules =
@@ -27,10 +28,12 @@ let all_rules =
     Gc_stats;
     Domain_escape;
     Hot_alloc;
+    Hot_poly_compare;
     Registry_exhaustive;
   ]
 
-let typed_rules = [ Domain_escape; Hot_alloc; Registry_exhaustive ]
+let typed_rules =
+  [ Domain_escape; Hot_alloc; Hot_poly_compare; Registry_exhaustive ]
 
 let rule_id = function
   | Wall_clock -> "wall-clock"
@@ -42,6 +45,7 @@ let rule_id = function
   | Gc_stats -> "gc-stats"
   | Domain_escape -> "domain-escape"
   | Hot_alloc -> "hot-alloc"
+  | Hot_poly_compare -> "hot-poly-compare"
   | Registry_exhaustive -> "registry-exhaustive"
 
 let rule_of_id s =
@@ -81,6 +85,11 @@ let rule_doc = function
        construction, partial application, a known allocating call) in a \
        function marked [@hot]; the engine's hot loops are \
        allocation-free by contract"
+  | Hot_poly_compare ->
+      "[typed] a Stdlib comparison (=, <>, <, >, <=, >=, compare, min, \
+       max) in a function marked [@hot] whose operand type the compiler \
+       does not specialise, so it calls caml_compare; type the operands \
+       (int, float, string, ...) or use Int/Float comparisons"
   | Registry_exhaustive ->
       "[typed] a catch-all pattern in a match over the Spec.protocol \
        registry type; name every constructor so a new protocol fails to \

@@ -16,13 +16,15 @@ type rule =
   | Gc_stats
   | Domain_escape
   | Hot_alloc
+  | Hot_poly_compare
   | Registry_exhaustive
 
 val all_rules : rule list
 
 val typed_rules : rule list
 (** The rules that need [.cmt] type information:
-    [domain-escape], [hot-alloc], [registry-exhaustive]. *)
+    [domain-escape], [hot-alloc], [hot-poly-compare],
+    [registry-exhaustive]. *)
 
 val rule_id : rule -> string
 val rule_of_id : string -> rule option

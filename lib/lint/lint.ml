@@ -7,9 +7,9 @@
 
    Stage two ({!Typed}) resolves each file's .cmt (dune's -bin-annot
    output) and walks the Typedtree for the rules that need types:
-   domain-escape, hot-alloc and registry-exhaustive.  A file whose
-   .cmt is missing degrades to stage-one coverage only and is recorded
-   in [cmts_missing] — reported, never fatal.
+   domain-escape, hot-alloc, hot-poly-compare and registry-exhaustive.
+   A file whose .cmt is missing degrades to stage-one coverage only and
+   is recorded in [cmts_missing] — reported, never fatal.
 
    Both stages share the vocabulary in {!Kernel} (re-exported here) and
    the same suppression machinery: in-source pragmas and the allowlist
@@ -25,6 +25,7 @@ type rule = Kernel.rule =
   | Gc_stats
   | Domain_escape
   | Hot_alloc
+  | Hot_poly_compare
   | Registry_exhaustive
 
 let all_rules = Kernel.all_rules

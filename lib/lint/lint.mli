@@ -65,6 +65,19 @@
       stdlib entry points.  The engine's hot loops ([Sim.step], the
       scheduler backends, [Link], the packet pool) declare themselves
       [[@hot]] and are allocation-free by contract.
+    - [hot-poly-compare]: a Stdlib comparison ([=], [<>], [<], [>],
+      [<=], [>=], [compare], [min], [max]) inside a [[@hot]] function
+      whose operand type the compiler does not specialise, so the call
+      goes to [caml_compare].  The operand type is resolved the way
+      the compiler resolves it, through abbreviations and across
+      units, from the environment the [.cmt] records.  Exempt:
+      immediates (int, char, bool, constant-only variants); float,
+      string, bytes, int32, int64 and nativeint (so every literal
+      operand); and [=]/[<>] with a constant-constructor operand, a
+      pointer compare.  [min] and [max] are polymorphic functions, not
+      primitives, so they are flagged whatever their operands: use
+      [Int.min], [Float.min] or an explicit test.  A sift helper whose
+      arrays are left polymorphic is the case this catches.
     - [registry-exhaustive]: a catch-all pattern in a multi-case match
       over the {!Mcc_core.Spec.protocol} registry type.  [Spec.impl] is
       the one dispatch on that type, so with every constructor named
@@ -94,13 +107,14 @@ type rule = Kernel.rule =
   | Gc_stats
   | Domain_escape
   | Hot_alloc
+  | Hot_poly_compare
   | Registry_exhaustive
 
 val all_rules : rule list
 
 val typed_rules : rule list
 (** The rules that need [.cmt] type information: [domain-escape],
-    [hot-alloc], [registry-exhaustive]. *)
+    [hot-alloc], [hot-poly-compare], [registry-exhaustive]. *)
 
 val rule_id : rule -> string
 (** The stable kebab-case identifier used in pragmas, allowlists, CLI

@@ -28,11 +28,14 @@ let run (config : Kernel.config) files =
       (fun file ->
         match Cmt_index.lookup index file with
         | Error reason -> missing := (file, reason) :: !missing
-        | Ok str ->
+        | Ok { Cmt_index.structure = str; load_path } ->
             if enabled Kernel.Domain_escape then
               findings := Escape.check ~path:file str @ !findings;
-            if enabled Kernel.Hot_alloc then
-              findings := Hot_alloc.check ~path:file str @ !findings;
+            if enabled Kernel.Hot_alloc || enabled Kernel.Hot_poly_compare then
+              findings :=
+                Hot_alloc.check ~path:file ~load_path
+                  ~rules:config.Kernel.rules str
+                @ !findings;
             if enabled Kernel.Registry_exhaustive then
               findings := Registry.check_catch_all ~path:file str @ !findings)
       ml_files;

@@ -1,5 +1,6 @@
 (** Stage two of the linter: the [.cmt]-backed rules
-    ([domain-escape], [hot-alloc], [registry-exhaustive]).
+    ([domain-escape], [hot-alloc], [hot-poly-compare],
+    [registry-exhaustive]).
 
     Degrades gracefully: a file whose [.cmt] cannot be resolved is
     reported in [t_missing] rather than failing the run.  Findings here

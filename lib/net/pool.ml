@@ -59,7 +59,7 @@ module Freelist = struct
   let[@hot] put t v =
     if t.len < t.cap then begin
       if t.len = Array.length t.store then begin
-        let cap' = min t.cap (max 64 (2 * Array.length t.store)) in
+        let cap' = Int.min t.cap (Int.max 64 (2 * Array.length t.store)) in
         (* lint: allow hot-alloc — amortised doubling, not steady state *)
         let store' = Array.make cap' v in
         Array.blit t.store 0 store' 0 t.len;

@@ -177,6 +177,18 @@ let test_hot_alloc () =
   Alcotest.(check (list int)) "non-hot allocator out of scope" []
     (lines (typed_check [ Lint.Hot_alloc ] "hot_alloc_ok.ml"))
 
+let test_hot_poly_compare () =
+  let fs = typed_check [ Lint.Hot_poly_compare ] "hot_poly_compare_bad.ml" in
+  Alcotest.(check (list string)) "rule ids"
+    (List.init 4 (fun _ -> "hot-poly-compare"))
+    (ids fs);
+  Alcotest.(check (list int))
+    "type variable, option, min and tuple flagged; twin suppressed"
+    [ 2; 3; 4; 5 ] (lines fs);
+  Alcotest.(check (list int))
+    "specialised operands, abbreviations, other units, constants clean" []
+    (lines (typed_check [ Lint.Hot_poly_compare ] "hot_poly_compare_ok.ml"))
+
 let test_registry_exhaustive () =
   let fs = typed_check [ Lint.Registry_exhaustive ] "registry_bad.ml" in
   Alcotest.(check (list string)) "rule id" [ "registry-exhaustive" ] (ids fs);
@@ -248,6 +260,7 @@ let suite =
       Alcotest.test_case "gc-stats fixture" `Quick test_gc_stats;
       Alcotest.test_case "domain-escape fixture" `Quick test_domain_escape;
       Alcotest.test_case "hot-alloc fixture" `Quick test_hot_alloc;
+      Alcotest.test_case "hot-poly-compare fixture" `Quick test_hot_poly_compare;
       Alcotest.test_case "registry-exhaustive fixture" `Quick
         test_registry_exhaustive;
       Alcotest.test_case "missing .cmt degrades gracefully" `Quick
