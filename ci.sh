@@ -58,6 +58,31 @@ dune build @check
 dune exec bin/mcc.exe -- run --all --quick --jobs 2 --json /tmp/out.jsonl --quiet
 test -s /tmp/out.jsonl
 
+# ... and the same registry batch on the wheel backend must give the
+# same rows once each row's profile object (wall clock, backend name,
+# queue storage) is dropped.  The matrix checks below cover attack
+# cells only; this covers every figure, sweeps included.
+dune exec bin/mcc.exe -- run --all --quick --jobs 2 --sched wheel \
+  --json /tmp/out-wheel.jsonl --quiet
+python3 - <<'EOF'
+import json
+
+
+def rows(path):
+    with open(path) as f:
+        rows = [json.loads(line) for line in f if line.strip()]
+    for row in rows:
+        row.pop("profile", None)
+    return [json.dumps(row, sort_keys=True) for row in rows]
+
+
+heap, wheel = rows("/tmp/out.jsonl"), rows("/tmp/out-wheel.jsonl")
+assert len(heap) == len(wheel), (len(heap), len(wheel))
+for h, w in zip(heap, wheel):
+    assert h == w, "heap and wheel rows differ: " + json.loads(h)["name"]
+print("registry runs backend-independent:", len(heap), "rows")
+EOF
+
 # Telemetry smoke: a metrics-enabled run must emit parseable JSONL with
 # a busy bottleneck (nonzero link.drops on fig1's congested link).
 dune exec bin/mcc.exe -- run --only fig1 --quick --json /tmp/out2.jsonl \
