@@ -104,31 +104,61 @@ type responsiveness_result = {
   after_kbps : float;
 }
 
+(* One session with one receiver on a dumbbell.  Figure 8e, the ECN
+   study and the FEC, grace, slot and XOR-key ablations differ only in
+   the scenario's settings and in [cross], the traffic added after the
+   session. *)
+let lone_receiver ?ecn ?packet_buffer ?agent_config ?fec_scheme ?slot
+    ?(mode = Flid.Robust) ?(cross = ignore) ~seed ~bottleneck_rate_bps
+    duration =
+  let t =
+    Scenario.create ~seed ?ecn ?packet_buffer ?agent_config
+      ~bottleneck_rate_bps ()
+  in
+  let session =
+    Scenario.add_multicast ?fec_scheme ?slot t ~mode
+      ~receivers:[ Scenario.receiver () ] ()
+  in
+  cross t;
+  Scenario.run t ~seconds:duration;
+  ( t,
+    session.Scenario.sender,
+    Flid.receiver_meter (List.hd session.Scenario.receivers) )
+
+(* An on-off CBR that stays on through [burst_start, burst_stop]. *)
+let burst ~burst_start ~burst_stop ~rate_bps t =
+  ignore
+    (Scenario.add_onoff_cbr t ~at:burst_start ~until:burst_stop ~rate_bps
+       ~on_period:(burst_stop -. burst_start) ~off_period:1.)
+
+(* Mean Kbps before, during and after a burst.  Settling margins scale
+   with the burst window so abbreviated specs still measure inside it. *)
+let burst_windows meter ~burst_start ~burst_stop ~duration =
+  let margin = Float.min 5. (0.25 *. (burst_stop -. burst_start)) in
+  let tail = Float.min 10. (0.4 *. (duration -. burst_stop)) in
+  ( Meter.mean_kbps meter ~lo:(burst_start *. 2. /. 3.) ~hi:burst_start,
+    Meter.mean_kbps meter ~lo:(burst_start +. margin) ~hi:burst_stop,
+    Meter.mean_kbps meter ~lo:(burst_stop +. tail) ~hi:duration )
+
 let run_responsiveness (p : Spec.responsiveness_params) =
   let { Spec.seed; duration; burst_start; burst_stop; burst_rate_bps; mode } =
     p
   in
-  let t = Scenario.create ~seed ~bottleneck_rate_bps:1_000_000. () in
-  let session =
-    Scenario.add_multicast t ~mode ~receivers:[ Scenario.receiver () ] ()
+  let _, _, meter =
+    lone_receiver ~mode ~seed ~bottleneck_rate_bps:1_000_000.
+      ~cross:(burst ~burst_start ~burst_stop ~rate_bps:burst_rate_bps)
+      duration
   in
-  ignore
-    (Scenario.add_onoff_cbr t ~at:burst_start ~until:burst_stop
-       ~rate_bps:burst_rate_bps ~on_period:(burst_stop -. burst_start)
-       ~off_period:1.);
-  Scenario.run t ~seconds:duration;
-  let meter = Flid.receiver_meter (List.hd session.Scenario.receivers) in
-  (* Settling margins scale with the burst window so abbreviated specs
-     still measure inside it. *)
-  let margin = Float.min 5. (0.25 *. (burst_stop -. burst_start)) in
-  let tail = Float.min 10. (0.4 *. (duration -. burst_stop)) in
+  let before_kbps, during_kbps, after_kbps =
+    burst_windows meter ~burst_start ~burst_stop ~duration
+  in
   {
     multicast = smooth meter;
     burst_start;
     burst_stop;
-    before_kbps = Meter.mean_kbps meter ~lo:(burst_start *. 2. /. 3.) ~hi:burst_start;
-    during_kbps = Meter.mean_kbps meter ~lo:(burst_start +. margin) ~hi:burst_stop;
-    after_kbps = Meter.mean_kbps meter ~lo:(burst_stop +. tail) ~hi:duration;
+    before_kbps;
+    during_kbps;
+    after_kbps;
   }
 
 (* --- Figure 8f --------------------------------------------------------- *)
@@ -409,6 +439,220 @@ let run_workload p =
         "Spec.Workload requires the workload subsystem: link the mcc_workload \
          library (module Mcc_workload.Build) into the executable"
 
+(* --- Studies beyond the figures ------------------------------------------ *)
+
+let pct num den = 100. *. float_of_int num /. float_of_int (max 1 den)
+
+(* One session of each protocol family plus one TCP flow on a bottleneck
+   provisioned at 250 kbps per flow; Jain's index over the five. *)
+let protocol_mix ~seed ~duration ~mean =
+  let module Rep = Mcc_mcast.Replicated_proto in
+  let module Rlm = Mcc_mcast.Rlm_like in
+  let t = Scenario.create ~seed ~bottleneck_rate_bps:1_250_000. () in
+  let one () = [ Scenario.receiver () ] in
+  let flid = Scenario.add_multicast t ~mode:Flid.Robust ~receivers:(one ()) () in
+  let rep = Scenario.add_replicated t ~mode:Flid.Robust ~receivers:(one ()) () in
+  let ladder = Scenario.add_rlm t ~mode:Flid.Robust ~receivers:(one ()) () in
+  let webrc =
+    Scenario.add_rlm ~policy:Rlm.Equation t ~mode:Flid.Robust
+      ~receivers:(one ()) ()
+  in
+  let tcp = Scenario.add_tcp t in
+  Scenario.run t ~seconds:duration;
+  let rows =
+    [
+      ("flid_ds_kbps", mean (Flid.receiver_meter (List.hd flid.Scenario.receivers)));
+      ( "replicated_kbps",
+        mean (Rep.receiver_meter (List.hd rep.Scenario.rep_receivers)) );
+      ( "rlm_ladder_kbps",
+        mean (Rlm.receiver_meter (List.hd ladder.Scenario.rlm_receivers)) );
+      ( "webrc_equation_kbps",
+        mean (Rlm.receiver_meter (List.hd webrc.Scenario.rlm_receivers)) );
+      ("tcp_reno_kbps", mean (Tcp.delivered_meter tcp));
+    ]
+  in
+  rows @ [ ("jain_index", Mcc_util.Stats.jain_fairness (List.map snd rows)) ]
+
+(* Receiver B, behind a 150 kbps access link, replays the keys its
+   clean-path accomplice A reconstructs.  Plain SIGMA honours them and
+   floods B's link with A's whole subscription; interface-specific keys
+   make the replay worthless. *)
+let key_passing ~seed ~duration ~interface_keys =
+  let module Router_agent = Mcc_sigma.Router_agent in
+  let module Node = Mcc_net.Node in
+  let module Link = Mcc_net.Link in
+  let agent_config =
+    { Router_agent.default_config with Router_agent.interface_keys }
+  in
+  let t =
+    Scenario.create ~seed ~agent_config ~bottleneck_rate_bps:2_000_000. ()
+  in
+  let session =
+    Scenario.add_multicast t ~mode:Flid.Robust
+      ~receivers:
+        [ Scenario.receiver (); Scenario.receiver ~access_rate_bps:150_000. () ]
+      ()
+  in
+  let accomplice = List.hd session.Scenario.receivers in
+  Flid.set_colluder (List.nth session.Scenario.receivers 1) ~source:accomplice;
+  Scenario.run t ~seconds:duration;
+  let agent = Option.get (Scenario.agent t) in
+  let topo = (Scenario.dumbbell t).Dumbbell.topo in
+  let colluder_host =
+    List.find
+      (fun (n : Node.t) ->
+        n.Node.kind = Node.Host
+        && List.exists
+             (fun (l : Link.t) -> Float.equal l.Link.rate_bps 150_000.)
+             n.Node.links)
+      (Mcc_net.Topology.nodes topo)
+  in
+  let open_groups =
+    List.filter
+      (fun g ->
+        Router_agent.iface_active agent
+          ~group:(Flid.group_addr session.Scenario.config g)
+          ~toward:colluder_host.Node.id)
+      (List.init Defaults.groups (fun i -> i + 1))
+  in
+  let drops =
+    match Mcc_net.Multicast.router_of topo colluder_host with
+    | _, Some link -> link.Link.drops
+    | _, None -> -1
+  in
+  [
+    ("accomplice_level", float_of_int (Flid.receiver_level accomplice));
+    ("groups_open_to_colluder", float_of_int (List.length open_groups));
+    ("colluder_access_drops", float_of_int drops);
+  ]
+
+(* Three honest receivers, each subscribing one layer past its
+   sustainable rate and backing off on the EWMA of the mark fraction. *)
+let oversub_receivers ~seed ~duration ~mean =
+  let module Oversub = Mcc_mcast.Oversub in
+  let t =
+    Scenario.create ~seed ~ecn:true ~bottleneck_rate_bps:1_000_000. ()
+  in
+  let s =
+    Scenario.add_oversub t ~mode:Flid.Robust
+      ~receivers:(List.init 3 (fun _ -> Scenario.receiver ()))
+      ()
+  in
+  Scenario.run t ~seconds:duration;
+  List.concat
+    (List.mapi
+       (fun i r ->
+         let key = Printf.sprintf "r%d_%s" i in
+         [
+           (key "level", float_of_int (Oversub.receiver_level r));
+           (key "kbps", mean (Oversub.receiver_meter r));
+           (key "mark_ewma", Oversub.mark_ewma r);
+           (key "decreases", float_of_int (Oversub.decrease_events r));
+         ])
+       s.Scenario.ovs_receivers)
+
+(* The Shamir threshold instantiation's in-band share bits, as a
+   percentage of data bits: one RLM-like session behind a SIGMA edge. *)
+let shamir_overhead ~seed ~duration =
+  let module Rlm = Mcc_mcast.Rlm_like in
+  let sim = Mcc_engine.Sim.create () in
+  let db = Dumbbell.create sim ~bottleneck_rate_bps:500_000. () in
+  ignore (Mcc_sigma.Router_agent.attach db.Dumbbell.topo db.Dumbbell.right);
+  let prng = Prng.create seed in
+  let config =
+    Rlm.make_config ~id:9 ~base_group:0x7F00 ~layering:(Defaults.layering ())
+      ~slot_duration:0.25 ~mode:Flid.Robust ()
+  in
+  let src = Dumbbell.add_sender db in
+  let sender =
+    Rlm.sender_start db.Dumbbell.topo ~node:src ~prng:(Prng.split prng) config
+  in
+  let host = Dumbbell.add_receiver db in
+  ignore
+    (Rlm.receiver_start db.Dumbbell.topo ~host ~prng:(Prng.split prng) config);
+  Dumbbell.finalize db;
+  Mcc_engine.Sim.run_until sim duration;
+  pct (Rlm.share_overhead_bits sender) (Rlm.data_bits sender)
+
+let run_study (p : Spec.study_params) =
+  let { Spec.seed; duration; warmup; study } = p in
+  let mean meter = Meter.mean_kbps meter ~lo:warmup ~hi:duration in
+  match study with
+  | Spec.Protocol_mix -> protocol_mix ~seed ~duration ~mean
+  | Spec.Key_passing { interface_keys } ->
+      key_passing ~seed ~duration ~interface_keys
+  | Spec.Oversub_receivers -> oversub_receivers ~seed ~duration ~mean
+  | Spec.Ecn_signal { ecn } ->
+      let t, _, meter =
+        lone_receiver ~ecn ~seed ~bottleneck_rate_bps:Defaults.fair_share_bps
+          duration
+      in
+      let link = (Scenario.dumbbell t).Dumbbell.forward in
+      [
+        ("honest_kbps", mean meter);
+        ("bottleneck_drops", float_of_int link.Mcc_net.Link.drops);
+        ("marks", float_of_int link.Mcc_net.Link.marks);
+      ]
+  | Spec.Fec_scheme { scheme } ->
+      (* A CBR at the full bottleneck rate keeps the packet-count queue
+         solid during bursts, so even the small special packets drop
+         and the keystore stays complete only through FEC; its gaps
+         show as guesses of honest keys. *)
+      let t, sender, meter =
+        lone_receiver ~packet_buffer:true ~fec_scheme:scheme ~seed
+          ~bottleneck_rate_bps:500_000.
+          ~cross:(fun t ->
+            ignore
+              (Scenario.add_onoff_cbr t ~rate_bps:500_000. ~on_period:2.
+                 ~off_period:3.))
+          duration
+      in
+      let misses =
+        Option.fold ~none:0 ~some:Mcc_sigma.Router_agent.total_guesses
+          (Scenario.agent t)
+      in
+      [
+        ("honest_kbps", mean meter);
+        ("keystore_misses", float_of_int misses);
+        ("fec_expansion", (Flid.sender_stats sender).Flid.fec_expansion);
+      ]
+  | Spec.Upgrade_grace { grace_slots } ->
+      let agent_config =
+        { Mcc_sigma.Router_agent.default_config with
+          Mcc_sigma.Router_agent.upgrade_grace_slots = grace_slots }
+      in
+      let _, _, meter =
+        lone_receiver ~agent_config ~seed
+          ~bottleneck_rate_bps:Defaults.fair_share_bps duration
+      in
+      [ ("honest_kbps", mean meter) ]
+  | Spec.Slot_length { slot; burst_start; burst_stop } ->
+      let _, sender, meter =
+        lone_receiver ~slot ~seed ~bottleneck_rate_bps:1_000_000.
+          ~cross:(burst ~burst_start ~burst_stop ~rate_bps:800_000.)
+          duration
+      in
+      let before, during, after =
+        burst_windows meter ~burst_start ~burst_stop ~duration
+      in
+      let s = Flid.sender_stats sender in
+      [
+        ("before_kbps", before);
+        ("during_kbps", during);
+        ("after_kbps", after);
+        ( "sigma_overhead_pct",
+          pct (s.Flid.sigma_payload_bits + s.Flid.sigma_header_bits)
+            s.Flid.data_bits );
+      ]
+  | Spec.Key_material { shamir = false } ->
+      let _, sender, _ =
+        lone_receiver ~seed ~bottleneck_rate_bps:500_000. duration
+      in
+      let s = Flid.sender_stats sender in
+      [ ("key_overhead_pct", pct s.Flid.delta_bits s.Flid.data_bits) ]
+  | Spec.Key_material { shamir = true } ->
+      [ ("key_overhead_pct", shamir_overhead ~seed ~duration) ]
+
 (* --- Spec dispatch ------------------------------------------------------ *)
 
 type result =
@@ -421,6 +665,7 @@ type result =
   | Partial of partial_result
   | Adversary of adversary_result
   | Workload of workload_result
+  | Study of (string * float) list
 
 let run = function
   | Spec.Attack p -> Attack (run_attack p)
@@ -432,3 +677,4 @@ let run = function
   | Spec.Partial p -> Partial (run_partial p)
   | Spec.Adversary p -> Adversary (run_adversary p)
   | Spec.Workload p -> Workload (run_workload p)
+  | Spec.Study p -> Study (run_study p)

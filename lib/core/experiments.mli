@@ -1,6 +1,6 @@
-(** The paper's experiments (Figures 1, 7, 8a–8h, 9a, 9b and the
-    Section 3.2.3 deployment study) as pure functions of {!Spec}
-    parameter records.
+(** The paper's experiments (Figures 1, 7, 8a–8h, 9a, 9b, the
+    Section 3.2.3 deployment study, and the studies beyond the figures)
+    as pure functions of {!Spec} parameter records.
 
     Each [run_*] function builds the paper's Section 5.1 setting from
     its record, runs it to the record's horizon, and returns the
@@ -165,6 +165,14 @@ val set_workload_impl : (Spec.workload_params -> workload_result) -> unit
 (** Registers the workload builder; called by [Mcc_workload.Build] at
     module initialisation.  Not for general use. *)
 
+(** {1 Studies beyond the figures} *)
+
+val run_study : Spec.study_params -> (string * float) list
+(** One point of an extension or ablation study, as named numbers in a
+    fixed order.  Throughput ([*_kbps]) is metered over
+    [[warmup, duration]], except {!Spec.Slot_length}, which meters
+    before, during and after its burst in Figure 8e's windows. *)
+
 (** {1 Spec dispatch} *)
 
 type result =
@@ -177,6 +185,7 @@ type result =
   | Partial of partial_result
   | Adversary of adversary_result
   | Workload of workload_result
+  | Study of (string * float) list
 
 val run : Spec.t -> result
 (** Runs the experiment a spec describes.  Deterministic: the result is

@@ -125,6 +125,9 @@ let workload fmt (r : Experiments.workload_result) =
       ("lockouts", float_of_int r.Experiments.w_lockouts);
     ]
 
+let study fmt values =
+  List.iter (fun (name, v) -> Format.fprintf fmt "%-28s %g@." name v) values
+
 let result fmt = function
   | Experiments.Attack r -> attack fmt r
   | Experiments.Sweep_point p -> sweep fmt [ p ]
@@ -135,6 +138,7 @@ let result fmt = function
   | Experiments.Partial r -> partial fmt r
   | Experiments.Adversary r -> adversary fmt r
   | Experiments.Workload r -> workload fmt r
+  | Experiments.Study values -> study fmt values
 
 (* --- machine-readable twins -------------------------------------------- *)
 
@@ -244,15 +248,8 @@ let result_json = function
   | Experiments.Partial r -> partial_json r
   | Experiments.Adversary r -> adversary_json r
   | Experiments.Workload r -> workload_json r
-
-let attack_to_json r = Json.to_string (attack_json r)
-let sweep_point_to_json p = Json.to_string (sweep_point_json p)
-let responsiveness_to_json r = Json.to_string (responsiveness_json r)
-let rtt_to_json rows = Json.to_string (rtt_json rows)
-let convergence_to_json receivers = Json.to_string (convergence_json receivers)
-let overhead_to_json p = Json.to_string (overhead_json p)
-let partial_to_json r = Json.to_string (partial_json r)
-let result_to_json r = Json.to_string (result_json r)
+  | Experiments.Study values ->
+      Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) values)
 
 (* --- scalar summaries --------------------------------------------------- *)
 
@@ -341,3 +338,4 @@ let summary = function
         ("keys_rejected", float_of_int r.Experiments.w_keys_rejected);
         ("lockouts", float_of_int r.Experiments.w_lockouts);
       ]
+  | Experiments.Study values -> values

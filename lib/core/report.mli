@@ -1,9 +1,9 @@
 (** Uniform presentation of experiment results.
 
-    Every printer has two renderings: the human-readable
-    gnuplot-style blocks the figures plot, and a machine-readable JSON
-    twin ([*_to_json]) used by the {!Sink} writers — so this module,
-    not the CLI, is the one place result fields are enumerated. *)
+    Every result has two renderings: the human-readable gnuplot-style
+    blocks the figures plot, and a machine-readable JSON twin
+    ({!result_json}) used by the {!Sink} writers — so this module, not
+    the CLI, is the one place result fields are enumerated. *)
 
 type series = (float * float) list
 
@@ -28,35 +28,16 @@ val partial : Format.formatter -> Experiments.partial_result -> unit
 val adversary : Format.formatter -> Experiments.adversary_result -> unit
 val workload : Format.formatter -> Experiments.workload_result -> unit
 
+val study : Format.formatter -> (string * float) list -> unit
+(** One "name value" line per number. *)
+
 val result : Format.formatter -> Experiments.result -> unit
 (** Dispatches to the matching printer above. *)
 
-(** {1 Machine-readable twins}
-
-    Each returns a compact JSON object enumerating every field of the
-    result, series included. *)
-
-val attack_to_json : Experiments.attack_result -> string
-val sweep_point_to_json : Experiments.sweep_point -> string
-val responsiveness_to_json : Experiments.responsiveness_result -> string
-val rtt_to_json : (float * float) list -> string
-val convergence_to_json : Experiments.series list -> string
-val overhead_to_json : Experiments.overhead_point -> string
-val partial_to_json : Experiments.partial_result -> string
-
-val adversary_json : Experiments.adversary_result -> Json.t
-(** Per-cell damage metrics of a matrix cell ([containment_s] is null
-    when the adversary was never contained). *)
-
-val workload_json : Experiments.workload_result -> Json.t
-(** Aggregate outcome of a declarative workload run. *)
-
-val result_to_json : Experiments.result -> string
-(** Dispatches to the matching [*_to_json] above. *)
-
 val result_json : Experiments.result -> Json.t
-(** The same object as a {!Json.t}, for embedding in larger documents
-    (the JSONL sink nests it next to the spec). *)
+(** A compact JSON object enumerating every field of the result, series
+    included, for embedding in larger documents (the JSONL sink nests it
+    next to the spec). *)
 
 val summary : Experiments.result -> (string * float) list
 (** The result's scalar metrics as (metric, value) rows — what the CSV

@@ -38,6 +38,71 @@ let sweep_entries ~group ~doc ~cross_traffic ~mode =
       })
     sweep_counts
 
+(* The studies beyond the figures, one entry per point: (group, seed,
+   duration, warmup, doc, [(name suffix, study)]).  A lone point takes
+   the group's name. *)
+let study_entries =
+  List.concat_map
+    (fun (group, seed, duration, warmup, doc, points) ->
+      List.map
+        (fun (suffix, study) ->
+          {
+            name = (if suffix = "" then group else group ^ "-" ^ suffix);
+            group;
+            doc = (if suffix = "" then doc else doc ^ ", " ^ suffix);
+            spec = Spec.Study { Spec.seed; duration; warmup; study };
+          })
+        points)
+    [
+      ( "protocols", 101, 200., 50.,
+        "FLID-DS, replicated, RLM ladder, WEBRC equation and TCP sharing \
+         one bottleneck",
+        [ ("", Spec.Protocol_mix) ] );
+      ( "collusion", 97, 60., 0.,
+        "Section 4.2: key-passing collusion vs interface-specific keys",
+        [
+          ("plain", Spec.Key_passing { interface_keys = false });
+          ("iface", Spec.Key_passing { interface_keys = true });
+        ] );
+      ( "ecn", 63, 120., 30.,
+        "Section 3.1.2: ECN marks instead of drops as the congestion signal",
+        [
+          ("droptail", Spec.Ecn_signal { ecn = false });
+          ("marking", Spec.Ecn_signal { ecn = true });
+        ] );
+      ( "oversub", 77, 120., 30.,
+        "Oversubscribed CC (EWMA of the ECN mark fraction), 3 receivers",
+        [ ("", Spec.Oversub_receivers) ] );
+      ( "ablation-fec", 51, 120., 20.,
+        "Ablation: FEC scheme for key distribution to edge routers",
+        List.map
+          (fun (suffix, scheme) -> (suffix, Spec.Fec_scheme { scheme }))
+          [
+            ("rep1", Mcc_sigma.Fec.Repetition 1);
+            ("rep2", Mcc_sigma.Fec.Repetition 2);
+            ("rep3", Mcc_sigma.Fec.Repetition 3);
+            ("xor", Mcc_sigma.Fec.Xor_parity);
+          ] );
+      ( "ablation-grace", 53, 120., 30.,
+        "Ablation: SIGMA grace slots after a keyed upgrade (paper: 2)",
+        List.map
+          (fun g -> (Printf.sprintf "%.1f" g, Spec.Upgrade_grace { grace_slots = g }))
+          [ 0.; 0.5; 1.; 2.; 3. ] );
+      ( "ablation-slot", 57, 100., 0.,
+        "Ablation: FLID-DS slot duration against an 800 Kbps burst",
+        List.map
+          (fun slot ->
+            ( Printf.sprintf "%.3f" slot,
+              Spec.Slot_length { slot; burst_start = 45.; burst_stop = 75. } ))
+          [ 0.125; 0.25; 0.5; 1.0 ] );
+      ( "ablation-threshold", 59, 30., 0.,
+        "Ablation: in-band key bits, XOR (FLID-DS) vs Shamir (RLM-like)",
+        [
+          ("xor", Spec.Key_material { shamir = false });
+          ("shamir", Spec.Key_material { shamir = true });
+        ] );
+    ]
+
 let registry =
   [
     {
@@ -138,6 +203,7 @@ let registry =
         spec = Spec.Partial Spec.default_partial;
       };
     ]
+  @ study_entries
 
 let () =
   (* A duplicate name would make --only ambiguous; fail at first use. *)

@@ -111,6 +111,23 @@ type workload_params = {
   attack_at : float;
 }
 
+type study =
+  | Protocol_mix
+  | Key_passing of { interface_keys : bool }
+  | Ecn_signal of { ecn : bool }
+  | Oversub_receivers
+  | Fec_scheme of { scheme : Mcc_sigma.Fec.scheme }
+  | Upgrade_grace of { grace_slots : float }
+  | Slot_length of { slot : float; burst_start : float; burst_stop : float }
+  | Key_material of { shamir : bool }
+
+type study_params = {
+  seed : int;
+  duration : float;
+  warmup : float;
+  study : study;
+}
+
 type t =
   | Attack of attack_params
   | Sweep of sweep_params
@@ -121,6 +138,7 @@ type t =
   | Partial of partial_params
   | Adversary of adversary_params
   | Workload of workload_params
+  | Study of study_params
 
 (* The defaults are the paper's Section 5.1 settings; seeds match the
    fixed seeds the pre-spec API used, so regenerated figures are
@@ -206,6 +224,16 @@ let churn_str = function
 
 let traffic_str = function Web_mix _ -> "web" | Tcp_flows _ -> "tcp"
 
+let study_str = function
+  | Protocol_mix -> "protocols"
+  | Key_passing _ -> "collusion"
+  | Ecn_signal _ -> "ecn"
+  | Oversub_receivers -> "oversub"
+  | Fec_scheme _ -> "fec"
+  | Upgrade_grace _ -> "grace"
+  | Slot_length _ -> "slot"
+  | Key_material _ -> "threshold"
+
 let kind = function
   | Attack _ -> "attack"
   | Sweep _ -> "sweep"
@@ -216,6 +244,7 @@ let kind = function
   | Partial _ -> "partial"
   | Adversary _ -> "adversary"
   | Workload _ -> "workload"
+  | Study _ -> "study"
 
 let seed = function
   | Attack p -> p.seed
@@ -227,6 +256,7 @@ let seed = function
   | Partial p -> p.seed
   | Adversary p -> p.seed
   | Workload p -> p.seed
+  | Study p -> p.seed
 
 let duration = function
   | Attack p -> p.duration
@@ -238,6 +268,7 @@ let duration = function
   | Partial p -> p.duration
   | Adversary p -> p.duration
   | Workload p -> p.duration
+  | Study p -> p.duration
 
 let scale_time t ~factor =
   match t with
@@ -286,8 +317,48 @@ let scale_time t ~factor =
       Workload
         { p with duration = p.duration *. factor;
           attack_at = p.attack_at *. factor; churn }
+  | Study p ->
+      let study =
+        match p.study with
+        | Slot_length s ->
+            Slot_length
+              { s with burst_start = s.burst_start *. factor;
+                burst_stop = s.burst_stop *. factor }
+        | study -> study
+      in
+      Study
+        { p with duration = p.duration *. factor;
+          warmup = p.warmup *. factor; study }
 
 let mode_str = function Flid.Plain -> "plain" | Flid.Robust -> "robust"
+
+let fec_str = function
+  | Mcc_sigma.Fec.Repetition n -> Printf.sprintf "repetition-%d" n
+  | Mcc_sigma.Fec.Xor_parity -> "xor-parity"
+
+let study_fields (p : study_params) =
+  [
+    ("seed", Json.Int p.seed);
+    ("duration", Json.Float p.duration);
+    ("warmup", Json.Float p.warmup);
+    ("study", Json.String (study_str p.study));
+  ]
+  @
+  match p.study with
+  | Protocol_mix | Oversub_receivers -> []
+  | Key_passing { interface_keys } ->
+      [ ("interface_keys", Json.Bool interface_keys) ]
+  | Ecn_signal { ecn } -> [ ("ecn", Json.Bool ecn) ]
+  | Fec_scheme { scheme } -> [ ("fec", Json.String (fec_str scheme)) ]
+  | Upgrade_grace { grace_slots } -> [ ("grace_slots", Json.Float grace_slots) ]
+  | Slot_length { slot; burst_start; burst_stop } ->
+      [
+        ("slot", Json.Float slot);
+        ("burst_start", Json.Float burst_start);
+        ("burst_stop", Json.Float burst_stop);
+      ]
+  | Key_material { shamir } ->
+      [ ("keys", Json.String (if shamir then "shamir" else "xor")) ]
 
 let to_json t =
   let base = [ ("kind", Json.String (kind t)) ] in
@@ -450,6 +521,7 @@ let to_json t =
                 ("attack", Json.String (attack_str a));
                 ("attack_at", Json.Float p.attack_at);
               ])
+    | Study p -> study_fields p
   in
   Json.Obj (base @ fields)
 
@@ -498,3 +570,10 @@ let pp fmt t =
         | None -> ""
         | Some a ->
             Printf.sprintf " attack=%s@%gs" (attack_str a) p.attack_at)
+  | Study p ->
+      Format.pp_print_string fmt "study";
+      List.iter
+        (fun (k, v) ->
+          Format.fprintf fmt " %s=%s" k
+            (match v with Json.String s -> s | v -> Json.to_string v))
+        (study_fields p)

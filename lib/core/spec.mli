@@ -186,6 +186,42 @@ type workload_params = {
     traffic, and optionally an attacker.  Parsed from workload files by
     [Mcc_workload.Schema]; executed by the [Mcc_workload] build hook. *)
 
+type study =
+  | Protocol_mix
+      (** one session each of FLID-DS, replicated, the RLM ladder and
+          the WEBRC-style equation receiver, plus one TCP flow, on a
+          1.25 Mbps bottleneck (250 kbps per flow) *)
+  | Key_passing of { interface_keys : bool }
+      (** a colluder behind a 150 kbps access link replays the keys of
+          its clean-path accomplice (paper Section 4.2) *)
+  | Ecn_signal of { ecn : bool }
+      (** one FLID-DS receiver at the fair share, drop-tail or ECN
+          marking (paper Section 3.1.2) *)
+  | Oversub_receivers
+      (** three honest oversubscribed-CC receivers on a 1 Mbps ECN
+          dumbbell *)
+  | Fec_scheme of { scheme : Mcc_sigma.Fec.scheme }
+      (** SIGMA key distribution under a full-rate on-off interferer,
+          with a packet-count bottleneck buffer *)
+  | Upgrade_grace of { grace_slots : float }
+      (** SIGMA's unconditional forwarding after a keyed upgrade *)
+  | Slot_length of { slot : float; burst_start : float; burst_stop : float }
+      (** FLID-DS slot duration against an 800 Kbps burst, measured in
+          Figure 8e's windows *)
+  | Key_material of { shamir : bool }
+      (** in-band key bits of the XOR scheme (FLID-DS) or of Shamir
+          threshold keys (RLM-like) *)
+(** The studies beyond the paper's figures: its extensions and the
+    design ablations. *)
+
+type study_params = {
+  seed : int;
+  duration : float;
+  warmup : float;  (** throughput is metered over [warmup, duration] *)
+  study : study;
+}
+(** One point of a study; the result is a list of named numbers. *)
+
 type t =
   | Attack of attack_params
   | Sweep of sweep_params
@@ -196,6 +232,7 @@ type t =
   | Partial of partial_params
   | Adversary of adversary_params
   | Workload of workload_params
+  | Study of study_params
 
 val default_attack : attack_params
 (** seed 7, 200 s, attack at 100 s, FLID-DS. *)
@@ -258,9 +295,13 @@ val traffic_str : traffic_spec -> string
 val defence_str : defence -> string
 (** "plain", "delta", "delta+sigma" or "delta+sigma+ecn". *)
 
+val study_str : study -> string
+(** "protocols", "collusion", "ecn", "oversub", "fec", "grace", "slot"
+    or "threshold". *)
+
 val kind : t -> string
 (** "attack", "sweep", "responsiveness", "rtt", "convergence",
-    "overhead", "partial", "adversary" or "workload". *)
+    "overhead", "partial", "adversary", "workload" or "study". *)
 
 val seed : t -> int
 
@@ -268,7 +309,8 @@ val duration : t -> float
 
 val scale_time : t -> factor:float -> t
 (** Multiplies every temporal parameter (duration and the instants
-    within it: attack onset, burst window, join times) by [factor],
+    within it: attack onset, burst window, join times, metering
+    warm-up) by [factor],
     preserving the scenario's shape.  Protocol timing (slot durations)
     is not touched.  Used for abbreviated "--quick" batches. *)
 

@@ -212,7 +212,24 @@ let test_registry_roundtrip () =
             (Printf.sprintf "%s %s finite" group metric)
             true (Float.is_finite v))
         summary)
-    (Runner.groups ())
+    (Runner.groups ());
+  (* Every window a study meters scales with its horizon, so at the
+     --quick factor each throughput it reports is positive. *)
+  List.iter
+    (fun (e : Runner.entry) ->
+      match e.Runner.spec with
+      | Spec.Study _ ->
+          List.iter
+            (fun (metric, v) ->
+              if String.ends_with ~suffix:"_kbps" metric then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s %s positive at factor 0.25" e.Runner.name
+                     metric)
+                  true (v > 0.))
+            (Report.summary
+               (Runner.run_spec (Spec.scale_time e.Runner.spec ~factor:0.25)))
+      | _ -> ())
+    (Runner.all ())
 
 let test_registry_names_unique () =
   let names = List.map (fun (e : Runner.entry) -> e.Runner.name) (Runner.all ()) in
