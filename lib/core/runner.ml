@@ -351,7 +351,7 @@ let preregister () =
    constant.  It travels in the profile (with [sched] and the wall
    clock), and dropping the gauges from the snapshot keeps sink records
    byte-identical across --sched. *)
-let finish_profile ?sched metrics wall_s =
+let finish_profile ?sched ?minor_words metrics wall_s =
   let events =
     match List.assoc_opt "engine.events" metrics with
     | Some (Metrics.Counter n) -> n
@@ -376,8 +376,8 @@ let finish_profile ?sched metrics wall_s =
   in
   let sched_stats = Profile.take_sched_stats () in
   ( metrics,
-    Profile.make ~sched:sched_name ?sched_stats ~events ~queue_capacity
-      ~wall_s () )
+    Profile.make ~sched:sched_name ?sched_stats ?minor_words ~events
+      ~queue_capacity ~wall_s () )
 
 (* The registry is reset on both sides of the run: entering clean keeps
    the snapshot to this one spec, and leaving clean keeps a later run in
@@ -392,8 +392,8 @@ let run_spec_profiled ?sched ?sample_dt spec =
   (match sample_dt with
   | Some dt -> Timeseries.enable ~dt ()
   | None -> ());
-  let result, wall_s =
-    Profile.with_wall_clock (fun () ->
+  let result, wall_s, minor_words =
+    Profile.measure (fun () ->
         with_sched sched (fun () -> Experiments.run spec))
   in
   let metrics = Metrics.snapshot () in
@@ -402,7 +402,7 @@ let run_spec_profiled ?sched ?sample_dt spec =
   in
   Timeseries.disable ();
   Metrics.reset ();
-  let metrics, profile = finish_profile ?sched metrics wall_s in
+  let metrics, profile = finish_profile ?sched ~minor_words metrics wall_s in
   (result, metrics, series, profile)
 
 let run_specs_profiled ?(jobs = 1) ?sched ?sample_dt specs =
@@ -478,15 +478,14 @@ let run_batch ?(jobs = 1) ?sched ?sample_dt ?(sinks = []) ?on_progress
           (fun () ->
             parallel_map ~jobs
               (fun spec ->
-                (* lint: allow gc-stats — live Progress meter only, never a sink *)
-                let minor0 = Gc.minor_words () in
                 let (_, _, _, profile) as out =
                   run_spec_profiled ?sched ?sample_dt spec
                 in
                 Mcc_obs.Progress.cell_done monitor
                   ~events:profile.Profile.events
-                  (* lint: allow gc-stats — same meter-only use *)
-                  ~minor_words:(Gc.minor_words () -. minor0);
+                  ~minor_words:
+                    (float_of_int
+                       (Option.value profile.Profile.minor_words ~default:0));
                 out)
               specs)
   in

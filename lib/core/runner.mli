@@ -69,7 +69,7 @@ val run_spec_profiled :
     by name) are the third component; without it the series list is
     empty and sampling costs nothing.  Snapshots and series are fully
     deterministic; only the profile's wall-clock fields vary between
-    executions. *)
+    executions, and its minor-word count on a domain's first run. *)
 
 val run_specs_profiled :
   ?jobs:int ->

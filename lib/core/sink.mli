@@ -17,8 +17,8 @@ type record = {
       (** sampled time series, sorted by name ([] when the run was not
           sampled) *)
   profile : Mcc_obs.Profile.t option;
-      (** event-loop profile; its wall-clock fields are the only
-          nondeterministic content of a record *)
+      (** event-loop profile; its wall-clock fields and minor-word
+          count are the only nondeterministic content of a record *)
 }
 
 type t

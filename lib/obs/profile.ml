@@ -21,6 +21,7 @@ type t = {
   sched_stats : sched_stats option;
   wall_s : float;
   events_per_sec : float;
+  minor_words : int option;
 }
 
 (* Profiling measures elapsed wall time; everything else runs on the
@@ -33,7 +34,13 @@ let with_wall_clock f =
   let r = f () in
   (r, now () -. t0)
 
-let make ?(sched = "heap") ?sched_stats ~events ~queue_capacity ~wall_s () =
+let measure f =
+  let w0 = Gc.minor_words () in
+  let r, wall_s = with_wall_clock f in
+  (r, wall_s, int_of_float (Gc.minor_words () -. w0))
+
+let make ?(sched = "heap") ?sched_stats ?minor_words ~events ~queue_capacity
+    ~wall_s () =
   {
     sched;
     events;
@@ -41,6 +48,7 @@ let make ?(sched = "heap") ?sched_stats ~events ~queue_capacity ~wall_s () =
     sched_stats;
     wall_s;
     events_per_sec = (if wall_s > 0. then float_of_int events /. wall_s else 0.);
+    minor_words;
   }
 
 let sched_stats_to_json s =
@@ -58,9 +66,10 @@ let sched_stats_to_json s =
       ("pool_misses", Json.Int s.pool_misses);
     ]
 
-(* Wall-clock fields deliberately last — even when sched_stats render:
-   consumers comparing serial and parallel renderings byte-for-byte can
-   truncate at "wall_s". *)
+(* Wall-clock fields deliberately last — even when sched_stats render —
+   followed by the minor-word count, which differs for the first run on
+   a fresh domain: consumers comparing serial and parallel renderings
+   byte-for-byte can truncate at "wall_s". *)
 let to_json t =
   let deterministic =
     [
@@ -77,7 +86,11 @@ let to_json t =
     @ [
         ("wall_s", Json.Float t.wall_s);
         ("events_per_sec", Json.Float t.events_per_sec);
-      ])
+      ]
+    @
+    match t.minor_words with
+    | None -> []
+    | Some w -> [ ("minor_words", Json.Int w) ])
 
 let pp fmt t =
   Format.fprintf fmt

@@ -1,11 +1,14 @@
-(** Run profile: how fast the event loop went.
+(** Run profile: how fast the event loop went, and how much it
+    allocated.
 
     [events] and [queue_capacity] come from the simulation (via the
     "engine.events" counter and "engine.queue_capacity" gauge the engine
     maintains) and are deterministic; [wall_s] and [events_per_sec] are
-    wall-clock measurements and vary run to run.  {!to_json} renders the
-    wall-clock fields last — even when {!sched_stats} render — so
-    deterministic prefixes can be compared byte-for-byte. *)
+    wall-clock measurements and vary run to run.  [minor_words] repeats
+    exactly for a spec on the same toolchain, except that the first run
+    on a fresh domain reads a few hundred words more.  {!to_json} renders
+    [wall_s] and everything after it last — even when {!sched_stats}
+    render — so deterministic prefixes can be compared byte-for-byte. *)
 
 (** Scheduler-backend introspection, published by the engine at run
     end.  All counts are of simulated work and therefore
@@ -35,11 +38,15 @@ type t = {
   sched_stats : sched_stats option;  (** backend probe, when the engine published one *)
   wall_s : float;
   events_per_sec : float;
+  minor_words : int option;
+      (** words the run allocated on its domain's minor heap, when
+          measured ({!measure}) *)
 }
 
 val make :
   ?sched:string ->
   ?sched_stats:sched_stats ->
+  ?minor_words:int ->
   events:int ->
   queue_capacity:int ->
   wall_s:float ->
@@ -60,6 +67,12 @@ val with_wall_clock : (unit -> 'a) -> 'a * float
     [Unix.gettimeofday]/[Sys.time] everywhere else): simulation code
     measures time on the simulated clock only, and profiling callers go
     through here rather than touching [Unix] directly. *)
+
+val measure : (unit -> 'a) -> 'a * float * int
+(** [measure f] is {!with_wall_clock} that also returns the words [f]
+    allocated on this domain's minor heap.  The lint [gc-stats] rule
+    keeps GC reads in this library; the runner's profiles and its
+    progress meter take the count from here. *)
 
 val sched_stats_to_json : sched_stats -> Json.t
 val to_json : t -> Json.t

@@ -213,6 +213,14 @@ let test_profile_json_field_order () =
   Alcotest.(check string) "wall-clock fields last"
     {|{"sched":"wheel","events":100,"queue_capacity":16,"wall_s":0.5,"events_per_sec":200}|}
     s;
+  Alcotest.(check string) "minor words after the wall clock"
+    {|{"sched":"heap","events":1,"queue_capacity":2,"wall_s":0,"events_per_sec":0,"minor_words":42}|}
+    (Json.to_string
+       (Profile.to_json
+          (Profile.make ~minor_words:42 ~events:1 ~queue_capacity:2 ~wall_s:0.
+             ())));
+  let (), _, words = Profile.measure (fun () -> ignore (Sys.opaque_identity (ref 0))) in
+  Alcotest.(check bool) "measure counts minor words" true (words > 0);
   let z = Profile.make ~events:5 ~queue_capacity:4 ~wall_s:0. () in
   Alcotest.(check string) "default backend" "heap" z.Profile.sched;
   Alcotest.(check (float 0.)) "zero wall, zero rate" 0. z.Profile.events_per_sec
