@@ -1102,7 +1102,7 @@ let history_cmd =
       & info [ "kind" ] ~docv:"KIND"
           ~doc:
             "Keep only entries of this kind: $(b,run), $(b,matrix), \
-             $(b,profile) or $(b,bench).")
+             $(b,profile), $(b,workload) or $(b,lint).")
   in
   let label =
     Arg.(
@@ -1153,7 +1153,7 @@ let diff_cmd =
           Printf.eprintf "mcc diff: %s: invalid JSON: %s\n" sel msg;
           exit 2
       | Ok json -> (
-          match Crossrun.entry_of_document json with
+          match Ledger.entry_of_json json with
           | Ok e -> e
           | Error msg ->
               Printf.eprintf "mcc diff: %s: %s\n" sel msg;
@@ -1205,8 +1205,7 @@ let diff_cmd =
           ~doc:
             (Printf.sprintf
                "The %s entry: a ledger sequence number, $(b,last)/$(b,prev), \
-                or a JSON file (a ledger entry or a flat figure object such \
-                as the bench baseline)."
+                or a JSON file holding one ledger entry."
                older))
   in
   let threshold =

@@ -17,14 +17,14 @@ dune runtest
 # randomness, shared top-level mutable state, polymorphic float
 # compares, missing .mli, GC reads outside lib/obs, and the typed-tree
 # rules (domain-escape, hot-alloc, registry-exhaustive) — anywhere in
-# lib/bin/bench/examples.
+# lib/bin/examples.
 dune build @lint
 
 # The typed stage must have genuinely run, not silently degraded to the
 # syntactic subset: the JSON report has to show .cmts loaded.  (This is
 # what catches a build-layout drift that moves the .cmt files.)
 dune build @check
-dune exec bin/mcc.exe -- lint --json=- lib bin bench examples > /tmp/lint.json
+dune exec bin/mcc.exe -- lint --json=- lib bin examples > /tmp/lint.json
 grep -q '"cmts_loaded":[1-9]' /tmp/lint.json
 grep -q '"findings":\[\]' /tmp/lint.json
 # ... and the lint run itself must have landed in the ledger.
@@ -57,6 +57,13 @@ trap - EXIT
 dune build @check
 dune exec bin/mcc.exe -- run --all --quick --jobs 2 --json /tmp/out.jsonl --quiet
 test -s /tmp/out.jsonl
+
+# Work budgets: every registry entry's events, scheduler pushes, queue
+# high-water and minor words must stay within 1% of budgets.json.  They
+# count simulated work, so the gate cannot flake with host speed; every
+# entry needs a budget row and every row an entry.  Re-pin with
+# `python3 budgets.py pin /tmp/out.jsonl` when a change lowers a count.
+python3 budgets.py check /tmp/out.jsonl
 
 # ... and the same registry batch on the wheel backend must give the
 # same rows once each row's profile object (wall clock, backend name,
@@ -107,23 +114,6 @@ assert row["profile"]["events"] == row["metrics"]["engine.events"]
 print("telemetry smoke ok")
 EOF
 fi
-
-# Queue-load gate: slot trains and in-place RTO timers keep the event
-# queue to what is due next.  The high-water mark counts simulated work,
-# so it is deterministic and cannot flake with host speed.  fig8d-ds-n18
-# reads 487; pre-posting every packet of a slot, or leaving a cancelled
-# RTO entry per ack, takes it past 1,000.
-dune exec bin/mcc.exe -- run --only fig8d-ds-n18 --quick \
-  --json /tmp/queue-load.jsonl --quiet
-python3 - <<'EOF'
-import json
-
-with open("/tmp/queue-load.jsonl") as f:
-    row = json.loads(f.readline())
-size = row["profile"]["sched_stats"]["max_size"]
-assert size <= 1000, f"fig8d-ds-n18 queue high-water {size} > 1000"
-print("queue load ok:", size)
-EOF
 
 # Time-series + forensics smoke: a sampled run, a warn-level trace, and
 # an offline report over both (no rerun).
@@ -250,24 +240,10 @@ print("perfbench", r["attempted"], "runs ok")
 '
 done
 
-# Bench regression gate: a baseline saved by the same run must compare
-# clean against itself, and the scheduler-churn figures must also hold
-# up against the committed repo baseline.  The committed gate uses a
-# loose threshold — events/s moves a lot between host machines, so it
-# only catches catastrophic slowdowns; tight tracking is for a baseline
-# saved on the same machine.
-dune exec bench/main.exe -- --quick fig9b oversub profile-overhead \
-  churn-heap churn-wheel --save-baseline /tmp/bench-baseline.json
-dune exec bench/main.exe -- --quick fig9b oversub profile-overhead \
-  churn-heap churn-wheel --baseline /tmp/bench-baseline.json --threshold 0.5
-dune exec bench/main.exe -- --quick oversub profile-overhead churn-heap \
-  churn-wheel --baseline --threshold 0.9
-
 # Run-ledger smoke: two identical runs into a fresh ledger list as two
 # entries sharing one config digest, and diffing them reports zero
 # deterministic-field drift.  The loose threshold keeps host noise on
-# the wall-derived events/s figures from tripping the regression flag,
-# exactly as the committed bench gate above does.
+# the wall-derived events/s figures from tripping the regression flag.
 LEDGER_SCRATCH="$(mktemp -d)/ledger"
 MCC_LEDGER="$LEDGER_SCRATCH" dune exec bin/mcc.exe -- run --only fig1 \
   --quick --quiet
@@ -283,16 +259,25 @@ MCC_LEDGER="$LEDGER_SCRATCH" dune exec bin/mcc.exe -- diff 1 2 \
 grep -q "digests match" /tmp/diff.txt
 grep -q "payload: 0 deterministic fields drifted" /tmp/diff.txt
 
-# ... and an injected bench-figure regression must flip diff to exit 1
-# and name the dropped figure.
-printf '{"fig1": 1000.0}\n' > /tmp/base-a.json
-printf '{"fig1": 400.0}\n' > /tmp/base-b.json
-if dune exec bin/mcc.exe -- diff /tmp/base-a.json /tmp/base-b.json \
+# ... and an injected regression must flip diff to exit 1 and name the
+# dropped figure: the first entry against a copy whose fig1 events/s is
+# cut to 40%.
+head -n 1 "$LEDGER_SCRATCH/ledger.jsonl" > /tmp/entry-a.json
+python3 - <<'EOF'
+import json
+
+with open("/tmp/entry-a.json") as f:
+    entry = json.load(f)
+entry["wall"]["figures"]["fig1"] *= 0.4
+with open("/tmp/entry-b.json", "w") as f:
+    json.dump(entry, f)
+EOF
+if dune exec bin/mcc.exe -- diff /tmp/entry-a.json /tmp/entry-b.json \
   > /tmp/diff-reg.txt; then
   echo "diff failed to flag an injected regression" >&2
   exit 1
 fi
-grep -q "REGRESSION" /tmp/diff-reg.txt
+grep -q "fig1 .*REGRESSION" /tmp/diff-reg.txt
 
 # OpenMetrics exposition smoke: well-formed families (TYPE + HELP, the
 # counter _total suffix, per-run labels) and the single EOF marker.

@@ -91,33 +91,7 @@ let prof_wall = function
                entries) );
       ]
 
-(* --- documents and lookup ---------------------------------------------- *)
-
-let entry_of_document json =
-  match Ledger.entry_of_json json with
-  | Ok e -> Ok e
-  | Error _ -> (
-      match json with
-      | Json.Obj fields
-        when fields <> []
-             && List.for_all
-                  (fun (_, v) -> Option.is_some (Json.to_float_opt v))
-                  fields ->
-          (* A flat {figure: number} document — the bench baseline
-             format.  The digest covers the figure names only, so two
-             baselines of the same suite compare as same-config. *)
-          Ok
-            {
-              Ledger.seq = 0;
-              kind = "bench";
-              label = "file";
-              digest =
-                Ledger.digest_of_json
-                  (Json.List (List.map (fun (k, _) -> Json.String k) fields));
-              payload = Json.Null;
-              wall = [ ("figures", json) ];
-            }
-      | _ -> Error "not a ledger entry or a flat object of numeric figures")
+(* --- lookup -------------------------------------------------------------- *)
 
 let figures (e : Ledger.entry) =
   match List.assoc_opt "figures" e.Ledger.wall with

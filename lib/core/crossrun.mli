@@ -38,13 +38,6 @@ val prof_wall : Mcc_obs.Prof.entry list -> (string * Json.t) list
     self_s}}] over the self-profiler snapshot ([[]] when the snapshot is
     empty), for {!diff}'s self-time drift section. *)
 
-val entry_of_document : Json.t -> (Mcc_obs.Ledger.entry, string) result
-(** Adapts a standalone JSON document to a ledger entry so [mcc diff]
-    can take files as well as ledger selectors: a document that parses
-    as a full entry is returned as such; a flat object of numbers (the
-    bench baseline format) becomes a synthetic [seq = 0] bench entry
-    whose numbers are the [wall] ["figures"]. *)
-
 val find_value : Mcc_obs.Ledger.entry -> key:string -> float option
 (** The named numeric series value of an entry, searching in order: the
     wall ["figures"] object, the wall fields themselves ([wall_s],

@@ -278,7 +278,7 @@ let test_diff () =
   Alcotest.(check bool) "digest drift named in rendering" true
     (contains ~needle:"DRIFT" drifted.Crossrun.rendering)
 
-let test_entry_of_document () =
+let test_standalone_document () =
   let full =
     Ledger.entry_to_json
       {
@@ -290,23 +290,12 @@ let test_entry_of_document () =
         wall = wall_suffix 100.;
       }
   in
-  (match Crossrun.entry_of_document full with
+  (match Ledger.entry_of_json full with
   | Ok e ->
       Alcotest.(check int) "full entry kept as-is" 7 e.Ledger.seq;
       Alcotest.(check string) "kind kept" "run" e.Ledger.kind
   | Error m -> Alcotest.failf "full entry rejected: %s" m);
-  (* The bench baseline format: a flat object of figure -> rate. *)
-  let flat =
-    Json.Obj [ ("fig1", Json.Float 1200.); ("fig2", Json.Float 3400.) ]
-  in
-  (match Crossrun.entry_of_document flat with
-  | Ok e ->
-      Alcotest.(check int) "synthetic entry" 0 e.Ledger.seq;
-      Alcotest.(check string) "bench kind" "bench" e.Ledger.kind;
-      Alcotest.(check (option (float 1e-9))) "figures adopted" (Some 1200.)
-        (Crossrun.find_value e ~key:"fig1")
-  | Error m -> Alcotest.failf "flat baseline rejected: %s" m);
-  match Crossrun.entry_of_document (Json.String "nope") with
+  match Ledger.entry_of_json (Json.String "nope") with
   | Ok _ -> Alcotest.fail "non-object document must be rejected"
   | Error _ -> ()
 
@@ -384,6 +373,6 @@ let suite =
         test_find_value_and_history;
       Alcotest.test_case "diff drift and regressions" `Quick test_diff;
       Alcotest.test_case "diff accepts standalone documents" `Quick
-        test_entry_of_document;
+        test_standalone_document;
       Alcotest.test_case "openmetrics exposition" `Quick test_openmetrics;
     ] )
