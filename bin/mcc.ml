@@ -278,12 +278,18 @@ let list_cmd =
               ])
         ^ "\n")
     else begin
-      Format.fprintf fmt "%-12s %-10s %-14s %s@." "NAME" "GROUP" "KIND" "DOC";
+      let width f =
+        List.fold_left (fun w e -> max w (String.length (f e))) 4 (Runner.all ())
+      in
+      let nw = width (fun e -> e.Runner.name)
+      and gw = width (fun e -> e.Runner.group) in
+      let line name group kind doc =
+        Format.fprintf fmt "%-*s %-*s %-14s %s@." nw name gw group kind doc
+      in
+      line "NAME" "GROUP" "KIND" "DOC";
       List.iter
         (fun (e : Runner.entry) ->
-          Format.fprintf fmt "%-12s %-10s %-14s %s@." e.Runner.name
-            e.Runner.group
-            (Spec.kind e.Runner.spec)
+          line e.Runner.name e.Runner.group (Spec.kind e.Runner.spec)
             e.Runner.doc)
         (Runner.all ());
       Format.fprintf fmt "@.%d experiments; groups: %s@."

@@ -13,8 +13,8 @@
     additionally split an increase key for level g+1 over groups 1..g.
     Because Shamir components cannot be reused across levels, every
     packet carries one share per level above it — the communication
-    overhead the paper points out, which [bench/main.exe ablation]
-    quantifies against the XOR scheme. *)
+    overhead the paper points out, which the [ablation-threshold]
+    registry entries quantify against the XOR scheme. *)
 
 (** How the receiver chooses its target level each slot. *)
 type policy =

@@ -74,7 +74,7 @@ let of_series points =
 
    A small recursive-descent parser, the inverse of [to_string]: enough
    JSON to read back what the sinks write (series/metrics JSONL lines,
-   bench baselines) without an external dependency.  Accepts standard
+   ledger entries) without an external dependency.  Accepts standard
    JSON; numbers with a '.', exponent, or out of int range become
    [Float], others [Int]. *)
 
@@ -264,8 +264,8 @@ let of_string s =
 
 (* --- accessors ----------------------------------------------------------
 
-   Total lookups for consumers walking parsed trees ([mcc report], the
-   bench baseline gate): each returns [None] rather than raising when
+   Total lookups for consumers walking parsed trees ([mcc report],
+   [mcc diff]): each returns [None] rather than raising when
    the shape is not the expected one. *)
 
 let member name = function Obj fields -> List.assoc_opt name fields | _ -> None

@@ -34,7 +34,7 @@ val of_string : string -> (t, string) result
     JSON, no extensions.  Numbers without ['.'] or an exponent that fit
     in [int] parse as [Int], all others as [Float].  [Error] carries a
     byte offset plus a description.  This is what lets [mcc report] and
-    the bench baseline gate read back what the sinks wrote without an
+    [mcc diff] read back what the sinks and the ledger wrote without an
     external JSON dependency. *)
 
 val member : string -> t -> t option

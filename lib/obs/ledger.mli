@@ -2,7 +2,8 @@
 
     One JSONL file ([ledger.jsonl] under {!default_dir}) accumulates an
     entry per recorded invocation — [mcc run], [mcc matrix], [mcc
-    profile], bench [--record] — so the repository's perf and metrics
+    profile], [mcc workload run], [mcc lint] — so the repository's perf
+    and metrics
     trajectory is visible {e across} runs, not just within one.  [mcc
     history] renders trends over it and [mcc diff] compares two entries.
 
@@ -13,12 +14,12 @@
     at the same position render byte-identical deterministic prefixes,
     and [mcc diff] of two same-config entries reports zero drift.  The
     [wall] object (wall seconds, events/s, self-profiler times,
-    recording timestamp, bench figures — anything host-timing-derived)
+    recording timestamp — anything host-timing-derived)
     renders strictly last on the line. *)
 
 type entry = {
   seq : int;  (** 1-based position in the ledger file *)
-  kind : string;  (** "run", "matrix", "profile" or "bench" *)
+  kind : string;  (** "run", "matrix", "profile", "workload" or "lint" *)
   label : string;  (** human selector, e.g. "fig1" or "all" *)
   digest : string;  (** content hash of the config (see {!digest_of_json}) *)
   payload : Json.t;  (** deterministic body; by convention an object with a
@@ -36,7 +37,7 @@ val file : dir:string -> string
 val digest_of_json : Json.t -> string
 (** 64-bit FNV-1a over the compact rendering, as 16 lowercase hex
     characters.  A content hash of pure data (specs, matrix selections,
-    bench configuration) — never of wall-clock material — so the same
+    workload files) — never of wall-clock material — so the same
     configuration always produces the same digest. *)
 
 val entry_to_json : entry -> Json.t
