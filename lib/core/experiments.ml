@@ -484,13 +484,13 @@ let key_passing ~seed ~duration ~interface_keys =
   let agent_config =
     { Router_agent.default_config with Router_agent.interface_keys }
   in
+  let access_rate_bps = 150_000. in
   let t =
     Scenario.create ~seed ~agent_config ~bottleneck_rate_bps:2_000_000. ()
   in
   let session =
     Scenario.add_multicast t ~mode:Flid.Robust
-      ~receivers:
-        [ Scenario.receiver (); Scenario.receiver ~access_rate_bps:150_000. () ]
+      ~receivers:[ Scenario.receiver (); Scenario.receiver ~access_rate_bps () ]
       ()
   in
   let accomplice = List.hd session.Scenario.receivers in
@@ -503,7 +503,7 @@ let key_passing ~seed ~duration ~interface_keys =
       (fun (n : Node.t) ->
         n.Node.kind = Node.Host
         && List.exists
-             (fun (l : Link.t) -> Float.equal l.Link.rate_bps 150_000.)
+             (fun (l : Link.t) -> Float.equal l.Link.rate_bps access_rate_bps)
              n.Node.links)
       (Mcc_net.Topology.nodes topo)
   in

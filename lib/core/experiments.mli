@@ -165,14 +165,6 @@ val set_workload_impl : (Spec.workload_params -> workload_result) -> unit
 (** Registers the workload builder; called by [Mcc_workload.Build] at
     module initialisation.  Not for general use. *)
 
-(** {1 Studies beyond the figures} *)
-
-val run_study : Spec.study_params -> (string * float) list
-(** One point of an extension or ablation study, as named numbers in a
-    fixed order.  Throughput ([*_kbps]) is metered over
-    [[warmup, duration]], except {!Spec.Slot_length}, which meters
-    before, during and after its burst in Figure 8e's windows. *)
-
 (** {1 Spec dispatch} *)
 
 type result =
@@ -186,6 +178,11 @@ type result =
   | Adversary of adversary_result
   | Workload of workload_result
   | Study of (string * float) list
+      (** one point of an extension or ablation study, as named numbers
+          in a fixed order; throughput ([*_kbps]) is metered over
+          [[warmup, duration]], except for {!Spec.Slot_length}, which
+          meters before, during and after its burst in Figure 8e's
+          windows *)
 
 val run : Spec.t -> result
 (** Runs the experiment a spec describes.  Deterministic: the result is

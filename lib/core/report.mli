@@ -28,9 +28,6 @@ val partial : Format.formatter -> Experiments.partial_result -> unit
 val adversary : Format.formatter -> Experiments.adversary_result -> unit
 val workload : Format.formatter -> Experiments.workload_result -> unit
 
-val study : Format.formatter -> (string * float) list -> unit
-(** One "name value" line per number. *)
-
 val result : Format.formatter -> Experiments.result -> unit
 (** Dispatches to the matching printer above. *)
 

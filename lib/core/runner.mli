@@ -1,8 +1,9 @@
 (** Experiment registry and multicore batch runner.
 
-    Every figure of the paper's evaluation is registered here as one or
-    more named {!Spec.t} values — sweeps (Figures 8a–8d, 9a, 9b) are
-    split into one spec per point, so a batch parallelises across its
+    Every figure of the paper's evaluation, and every extension and
+    ablation study, is registered here as one or more named {!Spec.t}
+    values — sweeps (Figures 8a–8d, 9a, 9b) and studies are split into
+    one spec per point, so a batch parallelises across its
     whole surface.  [run_batch] executes a batch across OCaml 5 domains:
     each run is fully isolated (its own [Sim.t], PRNG, meters — the
     simulator keeps no cross-run mutable globals), results land in a

@@ -1,8 +1,8 @@
 (** First-class experiment specifications.
 
     Every experiment of the paper's evaluation (Figures 1, 7, 8a–8h,
-    9a, 9b, plus the Section 3.2.3 incremental-deployment study) is
-    described by a parameter record; [t] is the sum of those records.
+    9a, 9b, plus the Section 3.2.3 incremental-deployment study) and
+    every study beyond its figures is described by a parameter record; [t] is the sum of those records.
     A spec is pure data: the same spec always produces the same result
     ({!Experiments.run} is a pure function of it), which is what lets
     {!Runner} farm batches of specs out to domains and still merge
@@ -294,10 +294,6 @@ val traffic_str : traffic_spec -> string
 
 val defence_str : defence -> string
 (** "plain", "delta", "delta+sigma" or "delta+sigma+ecn". *)
-
-val study_str : study -> string
-(** "protocols", "collusion", "ecn", "oversub", "fec", "grace", "slot"
-    or "threshold". *)
 
 val kind : t -> string
 (** "attack", "sweep", "responsiveness", "rtt", "convergence",
