@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Work budgets: the deterministic work each registry entry may spend.
 
-    python3 budgets.py check RUN.jsonl   # exit 1 on any count > budget + 1%
+    python3 budgets.py check RUN.jsonl   # exit 1 on any count over its bound
     python3 budgets.py pin RUN.jsonl     # rewrite budgets.json from RUN.jsonl
 
 RUN.jsonl is the whole registry at the quick horizon on the heap
@@ -11,11 +11,15 @@ backend, at any --jobs:
 
 Each entry's budget holds four counts from its run profile: events,
 sched_stats.pushes, sched_stats.max_size and minor_words.  They count
-simulated work, so they do not depend on the host or its load.  Minor
-words depend on the compiler, so budgets.json names the toolchain it was
-pinned on and a check under any other toolchain fails with a message to
-re-pin; it is never skipped.  A change that lowers a count re-pins in
-the same commit.
+simulated work, so they do not depend on the host or its load.  Events,
+pushes and max_size may run 1% over budget.  Minor words repeat exactly
+except that the first spec a domain runs reads up to 202 words more
+(0.05% of the smallest budget), so they may run only 0.1% over: at 1%,
+one extra `ref` per routed packet stayed inside the bound of every
+FLID-DS entry.  Minor words depend on the compiler, so budgets.json names the
+toolchain it was pinned on and a check under any other toolchain fails
+with a message to re-pin; it is never skipped.  A change that lowers a
+count re-pins in the same commit.
 """
 
 import json
@@ -24,8 +28,8 @@ import subprocess
 import sys
 
 BUDGETS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "budgets.json")
-BOUND = 0.01
-COUNTS = ("events", "pushes", "max_size", "minor_words")
+# The share of its budget a count may run over.
+BOUNDS = {"events": 0.01, "pushes": 0.01, "max_size": 0.01, "minor_words": 0.001}
 
 
 def toolchain():
@@ -85,22 +89,22 @@ def check(path):
                  for n in budgets if n not in rows]
     under = 0
     for name, row in rows.items():
-        for key in COUNTS if name in budgets else ():
+        for key, bound in BOUNDS.items() if name in budgets else ():
             value, budget = row[key], budgets[name][key]
-            if value > budget * (1 + BOUND):
+            if value > budget * (1 + bound):
                 failures.append(f"{name}: {key} {value} is "
-                                f"{100 * (value / budget - 1):.1f}% over its "
+                                f"{100 * (value / budget - 1):.2f}% over its "
                                 f"budget {budget}")
-            elif value < budget * (1 - BOUND):
+            elif value < budget * (1 - bound):
                 under += 1
     for failure in failures:
         print("BUDGET", failure)
     if under:
-        print(f"{under} counts are more than 1% under budget: re-pin to keep "
-              "the saving")
+        print(f"{under} counts are further under budget than their bound: "
+              "re-pin to keep the saving")
     if failures:
         sys.exit(f"work budgets: {len(failures)} failures")
-    print(f"work budgets hold: {len(rows)} entries within {100 * BOUND:.0f}%")
+    print(f"work budgets hold: {len(rows)} entries within bounds")
 
 
 if __name__ == "__main__":

@@ -58,10 +58,11 @@ dune build @check
 dune exec bin/mcc.exe -- run --all --quick --jobs 2 --json /tmp/out.jsonl --quiet
 test -s /tmp/out.jsonl
 
-# Work budgets: every registry entry's events, scheduler pushes, queue
-# high-water and minor words must stay within 1% of budgets.json.  They
-# count simulated work, so the gate cannot flake with host speed; every
-# entry needs a budget row and every row an entry.  Re-pin with
+# Work budgets: every registry entry's events, scheduler pushes and
+# queue high-water must stay within 1% of budgets.json, and its minor
+# words within 0.1%.  They count simulated work, so the gate cannot
+# flake with host speed; every entry needs a budget row and every row
+# an entry.  Re-pin with
 # `python3 budgets.py pin /tmp/out.jsonl` when a change lowers a count.
 python3 budgets.py check /tmp/out.jsonl
 
