@@ -11,7 +11,10 @@
 #     plus --series;
 #   - the default 96-cell `mcc matrix` JSONL and scorecard;
 #   - every workloads/*.json of BASE;
-#   - `mcc trace --only fig1` and `--only fig7`.
+#   - `mcc trace --only fig1` and `--only fig7`;
+#   - `mcc profile matrix-inflate-flid-delta+sigma --json`, every member
+#     but `prof`, which holds host self times (the Markdown rendering
+#     holds wall times too and is not compared).
 # One filter drops the profile fields a run does not determine: host
 # timing (wall_s, events_per_sec), per-domain allocation (minor_words)
 # and scheduler storage (queue_capacity, sched_stats).  Entries and
@@ -64,6 +67,14 @@ outputs() {
   for F in fig1 fig7; do
     "$mcc" trace --only "$F" --quick --out "$2/trace-$F.jsonl"
   done
+  "$mcc" profile matrix-inflate-flid-delta+sigma --quick -o /dev/null \
+    --json "$2.profile.json"
+  python3 -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+del doc["prof"]
+print(json.dumps(doc, separators=(",", ":")))' "$2.profile.json" \
+    > "$2/profile.json"
   cd "$ROOT"
 }
 
