@@ -181,6 +181,29 @@ let test_run_specs_order () =
       | _ -> Alcotest.fail "unexpected result kind")
     (List.combine serial parallel)
 
+(* Observation does not change a run: the self-profiler and packet
+   lineage that run_spec_instrumented switches on only watch, so the
+   instrumented run reports the same result and metric snapshot as the
+   plain profiled one, and its profile counts the same simulated work. *)
+let test_instrumented_matches_profiled () =
+  let spec = Spec.scale_time (Spec.Adversary Spec.default_adversary) ~factor:0.05 in
+  let result, metrics, _, profile = Runner.run_spec_profiled spec in
+  let inst = Runner.run_spec_instrumented spec in
+  let json r = Json.to_string (Report.result_json r) in
+  Alcotest.(check string) "result" (json result) (json inst.Runner.i_result);
+  Alcotest.(check string) "metric snapshot"
+    (Json.to_string (Mcc_obs.Metrics.values_json metrics))
+    (Json.to_string (Mcc_obs.Metrics.values_json inst.Runner.i_metrics));
+  let p = inst.Runner.i_profile in
+  Alcotest.(check int) "events" profile.Mcc_obs.Profile.events
+    p.Mcc_obs.Profile.events;
+  let pushes (p : Mcc_obs.Profile.t) =
+    match p.Mcc_obs.Profile.sched_stats with
+    | Some s -> s.Mcc_obs.Profile.pushes
+    | None -> Alcotest.fail "no scheduler stats"
+  in
+  Alcotest.(check int) "sched_stats.pushes" (pushes profile) (pushes p)
+
 (* Every registry entry must round-trip name -> spec -> run.  Abbreviated
    horizons keep this affordable; finite, sane summaries are the check. *)
 let test_registry_roundtrip () =
@@ -323,5 +346,7 @@ let suite =
         test_telemetry_sink_determinism;
       Alcotest.test_case "batch metrics" `Slow test_batch_metrics;
       Alcotest.test_case "run_specs order" `Slow test_run_specs_order;
+      Alcotest.test_case "instrumented run matches profiled run" `Slow
+        test_instrumented_matches_profiled;
       Alcotest.test_case "registry round-trip" `Slow test_registry_roundtrip;
     ] )
