@@ -1,35 +1,32 @@
 (* Command-line driver for the paper's experiments.
 
-   Every experiment is a first-class spec in Mcc_core.Runner's registry;
-   the per-figure subcommands build one spec with CLI knobs, while `run`
-   executes whole registry batches across domains and streams results
-   into pluggable sinks.
+   Every experiment is a first-class spec in Mcc_core.Runner's registry.
+   `run`, `matrix` and `workload run` execute batches of specs across
+   domains through one driver: shared output options, pluggable sinks,
+   the run ledger and a closing summary line.  `trace` and `profile`
+   rerun entries under the tracer and the self-profiler; `report`,
+   `history` and `diff` read back what the others saved.
 
    Examples:
      mcc list
      mcc run --all --jobs 4 --json results.jsonl --csv results.csv
      mcc run --only fig8a,fig9a --quick --jobs 2
+     mcc run --only fig1,fig7
      mcc run --only fig1 --quick --metrics=-
      mcc run --only fig1 --series=fig1.jsonl --sample-dt 0.5 --quiet
      mcc trace --only fig1 --quick --filter sigma,link --out trace.jsonl
      mcc report --series fig1.jsonl --trace trace.jsonl
      mcc profile matrix-inflate-flid-delta+sigma --quick --folded out.folded
      mcc report --series fig1.jsonl --profile prof.json
-     mcc attack --mode robust --duration 200
-     mcc sweep --mode plain --sessions 1,2,4,8
-     mcc responsiveness --mode robust
-     mcc rtt --mode robust --receivers 20
-     mcc convergence --mode plain
-     mcc overhead --by groups
+     mcc matrix --attacks inflate --protocols flid -o scorecard.md
+     mcc workload run workloads/fat_tree_flash_crowd.json --quick
 *)
 
 open Cmdliner
 module E = Mcc_core.Experiments
-module Report = Mcc_core.Report
 module Runner = Mcc_core.Runner
 module Sink = Mcc_core.Sink
 module Spec = Mcc_core.Spec
-module Flid = Mcc_mcast.Flid
 module Forensics = Mcc_core.Forensics
 module Json = Mcc_core.Json
 module Metrics = Mcc_obs.Metrics
@@ -43,71 +40,6 @@ let fmt = Format.std_formatter
 
 (* --- common options ----------------------------------------------------- *)
 
-let mode =
-  let parse = function
-    | "plain" | "flid-dl" -> Ok Flid.Plain
-    | "robust" | "flid-ds" -> Ok Flid.Robust
-    | s -> Error (`Msg (Printf.sprintf "unknown mode %S (plain|robust)" s))
-  in
-  let print ppf m =
-    Format.pp_print_string ppf
-      (match m with Flid.Plain -> "plain" | Flid.Robust -> "robust")
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Flid.Robust
-    & info [ "m"; "mode" ] ~docv:"MODE"
-        ~doc:"Protocol variant: $(b,plain) (FLID-DL) or $(b,robust) (FLID-DS).")
-
-let duration default =
-  Arg.(
-    value
-    & opt float default
-    & info [ "d"; "duration" ] ~docv:"SECONDS"
-        ~doc:"Simulated duration in seconds.")
-
-let seed default =
-  Arg.(
-    value
-    & opt int default
-    & info [ "s"; "seed" ] ~docv:"SEED"
-        ~doc:"Simulation seed; runs are deterministic per seed.")
-
-(* --- per-figure subcommands --------------------------------------------- *)
-
-let attack_cmd =
-  let run mode duration seed attack_at =
-    Report.heading fmt "Inflated subscription (paper Figures 1 / 7)";
-    Report.attack fmt (E.run_attack { Spec.seed; duration; attack_at; mode })
-  in
-  let attack_at =
-    Arg.(
-      value
-      & opt float Spec.default_attack.Spec.attack_at
-      & info [ "attack-at" ] ~docv:"SECONDS"
-          ~doc:"Time at which receiver F1 starts inflating.")
-  in
-  Cmd.v
-    (Cmd.info "attack"
-       ~doc:"Two multicast + two TCP sessions; F1 inflates its subscription.")
-    Term.(
-      const run $ mode $ duration 200. $ seed Spec.default_attack.Spec.seed
-      $ attack_at)
-
-let sessions_list =
-  let parse s =
-    try Ok (List.map int_of_string (String.split_on_char ',' s))
-    with Failure _ -> Error (`Msg "expected a comma-separated integer list")
-  in
-  let print ppf l =
-    Format.pp_print_string ppf (String.concat "," (List.map string_of_int l))
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) [ 1; 2; 4; 6; 8; 10; 12; 14; 16; 18 ]
-    & info [ "sessions" ] ~docv:"N1,N2,..."
-        ~doc:"Session counts to sweep (paper Figure 8a-8d).")
-
 let jobs =
   Arg.(
     value
@@ -115,139 +47,172 @@ let jobs =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Run up to $(docv) experiments concurrently (OCaml domains).")
 
-let sweep_cmd =
-  let run mode duration seed counts cross jobs =
-    Report.heading fmt "Throughput vs number of sessions (paper Figure 8)";
-    let specs =
-      List.map
-        (fun sessions ->
-          Spec.Sweep
-            { Spec.seed = seed + sessions; duration; sessions;
-              cross_traffic = cross; mode })
-        counts
-    in
-    let points =
-      Runner.run_specs ~jobs specs
-      |> List.map (function E.Sweep_point p -> p | _ -> assert false)
-    in
-    Report.sweep fmt points
-  in
-  let cross =
-    Arg.(
-      value & flag
-      & info [ "cross-traffic" ]
-          ~doc:"Add one TCP flow per session plus an on-off CBR (Figure 8d).")
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc:"Average multicast throughput vs session count.")
-    Term.(
-      const run $ mode $ duration 200. $ seed 11 $ sessions_list $ cross $ jobs)
+let only_arg =
+  Arg.(
+    value
+    & opt (list string) []
+    & info [ "only" ] ~docv:"NAME,..."
+        ~doc:
+          "Run the named experiments; a figure/group name (e.g. \
+           $(b,fig8a)) selects all of its points.")
 
-let responsiveness_cmd =
-  let run mode duration seed =
-    Report.heading fmt "Responsiveness to an 800 Kbps burst (paper Figure 8e)";
-    Report.responsiveness fmt
-      (E.run_responsiveness
-         { Spec.default_responsiveness with Spec.seed; duration; mode })
-  in
-  Cmd.v
-    (Cmd.info "responsiveness" ~doc:"CBR burst between 45 s and 75 s.")
-    Term.(
-      const run $ mode $ duration 100.
-      $ seed Spec.default_responsiveness.Spec.seed)
+let quick_arg =
+  Arg.(
+    value & flag
+    & info [ "quick" ]
+        ~doc:"Scale every duration by 1/4 for an abbreviated pass.")
 
-let rtt_cmd =
-  let run mode duration seed receivers =
-    Report.heading fmt "Heterogeneous round-trip times (paper Figure 8f)";
-    Report.rtt fmt (E.run_rtt { Spec.seed; duration; receivers; mode })
-  in
-  let receivers =
-    Arg.(
-      value & opt int Spec.default_rtt.Spec.receivers
-      & info [ "receivers" ] ~docv:"N" ~doc:"Receivers spread over 30-220 ms.")
-  in
-  Cmd.v
-    (Cmd.info "rtt" ~doc:"Throughput vs receiver RTT.")
-    Term.(
-      const run $ mode $ duration 200. $ seed Spec.default_rtt.Spec.seed
-      $ receivers)
+(* What --quick does to an entry. *)
+let at_quick ~quick (e : Runner.entry) =
+  if quick then { e with Runner.spec = Spec.scale_time e.Runner.spec ~factor:0.25 }
+  else e
 
-let convergence_cmd =
-  let run mode duration seed =
-    Report.heading fmt "Subscription convergence (paper Figures 8g / 8h)";
-    Report.convergence fmt
-      (E.run_convergence
-         { Spec.default_convergence with Spec.seed; duration; mode })
+(* Backends fire identical schedules (see Mcc_engine.Scheduler), so this
+   is purely a performance knob and never changes any sink output. *)
+let sched_arg =
+  let backend_conv =
+    let parse s =
+      match Mcc_engine.Scheduler.of_name s with
+      | Ok b -> Ok b
+      | Error e -> Error (`Msg e)
+    in
+    let print ppf b =
+      Format.pp_print_string ppf (Mcc_engine.Scheduler.backend_name b)
+    in
+    Arg.conv (parse, print)
   in
-  Cmd.v
-    (Cmd.info "convergence"
-       ~doc:"Four receivers joining at 0/10/20/30 s converge to one level.")
-    Term.(
-      const run $ mode $ duration 40. $ seed Spec.default_convergence.Spec.seed)
+  Arg.(
+    value
+    & opt (some backend_conv) None
+    & info [ "sched" ] ~docv:"BACKEND"
+        ~doc:
+          "Event-scheduler backend: $(b,heap) (default) or $(b,wheel). \
+           Both fire identical schedules; $(b,wheel) is faster on \
+           churn-heavy event populations.")
 
-let overhead_cmd =
-  let run by duration seed jobs =
-    let axis, values, x_label =
-      match by with
-      | `Groups ->
-          Report.heading fmt "Key-distribution overhead vs groups (Figure 9a)";
-          ( Spec.Groups,
-            List.map (fun g -> (g, 0.25)) [ 2; 4; 6; 8; 10; 12; 14; 16; 18; 20 ],
-            "groups" )
-      | `Slot ->
-          Report.heading fmt "Key-distribution overhead vs slot (Figure 9b)";
-          ( Spec.Slot,
-            List.map
-              (fun s -> (10, s))
-              [ 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ],
-            "slot_s" )
-    in
-    let specs =
-      List.map
-        (fun (groups, slot) ->
-          Spec.Overhead { Spec.seed; duration; groups; slot; axis })
-        values
-    in
-    let points =
-      Runner.run_specs ~jobs specs
-      |> List.map (function E.Overhead p -> p | _ -> assert false)
-    in
-    Report.overhead fmt ~x_label points
+(* "-" means stdout; anything else is a file truncated at open. *)
+let output_writer ~cmd path =
+  if path = "-" then ((fun s -> print_string s), fun () -> flush stdout)
+  else
+    match open_out path with
+    | oc -> (output_string oc, fun () -> close_out oc)
+    | exception Sys_error msg ->
+        Printf.eprintf "mcc %s: cannot open %s: %s\n" cmd path msg;
+        exit 2
+
+(* --- run ledger + live telemetry ---------------------------------------- *)
+
+let no_ledger_arg =
+  Arg.(
+    value & flag
+    & info [ "no-ledger" ]
+        ~doc:
+          "Do not record this invocation in the run ledger \
+           ($(b,.mcc/ledger), overridable via $(b,MCC_LEDGER)).")
+
+(* Recording is telemetry: a ledger failure warns and never fails the
+   run that produced the results. *)
+let record_ledger ~no_ledger ~kind ~label ~payload ~wall =
+  if not no_ledger then begin
+    let dir = Ledger.default_dir () in
+    match Ledger.append ~dir ~kind ~label ~payload ~wall () with
+    | Ok _ -> ()
+    | Error msg -> Printf.eprintf "mcc %s: ledger: %s (continuing)\n" kind msg
+  end
+
+let progress_arg =
+  Arg.(
+    value
+    & vflag None
+        [
+          ( Some true,
+            info [ "progress" ]
+              ~doc:"Force the live stderr progress meter on." );
+          ( Some false,
+            info [ "no-progress" ]
+              ~doc:"Force the live stderr progress meter off." );
+        ])
+
+(* Meter default: on when stderr is a terminal.  The meter is
+   stderr-only and ephemeral — sinks are fed after the batch in entry
+   order, so their bytes are identical with the meter on or off. *)
+let progress_callback progress =
+  let enabled =
+    match progress with Some b -> b | None -> Unix.isatty Unix.stderr
   in
-  let by =
-    let parse = function
-      | "groups" -> Ok `Groups
-      | "slot" -> Ok `Slot
-      | s -> Error (`Msg (Printf.sprintf "unknown axis %S (groups|slot)" s))
-    in
-    let print ppf v =
-      Format.pp_print_string ppf
-        (match v with `Groups -> "groups" | `Slot -> "slot")
-    in
+  if not enabled then None
+  else
+    Some
+      (fun (s : Progress.sample) ->
+        output_string stderr ("\r" ^ Progress.render s);
+        if s.Progress.final then output_string stderr "\n";
+        flush stderr)
+
+(* --- the batch driver (run, matrix, workload run) ----------------------- *)
+
+type batch = {
+  jobs : int;
+  sched : Mcc_engine.Scheduler.backend option;
+  json : string option;
+  csv : string option;
+  quiet : bool;
+  on_progress : (Progress.sample -> unit) option;
+  no_ledger : bool;
+}
+
+let batch_term =
+  let make jobs sched json csv quiet progress no_ledger =
+    { jobs; sched; json; csv; quiet;
+      on_progress = progress_callback progress; no_ledger }
+  in
+  let json =
     Arg.(
       value
-      & opt (conv (parse, print)) `Groups
-      & info [ "by" ] ~docv:"AXIS" ~doc:"Sweep $(b,groups) or $(b,slot).")
+      & opt (some string) None
+      & info [ "json" ] ~docv:"PATH" ~doc:"Write one JSON object per run.")
   in
-  Cmd.v
-    (Cmd.info "overhead" ~doc:"DELTA and SIGMA communication overhead.")
-    Term.(
-      const run $ by $ duration 30. $ seed Spec.default_overhead.Spec.seed
-      $ jobs)
+  let csv =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"PATH"
+          ~doc:"Write summary metrics as name,group,metric,value rows.")
+  in
+  let quiet =
+    Arg.(
+      value & flag
+      & info [ "q"; "quiet" ]
+          ~doc:"Suppress the human-readable report and the summary line.")
+  in
+  Term.(
+    const make $ jobs $ sched_arg $ json $ csv $ quiet $ progress_arg
+    $ no_ledger_arg)
 
-let partial_cmd =
-  let run duration seed =
-    Report.heading fmt
-      "Incremental deployment (paper Section 3.2.3): SIGMA vs legacy edge";
-    Report.partial fmt
-      (E.run_partial
-         { Spec.seed; duration;
-           attack_at = Spec.default_partial.Spec.attack_at })
-  in
-  Cmd.v
-    (Cmd.info "partial"
-       ~doc:"The same inflation attack behind a SIGMA and a legacy edge router.")
-    Term.(const run $ duration 120. $ seed Spec.default_partial.Spec.seed)
+(* The pretty report on stdout (unless --quiet) and the --json/--csv
+   files. *)
+let open_sinks ~cmd ~pretty b =
+  try
+    (if pretty && not b.quiet then [ Sink.pretty fmt ] else [])
+    @ Option.to_list (Option.map Sink.jsonl_file b.json)
+    @ Option.to_list (Option.map Sink.csv_file b.csv)
+  with Sys_error msg ->
+    Printf.eprintf "mcc %s: cannot open sink: %s\n" cmd msg;
+    exit 2
+
+(* Runs the batch, closes its sinks, writes the command's own outputs
+   ([finish]), records the ledger entry and prints the summary line. *)
+let drive ~kind ~label ?(config = []) ~noun ?(finish = ignore) b ~sinks run =
+  let rows, elapsed = Profile.with_wall_clock run in
+  List.iter Sink.close sinks;
+  finish rows;
+  record_ledger ~no_ledger:b.no_ledger ~kind ~label
+    ~payload:(Crossrun.run_payload ~command:kind ~config rows)
+    ~wall:(Crossrun.run_wall ~recorded:(Profile.now ()) rows);
+  if not b.quiet then
+    let n = List.length rows in
+    Format.fprintf fmt "@.[%d %s%s in %.1fs, jobs=%d]@." n noun
+      (if n = 1 then "" else "s")
+      elapsed b.jobs
 
 (* --- registry batch commands -------------------------------------------- *)
 
@@ -330,113 +295,10 @@ let resolve_entries ~cmd ~all ~only ~quick =
               | entries -> entries)
             names
   in
-  if quick then
-    List.map
-      (fun (e : Runner.entry) ->
-        { e with Runner.spec = Spec.scale_time e.Runner.spec ~factor:0.25 })
-      entries
-  else entries
-
-let only_arg =
-  Arg.(
-    value
-    & opt (list string) []
-    & info [ "only" ] ~docv:"NAME,..."
-        ~doc:
-          "Run the named experiments; a figure/group name (e.g. \
-           $(b,fig8a)) selects all of its points.")
-
-let quick_arg =
-  Arg.(
-    value & flag
-    & info [ "quick" ]
-        ~doc:"Scale every duration by 1/4 for an abbreviated pass.")
-
-(* Shared by `run` and `matrix`.  Backends fire identical schedules (see
-   Mcc_engine.Scheduler), so this is purely a performance knob and never
-   changes any sink output. *)
-let sched_arg =
-  let backend_conv =
-    let parse s =
-      match Mcc_engine.Scheduler.of_name s with
-      | Ok b -> Ok b
-      | Error e -> Error (`Msg e)
-    in
-    let print ppf b =
-      Format.pp_print_string ppf (Mcc_engine.Scheduler.backend_name b)
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "sched" ] ~docv:"BACKEND"
-        ~doc:
-          "Event-scheduler backend: $(b,heap) (default) or $(b,wheel). \
-           Both fire identical schedules; $(b,wheel) is faster on \
-           churn-heavy event populations.")
-
-(* "-" means stdout; anything else is a file truncated at open. *)
-let output_writer ~cmd path =
-  if path = "-" then ((fun s -> print_string s), fun () -> flush stdout)
-  else
-    match open_out path with
-    | oc -> (output_string oc, fun () -> close_out oc)
-    | exception Sys_error msg ->
-        Printf.eprintf "mcc %s: cannot open %s: %s\n" cmd path msg;
-        exit 2
-
-(* --- run ledger + live telemetry (shared by run/matrix/profile) --------- *)
-
-let no_ledger_arg =
-  Arg.(
-    value & flag
-    & info [ "no-ledger" ]
-        ~doc:
-          "Do not record this invocation in the run ledger \
-           ($(b,.mcc/ledger), overridable via $(b,MCC_LEDGER)).")
-
-(* Recording is telemetry: a ledger failure warns and never fails the
-   run that produced the results. *)
-let record_ledger ~no_ledger ~kind ~label ~payload ~wall =
-  if not no_ledger then begin
-    let dir = Ledger.default_dir () in
-    match Ledger.append ~dir ~kind ~label ~payload ~wall () with
-    | Ok _ -> ()
-    | Error msg -> Printf.eprintf "mcc %s: ledger: %s (continuing)\n" kind msg
-  end
-
-let progress_arg =
-  Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "progress" ]
-              ~doc:"Force the live stderr progress meter on." );
-          ( Some false,
-            info [ "no-progress" ]
-              ~doc:"Force the live stderr progress meter off." );
-        ])
-
-(* Meter default: on when stderr is a terminal.  The meter is
-   stderr-only and ephemeral — sinks are fed after the batch in entry
-   order, so their bytes are identical with the meter on or off. *)
-let progress_callback progress =
-  let enabled =
-    match progress with Some b -> b | None -> Unix.isatty Unix.stderr
-  in
-  if not enabled then None
-  else
-    Some
-      (fun (s : Progress.sample) ->
-        output_string stderr ("\r" ^ Progress.render s);
-        if s.Progress.final then output_string stderr "\n";
-        flush stderr)
+  List.map (at_quick ~quick) entries
 
 let run_cmd =
-  let run all only jobs sched quick json csv metrics metrics_format series
-      sample_dt quiet progress no_ledger =
+  let run all only quick b metrics metrics_format series sample_dt =
     if sample_dt <= 0. then begin
       Printf.eprintf "mcc run: --sample-dt must be positive\n";
       exit 2
@@ -445,63 +307,48 @@ let run_cmd =
     let series_writer =
       Option.map (fun path -> output_writer ~cmd:"run" path) series
     in
-    let file_sinks =
-      try
-        (match json with None -> [] | Some path -> [ Sink.jsonl_file path ])
-        @ (match csv with None -> [] | Some path -> [ Sink.csv_file path ])
-        @ match series_writer with
-          | Some (write, _) -> [ Sink.series_jsonl write ]
-          | None -> []
-      with Sys_error msg ->
-        Printf.eprintf "mcc run: cannot open sink: %s\n" msg;
-        exit 2
-    in
     let sinks =
-      (if quiet then [] else [ Sink.pretty fmt ]) @ file_sinks
+      open_sinks ~cmd:"run" ~pretty:true b
+      @ Option.to_list
+          (Option.map (fun (write, _) -> Sink.series_jsonl write) series_writer)
     in
     let sample_dt = Option.map (fun _ -> sample_dt) series in
-    let rows, elapsed =
-      Profile.with_wall_clock (fun () ->
-          Runner.run_batch ~jobs ?sched ?sample_dt ~sinks
-            ?on_progress:(progress_callback progress) entries)
+    let write_metrics rows path =
+      let write, close = output_writer ~cmd:"run" path in
+      (match metrics_format with
+      | `Json ->
+          List.iter
+            (fun (row : Runner.row) ->
+              write
+                (Json.to_string
+                   (Json.Obj
+                      [
+                        ("name", Json.String row.Runner.entry.Runner.name);
+                        ("metrics", Metrics.values_json row.Runner.metrics);
+                        (* wall-clock fields stay last on the line *)
+                        ("profile", Profile.to_json row.Runner.profile);
+                      ])
+                ^ "\n"))
+            rows
+      | `Openmetrics ->
+          write
+            (Metrics.openmetrics_page
+               (List.map
+                  (fun (row : Runner.row) ->
+                    ( [ ("run", row.Runner.entry.Runner.name) ],
+                      row.Runner.metrics ))
+                  rows)));
+      close ()
     in
-    List.iter Sink.close sinks;
-    (match series_writer with Some (_, close) -> close () | None -> ());
-    (match metrics with
-    | None -> ()
-    | Some path -> (
-        let write, close = output_writer ~cmd:"run" path in
-        (match metrics_format with
-        | `Json ->
-            List.iter
-              (fun (row : Runner.row) ->
-                write
-                  (Json.to_string
-                     (Json.Obj
-                        [
-                          ("name", Json.String row.Runner.entry.Runner.name);
-                          ("metrics", Metrics.values_json row.Runner.metrics);
-                          (* wall-clock fields stay last on the line *)
-                          ("profile", Profile.to_json row.Runner.profile);
-                        ])
-                  ^ "\n"))
-              rows
-        | `Openmetrics ->
-            write
-              (Metrics.openmetrics_page
-                 (List.map
-                    (fun (row : Runner.row) ->
-                      ( [ ("run", row.Runner.entry.Runner.name) ],
-                        row.Runner.metrics ))
-                    rows)));
-        close ()));
-    record_ledger ~no_ledger ~kind:"run"
+    drive ~kind:"run"
       ~label:(if all then "all" else String.concat "," only)
-      ~payload:(Crossrun.run_payload ~command:"run" ~config:[] rows)
-      ~wall:(Crossrun.run_wall ~recorded:(Profile.now ()) rows);
-    if not quiet then
-      Format.fprintf fmt "@.[%d experiments in %.1fs, jobs=%d]@."
-        (List.length rows) elapsed jobs
+      ~noun:"experiment" b ~sinks
+      ~finish:(fun rows ->
+        Option.iter (fun (_, close) -> close ()) series_writer;
+        Option.iter (write_metrics rows) metrics)
+      (fun () ->
+        Runner.run_batch ~jobs:b.jobs ?sched:b.sched ?sample_dt ~sinks
+          ?on_progress:b.on_progress entries)
   in
   let all =
     Arg.(value & flag & info [ "all" ] ~doc:"Run every registered experiment.")
@@ -536,19 +383,6 @@ let run_cmd =
              profile last) or $(b,openmetrics) (one scrape-able text \
              exposition, runs distinguished by a $(b,run) label).")
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH" ~doc:"Append one JSON object per run.")
-  in
-  let csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"PATH"
-          ~doc:"Write summary metrics as name,group,metric,value rows.")
-  in
   let series =
     Arg.(
       value
@@ -565,20 +399,14 @@ let run_cmd =
       & info [ "sample-dt" ] ~docv:"SECONDS"
           ~doc:"Sampling period for $(b,--series) (default 1.0).")
   in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ] ~doc:"Suppress the human-readable report.")
-  in
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "Run a batch of registered experiments across domains, with JSONL, \
           CSV, metrics and time-series sinks.")
     Term.(
-      const run $ all $ only_arg $ jobs $ sched_arg $ quick_arg $ json $ csv
-      $ metrics $ metrics_format $ series $ sample_dt $ quiet $ progress_arg
-      $ no_ledger_arg)
+      const run $ all $ only_arg $ quick_arg $ batch_term $ metrics
+      $ metrics_format $ series $ sample_dt)
 
 let trace_cmd =
   let run only out filters level quick =
@@ -654,8 +482,7 @@ let matrix_cmd =
                 exit 2)
           names
   in
-  let run jobs sched quick seed duration attack_at attacks protocols defences
-      json csv out quiet progress no_ledger =
+  let run quick seed duration attack_at attacks protocols defences out b =
     let attack_names = attacks and protocol_names = protocols
     and defence_names = defences in
     let attacks =
@@ -673,43 +500,22 @@ let matrix_cmd =
     let entries =
       Mcc_attack.Matrix.entries ~seed ~duration ~attack_at ~attacks ~protocols
         ~defences ()
+      |> List.map (at_quick ~quick)
     in
-    let entries =
-      if quick then
-        List.map
-          (fun (e : Runner.entry) ->
-            { e with Runner.spec = Spec.scale_time e.Runner.spec ~factor:0.25 })
-          entries
-      else entries
-    in
-    let sinks =
-      try
-        (match json with None -> [] | Some path -> [ Sink.jsonl_file path ])
-        @ match csv with None -> [] | Some path -> [ Sink.csv_file path ]
-      with Sys_error msg ->
-        Printf.eprintf "mcc matrix: cannot open sink: %s\n" msg;
-        exit 2
-    in
-    let rows, elapsed =
-      Profile.with_wall_clock (fun () ->
-          Mcc_attack.Matrix.run ~jobs ?sched ~sinks
-            ?on_progress:(progress_callback progress) entries)
-    in
-    List.iter Sink.close sinks;
-    let write, close = output_writer ~cmd:"matrix" out in
-    write (Mcc_attack.Scorecard.to_string rows);
-    close ();
+    let sinks = open_sinks ~cmd:"matrix" ~pretty:false b in
     let selection names = match names with [] -> "all" | l -> String.concat "," l in
-    record_ledger ~no_ledger ~kind:"matrix"
+    drive ~kind:"matrix"
       ~label:
         (Printf.sprintf "%s/%s/%s" (selection attack_names)
            (selection protocol_names) (selection defence_names))
-      ~payload:(Crossrun.run_payload ~command:"matrix" ~config:[] rows)
-      ~wall:(Crossrun.run_wall ~recorded:(Profile.now ()) rows);
-    if not quiet then
-      Format.fprintf fmt "[%d matrix cells in %.1fs, jobs=%d%s]@."
-        (List.length rows) elapsed jobs
-        (match out with "-" -> "" | path -> "; scorecard: " ^ path)
+      ~noun:"matrix cell" b ~sinks
+      ~finish:(fun rows ->
+        let write, close = output_writer ~cmd:"matrix" out in
+        write (Mcc_attack.Scorecard.to_string rows);
+        close ())
+      (fun () ->
+        Mcc_attack.Matrix.run ~jobs:b.jobs ?sched:b.sched ~sinks
+          ?on_progress:b.on_progress entries)
   in
   let list_opt names doc =
     Arg.(value & opt (list string) [] & info names ~docv:"NAME,..." ~doc)
@@ -736,21 +542,19 @@ let matrix_cmd =
       & info [ "attack-at" ] ~docv:"SECONDS"
           ~doc:"Time at which every cell's adversary activates.")
   in
-  let json =
+  let seed =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:
-            "Write one JSON object per cell (byte-identical for any \
-             $(b,--jobs)).")
+      & opt int Spec.default_adversary.Spec.seed
+      & info [ "s"; "seed" ] ~docv:"SEED"
+          ~doc:"Simulation seed; runs are deterministic per seed.")
   in
-  let csv =
+  let duration =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"PATH"
-          ~doc:"Write per-cell damage metrics as name,group,metric,value rows.")
+      & opt float Spec.default_adversary.Spec.duration
+      & info [ "d"; "duration" ] ~docv:"SECONDS"
+          ~doc:"Simulated duration of every cell, in seconds.")
   in
   let out =
     Arg.(
@@ -761,21 +565,14 @@ let matrix_cmd =
             "Markdown scorecard destination; $(b,-) (default) writes to \
              stdout.")
   in
-  let quiet =
-    Arg.(
-      value & flag & info [ "q"; "quiet" ] ~doc:"Suppress the progress line.")
-  in
   Cmd.v
     (Cmd.info "matrix"
        ~doc:
          "Run the attack x protocol x defence evaluation matrix and render \
           the Markdown scorecard ranking defences per attack.")
     Term.(
-      const run $ jobs $ sched_arg $ quick_arg
-      $ seed Spec.default_adversary.Spec.seed
-      $ duration Spec.default_adversary.Spec.duration
-      $ attack_at $ attacks $ protocols $ defences $ json $ csv $ out $ quiet
-      $ progress_arg $ no_ledger_arg)
+      const run $ quick_arg $ seed $ duration $ attack_at $ attacks $ protocols
+      $ defences $ out $ batch_term)
 
 let profile_cmd =
   (* `mcc profile` accepts anything `mcc run --only` does, plus matrix
@@ -826,11 +623,8 @@ let profile_cmd =
           (Printf.sprintf "%d / %d" s.Profile.pool_hits s.Profile.pool_misses)
   in
   let run name sched quick out folded json_path no_ledger =
-    let entry = find_entry name in
-    let spec =
-      if quick then Spec.scale_time entry.Runner.spec ~factor:0.25
-      else entry.Runner.spec
-    in
+    let entry = at_quick ~quick (find_entry name) in
+    let spec = entry.Runner.spec in
     let inst = Runner.run_spec_instrumented ?sched spec in
     let attack_at =
       match spec with
@@ -891,7 +685,7 @@ let profile_cmd =
        self-profiler table joining the wall suffix. *)
     let row =
       {
-        Runner.entry = { entry with Runner.spec };
+        Runner.entry;
         result = inst.Runner.i_result;
         metrics = inst.Runner.i_metrics;
         series = [];
@@ -1291,57 +1085,32 @@ let workload_file_pos =
   Arg.(value & pos_all string [] & info [] ~docv:"FILE")
 
 let workload_run_cmd =
-  let run file jobs sched quick json csv quiet progress no_ledger =
+  let run file quick b =
     let contents, entries = load_workload ~cmd:"run" file in
-    let entries =
-      if quick then
-        List.map
-          (fun (e : Runner.entry) ->
-            { e with Runner.spec = Spec.scale_time e.Runner.spec ~factor:0.25 })
-          entries
-      else entries
-    in
-    let sinks =
-      try
-        (if quiet then [] else [ Sink.pretty fmt ])
-        @ (match json with None -> [] | Some path -> [ Sink.jsonl_file path ])
-        @ match csv with None -> [] | Some path -> [ Sink.csv_file path ]
-      with Sys_error msg ->
-        Printf.eprintf "mcc workload run: cannot open sink: %s\n" msg;
-        exit 2
-    in
+    let entries = List.map (at_quick ~quick) entries in
     (* Like the matrix, workload output is a regression artefact that
        must be byte-identical for any --jobs and scheduler backend, so
        the nondeterministic wall-clock profile is dropped from every
        sink. *)
     let sinks =
-      List.map (Sink.map (fun r -> { r with Sink.profile = None })) sinks
+      List.map
+        (Sink.map (fun r -> { r with Sink.profile = None }))
+        (open_sinks ~cmd:"workload run" ~pretty:true b)
     in
-    let rows, elapsed =
-      Profile.with_wall_clock (fun () ->
-          Runner.run_batch ~jobs ?sched ~sinks
-            ?on_progress:(progress_callback progress) entries)
-    in
-    List.iter Sink.close sinks;
-    record_ledger ~no_ledger ~kind:"workload" ~label:file
-      ~payload:
-        (Crossrun.run_payload ~command:"workload"
-           ~config:
-             [
-               ("workload", Json.String file);
-               (* Digest of the file bytes: `mcc diff` flags a ledger
-                  pair whose configs differ, so editing a workload file
-                  between runs surfaces as config drift. *)
-               ( "workload_digest",
-                 Json.String (Ledger.digest_of_json (Json.String contents)) );
-             ]
-           rows)
-      ~wall:(Crossrun.run_wall ~recorded:(Profile.now ()) rows);
-    if not quiet then
-      Format.fprintf fmt "@.[%d workload run%s in %.1fs, jobs=%d]@."
-        (List.length rows)
-        (if List.length rows = 1 then "" else "s")
-        elapsed jobs
+    drive ~kind:"workload" ~label:file
+      ~config:
+        [
+          ("workload", Json.String file);
+          (* Digest of the file bytes: `mcc diff` flags a ledger pair
+             whose configs differ, so editing a workload file between
+             runs surfaces as config drift. *)
+          ( "workload_digest",
+            Json.String (Ledger.digest_of_json (Json.String contents)) );
+        ]
+      ~noun:"workload run" b ~sinks
+      (fun () ->
+        Runner.run_batch ~jobs:b.jobs ?sched:b.sched ~sinks
+          ?on_progress:b.on_progress entries)
   in
   let file =
     Arg.(
@@ -1349,35 +1118,12 @@ let workload_run_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"The workload file to run.")
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:
-            "Write one JSON object per run (byte-identical for any \
-             $(b,--jobs)).")
-  in
-  let csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"PATH"
-          ~doc:"Write summary metrics as name,group,metric,value rows.")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "q"; "quiet" ] ~doc:"Suppress the human-readable report.")
-  in
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "Run every entry of a declarative workload file (one per seed) \
           across domains.")
-    Term.(
-      const run $ file $ jobs $ sched_arg $ quick_arg $ json $ csv $ quiet
-      $ progress_arg $ no_ledger_arg)
+    Term.(const run $ file $ quick_arg $ batch_term)
 
 let workload_check_cmd =
   let run all files =
@@ -1455,13 +1201,6 @@ let main =
       history_cmd;
       diff_cmd;
       list_cmd;
-      attack_cmd;
-      sweep_cmd;
-      responsiveness_cmd;
-      rtt_cmd;
-      convergence_cmd;
-      overhead_cmd;
-      partial_cmd;
       matrix_cmd;
       workload_cmd;
       lint_cmd;

@@ -1,5 +1,3 @@
-type series = (float * float) list
-
 let series fmt ~label points =
   Format.fprintf fmt "# %s@." label;
   List.iter (fun (x, y) -> Format.fprintf fmt "%.2f %.1f@." x y) points;
@@ -26,15 +24,11 @@ let attack fmt (r : Experiments.attack_result) =
   series fmt ~label:"T1 Kbps" r.Experiments.t1;
   series fmt ~label:"T2 Kbps" r.Experiments.t2
 
-let sweep fmt points =
+let sweep fmt (p : Experiments.sweep_point) =
   Format.fprintf fmt "# sessions individual... | average@.";
-  List.iter
-    (fun (p : Experiments.sweep_point) ->
-      Format.fprintf fmt "%2d " p.Experiments.sessions;
-      List.iter (fun v -> Format.fprintf fmt "%.0f " v) p.Experiments.individual_kbps;
-      Format.fprintf fmt "| avg %.1f@." p.Experiments.average_kbps)
-    points;
-  Format.fprintf fmt "@."
+  Format.fprintf fmt "%2d " p.Experiments.sessions;
+  List.iter (fun v -> Format.fprintf fmt "%.0f " v) p.Experiments.individual_kbps;
+  Format.fprintf fmt "| avg %.1f@.@." p.Experiments.average_kbps
 
 let responsiveness fmt (r : Experiments.responsiveness_result) =
   row fmt "multicast Kbps"
@@ -55,16 +49,13 @@ let convergence fmt receivers =
     (fun i s -> series fmt ~label:(Printf.sprintf "receiver %d Kbps" (i + 1)) s)
     receivers
 
-let overhead fmt ~x_label points =
-  Format.fprintf fmt "# %s delta%%(analytic) sigma%%(analytic) delta%%(measured) sigma%%(measured)@."
-    x_label;
-  List.iter
-    (fun (p : Experiments.overhead_point) ->
-      Format.fprintf fmt "%5.2f  %.3f %.3f  %.3f %.3f@." p.Experiments.x
-        p.Experiments.delta_analytic p.Experiments.sigma_analytic
-        p.Experiments.delta_measured p.Experiments.sigma_measured)
-    points;
-  Format.fprintf fmt "@."
+let overhead fmt (p : Experiments.overhead_point) =
+  Format.fprintf fmt
+    "# x delta%%(analytic) sigma%%(analytic) delta%%(measured) \
+     sigma%%(measured)@.";
+  Format.fprintf fmt "%5.2f  %.3f %.3f  %.3f %.3f@.@." p.Experiments.x
+    p.Experiments.delta_analytic p.Experiments.sigma_analytic
+    p.Experiments.delta_measured p.Experiments.sigma_measured
 
 let partial fmt (r : Experiments.partial_result) =
   row fmt "attacker behind SIGMA edge"
@@ -130,11 +121,11 @@ let study fmt values =
 
 let result fmt = function
   | Experiments.Attack r -> attack fmt r
-  | Experiments.Sweep_point p -> sweep fmt [ p ]
+  | Experiments.Sweep_point p -> sweep fmt p
   | Experiments.Responsiveness r -> responsiveness fmt r
   | Experiments.Rtt rows -> rtt fmt rows
   | Experiments.Convergence receivers -> convergence fmt receivers
-  | Experiments.Overhead p -> overhead fmt ~x_label:"x" [ p ]
+  | Experiments.Overhead p -> overhead fmt p
   | Experiments.Partial r -> partial fmt r
   | Experiments.Adversary r -> adversary fmt r
   | Experiments.Workload r -> workload fmt r

@@ -232,8 +232,6 @@ let lookup name = List.find_opt (fun e -> e.name = name) registry
 
 (* --- multicore execution ------------------------------------------------ *)
 
-let run_spec = Experiments.run
-
 (* Work-stealing over an atomic cursor: each domain claims the next
    unclaimed index and writes its result into that slot, so the merged
    order is the input order no matter how the jobs interleave.  Every
@@ -286,11 +284,6 @@ let with_sched sched f =
       Fun.protect
         ~finally:(fun () -> Mcc_engine.Scheduler.set_default prev)
         f
-
-let run_specs ?(jobs = 1) ?sched specs =
-  parallel_map ~jobs
-    (fun spec -> with_sched sched (fun () -> Experiments.run spec))
-    specs
 
 (* --- profiled execution ------------------------------------------------- *)
 
@@ -379,11 +372,11 @@ let finish_profile ?sched ?minor_words metrics wall_s =
     Profile.make ~sched:sched_name ?sched_stats ?minor_words ~events
       ~queue_capacity ~wall_s () )
 
-(* The registry is reset on both sides of the run: entering clean keeps
-   the snapshot to this one spec, and leaving clean keeps a later run in
-   the same domain (or the caller's own metrics) from inheriting stale
-   handles. *)
-let run_spec_profiled ?sched ?sample_dt spec =
+(* The bracket every run goes through.  The registry is reset on both
+   sides of the run: entering clean keeps the snapshot to this one spec,
+   and leaving clean keeps a later run in the same domain (or the
+   caller's own metrics) from inheriting stale handles. *)
+let bracket ?sched ?sample_dt run =
   Metrics.reset ();
   preregister ();
   (* Sampling is configured inside the (possibly worker-domain) call, so
@@ -393,8 +386,7 @@ let run_spec_profiled ?sched ?sample_dt spec =
   | Some dt -> Timeseries.enable ~dt ()
   | None -> ());
   let result, wall_s, minor_words =
-    Profile.measure (fun () ->
-        with_sched sched (fun () -> Experiments.run spec))
+    Profile.measure (fun () -> with_sched sched run)
   in
   let metrics = Metrics.snapshot () in
   let series =
@@ -405,8 +397,8 @@ let run_spec_profiled ?sched ?sample_dt spec =
   let metrics, profile = finish_profile ?sched ~minor_words metrics wall_s in
   (result, metrics, series, profile)
 
-let run_specs_profiled ?(jobs = 1) ?sched ?sample_dt specs =
-  parallel_map ~jobs (run_spec_profiled ?sched ?sample_dt) specs
+let run_spec_profiled ?sched ?sample_dt spec =
+  bracket ?sched ?sample_dt (fun () -> Experiments.run spec)
 
 (* --- instrumented execution (mcc profile) ------------------------------- *)
 
@@ -418,35 +410,24 @@ type instrumented = {
   i_lineage : Mcc_obs.Lineage.summary;
 }
 
-(* Like [run_spec_profiled], but with the self-profiler and packet
-   lineage collecting.  Prof/Lineage state is domain-local, so both the
-   run and the snapshots happen inside this one call, on the caller's
-   domain — there is deliberately no batch variant.  The root "run"
-   span brackets the whole experiment, so the snapshot's self times sum
-   to (almost exactly) the measured wall time; opening it here keeps
-   every span site inside lib/, where the lint prof-span rule wants
-   them. *)
-let run_spec_instrumented ?sched ?sample_dt spec =
-  Metrics.reset ();
-  preregister ();
-  (match sample_dt with
-  | Some dt -> Timeseries.enable ~dt ()
-  | None -> ());
+(* [run_spec_profiled] with the self-profiler and packet lineage
+   collecting.  Prof/Lineage state is domain-local, so both the run and
+   the snapshots happen inside this one call, on the caller's domain —
+   there is deliberately no batch variant.  The root "run" span
+   brackets the whole experiment, so the snapshot's self times sum to
+   (almost exactly) the measured wall time; opening it here keeps every
+   span site inside lib/, where the lint prof-span rule wants them. *)
+let run_spec_instrumented ?sched spec =
   Mcc_obs.Prof.enable ();
   Mcc_obs.Lineage.enable ();
-  let result, wall_s =
-    Profile.with_wall_clock (fun () ->
-        with_sched sched (fun () ->
-            Mcc_obs.Prof.with_span "run" (fun () -> Experiments.run spec)))
+  let result, metrics, _, profile =
+    bracket ?sched (fun () ->
+        Mcc_obs.Prof.with_span "run" (fun () -> Experiments.run spec))
   in
   let prof = Mcc_obs.Prof.snapshot () in
   let lineage = Mcc_obs.Lineage.summary () in
   Mcc_obs.Prof.disable ();
   Mcc_obs.Lineage.disable ();
-  let metrics = Metrics.snapshot () in
-  Timeseries.disable ();
-  Metrics.reset ();
-  let metrics, profile = finish_profile ?sched metrics wall_s in
   { i_result = result; i_metrics = metrics; i_profile = profile;
     i_prof = prof; i_lineage = lineage }
 
@@ -460,40 +441,34 @@ type row = {
 
 let run_batch ?(jobs = 1) ?sched ?sample_dt ?(sinks = []) ?on_progress
     ?progress_interval entries =
-  let specs = List.map (fun e -> e.spec) entries in
-  let outs =
-    match on_progress with
-    | None -> run_specs_profiled ~jobs ?sched ?sample_dt specs
-    | Some callback ->
-        (* The monitor only ever drives the callback (the CLI's stderr
-           meter): workers report each cell as it completes, but results
-           still land in input-order slots and sinks are fed after the
-           batch below — telemetry on/off cannot change sink bytes. *)
-        let monitor =
-          Mcc_obs.Progress.start ?interval:progress_interval
-            ~total:(List.length specs) ~on_progress:callback ()
-        in
-        Fun.protect
-          ~finally:(fun () -> ignore (Mcc_obs.Progress.stop monitor))
-          (fun () ->
-            parallel_map ~jobs
-              (fun spec ->
-                let (_, _, _, profile) as out =
-                  run_spec_profiled ?sched ?sample_dt spec
-                in
-                Mcc_obs.Progress.cell_done monitor
-                  ~events:profile.Profile.events
-                  ~minor_words:
-                    (float_of_int
-                       (Option.value profile.Profile.minor_words ~default:0));
-                out)
-              specs)
+  (* The monitor only ever drives the callback (the CLI's stderr meter):
+     workers report each cell as it completes, but results still land in
+     input-order slots and sinks are fed after the batch below —
+     telemetry on/off cannot change sink bytes. *)
+  let monitor =
+    Option.map
+      (fun callback ->
+        Mcc_obs.Progress.start ?interval:progress_interval
+          ~total:(List.length entries) ~on_progress:callback ())
+      on_progress
+  in
+  let run entry =
+    let result, metrics, series, profile =
+      run_spec_profiled ?sched ?sample_dt entry.spec
+    in
+    Option.iter
+      (fun monitor ->
+        Mcc_obs.Progress.cell_done monitor ~events:profile.Profile.events
+          ~minor_words:
+            (float_of_int (Option.value profile.Profile.minor_words ~default:0)))
+      monitor;
+    { entry; result; metrics; series; profile }
   in
   let rows =
-    List.map2
-      (fun entry (result, metrics, series, profile) ->
-        { entry; result; metrics; series; profile })
-      entries outs
+    Fun.protect
+      ~finally:(fun () ->
+        Option.iter (fun m -> ignore (Mcc_obs.Progress.stop m)) monitor)
+      (fun () -> parallel_map ~jobs run entries)
   in
   List.iter
     (fun { entry = e; result; metrics; series; profile } ->

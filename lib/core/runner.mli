@@ -30,26 +30,6 @@ val find : string -> entry list
 val lookup : string -> entry option
 (** Exact-name lookup. *)
 
-val run_spec : Spec.t -> Experiments.result
-(** Alias of {!Experiments.run}: one isolated simulation. *)
-
-val run_specs :
-  ?jobs:int ->
-  ?sched:Mcc_engine.Scheduler.backend ->
-  Spec.t list ->
-  Experiments.result list
-(** Executes the specs on up to [jobs] domains (default 1; capped at
-    the spec count).  Results are returned in input order regardless of
-    completion order.  If a run raises, the exception is re-raised
-    after the batch drains.
-
-    [sched] selects the event-scheduler backend for every run.  It is
-    applied as the domain-local {!Mcc_engine.Scheduler.set_default}
-    inside each worker — worker domains start from a fresh default, so
-    setting it before spawning would not reach them — and restored
-    afterwards.  Backends fire identical schedules
-    ({!Mcc_engine.Scheduler}), so results do not depend on the choice. *)
-
 val run_spec_profiled :
   ?sched:Mcc_engine.Scheduler.backend ->
   ?sample_dt:float ->
@@ -57,35 +37,28 @@ val run_spec_profiled :
   Experiments.result * (string * Mcc_obs.Metrics.value) list
   * (string * (float * float) list) list
   * Mcc_obs.Profile.t
-(** One isolated run bracketed by the per-run metrics protocol: the
-    domain's registry is reset, a catalog of every metric the simulator
-    can emit is preregistered (so snapshots share one schema across
-    specs — a Plain-mode run still lists the sigma.* counters, at
-    zero), the spec runs, and the snapshot plus an event-loop profile
-    are returned with the registry reset again.  [sched] behaves as in
-    {!run_specs}; the profile records the backend name the run executed
-    on.  With [sample_dt],
-    time-series sampling ({!Mcc_obs.Timeseries}) is enabled at that
-    period for the duration of the run and the recorded series (sorted
-    by name) are the third component; without it the series list is
-    empty and sampling costs nothing.  Snapshots and series are fully
-    deterministic; only the profile's wall-clock fields vary between
-    executions, and its minor-word count on a domain's first run. *)
+(** One isolated run ({!Experiments.run}) bracketed by the per-run
+    metrics protocol: the domain's registry is reset, a catalog of every
+    metric the simulator can emit is preregistered (so snapshots share
+    one schema across specs — a Plain-mode run still lists the sigma.*
+    counters, at zero), the spec runs, and the snapshot plus an
+    event-loop profile are returned with the registry reset again.
 
-val run_specs_profiled :
-  ?jobs:int ->
-  ?sched:Mcc_engine.Scheduler.backend ->
-  ?sample_dt:float ->
-  Spec.t list ->
-  (Experiments.result * (string * Mcc_obs.Metrics.value) list
-   * (string * (float * float) list) list
-   * Mcc_obs.Profile.t)
-  list
-(** {!run_spec_profiled} with the scheduling of {!run_specs}.  Each
-    domain's metrics registry and series store are domain-local, and
-    sampling is switched on inside the worker, so parallel runs cannot
-    bleed counts into each other and [--jobs N] series are
-    byte-identical to serial ones. *)
+    [sched] selects the event-scheduler backend for the run.  It is
+    applied as the domain-local {!Mcc_engine.Scheduler.set_default} for
+    the duration of the call — a batch's worker domains start from a
+    fresh default, so setting it before spawning would not reach them —
+    and restored afterwards; the profile records the backend name.
+    Backends fire identical schedules ({!Mcc_engine.Scheduler}), so
+    results do not depend on the choice.
+
+    With [sample_dt], time-series sampling ({!Mcc_obs.Timeseries}) is
+    enabled at that period for the duration of the run and the recorded
+    series (sorted by name) are the third component; without it the
+    series list is empty and sampling costs nothing.  Snapshots and
+    series are fully deterministic; only the profile's wall-clock fields
+    vary between executions, and its minor-word count on a domain's
+    first run. *)
 
 type instrumented = {
   i_result : Experiments.result;
@@ -96,10 +69,7 @@ type instrumented = {
 }
 
 val run_spec_instrumented :
-  ?sched:Mcc_engine.Scheduler.backend ->
-  ?sample_dt:float ->
-  Spec.t ->
-  instrumented
+  ?sched:Mcc_engine.Scheduler.backend -> Spec.t -> instrumented
 (** {!run_spec_profiled} with the {!Mcc_obs.Prof} self-profiler and
     {!Mcc_obs.Lineage} packet-lineage collection enabled for the run
     (both are restored to off before returning).  The whole experiment
@@ -126,9 +96,16 @@ val run_batch :
   ?progress_interval:float ->
   entry list ->
   row list
-(** {!run_specs_profiled} over a batch of registry entries; after all
-    runs complete, each row is emitted to every sink in entry order.
-    The caller retains ownership of the sinks (they are not closed).
+(** {!run_spec_profiled} over a batch of registry entries on up to
+    [jobs] domains (default 1; capped at the entry count).  Each
+    domain's metrics registry and series store are domain-local, and
+    sampling is switched on inside the worker, so parallel runs cannot
+    bleed counts into each other and [jobs > 1] series are byte-identical
+    to serial ones.  Rows come back in entry order regardless of
+    completion order; if a run raises, the exception is re-raised after
+    the batch drains.  After all runs complete, each row is emitted to
+    every sink in entry order.  The caller retains ownership of the
+    sinks (they are not closed).
 
     With [on_progress], a {!Mcc_obs.Progress} monitor watches the sweep:
     workers report each finished cell and the callback receives periodic

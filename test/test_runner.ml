@@ -156,31 +156,6 @@ let test_batch_metrics () =
            (Mcc_obs.Metrics.counter "engine.events"))
   | rows -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length rows))
 
-let test_run_specs_order () =
-  (* Results come back in input order even when several domains race. *)
-  let specs =
-    List.map
-      (fun sessions ->
-        Spec.Sweep
-          { Spec.default_sweep with
-            Spec.seed = 11 + sessions; duration = 20.; sessions })
-      [ 1; 2; 3 ]
-  in
-  let serial = Runner.run_specs ~jobs:1 specs in
-  let parallel = Runner.run_specs ~jobs:3 specs in
-  List.iteri
-    (fun i (a, b) ->
-      match (a, b) with
-      | E.Sweep_point p, E.Sweep_point q ->
-          Alcotest.(check int)
-            (Printf.sprintf "slot %d sessions" i)
-            p.E.sessions q.E.sessions;
-          Alcotest.(check (float 1e-9))
-            (Printf.sprintf "slot %d average" i)
-            p.E.average_kbps q.E.average_kbps
-      | _ -> Alcotest.fail "unexpected result kind")
-    (List.combine serial parallel)
-
 (* Observation does not change a run: the self-profiler and packet
    lineage that run_spec_instrumented switches on only watch, so the
    instrumented run reports the same result and metric snapshot as the
@@ -225,7 +200,7 @@ let test_registry_roundtrip () =
     (fun group ->
       let e = List.hd (Runner.find group) in
       let result =
-        Runner.run_spec (Spec.scale_time e.Runner.spec ~factor:0.05)
+        E.run (Spec.scale_time e.Runner.spec ~factor:0.05)
       in
       let summary = Report.summary result in
       Alcotest.(check bool) (group ^ " summary non-empty") true (summary <> []);
@@ -250,7 +225,7 @@ let test_registry_roundtrip () =
                      metric)
                   true (v > 0.))
             (Report.summary
-               (Runner.run_spec (Spec.scale_time e.Runner.spec ~factor:0.25)))
+               (E.run (Spec.scale_time e.Runner.spec ~factor:0.25)))
       | _ -> ())
     (Runner.all ())
 
@@ -345,7 +320,6 @@ let suite =
       Alcotest.test_case "telemetry leaves sinks untouched" `Slow
         test_telemetry_sink_determinism;
       Alcotest.test_case "batch metrics" `Slow test_batch_metrics;
-      Alcotest.test_case "run_specs order" `Slow test_run_specs_order;
       Alcotest.test_case "instrumented run matches profiled run" `Slow
         test_instrumented_matches_profiled;
       Alcotest.test_case "registry round-trip" `Slow test_registry_roundtrip;
