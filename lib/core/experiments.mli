@@ -125,14 +125,12 @@ type adversary_result = {
 }
 (** Per-cell damage metrics of the attack × protocol × defence matrix. *)
 
-val run_adversary : Spec.adversary_params -> adversary_result
-(** One matrix cell.  Implemented by [Mcc_attack.Matrix] (which depends
-    on this library and needs the strategy library); raises [Failure]
-    if the [mcc_attack] library is not linked into the executable. *)
-
 val set_adversary_impl : (Spec.adversary_params -> adversary_result) -> unit
-(** Registers the cell runner; called by [Mcc_attack.Matrix] at module
-    initialisation.  Not for general use. *)
+(** Registers the runner of one matrix cell ({!Spec.Adversary}); called
+    by [Mcc_attack.Matrix] (which depends on this library and needs the
+    strategy library) at module initialisation.  Not for general use:
+    {!run} raises [Failure] on an adversary spec if the [mcc_attack]
+    library is not linked into the executable. *)
 
 (** {1 Declarative workloads} *)
 
@@ -154,16 +152,13 @@ type workload_result = {
 }
 (** Aggregate outcome of one declarative workload run. *)
 
-val run_workload : Spec.workload_params -> workload_result
-(** One workload: generated topology, one session, churn, traffic, and
-    optionally an attacker.  Implemented by [Mcc_workload.Build] (which
-    depends on this library and the topology generators); raises
-    [Failure] if the [mcc_workload] library is not linked into the
-    executable. *)
-
 val set_workload_impl : (Spec.workload_params -> workload_result) -> unit
-(** Registers the workload builder; called by [Mcc_workload.Build] at
-    module initialisation.  Not for general use. *)
+(** Registers the builder of one workload ({!Spec.Workload}: generated
+    topology, one session, churn, traffic, and optionally an attacker);
+    called by [Mcc_workload.Build] (which depends on this library and
+    the topology generators) at module initialisation.  Not for general
+    use: {!run} raises [Failure] on a workload spec if the
+    [mcc_workload] library is not linked into the executable. *)
 
 (** {1 Spec dispatch} *)
 

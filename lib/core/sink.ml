@@ -111,8 +111,6 @@ let series_jsonl write =
   in
   { emit; close = (fun () -> ()) }
 
-let series_jsonl_file path = to_file series_jsonl path
-
 let pretty fmt =
   let emit r =
     Report.heading fmt (Printf.sprintf "%s (%s)" r.name (Spec.kind r.spec));
@@ -123,9 +121,3 @@ let pretty fmt =
     | None -> ()
   in
   { emit; close = (fun () -> Format.pp_print_flush fmt ()) }
-
-let multi sinks =
-  {
-    emit = (fun r -> List.iter (fun s -> s.emit r) sinks);
-    close = (fun () -> List.iter (fun s -> s.close ()) sinks);
-  }

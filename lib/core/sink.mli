@@ -61,12 +61,6 @@ val series_jsonl : (string -> unit) -> t
     [--jobs 1] and [--jobs N] files are byte-identical; this is the
     format [mcc report] consumes. *)
 
-val series_jsonl_file : string -> t
-(** [series_jsonl] writing to a file (truncated); [close] closes it. *)
-
 val pretty : Format.formatter -> t
 (** Human-readable rendering: a heading per record followed by the
     {!Report.result} printer — what the CLI shows on stdout. *)
-
-val multi : t list -> t
-(** Fans every record out to each sink in order. *)

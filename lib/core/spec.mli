@@ -286,12 +286,6 @@ val protocol_heading : protocol -> string
 val topology_str : topology_spec -> string
 (** "dumbbell", "fat_tree", "star_lans" or "isp_random". *)
 
-val churn_str : churn_spec -> string
-(** "none", "flash_crowd", "diurnal" or "regional_outage". *)
-
-val traffic_str : traffic_spec -> string
-(** "web" or "tcp". *)
-
 val defence_str : defence -> string
 (** "plain", "delta", "delta+sigma" or "delta+sigma+ecn". *)
 

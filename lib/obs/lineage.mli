@@ -114,5 +114,4 @@ type summary = {
 }
 
 val summary : unit -> summary
-val case_to_json : case -> Json.t
 val to_json : summary -> Json.t

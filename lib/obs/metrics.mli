@@ -74,7 +74,6 @@ val snapshot : unit -> (string * value) list
 val reset : unit -> unit
 (** Empties this domain's registry (see the per-run protocol above). *)
 
-val value_json : value -> Json.t
 val values_json : (string * value) list -> Json.t
 (** An object keyed by metric name, in list order. *)
 
