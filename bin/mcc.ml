@@ -62,9 +62,9 @@ let quick_arg =
     & info [ "quick" ]
         ~doc:"Scale every duration by 1/4 for an abbreviated pass.")
 
-(* What --quick does to an entry. *)
 let at_quick ~quick (e : Runner.entry) =
-  if quick then { e with Runner.spec = Spec.scale_time e.Runner.spec ~factor:0.25 }
+  if quick then
+    { e with Runner.spec = Spec.scale_time e.Runner.spec ~factor:0.25 }
   else e
 
 (* Backends fire identical schedules (see Mcc_engine.Scheduler), so this

@@ -27,7 +27,9 @@ let attack fmt (r : Experiments.attack_result) =
 let sweep fmt (p : Experiments.sweep_point) =
   Format.fprintf fmt "# sessions individual... | average@.";
   Format.fprintf fmt "%2d " p.Experiments.sessions;
-  List.iter (fun v -> Format.fprintf fmt "%.0f " v) p.Experiments.individual_kbps;
+  List.iter
+    (fun v -> Format.fprintf fmt "%.0f " v)
+    p.Experiments.individual_kbps;
   Format.fprintf fmt "| avg %.1f@.@." p.Experiments.average_kbps
 
 let responsiveness fmt (r : Experiments.responsiveness_result) =

@@ -410,13 +410,14 @@ type instrumented = {
   i_lineage : Mcc_obs.Lineage.summary;
 }
 
-(* [run_spec_profiled] with the self-profiler and packet lineage
-   collecting.  Prof/Lineage state is domain-local, so both the run and
-   the snapshots happen inside this one call, on the caller's domain —
-   there is deliberately no batch variant.  The root "run" span
-   brackets the whole experiment, so the snapshot's self times sum to
-   (almost exactly) the measured wall time; opening it here keeps every
-   span site inside lib/, where the lint prof-span rule wants them. *)
+(* Like [run_spec_profiled], but with the self-profiler and packet
+   lineage collecting.  Prof/Lineage state is domain-local, so both the
+   run and the snapshots happen inside this one call, on the caller's
+   domain — there is deliberately no batch variant.  The root "run"
+   span brackets the whole experiment, so the snapshot's self times sum
+   to (almost exactly) the measured wall time; opening it here keeps
+   every span site inside lib/, where the lint prof-span rule wants
+   them. *)
 let run_spec_instrumented ?sched spec =
   Mcc_obs.Prof.enable ();
   Mcc_obs.Lineage.enable ();
@@ -460,7 +461,8 @@ let run_batch ?(jobs = 1) ?sched ?sample_dt ?(sinks = []) ?on_progress
       (fun monitor ->
         Mcc_obs.Progress.cell_done monitor ~events:profile.Profile.events
           ~minor_words:
-            (float_of_int (Option.value profile.Profile.minor_words ~default:0)))
+            (float_of_int
+               (Option.value profile.Profile.minor_words ~default:0)))
       monitor;
     { entry; result; metrics; series; profile }
   in
