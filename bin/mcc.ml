@@ -38,14 +38,93 @@ module Crossrun = Mcc_core.Crossrun
 
 let fmt = Format.std_formatter
 
-(* --- common options ----------------------------------------------------- *)
+(* --- registry batch commands -------------------------------------------- *)
 
-let jobs =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Run up to $(docv) experiments concurrently (OCaml domains).")
+let list_cmd =
+  let run json =
+    if json then
+      (* One machine-readable document so external tooling (and ledger
+         filters) can enumerate specs without scraping columns. *)
+      print_string
+        (Json.to_string
+           (Json.Obj
+              [
+                ( "experiments",
+                  Json.List
+                    (List.map
+                       (fun (e : Runner.entry) ->
+                         Json.Obj
+                           [
+                             ("name", Json.String e.Runner.name);
+                             ("group", Json.String e.Runner.group);
+                             ("kind", Json.String (Spec.kind e.Runner.spec));
+                             ("doc", Json.String e.Runner.doc);
+                           ])
+                       (Runner.all ())) );
+                ( "groups",
+                  Json.List
+                    (List.map (fun g -> Json.String g) (Runner.groups ())) );
+              ])
+        ^ "\n")
+    else begin
+      let width f =
+        List.fold_left (fun w e -> max w (String.length (f e))) 4 (Runner.all ())
+      in
+      let nw = width (fun e -> e.Runner.name)
+      and gw = width (fun e -> e.Runner.group) in
+      let line name group kind doc =
+        Format.fprintf fmt "%-*s %-*s %-14s %s@." nw name gw group kind doc
+      in
+      line "NAME" "GROUP" "KIND" "DOC";
+      List.iter
+        (fun (e : Runner.entry) ->
+          line e.Runner.name e.Runner.group (Spec.kind e.Runner.spec)
+            e.Runner.doc)
+        (Runner.all ());
+      Format.fprintf fmt "@.%d experiments; groups: %s@."
+        (List.length (Runner.all ()))
+        (String.concat ", " (Runner.groups ()))
+    end
+  in
+  let json =
+    Arg.(
+      value & flag
+      & info [ "json" ]
+          ~doc:"Emit one JSON document instead of the pretty table.")
+  in
+  Cmd.v
+    (Cmd.info "list" ~doc:"List every registered experiment spec.")
+    Term.(const run $ json)
+
+let at_quick ~quick (e : Runner.entry) =
+  if quick then
+    { e with Runner.spec = Spec.scale_time e.Runner.spec ~factor:0.25 }
+  else e
+
+(* Shared by `run` and `trace`: resolve --all/--only into registry
+   entries and apply --quick. *)
+let resolve_entries ~cmd ~all ~only ~quick =
+  let entries =
+    if all then Runner.all ()
+    else
+      match only with
+      | [] ->
+          Printf.eprintf "mcc %s: select experiments with %s--only NAME,...\n"
+            cmd
+            (if cmd = "run" then "--all or " else "");
+          exit 2
+      | names ->
+          List.concat_map
+            (fun name ->
+              match Runner.find name with
+              | [] ->
+                  Printf.eprintf
+                    "mcc %s: unknown experiment %S (try `mcc list`)\n" cmd name;
+                  exit 2
+              | entries -> entries)
+            names
+  in
+  List.map (at_quick ~quick) entries
 
 let only_arg =
   Arg.(
@@ -62,13 +141,9 @@ let quick_arg =
     & info [ "quick" ]
         ~doc:"Scale every duration by 1/4 for an abbreviated pass.")
 
-let at_quick ~quick (e : Runner.entry) =
-  if quick then
-    { e with Runner.spec = Spec.scale_time e.Runner.spec ~factor:0.25 }
-  else e
-
-(* Backends fire identical schedules (see Mcc_engine.Scheduler), so this
-   is purely a performance knob and never changes any sink output. *)
+(* Shared by `run` and `matrix`.  Backends fire identical schedules (see
+   Mcc_engine.Scheduler), so this is purely a performance knob and never
+   changes any sink output. *)
 let sched_arg =
   let backend_conv =
     let parse s =
@@ -100,7 +175,7 @@ let output_writer ~cmd path =
         Printf.eprintf "mcc %s: cannot open %s: %s\n" cmd path msg;
         exit 2
 
-(* --- run ledger + live telemetry ---------------------------------------- *)
+(* --- run ledger + live telemetry (shared by run/matrix/profile) --------- *)
 
 let no_ledger_arg =
   Arg.(
@@ -165,6 +240,13 @@ let batch_term =
     { jobs; sched; json; csv; quiet;
       on_progress = progress_callback progress; no_ledger }
   in
+  let jobs =
+    Arg.(
+      value
+      & opt int 1
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:"Run up to $(docv) experiments concurrently (OCaml domains).")
+  in
   let json =
     Arg.(
       value
@@ -213,89 +295,6 @@ let drive ~kind ~label ?(config = []) ~noun ?(finish = ignore) b ~sinks run =
     Format.fprintf fmt "@.[%d %s%s in %.1fs, jobs=%d]@." n noun
       (if n = 1 then "" else "s")
       elapsed b.jobs
-
-(* --- registry batch commands -------------------------------------------- *)
-
-let list_cmd =
-  let run json =
-    if json then
-      (* One machine-readable document so external tooling (and ledger
-         filters) can enumerate specs without scraping columns. *)
-      print_string
-        (Json.to_string
-           (Json.Obj
-              [
-                ( "experiments",
-                  Json.List
-                    (List.map
-                       (fun (e : Runner.entry) ->
-                         Json.Obj
-                           [
-                             ("name", Json.String e.Runner.name);
-                             ("group", Json.String e.Runner.group);
-                             ("kind", Json.String (Spec.kind e.Runner.spec));
-                             ("doc", Json.String e.Runner.doc);
-                           ])
-                       (Runner.all ())) );
-                ( "groups",
-                  Json.List
-                    (List.map (fun g -> Json.String g) (Runner.groups ())) );
-              ])
-        ^ "\n")
-    else begin
-      let width f =
-        List.fold_left (fun w e -> max w (String.length (f e))) 4 (Runner.all ())
-      in
-      let nw = width (fun e -> e.Runner.name)
-      and gw = width (fun e -> e.Runner.group) in
-      let line name group kind doc =
-        Format.fprintf fmt "%-*s %-*s %-14s %s@." nw name gw group kind doc
-      in
-      line "NAME" "GROUP" "KIND" "DOC";
-      List.iter
-        (fun (e : Runner.entry) ->
-          line e.Runner.name e.Runner.group (Spec.kind e.Runner.spec)
-            e.Runner.doc)
-        (Runner.all ());
-      Format.fprintf fmt "@.%d experiments; groups: %s@."
-        (List.length (Runner.all ()))
-        (String.concat ", " (Runner.groups ()))
-    end
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one JSON document instead of the pretty table.")
-  in
-  Cmd.v
-    (Cmd.info "list" ~doc:"List every registered experiment spec.")
-    Term.(const run $ json)
-
-(* Shared by `run` and `trace`: resolve --all/--only into registry
-   entries and apply --quick. *)
-let resolve_entries ~cmd ~all ~only ~quick =
-  let entries =
-    if all then Runner.all ()
-    else
-      match only with
-      | [] ->
-          Printf.eprintf "mcc %s: select experiments with %s--only NAME,...\n"
-            cmd
-            (if cmd = "run" then "--all or " else "");
-          exit 2
-      | names ->
-          List.concat_map
-            (fun name ->
-              match Runner.find name with
-              | [] ->
-                  Printf.eprintf
-                    "mcc %s: unknown experiment %S (try `mcc list`)\n" cmd name;
-                  exit 2
-              | entries -> entries)
-            names
-  in
-  List.map (at_quick ~quick) entries
 
 let run_cmd =
   let run all only quick b metrics metrics_format series sample_dt =
