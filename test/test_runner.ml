@@ -161,7 +161,9 @@ let test_batch_metrics () =
    instrumented run reports the same result and metric snapshot as the
    plain profiled one, and its profile counts the same simulated work. *)
 let test_instrumented_matches_profiled () =
-  let spec = Spec.scale_time (Spec.Adversary Spec.default_adversary) ~factor:0.05 in
+  let spec =
+    Spec.scale_time (Spec.Adversary Spec.default_adversary) ~factor:0.05
+  in
   let result, metrics, _, profile = Runner.run_spec_profiled spec in
   let inst = Runner.run_spec_instrumented spec in
   let json r = Json.to_string (Report.result_json r) in
