@@ -1,6 +1,13 @@
 open Mcc_util
 
-let elem = QCheck.map (fun x -> Gf.of_int x) QCheck.(int_range 0 max_int)
+(* Residues from the whole field, with 0, 1 and p - 1 drawn often:
+   products and Horner steps then land on p's multiples, the edge of the
+   folded reduction. *)
+let elem =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(
+      frequency
+        [ (3, int_range 0 (Gf.p - 1)); (1, oneofl [ 0; 1; Gf.p - 1 ]) ])
 
 let prop_add_assoc =
   QCheck.Test.make ~name:"Gf add associative" ~count:300
@@ -27,6 +34,29 @@ let prop_sub_add =
   QCheck.Test.make ~name:"Gf sub then add roundtrips" ~count:300
     QCheck.(pair elem elem)
     (fun (a, b) -> Gf.add (Gf.sub a b) b = a)
+
+let prop_mul_reference =
+  QCheck.Test.make ~name:"Gf mul matches a * b mod p" ~count:1000
+    QCheck.(pair elem elem)
+    (fun (a, b) -> Gf.mul a b = a * b mod Gf.p)
+
+(* Horner's rule with a division per step. *)
+let horner_mod coeffs x =
+  Array.fold_right (fun c acc -> ((acc * x) + c) mod Gf.p) coeffs 0
+
+let prop_eval_poly_reference =
+  QCheck.Test.make ~name:"Gf eval_poly matches mod Horner" ~count:1000
+    QCheck.(pair (array_of_size Gen.(int_range 0 6) elem) elem)
+    (fun (coeffs, x) -> Gf.eval_poly coeffs x = horner_mod coeffs x)
+
+(* b + a X with b = -a x: the last Horner step is a nonzero multiple of
+   p whenever a x is not 0 (mod p), and the value is 0. *)
+let prop_eval_poly_root =
+  QCheck.Test.make ~name:"Gf eval_poly vanishes at a root" ~count:300
+    QCheck.(pair elem elem)
+    (fun (a, x) ->
+      let b = (Gf.p - (a * x mod Gf.p)) mod Gf.p in
+      Gf.eval_poly [| b; a |] x = 0 && horner_mod [| b; a |] x = 0)
 
 let test_of_int_negative () =
   Alcotest.(check int) "canonical negative" (Gf.p - 5) (Gf.of_int (-5))
@@ -65,6 +95,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_distrib;
       QCheck_alcotest.to_alcotest prop_inverse;
       QCheck_alcotest.to_alcotest prop_sub_add;
+      QCheck_alcotest.to_alcotest prop_mul_reference;
+      QCheck_alcotest.to_alcotest prop_eval_poly_reference;
+      QCheck_alcotest.to_alcotest prop_eval_poly_root;
       Alcotest.test_case "of_int negative" `Quick test_of_int_negative;
       Alcotest.test_case "pow" `Quick test_pow;
       Alcotest.test_case "inv zero" `Quick test_inv_zero;
