@@ -71,8 +71,8 @@ type Payload.t +=
       last : bool;
       repair : bool;
       upgrade_mask : int;
-      top_shares : (int * Shamir.share) list;
-      inc_shares : (int * Shamir.share) list;
+      top_shares : (int * Shamir.share) list Lazy.t;
+      inc_shares : (int * Shamir.share) list Lazy.t;
     }
 
 type Payload.t +=
@@ -154,26 +154,38 @@ let prepare s ~slot ~mask ~counts =
            ~slot_duration:config.slot_duration ~tuples ());
       Some (top, inc)
 
+(* Increase targets group+1..n authorized in the mask, one share each. *)
+let rec authorized mask t n =
+  if t > n then 0
+  else (if mask_bit mask t then 1 else 0) + authorized mask (t + 1) n
+
+(* The shares are evaluated only when a receiver takes the packet (most
+   emissions die at the sender's node); its size and the share overhead
+   come from the share counts. *)
 let emit s keys ~group ~slot ~seq ~last ~repair ~mask =
   let config = s.s_config in
   let n = config.layering.Layering.groups in
   let packet_index = seq + 1 in
-  let top_shares =
+  let top_shares, top_bytes =
     match keys with
-    | Some (top, _) -> Threshold.shares_for_packet top ~group ~packet_index
-    | None -> []
+    | Some (top, _) ->
+        ( lazy (Threshold.shares_for_packet top ~group ~packet_index),
+          Threshold.share_bytes_per_packet top ~group )
+    | None -> (lazy [], 0)
   in
-  let inc_shares =
+  let inc_shares, inc_bytes =
     match keys with
     | Some (_, Some inc) when group <= n - 1 ->
         (* Shares of increase keys, only for authorized targets. *)
-        List.filter_map
-          (fun (l, share) ->
-            if mask_bit mask (l + 1) then Some (l + 1, share) else None)
-          (Threshold.shares_for_packet inc ~group ~packet_index)
-    | Some _ | None -> []
+        ( lazy
+            (List.filter_map
+               (fun (l, share) ->
+                 if mask_bit mask (l + 1) then Some (l + 1, share) else None)
+               (Threshold.shares_for_packet inc ~group ~packet_index)),
+          4 * authorized mask (group + 1) n )
+    | Some _ | None -> (lazy [], 0)
   in
-  let share_bytes = 4 * (List.length top_shares + List.length inc_shares) in
+  let share_bytes = top_bytes + inc_bytes in
   s.s_share_bits <- s.s_share_bits + (8 * share_bytes);
   s.s_data_bits <- s.s_data_bits + (8 * config.packet_size);
   Node.originate s.s_node
@@ -453,11 +465,11 @@ let receiver_start ?(at = 0.) topo ~host ~prng config =
         feed =
           (fun (top, inc) -> function
             | Rlm_data { top_shares; inc_shares; _ } ->
-                Threshold.on_shares top top_shares;
+                Threshold.on_shares top (Lazy.force top_shares);
                 Threshold.on_shares inc
                   (List.map
                      (fun (target, share) -> (target - 1, share))
-                     inc_shares)
+                     (Lazy.force inc_shares))
             | _ -> ());
         lane_of = (fun ~level:_ ~group -> group - 1);
         law = eval_slot;

@@ -83,11 +83,18 @@ type Mcc_net.Payload.t +=
       last : bool;
       repair : bool;  (** an added redundancy packet, not original data *)
       upgrade_mask : int;
-      top_shares : (int * Mcc_util.Shamir.share) list;
+      top_shares : (int * Mcc_util.Shamir.share) list Lazy.t;
           (** (level, share) of the level keys, levels >= the group *)
-      inc_shares : (int * Mcc_util.Shamir.share) list;
+      inc_shares : (int * Mcc_util.Shamir.share) list Lazy.t;
           (** (target level, share) of authorized increase keys *)
     }
+(** The share lists are evaluated when a receiver first forces them:
+    an emission that dies at the sender's node costs no share
+    evaluation, and multicast copies share the payload, so a packet's
+    shares are computed at most once.  Forcing draws no randomness (the
+    slot's polynomials are drawn at its tick), so the values do not
+    depend on when, or whether, they are forced.  The packet's size
+    counts 4 bytes per share from the share counts alone. *)
 
 type sender
 
