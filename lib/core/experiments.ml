@@ -555,23 +555,12 @@ let oversub_receivers ~seed ~duration ~mean =
    percentage of data bits: one RLM-like session behind a SIGMA edge. *)
 let shamir_overhead ~seed ~duration =
   let module Rlm = Mcc_mcast.Rlm_like in
-  let sim = Mcc_engine.Sim.create () in
-  let db = Dumbbell.create sim ~bottleneck_rate_bps:500_000. () in
-  ignore (Mcc_sigma.Router_agent.attach db.Dumbbell.topo db.Dumbbell.right);
-  let prng = Prng.create seed in
-  let config =
-    Rlm.make_config ~id:9 ~base_group:0x7F00 ~layering:(Defaults.layering ())
-      ~slot_duration:0.25 ~mode:Flid.Robust ()
+  let t = Scenario.create ~seed ~bottleneck_rate_bps:500_000. () in
+  let s =
+    Scenario.add_rlm t ~mode:Flid.Robust ~receivers:[ Scenario.receiver () ] ()
   in
-  let src = Dumbbell.add_sender db in
-  let sender =
-    Rlm.sender_start db.Dumbbell.topo ~node:src ~prng:(Prng.split prng) config
-  in
-  let host = Dumbbell.add_receiver db in
-  ignore
-    (Rlm.receiver_start db.Dumbbell.topo ~host ~prng:(Prng.split prng) config);
-  Dumbbell.finalize db;
-  Mcc_engine.Sim.run_until sim duration;
+  Scenario.run t ~seconds:duration;
+  let sender = s.Scenario.rlm_sender in
   pct (Rlm.share_overhead_bits sender) (Rlm.data_bits sender)
 
 let run_study (p : Spec.study_params) =
