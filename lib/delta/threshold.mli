@@ -35,7 +35,11 @@ val shares_for_packet :
   sender -> group:int -> packet_index:int -> (int * Mcc_util.Shamir.share) list
 (** Shares carried by packet number [packet_index] (1-based within the
     whole slot's numbering of groups 1..N in order): one [(level,
-    share)] pair for every level >= the packet's group. *)
+    share)] pair for every level >= the packet's group, each one
+    [Gf.eval_poly] of degree k_g - 1.  A pure function of the sender,
+    whose polynomials are drawn at [sender_create]: a caller may
+    evaluate it late, or never for a packet no receiver takes, and gets
+    the same shares (the RLM-like sender defers it to delivery). *)
 
 val share_bytes_per_packet : sender -> group:int -> int
 (** Wire overhead of the share block for a packet of [group], counting
