@@ -190,12 +190,17 @@ let parse_number c =
       done
   | _ -> ());
   let text = String.sub c.src start (c.pos - start) in
-  if text = "" || text = "-" then parse_fail c "invalid number";
-  if !is_float then Float (float_of_string text)
-  else
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> Float (float_of_string text)
+  (* The scan admits malformed text such as "-", "1e" or "-.": those
+     fail here, at the number's first byte. *)
+  let float () =
+    match float_of_string_opt text with
+    | Some f -> Float f
+    | None ->
+        c.pos <- start;
+        parse_fail c (Printf.sprintf "invalid number %S" text)
+  in
+  if !is_float then float ()
+  else match int_of_string_opt text with Some i -> Int i | None -> float ()
 
 let rec parse_value c =
   skip_ws c;

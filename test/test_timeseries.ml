@@ -199,10 +199,81 @@ let test_json_errors () =
   bad "nul";
   bad "1 2";
   bad "\"unterminated";
+  (* The number scan admits these; the parse still fails. *)
+  List.iter bad [ "1e"; "-."; "0.e"; "1e+"; "-e5" ];
+  (match Json.of_string {|{"version": 1, "duration": 1e}|} with
+  | Error e ->
+      Alcotest.(check string) "offset of the number's first byte"
+        {|at offset 27: invalid number "1e"|} e
+  | Ok _ -> Alcotest.fail "document accepted");
   match Json.of_string "  [1, 2.5, \"x\"]  " with
   | Ok (Json.List [ Json.Int 1; Json.Float 2.5; Json.String "x" ]) -> ()
   | Ok j -> Alcotest.fail ("wrong shape: " ^ Json.to_string j)
   | Error e -> Alcotest.fail ("parse failed: " ^ e)
+
+(* Whatever the input, [of_string] answers [Ok] or [Error] and never
+   raises.  Inputs are short strings over JSON's own characters, and
+   truncations and one-byte mutations of rendered documents, whose
+   floats render with exponents. *)
+let json_chars = {|0123456789-+.eE[]{},:" tfnrul\|}
+
+let gen_json_char =
+  QCheck.Gen.(
+    map (String.get json_chars) (int_bound (String.length json_chars - 1)))
+
+let gen_json =
+  QCheck.Gen.(
+    let leaf =
+      oneof
+        [
+          return Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun i -> Json.Int i) small_signed_int;
+          map2
+            (fun m e -> Json.Float (m *. (10. ** float_of_int e)))
+            (float_range (-10.) 10.) (int_range (-30) 30);
+          map (fun s -> Json.String s) (string_size (int_bound 4));
+        ]
+    in
+    let field i v = (string_of_int i, v) in
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let items = list_size (int_bound 3) (self (n - 1)) in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.List l) items);
+                 (1, map (fun l -> Json.Obj (List.mapi field l)) items);
+               ]))
+
+(* A rendered document cut short, or with one byte replaced. *)
+let damage s =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun k -> String.sub s 0 k) (int_bound (String.length s));
+        map2
+          (fun i ch ->
+            let b = Bytes.of_string s in
+            Bytes.set b (i mod Bytes.length b) ch;
+            Bytes.to_string b)
+          nat gen_json_char;
+      ])
+
+let gen_json_input =
+  QCheck.Gen.(
+    oneof
+      [
+        string_size ~gen:gen_json_char (int_bound 12);
+        gen_json >>= fun j -> damage (Json.to_string j);
+      ])
+
+let prop_json_never_raises =
+  QCheck.Test.make ~name:"json of_string never raises" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_json_input)
+    (fun s -> match Json.of_string s with Ok _ | Error _ -> true)
 
 (* --- series JSONL determinism ------------------------------------------- *)
 
@@ -366,4 +437,6 @@ let suite =
         test_series_determinism;
       Alcotest.test_case "attack series narrative" `Slow
         test_attack_series_narrative;
+      (* Appended: earlier cases keep their indices in the suite. *)
+      QCheck_alcotest.to_alcotest prop_json_never_raises;
     ] )
