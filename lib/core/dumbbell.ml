@@ -42,12 +42,12 @@ let access_buffer t rate_bps =
   in
   Defaults.buffer_bytes ~bottleneck_rate_bps:rate_bps ~rtt_s:rtt
 
-let add_sender ?(delay_s = Defaults.access_delay_s)
-    ?(rate_bps = Defaults.access_rate_bps) t =
+let add_sender t =
   let host = Topology.add_node t.topo Node.Host in
   let _ =
-    Topology.connect t.topo host t.left ~rate_bps ~delay_s
-      ~buffer_bytes:(access_buffer t rate_bps) ()
+    Topology.connect t.topo host t.left ~rate_bps:Defaults.access_rate_bps
+      ~delay_s:Defaults.access_delay_s
+      ~buffer_bytes:(access_buffer t Defaults.access_rate_bps) ()
   in
   host
 

@@ -27,8 +27,8 @@ val create :
     the equivalent packet count (NS-2-style), which makes small control
     packets as droppable as data. *)
 
-val add_sender : ?delay_s:float -> ?rate_bps:float -> t -> Mcc_net.Node.t
-(** New host behind the left router (default 10 Mbps / 10 ms access). *)
+val add_sender : t -> Mcc_net.Node.t
+(** New host behind the left router, on a 10 Mbps / 10 ms access link. *)
 
 val add_receiver : ?delay_s:float -> ?rate_bps:float -> t -> Mcc_net.Node.t
 (** New host behind the right router.  A [rate_bps] below the shared

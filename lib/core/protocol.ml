@@ -143,7 +143,7 @@ module Oversub = struct
   let make ~id ~base_group ~layering ~slot_duration ~mode =
     O.make_config ~id ~base_group ~layering ~slot_duration ~mode ()
 
-  let with_mode c mode = { c with O.flid = { c.O.flid with F.mode } }
+  let with_mode c mode = { O.flid = { c.O.flid with F.mode } }
   let slot_duration c = c.O.flid.F.slot_duration
   let group_addr = O.group_addr
   let sender_start topo ~node ~prng c = O.sender_start topo ~node ~prng c

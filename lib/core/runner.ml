@@ -297,6 +297,9 @@ let counter_catalog =
     "link.enqueues"; "link.enqueue_bytes";
     "link.drops"; "link.drop_bytes";
     "link.marks"; "link.mark_bytes";
+    (* Reads 0: links mark at a fixed threshold and count into
+       link.marks.  The name stays so every row keeps its schema, and
+       the pinned digests with it. *)
     "red.marks";
     "sigma.subscriptions"; "sigma.keys_accepted"; "sigma.keys_rejected";
     "sigma.acks"; "sigma.upgrade_graces"; "sigma.grace_admissions";

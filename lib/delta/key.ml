@@ -7,5 +7,4 @@ let nonce prng ~width =
   Mcc_util.Prng.bits prng width
 
 let xor = ( lxor )
-let xor_list = List.fold_left ( lxor ) 0
 let field_bytes ~width = (width + 7) / 8

@@ -16,8 +16,5 @@ val nonce : Mcc_util.Prng.t -> width:int -> t
 
 val xor : t -> t -> t
 
-val xor_list : t list -> t
-(** XOR of a list; 0 on the empty list. *)
-
 val field_bytes : width:int -> int
 (** Wire size of one key-sized field, rounded up to whole bytes. *)

@@ -32,29 +32,19 @@ module type S = sig
   val push_keyed : 'a t -> time:float -> seq:int -> 'a -> unit
   (** [push_keyed t ~time ~seq v] queues [v] under a reserved key. *)
 
-  val peek_time : 'a t -> float option
-  val pop : 'a t -> (float * 'a) option
-
   val pop_into : 'a t -> float ref -> 'a -> 'a
   (** [pop_into t r default] pops the earliest event, writing its time
       into [r] and returning its value, or returns [default] with [r]
       untouched when empty.  The write boxes the float; {!Sim}'s loops
       use {!pop_before} and its flat {!cell} instead. *)
 
-  val next_before : 'a t -> float -> bool
-  (** [next_before t bound] is true iff the queue is non-empty and the
-      earliest time is [<= bound] — {!peek_time} for bounded loops,
-      without the option/boxed-float allocation. *)
-
   val pop_before : 'a t -> cell -> bound:float -> 'a -> 'a
   (** [pop_before t cell ~bound default] pops the earliest event at
       time [<= bound], writing its time into [cell] and returning its
-      value, or returns [default] with [cell] untouched: the
-      {!next_before}/{!pop_into} pair of a bounded run loop fused into
-      one call, peeking the key exactly once per event, allocation-free
-      (the cell is stored flat). *)
+      value, or returns [default] with [cell] untouched: a bounded run
+      loop's peek and pop fused into one call, peeking the key exactly
+      once per event, allocation-free (the cell is stored flat). *)
 
-  val clear : 'a t -> unit
   val capacity : 'a t -> int
 
   val stats : 'a t -> Mcc_obs.Profile.sched_stats
@@ -85,8 +75,7 @@ module Heap = struct
      is the free stack, its top at [len].  A push takes the slot on
      top, a pop puts the root's slot back.  A free slot keeps its last
      value reachable until a push reuses it — bounded by the heap's
-     high-water mark, and dropped entirely by [clear] (the wheel's free
-     list makes the same trade). *)
+     high-water mark (the wheel's free list makes the same trade). *)
   type 'a t = {
     mutable times : float array;
     mutable seqs : int array;
@@ -261,8 +250,6 @@ module Heap = struct
     let id = park t value in
     settle t (sift_up_keyed t.times t.seqs t.ids t.len time seq) ~time ~seq id
 
-  let peek_time t = if t.len = 0 then None else Some t.times.(0)
-
   (* Drop the root and return its value.  The last element is already
      staged outside the shrunken tree, at index [len - 1], so it sinks
      from the root's hole without a copy; its old index then takes the
@@ -277,13 +264,6 @@ module Heap = struct
     t.ids.(last) <- root;
     t.values.(root)
 
-  let pop t =
-    if t.len = 0 then None
-    else begin
-      let time = t.times.(0) in
-      Some (time, remove_root t)
-    end
-
   let pop_into t r default =
     if t.len = 0 then default
     else begin
@@ -291,29 +271,12 @@ module Heap = struct
       remove_root t
     end
 
-  let[@hot] next_before t bound = t.len > 0 && t.times.(0) <= bound
-
   let[@hot] pop_before t cell ~bound default =
     if t.len = 0 || t.times.(0) > bound then default
     else begin
       cell.time <- t.times.(0);
       remove_root t
     end
-
-  (* A cleared queue is as good as new: sequence numbers restart (a
-     queue reused across thousands of batch runs never overflows them)
-     and the storage is dropped outright — capacity returns to 0 and is
-     lazily re-grown on the next push — so a reused queue keeps neither
-     the high-water allocation nor references to popped values. *)
-  let clear t =
-    t.times <- [||];
-    t.seqs <- [||];
-    t.ids <- [||];
-    t.values <- [||];
-    t.len <- 0;
-    t.next_seq <- 0;
-    t.max_len <- 0;
-    t.growth_caps <- []
 
   (* next_seq advances once per plain push and once per reserved key,
      so it counts keys issued: the pushes a post-per-event schedule
@@ -357,7 +320,7 @@ module Wheel = struct
      index goes onto an internal free list and is reused by a later
      push.  The one cost of that reuse is that a free slot keeps its
      last value reachable until it is overwritten — bounded by the
-     store's high-water mark, and dropped entirely by [clear]. *)
+     store's high-water mark. *)
   let ticks_per_sec = 1_000_000.
   let levels = 4
 
@@ -741,18 +704,6 @@ module Wheel = struct
     if t.wheel_count = 0 then migrate_overflow t;
     advance_from t 0
 
-  let pop t =
-    if t.size = 0 then None
-    else begin
-      if t.drain = nil then advance t;
-      let i = t.drain in
-      let time = t.times.(i) and value = t.values.(i) in
-      t.drain <- t.nexts.(i);
-      t.size <- t.size - 1;
-      free_cell t i;
-      Some (time, value)
-    end
-
   let pop_into t r default =
     if t.size = 0 then default
     else begin
@@ -765,20 +716,6 @@ module Wheel = struct
       free_cell t i;
       value
     end
-
-  let peek_time t =
-    if t.size = 0 then None
-    else begin
-      if t.drain = nil then advance t;
-      Some t.times.(t.drain)
-    end
-
-  let[@hot] next_before t bound =
-    t.size > 0
-    && begin
-         if t.drain = nil then advance t;
-         t.times.(t.drain) <= bound
-       end
 
   let[@hot] pop_before t cell ~bound default =
     if t.size = 0 then default
@@ -796,32 +733,6 @@ module Wheel = struct
         value
       end
     end
-
-  let clear t =
-    Array.fill t.slots 0 total_slots nil;
-    Array.fill t.level_count 0 levels 0;
-    t.cur <- 0;
-    t.wheel_count <- 0;
-    t.overflow <- nil;
-    t.overflow_count <- 0;
-    t.drain <- nil;
-    t.drain_tick <- -1;
-    t.size <- 0;
-    t.next_seq <- 0;
-    t.times <- [||];
-    t.seqs <- [||];
-    t.ticks <- [||];
-    t.nexts <- [||];
-    t.values <- [||];
-    t.free <- nil;
-    t.scratch <- [||];
-    t.max_size <- 0;
-    Array.fill t.places 0 levels 0;
-    t.overflow_places <- 0;
-    t.drain_inserted <- 0;
-    t.free_hits <- 0;
-    t.free_misses <- 0;
-    t.growth_caps <- []
 
   let stats t =
     {
@@ -865,14 +776,10 @@ type 'a queue = {
   push : time:float -> 'a -> unit;
   reserve : int -> int;
   push_keyed : time:float -> seq:int -> 'a -> unit;
-  pop : unit -> (float * 'a) option;
   pop_into : float ref -> 'a -> 'a;
   pop_before : cell -> bound:float -> 'a -> 'a;
-  peek_time : unit -> float option;
-  next_before : float -> bool;
   size : unit -> int;
   is_empty : unit -> bool;
-  clear : unit -> unit;
   capacity : unit -> int;
   stats : unit -> Mcc_obs.Profile.sched_stats;
   backend : string;
@@ -884,14 +791,10 @@ let instantiate (module B : S) () =
     push = (fun ~time v -> B.push q ~time v);
     reserve = (fun n -> B.reserve q n);
     push_keyed = (fun ~time ~seq v -> B.push_keyed q ~time ~seq v);
-    pop = (fun () -> B.pop q);
     pop_into = (fun r default -> B.pop_into q r default);
     pop_before = (fun cell ~bound default -> B.pop_before q cell ~bound default);
-    peek_time = (fun () -> B.peek_time q);
-    next_before = (fun bound -> B.next_before q bound);
     size = (fun () -> B.size q);
     is_empty = (fun () -> B.is_empty q);
-    clear = (fun () -> B.clear q);
     capacity = (fun () -> B.capacity q);
     stats = (fun () -> B.stats q);
     backend = B.name;

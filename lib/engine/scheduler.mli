@@ -58,51 +58,32 @@ module type S = sig
       @raise Invalid_argument as {!push} does, or if [seq] was never
       issued. *)
 
-  val peek_time : 'a t -> float option
-  (** Earliest event time, if any. *)
-
-  val pop : 'a t -> (float * 'a) option
-  (** Removes and returns the earliest event; ties pop in push order. *)
-
   val pop_into : 'a t -> float ref -> 'a -> 'a
-  (** [pop_into t r default] pops the earliest event, writing its time
-      into [r] and returning its value, or returns [default] with [r]
-      untouched when empty.  Same order as {!pop}, with no option or
-      tuple built; the write into the polymorphic ref still boxes the
+  (** [pop_into t r default] pops the earliest event (ties in push
+      order), writing its time into [r] and returning its value, or
+      returns [default] with [r] untouched when empty.  No option or
+      tuple is built, but the write into the polymorphic ref boxes the
       float.  {!Sim}'s loops run on {!pop_before}, which writes into a
       flat {!cell}. *)
 
-  val next_before : 'a t -> float -> bool
-  (** [next_before t bound] is true iff the queue is non-empty and the
-      earliest time is [<= bound] — {!peek_time} for bounded run loops,
-      without the option/boxed-float allocation. *)
-
   val pop_before : 'a t -> cell -> bound:float -> 'a -> 'a
-  (** [pop_before t cell ~bound default] pops the earliest event if its
-      time is [<= bound], writing the time into [cell] and returning the
-      value; otherwise it returns [default] with [cell] untouched.
-      Fuses the {!next_before}/pop pair of a bounded run loop into one
-      call that peeks the key exactly once, and allocates nothing: no
-      option or tuple, and the cell stores the float flat.  {!Sim}'s
-      loops run on it with a sentinel as [default] (and a bound of
-      [infinity] when unbounded). *)
-
-  val clear : 'a t -> unit
-  (** Empties the queue and restores it to its freshly-created state:
-      tie-break sequence numbers restart from zero and dynamically grown
-      storage is dropped, so a queue reused across many batch runs
-      carries neither unbounded sequence numbers nor the high-water-mark
-      allocation. *)
+  (** [pop_before t cell ~bound default] pops the earliest event (ties
+      in push order) if its time is [<= bound], writing the time into
+      [cell] and returning the value; otherwise it returns [default]
+      with [cell] untouched.  It peeks the key exactly once, and
+      allocates nothing: no option or tuple, and the cell stores the
+      float flat.  {!Sim}'s loops run on it with a sentinel as
+      [default] (and a bound of [infinity] when unbounded). *)
 
   val capacity : 'a t -> int
   (** Current backing allocation in slots (observability / tests).  For
-      {!Heap} this is the parallel-array length (0 after [create] or
-      [clear] — storage is lazily allocated on first push); for {!Wheel}
-      it is the fixed slot-table size plus the cell store's high-water
+      {!Heap} this is the parallel-array length (0 after [create] —
+      storage is lazily allocated on first push); for {!Wheel} it is
+      the fixed slot-table size plus the cell store's high-water
       mark. *)
 
   val stats : 'a t -> Mcc_obs.Profile.sched_stats
-  (** Backend introspection since the last [create]/[clear]: pushes
+  (** Backend introspection since [create]: pushes
       (keys issued: plain pushes plus reserved keys, so holding events
       back does not change the count), size high-water and the capacity
       trajectory for every backend;
@@ -130,7 +111,7 @@ module Heap : S
     the tree is half as deep as a binary one.  No extra slot is
     reserved, so {!S.capacity} and its growth points are those of a
     plain array heap.  A free parking slot keeps its last value
-    reachable until a push reuses it; [clear] drops the store.  Handles
+    reachable until a push reuses it.  Handles
     any time, including negatives and infinities. *)
 
 module Wheel : S
@@ -143,8 +124,7 @@ module Wheel : S
     an overflow list that is migrated when the wheel empties.  Cells
     live in unboxed, index-linked parallel arrays recycled through an
     internal free list, so steady-state operation allocates nothing
-    (a free slot keeps its last value reachable until reuse; [clear]
-    drops the store).  Quantisation picks buckets only: each bucket is
+    (a free slot keeps its last value reachable until reuse).  Quantisation picks buckets only: each bucket is
     sorted by the original [(time, seq)] key when drained, so the pop
     sequence is byte-identical to {!Heap}'s.  Same-tick events batch
     through a drain buffer and are delivered in one pass per bucket.
@@ -178,14 +158,10 @@ type 'a queue = {
   push : time:float -> 'a -> unit;
   reserve : int -> int;
   push_keyed : time:float -> seq:int -> 'a -> unit;
-  pop : unit -> (float * 'a) option;
   pop_into : float ref -> 'a -> 'a;
   pop_before : cell -> bound:float -> 'a -> 'a;
-  peek_time : unit -> float option;
-  next_before : float -> bool;
   size : unit -> int;
   is_empty : unit -> bool;
-  clear : unit -> unit;
   capacity : unit -> int;
   stats : unit -> Mcc_obs.Profile.sched_stats;
   backend : string;  (** {!backend_name} of the backend instantiated *)

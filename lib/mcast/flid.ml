@@ -19,10 +19,7 @@ type config = {
   layering : Layering.t;
   slot_duration : float;
   packet_size : int;
-  width : int;
   mode : mode;
-  upgrade_period : int -> int;
-  processing_margin : float;
   fec_scheme : Mcc_sigma.Fec.scheme;
 }
 
@@ -31,29 +28,11 @@ let default_upgrade_period layering g =
   let rg = Layering.cumulative_rate layering ~level:g in
   max 2 (int_of_float (ceil (rg /. r1)))
 
-let make_config ?(packet_size = 576) ?(width = Key.default_width)
-    ?upgrade_period ?(processing_margin = 0.9)
-    ?(fec_scheme = Mcc_sigma.Fec.Repetition 2) ~id ~base_group ~layering
-    ~slot_duration ~mode () =
+let make_config ?(packet_size = 576) ?(fec_scheme = Mcc_sigma.Fec.Repetition 2)
+    ~id ~base_group ~layering ~slot_duration ~mode () =
   if slot_duration <= 0. then invalid_arg "Flid.make_config: slot_duration";
   if packet_size <= 0 then invalid_arg "Flid.make_config: packet_size";
-  let upgrade_period =
-    match upgrade_period with
-    | Some f -> f
-    | None -> default_upgrade_period layering
-  in
-  {
-    id;
-    base_group;
-    layering;
-    slot_duration;
-    packet_size;
-    width;
-    mode;
-    upgrade_period;
-    processing_margin;
-    fec_scheme;
-  }
+  { id; base_group; layering; slot_duration; packet_size; mode; fec_scheme }
 
 let group_addr config g = config.base_group + g - 1
 
@@ -67,14 +46,6 @@ type Payload.t +=
       upgrade_mask : int;
       delta : Field.t option;
     }
-
-let () =
-  Payload.register_pp (fun fmt -> function
-    | Data { session; group; slot; seq; last; _ } ->
-        Format.fprintf fmt "flid s%d g%d slot%d #%d%s" session group slot seq
-          (if last then " last" else "");
-        true
-    | _ -> false)
 
 (* ----------------------------------------------------------------- *)
 (* Sender                                                            *)
@@ -122,7 +93,7 @@ let prepare s ~slot ~mask ~counts:_ =
         Array.init n (fun i -> i >= 1 && Slotted.mask_bit mask (i + 1))
       in
       let st =
-        Layered.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
+        Layered.sender_create ~prng:s.s_prng ~width:Key.default_width ~groups:n
           ~upgrades
       in
       let keys = Layered.sender_keys st in
@@ -137,7 +108,7 @@ let prepare s ~slot ~mask ~counts:_ =
       let sent =
         Special.distribute ~scheme:config.fec_scheme s.s_topo ~sender:s.s_node
           ~session:config.id ~via_group:(group_addr config 1)
-          ~width:config.width ~slot:guarded
+          ~width:Key.default_width ~slot:guarded
           ~slot_duration:config.slot_duration ~tuples ()
       in
       stats.sigma_payload_bits <-
@@ -162,7 +133,7 @@ let emit s st ~group ~slot ~seq ~last ~repair:_ ~mask =
   in
   let field_bytes =
     match delta with
-    | Some f -> Field.wire_bytes ~width:config.width f
+    | Some f -> Field.wire_bytes ~width:Key.default_width f
     | None -> 0
   in
   let pkt =
@@ -207,7 +178,8 @@ let sender_start ?at topo ~node ~prng config =
       (Array.init n (fun i ->
            Layering.layer_rate config.layering ~group:(i + 1)))
     ~packet_size:config.packet_size ~repair_fraction:0.
-    ~slot_duration:config.slot_duration ~upgrade_period:config.upgrade_period
+    ~slot_duration:config.slot_duration
+    ~upgrade_period:(default_upgrade_period config.layering)
     ~prepare:(prepare s) ~emit:(emit s) ();
   s
 
@@ -427,8 +399,7 @@ let receiver_proto config ~names ~law ~attrs =
     groups = n;
     lane_count = n;
     slot_duration = config.slot_duration;
-    processing_margin = config.processing_margin;
-    key_width = config.width;
+    key_width = Key.default_width;
     new_keys =
       (match config.mode with
       | Robust -> Some (fun () -> Layered.receiver_create ~groups:n)

@@ -26,26 +26,12 @@ type config = {
   layering : Layering.t;
   slot_duration : float;
   packet_size : int;  (** data bytes per packet (the paper's 576) *)
-  width : int;  (** DELTA key width in bits *)
   mode : mode;
-  upgrade_period : int -> int;
-      (** slots between upgrade authorizations to level g *)
-  processing_margin : float;
-      (** Evaluation is normally self-clocked: a slot is processed as
-          soon as every subscribed group delivered its flagged last
-          packet or a packet of a later slot (the FIFO path guarantees
-          nothing is still in flight).  This margin — a fraction of a
-          slot — is the wall-clock fallback for groups that went
-          completely silent; packets arriving after it count as lost,
-          as in FLID-DL. *)
   fec_scheme : Mcc_sigma.Fec.scheme;
 }
 
 val make_config :
   ?packet_size:int ->
-  ?width:int ->
-  ?upgrade_period:(int -> int) ->
-  ?processing_margin:float ->
   ?fec_scheme:Mcc_sigma.Fec.scheme ->
   id:int ->
   base_group:int ->
@@ -54,19 +40,19 @@ val make_config :
   mode:mode ->
   unit ->
   config
-(** The default upgrade period to level g is
-    [max 2 (ceil (R_g / R_1))] slots: probing slows multiplicatively at
-    higher levels.  Default fallback margin 0.9 — larger than the worst
-    drop-tail queueing delay (two RTTs with the paper's buffers), so a
-    merely-delayed slot is never misread as silence.  FEC
-    [Repetition 2]. *)
+(** Default FEC [Repetition 2].  Every session keys with
+    {!Mcc_delta.Key.default_width}-bit DELTA keys and authorizes
+    upgrades to level g every {!default_upgrade_period} slots; its
+    receivers evaluate a silent slot at {!Slotted}'s fallback
+    margin. *)
 
 val group_addr : config -> int -> int
 (** Address of group [g] (1-based). *)
 
 val default_upgrade_period : Layering.t -> int -> int
-(** [max 2 (ceil (R_g / R_1))] slots between authorizations to level g;
-    shared with the other multi-group protocols in this library. *)
+(** [max 2 (ceil (R_g / R_1))] slots between authorizations to level g
+    (probing slows multiplicatively at higher levels); shared with the
+    other multi-group protocols in this library. *)
 
 type Mcc_net.Payload.t +=
   | Data of {

@@ -1,35 +1,23 @@
 module Node = Mcc_net.Node
 module Prng = Mcc_util.Prng
-module Key = Mcc_delta.Key
 module Layered = Mcc_delta.Layered
 module Metrics = Mcc_obs.Metrics
 module Timeseries = Mcc_obs.Timeseries
 module Json = Mcc_obs.Json
 
-type config = {
-  flid : Flid.config;
-  alpha : float;
-  target : float;
-  md : float;
-  ai_bps : float;
-  max_exp : int;
-}
+type config = { flid : Flid.config }
 
-let make_config ?(packet_size = 576) ?(width = Key.default_width)
-    ?upgrade_period ?(processing_margin = 0.9) ?(alpha = 0.5) ?(target = 0.3)
-    ?(md = 0.5) ?(ai_bps = 10_000.) ?(max_exp = 6) ~id ~base_group ~layering
-    ~slot_duration ~mode () =
-  if not (alpha > 0. && alpha <= 1.) then invalid_arg "Oversub.make_config: alpha";
-  if not (target > 0. && target < 1.) then
-    invalid_arg "Oversub.make_config: target";
-  if not (md > 0. && md <= 1.) then invalid_arg "Oversub.make_config: md";
-  if ai_bps <= 0. then invalid_arg "Oversub.make_config: ai_bps";
-  if max_exp < 0 then invalid_arg "Oversub.make_config: max_exp";
-  let flid =
-    Flid.make_config ~packet_size ~width ?upgrade_period ~processing_margin ~id
-      ~base_group ~layering ~slot_duration ~mode ()
-  in
-  { flid; alpha; target; md; ai_bps; max_exp }
+let make_config ~id ~base_group ~layering ~slot_duration ~mode () =
+  { flid = Flid.make_config ~id ~base_group ~layering ~slot_duration ~mode () }
+
+(* The control law: EWMA gain, mark-fraction target, multiplicative
+   decrease factor, base additive-increase quantum (bps) and the cap on
+   its doublings. *)
+let alpha = 0.5
+let target = 0.3
+let md = 0.5
+let ai_bps = 10_000.
+let max_exp = 6
 
 let group_addr config g = Flid.group_addr config.flid g
 
@@ -76,8 +64,7 @@ let receiver_leave = Slotted.leave
    exponentially growing quantum.  Returns the level the rate variable
    asks for, before key/authorization constraints. *)
 let control_update r rec_ ~effective ~any_lost =
-  let c = r.config in
-  let layering = c.flid.Flid.layering in
+  let layering = r.config.flid.Flid.layering in
   let received = ref 0 and marked = ref 0 in
   for g = 1 to effective do
     let lane = rec_.Slotted.lanes.(g - 1) in
@@ -88,18 +75,18 @@ let control_update r rec_ ~effective ~any_lost =
     if any_lost || !received = 0 then 1.0
     else float_of_int !marked /. float_of_int !received
   in
-  r.ewma <- ((1. -. c.alpha) *. r.ewma) +. (c.alpha *. fraction);
-  let congested = r.ewma > c.target in
+  r.ewma <- ((1. -. alpha) *. r.ewma) +. (alpha *. fraction);
+  let congested = r.ewma > target in
   if congested then begin
     r.decreases <- r.decreases + 1;
     Metrics.tick "oversub.decreases";
     r.rate <-
       Float.max layering.Layering.min_rate_bps
-        (r.rate *. (1. -. ((r.ewma -. c.target) *. c.md)));
+        (r.rate *. (1. -. ((r.ewma -. target) *. md)));
     r.exp <- 0
   end
   else begin
-    let quantum = c.ai_bps *. (2. ** float_of_int (min r.exp c.max_exp)) in
+    let quantum = ai_bps *. (2. ** float_of_int (min r.exp max_exp)) in
     r.exp <- r.exp + 1;
     r.rate <- Float.min (Layering.top_rate layering) (r.rate +. quantum)
   end;

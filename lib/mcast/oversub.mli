@@ -9,14 +9,17 @@
     of its arrivals that carried an ECN mark (a lost packet saturates
     the signal to 1), folds it into an EWMA [g], and then
 
-    - if [g > target]: multiplicative decrease — the rate variable is
-      scaled by [1 - (g - target) * md] and the probe quantum resets;
+    - if [g > 0.3]: multiplicative decrease — the rate variable is
+      scaled by [1 - (g - 0.3) * 0.5] and the probe quantum resets;
       the subscription drops to the highest level whose cumulative rate
       fits (possibly several levels at once, via DELTA decrease keys);
     - otherwise: exponential probing — the rate grows by an additive
-      quantum that doubles every consecutive uncongested slot (capped at
-      [2^max_exp]), and the receiver adds a layer when the rate crosses
-      the next cumulative rate and the slot's mask authorizes it.
+      quantum of 10 kbps that doubles every consecutive uncongested slot
+      (to at most 2^6 times that), and the receiver adds a layer when
+      the rate crosses the next cumulative rate and the slot's mask
+      authorizes it.
+
+    The EWMA gain is 0.5.
 
     Under the DELTA + SIGMA + ECN defence this protocol stresses the
     ECN-scrubbing edge far harder than FLID-DS: a marked packet's
@@ -26,23 +29,9 @@
 
 type config = {
   flid : Flid.config;  (** wire format, slot clock and key machinery *)
-  alpha : float;  (** EWMA gain (default 0.5) *)
-  target : float;  (** mark-fraction target (default 0.3) *)
-  md : float;  (** multiplicative-decrease factor (default 0.5) *)
-  ai_bps : float;  (** base additive-increase quantum (default 10 kbps) *)
-  max_exp : int;  (** probe-quantum doubling cap (default 6) *)
 }
 
 val make_config :
-  ?packet_size:int ->
-  ?width:int ->
-  ?upgrade_period:(int -> int) ->
-  ?processing_margin:float ->
-  ?alpha:float ->
-  ?target:float ->
-  ?md:float ->
-  ?ai_bps:float ->
-  ?max_exp:int ->
   id:int ->
   base_group:int ->
   layering:Layering.t ->
@@ -50,8 +39,8 @@ val make_config :
   mode:Flid.mode ->
   unit ->
   config
-(** @raise Invalid_argument on out-of-range control parameters (alpha
-    and md in (0, 1], target in (0, 1), positive ai_bps). *)
+(** FLID's default configuration ({!Flid.make_config}) under the
+    control law above. *)
 
 val group_addr : config -> int -> int
 (** Address of group [g] (1-based). *)

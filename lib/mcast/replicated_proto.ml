@@ -16,34 +16,16 @@ type config = {
   base_group : int;
   layering : Layering.t;
   slot_duration : float;
-  packet_size : int;
-  width : int;
   mode : Flid.mode;
-  upgrade_period : int -> int;
-  processing_margin : float;
 }
 
-let make_config ?(packet_size = 576) ?(width = Key.default_width)
-    ?upgrade_period ?(processing_margin = 0.9) ~id ~base_group ~layering
-    ~slot_duration ~mode () =
+let make_config ~id ~base_group ~layering ~slot_duration ~mode () =
   if slot_duration <= 0. then
     invalid_arg "Replicated_proto.make_config: slot_duration";
-  let upgrade_period =
-    match upgrade_period with
-    | Some f -> f
-    | None -> Flid.default_upgrade_period layering
-  in
-  {
-    id;
-    base_group;
-    layering;
-    slot_duration;
-    packet_size;
-    width;
-    mode;
-    upgrade_period;
-    processing_margin;
-  }
+  { id; base_group; layering; slot_duration; mode }
+
+(* Data bytes per packet: the paper's 576. *)
+let packet_size = 576
 
 let group_addr config g = config.base_group + g - 1
 
@@ -57,13 +39,6 @@ type Payload.t +=
       upgrade_mask : int;
       delta : Field.t option;
     }
-
-let () =
-  Payload.register_pp (fun fmt -> function
-    | Rep_data { session; group; slot; seq; _ } ->
-        Format.fprintf fmt "rep s%d g%d slot%d #%d" session group slot seq;
-        true
-    | _ -> false)
 
 (* ----------------------------------------------------------------- *)
 (* Sender                                                            *)
@@ -89,7 +64,7 @@ let prepare s ~slot ~mask ~counts:_ =
         Array.init n (fun i -> i >= 1 && Slotted.mask_bit mask (i + 1))
       in
       let st =
-        Replicated.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
+        Replicated.sender_create ~prng:s.s_prng ~width:Key.default_width ~groups:n
           ~upgrades
       in
       let keys = Replicated.sender_keys st in
@@ -103,7 +78,7 @@ let prepare s ~slot ~mask ~counts:_ =
       in
       ignore
         (Special.distribute s.s_topo ~sender:s.s_node ~session:config.id
-           ~via_group:(group_addr config 1) ~width:config.width ~slot:guarded
+           ~via_group:(group_addr config 1) ~width:Key.default_width ~slot:guarded
            ~slot_duration:config.slot_duration ~tuples ());
       Some st
 
@@ -120,13 +95,13 @@ let emit s st ~group ~slot ~seq ~last ~repair:_ ~mask =
   in
   let field_bytes =
     match delta with
-    | Some f -> Field.wire_bytes ~width:config.width f
+    | Some f -> Field.wire_bytes ~width:Key.default_width f
     | None -> 0
   in
   Node.originate s.s_node
     (Packet.make ~src:s.s_node.Node.id
        ~dst:(Packet.Multicast (group_addr config group))
-       ~size:(config.packet_size + field_bytes)
+       ~size:(packet_size + field_bytes)
        (Rep_data
           { session = config.id; group; slot; seq; last; upgrade_mask = mask;
             delta }))
@@ -147,8 +122,8 @@ let sender_start ?at topo ~node ~prng config =
     ~rates:
       (Array.init config.layering.Layering.groups (fun i ->
            Layering.cumulative_rate config.layering ~level:(i + 1)))
-    ~packet_size:config.packet_size ~repair_fraction:0.
-    ~slot_duration:config.slot_duration ~upgrade_period:config.upgrade_period
+    ~packet_size ~repair_fraction:0. ~slot_duration:config.slot_duration
+    ~upgrade_period:(Flid.default_upgrade_period config.layering)
     ~prepare:(prepare s) ~emit:(emit s) ();
   s
 
@@ -293,8 +268,7 @@ let receiver_start ?at ?(behavior = Flid.Well_behaved) topo ~host ~prng
         groups = n;
         lane_count = 1;
         slot_duration = config.slot_duration;
-        processing_margin = config.processing_margin;
-        key_width = config.width;
+        key_width = Key.default_width;
         new_keys =
           (match config.mode with
           | Flid.Robust -> Some (fun () -> Replicated.receiver_create ~groups:n)

@@ -16,18 +16,10 @@ type config = {
   base_group : int;
   layering : Layering.t;  (** level g = single group g at rate R_g *)
   slot_duration : float;
-  packet_size : int;
-  width : int;
   mode : Flid.mode;  (** [Plain] or [Robust], as for FLID *)
-  upgrade_period : int -> int;
-  processing_margin : float;
 }
 
 val make_config :
-  ?packet_size:int ->
-  ?width:int ->
-  ?upgrade_period:(int -> int) ->
-  ?processing_margin:float ->
   id:int ->
   base_group:int ->
   layering:Layering.t ->
@@ -35,6 +27,8 @@ val make_config :
   mode:Flid.mode ->
   unit ->
   config
+(** Packets carry 576 data bytes; keys, upgrade authorizations and the
+    silent-slot fallback are FLID's ({!Flid.make_config}). *)
 
 val group_addr : config -> int -> int
 

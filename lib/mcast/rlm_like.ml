@@ -23,38 +23,28 @@ type config = {
   threshold_decay : float;
   repair_fraction : float;
   policy : policy;
-  upgrade_period : int -> int;
-  processing_margin : float;
 }
 
 let aligned_threshold fraction = fraction /. (1. +. fraction)
 
-let make_config ?(packet_size = 576) ?(base_threshold = 0.25)
-    ?(threshold_decay = 1.3) ?(repair_fraction = 0.) ?(policy = Ladder)
-    ?upgrade_period ?(processing_margin = 0.9) ~id ~base_group ~layering
+let make_config ?(base_threshold = 0.25) ?(threshold_decay = 1.3)
+    ?(repair_fraction = 0.) ?(policy = Ladder) ~id ~base_group ~layering
     ~slot_duration ~mode () =
   if base_threshold <= 0. || base_threshold >= 1. then
     invalid_arg "Rlm_like.make_config: base_threshold";
   if threshold_decay < 1. then invalid_arg "Rlm_like.make_config: decay";
   if repair_fraction < 0. then invalid_arg "Rlm_like.make_config: repair";
-  let upgrade_period =
-    match upgrade_period with
-    | Some f -> f
-    | None -> Flid.default_upgrade_period layering
-  in
   {
     id;
     base_group;
     layering;
     slot_duration;
-    packet_size;
+    packet_size = 576;
     mode;
     base_threshold;
     threshold_decay;
     repair_fraction;
     policy;
-    upgrade_period;
-    processing_margin;
   }
 
 let group_addr config g = config.base_group + g - 1
@@ -78,19 +68,6 @@ type Payload.t +=
 type Payload.t +=
   | Rtt_probe of { session : int; receiver : int; sent_at : float }
   | Rtt_echo of { session : int; receiver : int; sent_at : float }
-
-let () =
-  Payload.register_pp (fun fmt -> function
-    | Rtt_probe { session; receiver; _ } ->
-        Format.fprintf fmt "rlm-probe s%d r%d" session receiver;
-        true
-    | Rtt_echo { session; receiver; _ } ->
-        Format.fprintf fmt "rlm-echo s%d r%d" session receiver;
-        true
-    | Rlm_data { session; group; slot; seq; _ } ->
-        Format.fprintf fmt "rlm s%d g%d slot%d #%d" session group slot seq;
-        true
-    | _ -> false)
 
 let mask_bit = Slotted.mask_bit
 
@@ -231,7 +208,8 @@ let sender_start ?at topo ~node ~prng config =
       (Array.init config.layering.Layering.groups (fun i ->
            Layering.layer_rate config.layering ~group:(i + 1)))
     ~packet_size:config.packet_size ~repair_fraction:config.repair_fraction
-    ~slot_duration:config.slot_duration ~upgrade_period:config.upgrade_period
+    ~slot_duration:config.slot_duration
+    ~upgrade_period:(Flid.default_upgrade_period config.layering)
     ~prepare:(prepare s) ~emit:(emit s) ();
   s
 
@@ -452,7 +430,6 @@ let receiver_start ?(at = 0.) topo ~host ~prng config =
         groups = n;
         lane_count = n;
         slot_duration = config.slot_duration;
-        processing_margin = config.processing_margin;
         key_width = 31;
         new_keys =
           (match config.mode with

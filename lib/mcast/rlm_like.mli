@@ -32,7 +32,7 @@ type config = {
   base_group : int;
   layering : Layering.t;
   slot_duration : float;
-  packet_size : int;
+  packet_size : int;  (** data bytes per packet: the paper's 576 *)
   mode : Flid.mode;
   base_threshold : float;  (** theta_1, default 0.25 (RLM's default) *)
   threshold_decay : float;  (** tolerance shrink per level, default 1.3 *)
@@ -45,8 +45,6 @@ type config = {
           recoverability: a receiver that can decode the content can
           open the groups, one that cannot, cannot. *)
   policy : policy;
-  upgrade_period : int -> int;
-  processing_margin : float;
 }
 
 val aligned_threshold : float -> float
@@ -54,13 +52,10 @@ val aligned_threshold : float -> float
     [fraction] recovers from, hence the matching key threshold. *)
 
 val make_config :
-  ?packet_size:int ->
   ?base_threshold:float ->
   ?threshold_decay:float ->
   ?repair_fraction:float ->
   ?policy:policy ->
-  ?upgrade_period:(int -> int) ->
-  ?processing_margin:float ->
   id:int ->
   base_group:int ->
   layering:Layering.t ->
@@ -68,6 +63,8 @@ val make_config :
   mode:Flid.mode ->
   unit ->
   config
+(** Upgrade authorizations and the silent-slot fallback are FLID's
+    ({!Flid.make_config}); keys are 31-bit Shamir secrets. *)
 
 val group_addr : config -> int -> int
 

@@ -129,7 +129,6 @@ and ('k, 's) proto = {
   groups : int;
   lane_count : int;
   slot_duration : float;
-  processing_margin : float;
   key_width : int;
   new_keys : (unit -> 'k) option;
   feed : 'k -> Payload.t -> unit;
@@ -279,7 +278,11 @@ let rec try_eval t =
 (* Wall-clock fallback: when a subscribed group goes completely silent
    nothing closes the slot, so evaluate [processing_margin] of a slot
    after the boundary regardless (late packets then count as lost, as in
-   FLID-DL). *)
+   FLID-DL).  0.9 of a slot is longer than the worst drop-tail queueing
+   delay (two RTTs with the paper's buffers), so a merely-delayed slot
+   is never misread as silence. *)
+let processing_margin = 0.9
+
 let rec schedule_eval t =
   if not t.stopped then begin
     let sim = Topology.sim t.topo in
@@ -288,7 +291,7 @@ let rec schedule_eval t =
     let at =
       t.base
       +. (float_of_int (slot + 1) *. p.slot_duration)
-      +. (p.processing_margin *. p.slot_duration)
+      +. (processing_margin *. p.slot_duration)
     in
     let at = Float.max at (Sim.now sim) in
     Sim.post sim ~at (fun () ->

@@ -5,8 +5,9 @@
     All of them divide time into sender-driven slots.  The sender
     authorizes upgrades per slot, paces each group's packets by credit
     and spreads them over the slot.  The receiver counts a slot's
-    packets, decides congestion once the slot has closed, and subscribes
-    for slot s+2: over IGMP in [Plain] mode, or by presenting DELTA keys
+    packets, decides congestion once the slot has closed (or 0.9 of a
+    slot after its end, if a group fell silent; later packets count as
+    lost), and subscribes for slot s+2: over IGMP in [Plain] mode, or by presenting DELTA keys
     to its SIGMA edge router in [Robust] mode (paper Figs. 4 and 5,
     Eqs. 7-9).
 
@@ -104,10 +105,6 @@ and ('k, 's) proto = {
   groups : int;
   lane_count : int;
   slot_duration : float;
-  processing_margin : float;
-      (** fraction of a slot after its end at which a slot that never
-          closed (a silent group) is evaluated anyway; later packets of
-          it count as lost *)
   key_width : int;  (** key width of the SIGMA client *)
   new_keys : (unit -> 'k) option;
       (** [Some] in [Robust] mode: the receiver joins through SIGMA and

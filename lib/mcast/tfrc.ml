@@ -16,17 +16,17 @@ let throughput ~packet_bytes ~rtt ~loss_rate =
   end
 
 module Loss_estimator = struct
-  type t = { alpha : float; mutable value : float; mutable samples : int }
+  type t = { mutable value : float; mutable samples : int }
 
-  let create ?(alpha = 0.1) () =
-    if alpha <= 0. || alpha > 1. then invalid_arg "Loss_estimator.create";
-    { alpha; value = 0.; samples = 0 }
+  (* Weight of a new sample: roughly a ten-slot memory. *)
+  let alpha = 0.1
+  let create () = { value = 0.; samples = 0 }
 
   let update t ~loss_rate =
     if loss_rate < 0. || loss_rate > 1. then
       invalid_arg "Loss_estimator.update";
     if t.samples = 0 then t.value <- loss_rate
-    else t.value <- ((1. -. t.alpha) *. t.value) +. (t.alpha *. loss_rate);
+    else t.value <- ((1. -. alpha) *. t.value) +. (alpha *. loss_rate);
     t.samples <- t.samples + 1
 
   let value t = t.value

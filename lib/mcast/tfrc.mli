@@ -22,9 +22,8 @@ val throughput :
 module Loss_estimator : sig
   type t
 
-  val create : ?alpha:float -> unit -> t
-  (** [alpha] is the weight of a new sample (default 0.1: roughly a
-      ten-slot memory). *)
+  val create : unit -> t
+  (** A new sample weighs 0.1: roughly a ten-slot memory. *)
 
   val update : t -> loss_rate:float -> unit
   val value : t -> float

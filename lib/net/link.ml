@@ -53,7 +53,6 @@ type t = {
   buffer_bytes : int;
   buffer_packets : int option;
   ecn_threshold_bytes : int option;
-  mutable red : Red.t option;
   sim : Sim.t;
   queue : Packet.t Pool.Fifo.t;
   mutable queued_bytes : int;
@@ -87,7 +86,6 @@ let create ~sim ~id ~src ~dst ~dst_kind ~rate_bps ~delay_s ~buffer_bytes
       buffer_bytes;
       buffer_packets;
       ecn_threshold_bytes;
-      red = None;
       sim;
       (* Ring buffer, not Stdlib.Queue: the FIFO is entirely internal to
          the link, and the ring allocates nothing per enqueue. *)
@@ -142,8 +140,9 @@ let[@hot] trace t event pkt =
         ])
 
 (* Lineage hop labels: constant strings, so stamping a hop allocates
-   nothing.  RED/ECN marks are credited to "red" — in a latency
-   breakdown they are the AQM's doing, not the FIFO's. *)
+   nothing.  ECN marks are credited to "red" — in a latency breakdown
+   they are the AQM's doing, not the FIFO's — under the label the
+   golden lineage digests already hash. *)
 let[@hot] hop_name = function
   | Tx_start -> "link.tx"
   | Enqueued -> "link.enq"
@@ -199,13 +198,9 @@ let[@hot] send_body t pkt =
   end
   else if packet_room && t.queued_bytes + pkt.Packet.size <= t.buffer_bytes
   then begin
-    (match t.red with
-    | Some red ->
-        if Red.on_enqueue red ~queue_bytes:t.queued_bytes then mark t pkt
-    | None -> (
-        match t.ecn_threshold_bytes with
-        | Some thr when t.queued_bytes >= thr -> mark t pkt
-        | Some _ | None -> ()));
+    (match t.ecn_threshold_bytes with
+    | Some thr when t.queued_bytes >= thr -> mark t pkt
+    | Some _ | None -> ());
     Pool.Fifo.push t.queue pkt;
     t.queued_bytes <- t.queued_bytes + pkt.Packet.size;
     t.enqueues <- t.enqueues + 1;
@@ -230,5 +225,4 @@ let send t pkt =
   Prof.finish sp;
   accepted
 
-let occupancy_bytes t = t.queued_bytes
 let control_delay t = t.delay_s

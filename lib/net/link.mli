@@ -39,9 +39,6 @@ type t = {
           in a byte-quantized queue *)
   ecn_threshold_bytes : int option;
       (** mark instead of waiting for loss once occupancy exceeds this *)
-  mutable red : Red.t option;
-      (** probabilistic marking; takes precedence over the fixed
-          threshold when installed (see {!Red}) *)
   sim : Mcc_engine.Sim.t;
   queue : Packet.t Pool.Fifo.t;  (** drop-tail FIFO, ring-buffer backed *)
   mutable queued_bytes : int;
@@ -80,9 +77,6 @@ val send : t -> Packet.t -> bool
     [false] return is synchronous: the link holds no reference to the
     packet, which lets the multicast fan-out recycle dropped branch
     copies ({!Packet.release}). *)
-
-val occupancy_bytes : t -> int
-(** Bytes currently queued (not counting the packet in service). *)
 
 val control_delay : t -> float
 (** Propagation delay only; used for control-plane messages (grafts,

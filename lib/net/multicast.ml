@@ -102,21 +102,22 @@ let router_of topo (host : Node.t) =
   in
   resolve host 0
 
-let host_join ?latency topo ~host ~group =
+let host_join topo ~host ~group =
   match router_of topo host with
   | Some router, Some down ->
-      let delay =
-        match latency with Some l -> l | None -> Link.control_delay down
-      in
-      Sim.post_after (Topology.sim topo) ~delay (fun () ->
-             if not (Hashtbl.mem router.Node.protected_groups group) then
-               graft topo ~node:router ~group ~down)
+      Sim.post_after (Topology.sim topo) ~delay:(Link.control_delay down)
+        (fun () ->
+          if not (Hashtbl.mem router.Node.protected_groups group) then
+            graft topo ~node:router ~group ~down)
   | _, _ -> ()
 
-let host_leave ?(latency = 0.05) topo ~host ~group =
+(* Seconds of local leave processing at the edge router. *)
+let leave_latency = 0.05
+
+let host_leave topo ~host ~group =
   match router_of topo host with
   | Some router, Some down ->
-      Sim.post_after (Topology.sim topo) ~delay:latency (fun () ->
+      Sim.post_after (Topology.sim topo) ~delay:leave_latency (fun () ->
              if not (Hashtbl.mem router.Node.protected_groups group) then
                prune topo ~node:router ~group ~down)
   | _, _ -> ()

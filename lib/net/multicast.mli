@@ -5,7 +5,7 @@
     the group's source hop by hop; each hop costs the link's propagation
     delay (control messages do not compete for data bandwidth, matching
     NS-2's dense-mode abstraction).  Leaves prune an interface after a
-    configurable local processing latency; this is the low-leave-latency
+    fixed local processing latency; this is the low-leave-latency
     substitute for FLID-DL's dynamic layering (see DESIGN.md §5). *)
 
 val graft : Topology.t -> node:Node.t -> group:int -> down:Link.t -> unit
@@ -26,17 +26,15 @@ val prune_local : Topology.t -> node:Node.t -> group:int -> unit
 (** Drop the node's local interest; prunes upstream if no downstream
     interface remains. *)
 
-val host_join :
-  ?latency:float -> Topology.t -> host:Node.t -> group:int -> unit
+val host_join : Topology.t -> host:Node.t -> group:int -> unit
 (** IGMP-style join: the host's edge router grafts the host-facing
-    interface after [latency] (default: the access-link delay).  The
-    join is ignored if the router guards the group with SIGMA
-    ([Node.protected_groups]); receivers must then present keys. *)
+    interface after the access-link delay.  The join is ignored if the
+    router guards the group with SIGMA ([Node.protected_groups]);
+    receivers must then present keys. *)
 
-val host_leave :
-  ?latency:float -> Topology.t -> host:Node.t -> group:int -> unit
-(** IGMP-style leave, honoured after [latency] (default 0.05 s of local
-    leave processing). *)
+val host_leave : Topology.t -> host:Node.t -> group:int -> unit
+(** IGMP-style leave, honoured after 0.05 s of local leave
+    processing. *)
 
 val router_of : Topology.t -> Node.t -> Node.t option * Link.t option
 (** The router a host or LAN hangs off (its unique router neighbor) and

@@ -38,8 +38,6 @@ let create ~sim ~id ~kind =
     protected_groups = Hashtbl.create 16;
   }
 
-let is_router t = match t.kind with Edge_router | Core_router -> true | Host | Lan -> false
-
 let downstream t ~group =
   match Hashtbl.find_opt t.mcast_out group with Some l -> !l | None -> []
 
@@ -81,7 +79,7 @@ let add_unicast_handler t handler =
 let link_to t neighbor =
   List.find_opt (fun (l : Link.t) -> l.Link.dst = neighbor) t.links
 
-let deliver_local t pkt =
+let[@hot] deliver_local t pkt =
   match pkt.Packet.dst with
   | Packet.Unicast id ->
       if id = t.id then begin

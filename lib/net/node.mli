@@ -40,8 +40,6 @@ type t = {
 
 val create : sim:Mcc_engine.Sim.t -> id:int -> kind:kind -> t
 
-val is_router : t -> bool
-
 val receive : t -> from:Link.t option -> Packet.t -> unit
 (** Entry point wired to [Link.deliver]: local delivery plus forwarding. *)
 

@@ -72,13 +72,3 @@ let[@hot] release pkt =
   Pool.Freelist.put (Domain.DLS.get pool) pkt
 let pooled () = Pool.Freelist.length (Domain.DLS.get pool)
 let is_multicast t = match t.dst with Multicast _ -> true | Unicast _ -> false
-
-let pp fmt t =
-  let dst_str =
-    match t.dst with
-    | Unicast n -> Printf.sprintf "u%d" n
-    | Multicast g -> Printf.sprintf "g%d" g
-  in
-  Format.fprintf fmt "#%d %d->%s %dB%s [%a]" t.uid t.src dst_str t.size
-    (if t.ecn then " ecn" else "")
-    Payload.pp t.payload

@@ -54,5 +54,3 @@ val pooled : unit -> int
     (observability / tests). *)
 
 val is_multicast : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -1,21 +1,2 @@
 type t = ..
 type t += Raw
-
-(* Atomic rather than a bare ref: protocol libraries register printers
-   at init, but nothing stops a worker domain from pulling in a payload
-   extension later, and a lost update here would drop a printer. *)
-let printers : (Format.formatter -> t -> bool) list Atomic.t = Atomic.make []
-
-let rec register_pp f =
-  let cur = Atomic.get printers in
-  if not (Atomic.compare_and_set printers cur (f :: cur)) then register_pp f
-
-let pp fmt p =
-  match p with
-  | Raw -> Format.pp_print_string fmt "raw"
-  | _ ->
-      let rec try_printers = function
-        | [] -> Format.pp_print_string fmt "<payload>"
-        | f :: rest -> if not (f fmt p) then try_printers rest
-      in
-      try_printers (Atomic.get printers)

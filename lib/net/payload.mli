@@ -8,10 +8,3 @@
 type t = ..
 
 type t += Raw
-
-val pp : Format.formatter -> t -> unit
-(** Prints the constructor name for registered payloads and ["<payload>"]
-    otherwise; extensions may register a printer with [register_pp]. *)
-
-val register_pp : (Format.formatter -> t -> bool) -> unit
-(** Printers return [true] if they handled the payload. *)

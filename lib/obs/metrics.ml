@@ -64,7 +64,6 @@ let gauge name =
       g
 
 let set g v = g.value <- v
-let gauge_value g = g.value
 let set_gauge name v = set (gauge name) v
 
 let exponential_bounds ~base ~count =
@@ -137,8 +136,6 @@ let value_json = function
 
 let values_json values =
   Json.Obj (List.map (fun (name, v) -> (name, value_json v)) values)
-
-let snapshot_json () = values_json (snapshot ())
 
 (* --- OpenMetrics text rendering ----------------------------------------- *)
 
@@ -252,5 +249,3 @@ let openmetrics_page ?(prefix = "mcc_") sets =
     (List.rev !families);
   Buffer.add_string b "# EOF\n";
   Buffer.contents b
-
-let to_openmetrics ?prefix values = openmetrics_page ?prefix [ ([], values) ]

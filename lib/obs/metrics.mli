@@ -47,7 +47,6 @@ val tick : ?by:int -> string -> unit
 
 val gauge : string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val set_gauge : string -> float -> unit
 (** [set (gauge name) v]. *)
@@ -77,20 +76,14 @@ val reset : unit -> unit
 val values_json : (string * value) list -> Json.t
 (** An object keyed by metric name, in list order. *)
 
-val snapshot_json : unit -> Json.t
-
-val to_openmetrics : ?prefix:string -> (string * value) list -> string
-(** An OpenMetrics text-format exposition of one snapshot: per metric a
-    [# TYPE]/[# HELP] block and its sample lines, then the mandatory
-    [# EOF] marker.  Dotted registry names map to underscore-separated
+val openmetrics_page : ?prefix:string -> ((string * string) list * (string * value) list) list -> string
+(** An OpenMetrics text-format exposition of several labelled
+    snapshots: per metric family a [# TYPE]/[# HELP] block, then each
+    [(labels, values)] set's sample lines carrying its label set (e.g.
+    [("run", "fig1")]), so each family appears exactly once, and a
+    single trailing [# EOF].  Family order is first appearance across
+    the sets.  Dotted registry names map to underscore-separated
     OpenMetrics names under [prefix] (default ["mcc_"]); counters get
     the [_total] suffix; histograms render cumulative [_bucket{le=..}]
     lines (upper bounds inclusive, final [+Inf]) plus [_sum]/[_count].
-    Deterministic for a given snapshot — snapshots are name-sorted. *)
-
-val openmetrics_page : ?prefix:string -> ((string * string) list * (string * value) list) list -> string
-(** Like {!to_openmetrics} but merges several labelled snapshots into
-    one exposition: each [(labels, values)] set contributes sample
-    lines carrying its label set (e.g. [("run", "fig1")]), grouped so
-    each metric family appears exactly once, with a single trailing
-    [# EOF].  Family order is first appearance across the sets. *)
+    Deterministic for given snapshots — snapshots are name-sorted. *)

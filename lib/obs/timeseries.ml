@@ -20,27 +20,22 @@ type sampler =
 
 type state = {
   mutable dt : float option;  (** None = sampling disabled *)
-  mutable max_points : int;
   mutable samplers : (string * sampler) list;  (** reverse registration order *)
   series : (string, Series.t) Hashtbl.t;
   mutable dropped : int;  (** points discarded by the [max_points] bound *)
 }
 
+(* Samples kept per series; later points only count into [dropped]. *)
+let max_points = 65536
+
 let state : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { dt = None; max_points = 65536; samplers = []; series = Hashtbl.create 16;
-        dropped = 0 })
+      { dt = None; samplers = []; series = Hashtbl.create 16; dropped = 0 })
 
-let default_max_points = 65536
-
-let enable ?(max_points = default_max_points) ~dt () =
+let enable ~dt () =
   if not (Float.is_finite dt && dt > 0.) then
     invalid_arg "Timeseries.enable: dt must be finite and positive";
-  if max_points < 1 then
-    invalid_arg "Timeseries.enable: max_points must be >= 1";
-  let t = Domain.DLS.get state in
-  t.dt <- Some dt;
-  t.max_points <- max_points
+  (Domain.DLS.get state).dt <- Some dt
 
 let enabled () = (Domain.DLS.get state).dt <> None
 let dt () = (Domain.DLS.get state).dt
@@ -67,15 +62,14 @@ let series_for t name =
       s
 
 let push t s ~time ~value =
-  if Series.length s >= t.max_points then t.dropped <- t.dropped + 1
+  if Series.length s >= max_points then t.dropped <- t.dropped + 1
   else Series.add s ~time ~value
 
 let record name ~time ~value =
   let t = Domain.DLS.get state in
   if t.dt <> None then push t (series_for t name) ~time ~value
 
-(* Two components may pick the same series name (e.g. several links all
-   called "red.avg_bytes"); suffix later registrations "#2", "#3", ...
+(* Two components may pick the same series name; suffix later registrations "#2", "#3", ...
    deterministically rather than interleave their points. *)
 let unique_name t name =
   if not (List.mem_assoc name t.samplers) then name

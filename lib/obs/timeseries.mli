@@ -15,12 +15,11 @@
     locks.  The standard per-run protocol (used by [Runner]) is
     [enable ~dt] → run → {!snapshot} → {!disable}. *)
 
-val enable : ?max_points:int -> dt:float -> unit -> unit
+val enable : dt:float -> unit -> unit
 (** Turn on sampling in this domain at period [dt] simulated seconds.
-    Each series stops growing after [max_points] samples (default
-    65536); further points count into {!dropped}.
-    @raise Invalid_argument if [dt] is not finite and positive, or
-    [max_points < 1]. *)
+    Each series stops growing after 65536 samples; further points
+    count into {!dropped}.
+    @raise Invalid_argument if [dt] is not finite and positive. *)
 
 val disable : unit -> unit
 (** Turn sampling off and discard all samplers and series. *)
@@ -60,7 +59,7 @@ val snapshot_json : (string * (float * float) list) list -> Json.t
     and [mcc report] parses back. *)
 
 val dropped : unit -> int
-(** Points discarded because a series hit its [max_points] bound. *)
+(** Points discarded because a series hit its 65536-sample bound. *)
 
 val reset : unit -> unit
 (** Discard all samplers and series but keep sampling enabled. *)

@@ -16,7 +16,6 @@ type sink = {
   min_level : level;
   components : string list option;
   push : record -> unit;
-  flush : unit -> unit;
 }
 
 (* Domain-local for the same reason the metrics registry is: a sink
@@ -87,18 +86,17 @@ let emit_at ~level ~sim_time ~component ~event attrs =
 let emit ?(level = Info) ~sim_time ~component ~event attrs =
   emit_at ~level ~sim_time ~component ~event attrs
 
-let install ?(min_level = Debug) ?components ?(flush = fun () -> ()) push =
+let install ?(min_level = Debug) ?components push =
   let idr = Domain.DLS.get next_id in
   incr idr;
-  let s = { id = !idr; min_level; components; push; flush } in
+  let s = { id = !idr; min_level; components; push } in
   let r = Domain.DLS.get sinks in
   r := s :: !r;
   s
 
 let remove s =
   let r = Domain.DLS.get sinks in
-  r := List.filter (fun s' -> s'.id <> s.id) !r;
-  s.flush ()
+  r := List.filter (fun s' -> s'.id <> s.id) !r
 
 let record_json r =
   Json.Obj
@@ -113,8 +111,3 @@ let record_json r =
 let jsonl ?min_level ?components write =
   install ?min_level ?components
     (fun r -> write (Json.to_string (record_json r) ^ "\n"))
-
-let ring ?(capacity = 4096) ?min_level ?components () =
-  let ring = Ring.create ~capacity in
-  let sink = install ?min_level ?components (fun r -> Ring.push ring r) in
-  (ring, sink)

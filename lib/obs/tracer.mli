@@ -4,8 +4,8 @@
     Components call {!emit} unconditionally; with no sink installed the
     call is a cheap no-op (hot paths may additionally guard attribute
     construction behind {!enabled}).  Sinks filter by severity and by
-    component, and come in two memory shapes: a JSONL writer for full
-    streams ([mcc trace]) and a bounded {!Ring} for in-memory capture.
+    component: {!install} hands each record to a callback, and {!jsonl}
+    writes the full stream [mcc trace] prints.
 
     Sinks are domain-local — a sink observes exactly the simulations its
     own domain runs — which is what keeps [--jobs N] batch runs
@@ -51,18 +51,13 @@ val emit_at :
     [Some level] box per call, so [\[@hot\]] emitters use this form. *)
 
 val install :
-  ?min_level:level ->
-  ?components:string list ->
-  ?flush:(unit -> unit) ->
-  (record -> unit) ->
-  sink
+  ?min_level:level -> ?components:string list -> (record -> unit) -> sink
 (** Install a sink in this domain.  [min_level] defaults to [Debug]
     (everything); [components] restricts to the named components and
-    their dotted descendants ("sigma" matches "sigma.router").  [flush]
-    runs on {!remove}. *)
+    their dotted descendants ("sigma" matches "sigma.router"). *)
 
 val remove : sink -> unit
-(** Uninstall (idempotent) and flush. *)
+(** Uninstall (idempotent). *)
 
 val component_matches : filter:string -> string -> bool
 (** Dotted-prefix matching on component boundaries: filter ["sigma"]
@@ -85,12 +80,3 @@ val record_json : record -> Json.t
 
 val jsonl : ?min_level:level -> ?components:string list -> (string -> unit) -> sink
 (** A sink writing one {!record_json} line per record. *)
-
-val ring :
-  ?capacity:int ->
-  ?min_level:level ->
-  ?components:string list ->
-  unit ->
-  record Ring.t * sink
-(** Bounded-memory capture: the most recent [capacity] (default 4096)
-    matching records. *)

@@ -17,8 +17,6 @@ type t = {
   host : Node.t;
   router : Node.t;
   width : int;
-  retransmit_timeout : float;
-  max_retransmits : int;
   acked : (int, (int * Key.t, unit) Hashtbl.t) Hashtbl.t;  (* per slot *)
   pendings : (int, pending) Hashtbl.t;  (* per slot *)
   mutable sent : int;
@@ -73,8 +71,13 @@ let send_control t payload ~size =
     ~time:(Sim.now (Topology.sim t.topo));
   Node.originate t.host pkt
 
+(* An unacknowledged subscription is resent every 80 ms, at most five
+   times. *)
+let retransmit_timeout = 0.08
+let max_retransmits = 5
+
 let rec transmit_pending t pending =
-  if pending.pairs <> [] && pending.tries <= t.max_retransmits then begin
+  if pending.pairs <> [] && pending.tries <= max_retransmits then begin
     pending.tries <- pending.tries + 1;
     send_control t
       (Messages.Subscribe
@@ -82,7 +85,7 @@ let rec transmit_pending t pending =
       ~size:(Messages.subscribe_bytes ~width:t.width pending.pairs);
     pending.timer <-
       Some
-        (Sim.schedule_after (Topology.sim t.topo) ~delay:t.retransmit_timeout
+        (Sim.schedule_after (Topology.sim t.topo) ~delay:retransmit_timeout
            (fun () -> transmit_pending t pending))
   end
   else Hashtbl.remove t.pendings pending.slot
@@ -114,8 +117,7 @@ let unsubscribe t ~groups =
 
 let messages_sent t = t.sent
 
-let create ?(width = Key.default_width) ?(retransmit_timeout = 0.08)
-    ?(max_retransmits = 5) topo ~host =
+let create ?(width = Key.default_width) topo ~host =
   let router =
     match Multicast.router_of topo host with
     | Some r, _ -> r
@@ -127,8 +129,6 @@ let create ?(width = Key.default_width) ?(retransmit_timeout = 0.08)
       host;
       router;
       width;
-      retransmit_timeout;
-      max_retransmits;
       acked = Hashtbl.create 16;
       pendings = Hashtbl.create 8;
       sent = 0;

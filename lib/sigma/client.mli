@@ -1,20 +1,15 @@
 (** Receiver-side SIGMA endpoint.
 
     Sends session-join / subscribe / unsubscribe messages to the local
-    edge router, retransmits subscriptions until acknowledged, and
+    edge router, retransmits subscriptions until acknowledged (every
+    80 ms, at most five times), and
     suppresses subscriptions whose address-key pairs were already
     acknowledged to another receiver on the same interface (observed
     through the host's promiscuous tap) — paper Section 3.2.2. *)
 
 type t
 
-val create :
-  ?width:int ->
-  ?retransmit_timeout:float ->
-  ?max_retransmits:int ->
-  Mcc_net.Topology.t ->
-  host:Mcc_net.Node.t ->
-  t
+val create : ?width:int -> Mcc_net.Topology.t -> host:Mcc_net.Node.t -> t
 (** Locates the host's edge router via the topology.
     @raise Invalid_argument if the host has no router neighbor. *)
 

@@ -24,29 +24,6 @@ type Payload.t +=
       tuples : Tuple.t list;
     }
 
-let () =
-  Payload.register_pp (fun fmt -> function
-    | Subscribe { receiver; slot; pairs } ->
-        Format.fprintf fmt "sigma-subscribe r%d s%d %d pairs" receiver slot
-          (List.length pairs);
-        true
-    | Sub_ack { receiver; slot; pairs } ->
-        Format.fprintf fmt "sigma-ack r%d s%d %d pairs" receiver slot
-          (List.length pairs);
-        true
-    | Unsubscribe { receiver; groups } ->
-        Format.fprintf fmt "sigma-unsub r%d %d groups" receiver
-          (List.length groups);
-        true
-    | Session_join { receiver; group } ->
-        Format.fprintf fmt "sigma-join r%d g%d" receiver group;
-        true
-    | Special { slot; chunk; total_chunks; copy; tuples; _ } ->
-        Format.fprintf fmt "sigma-special s%d chunk %d/%d copy %d (%d tuples)"
-          slot chunk total_chunks copy (List.length tuples);
-        true
-    | _ -> false)
-
 let header_bytes = 28
 
 let pair_bytes ~width = 4 + Key.field_bytes ~width

@@ -17,24 +17,18 @@ let log_src = Logs.Src.create "mcc.sigma" ~doc:"SIGMA edge-router agent"
 
 module Log = (val Logs.src_log log_src)
 
-type config = {
-  width : int;
-  upgrade_grace_slots : float;
-  join_grace_slots : float;
-  lockout_slots : float;
-  cleanup_period : float;
-  interface_keys : bool;
-}
+type config = { upgrade_grace_slots : float; interface_keys : bool }
 
-let default_config =
-  {
-    width = Key.default_width;
-    upgrade_grace_slots = 2.0;
-    join_grace_slots = 3.0;
-    lockout_slots = 1.0;
-    cleanup_period = 0.05;
-    interface_keys = false;
-  }
+let default_config = { upgrade_grace_slots = 2.0; interface_keys = false }
+
+(* Slots of unconditional forwarding after a session-join, and of the
+   base forwarding pause when one expires keyless (paper: at least one
+   slot). *)
+let join_grace_slots = 3.0
+let lockout_slots = 1.0
+
+(* Seconds between expiry sweeps. *)
+let cleanup_period = 0.05
 
 type slot_entry = {
   keys : Key.t list;
@@ -258,7 +252,7 @@ let charge_join_lockout t grant ~group ~time ~duration =
   grant.join_strikes <- grant.join_strikes + 1;
   grant.lockout_until <-
     Float.max grant.lockout_until
-      (time +. (t.config.lockout_slots *. duration *. scale));
+      (time +. (lockout_slots *. duration *. scale));
   grant.by_join <- false;
   t.tallies.t_lockouts <- t.tallies.t_lockouts + 1;
   Metrics.incr t.tallies.m_lockouts;
@@ -268,7 +262,7 @@ let charge_join_lockout t grant ~group ~time ~duration =
 
 (* --- enforcement hooks ------------------------------------------------ *)
 
-let filter t group link =
+let[@hot] filter t group link =
   if not (Hashtbl.mem t.groups group) then true (* unprotected group *)
   else
     match Hashtbl.find_opt t.ifaces link.Link.id with
@@ -560,8 +554,10 @@ let stats t =
     distinct_guesses = total_guesses t;
   }
 
+(* Every ack is sized at 16-bit keys, whatever width the session's
+   keys have. *)
 let send_ack t ~receiver ~slot ~pairs =
-  let size = Messages.ack_bytes ~width:t.config.width pairs in
+  let size = Messages.ack_bytes ~width:Key.default_width pairs in
   let pkt =
     Packet.make ~src:t.node.Node.id ~dst:(Packet.Unicast receiver) ~size
       (Messages.Sub_ack { receiver; slot; pairs })
@@ -765,8 +761,7 @@ let handle_session_join t ~receiver ~group =
           Log.debug (fun m ->
               m "t=%.3f router %d: session-join admits receiver %d to group %d"
                 time t.node.Node.id receiver group);
-          grant.grace_until <-
-            time +. (t.config.join_grace_slots *. duration);
+          grant.grace_until <- time +. (join_grace_slots *. duration);
           grant.by_join <- true;
           t.tallies.t_grace_admissions <- t.tallies.t_grace_admissions + 1;
           Metrics.incr t.tallies.m_grace_admissions;
@@ -916,6 +911,6 @@ let attach ?(config = default_config) topo node =
   node.Node.local_unicast <-
     Some (fun pkt -> ignore (on_unicast t pkt));
   ignore
-    (Sim.every (Topology.sim topo) ~start:config.cleanup_period
-       ~period:config.cleanup_period (fun () -> sweep t));
+    (Sim.every (Topology.sim topo) ~start:cleanup_period ~period:cleanup_period
+       (fun () -> sweep t));
   t

@@ -7,8 +7,10 @@
     validated key for the current slot, or a grace window.  Grace
     windows cover the two-complete-slot gaps the paper identifies: after
     a keyed upgrade to a new group, and after a session-join to the
-    minimal group (which needs no key but is locked out for a slot if no
-    valid key follows).
+    minimal group (which needs no key and forwards for 3 slots, but is
+    then locked out for a slot if no valid key followed; the lockout
+    doubles per repeat, up to 4 slots).  Expired grants are swept every
+    50 ms, and acks are sized at 16-bit keys.
 
     The agent stores keys per (group address, slot) and estimates slot
     wall-clock boundaries from special-packet arrival (tuples for slot s
@@ -16,16 +18,9 @@
     protocol-specific code — Requirement 3. *)
 
 type config = {
-  width : int;  (** key width in bits *)
   upgrade_grace_slots : float;
       (** unconditional forwarding after a keyed graft, in slots
           (paper: 2 complete slots) *)
-  join_grace_slots : float;
-      (** unconditional forwarding after a session-join *)
-  lockout_slots : float;
-      (** forwarding pause when a session-join expires keyless
-          (paper: at least one slot) *)
-  cleanup_period : float;  (** seconds between expiry sweeps *)
   interface_keys : bool;
       (** collusion resistance (paper Section 4.2): the router pads
           every forwarded component per interface, so a key lifted from
@@ -41,6 +36,7 @@ type config = {
 }
 
 val default_config : config
+(** Two grace slots, no interface keys. *)
 
 type t
 

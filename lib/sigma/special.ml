@@ -9,10 +9,10 @@ type stats = {
   expansion : float;
 }
 
-let distribute ?(scheme = Fec.Repetition 2) ?(max_per_packet = 16) topo ~sender
-    ~session ~via_group ~width ~slot ~slot_duration ~tuples () =
+let distribute ?(scheme = Fec.Repetition 2) topo ~sender ~session ~via_group
+    ~width ~slot ~slot_duration ~tuples () =
   let sim = Mcc_net.Topology.sim topo in
-  let coded = Fec.encode ~width scheme ~max_per_packet tuples in
+  let coded = Fec.encode ~width scheme ~max_per_packet:16 tuples in
   (* Interleave copies: all chunks' copy 0, then copy 1, ... *)
   let sorted =
     List.stable_sort

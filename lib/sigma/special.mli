@@ -17,7 +17,6 @@ type stats = {
 
 val distribute :
   ?scheme:Fec.scheme ->
-  ?max_per_packet:int ->
   Mcc_net.Topology.t ->
   sender:Mcc_net.Node.t ->
   session:int ->

@@ -4,7 +4,6 @@ type t
 
 val start :
   ?at:float ->
-  ?payload:(unit -> Mcc_net.Payload.t) ->
   Mcc_net.Topology.t ->
   src:Mcc_net.Node.t ->
   dst:Mcc_net.Packet.dst ->
@@ -12,13 +11,11 @@ val start :
   size:int ->
   unit ->
   t
-(** Emits a [size]-byte packet every [size * 8 / rate_bps] seconds
-    starting at [at] (default 0).  [payload] supplies each packet's
-    payload (default {!Mcc_net.Payload.Raw}). *)
+(** Emits a [size]-byte {!Mcc_net.Payload.Raw} packet every
+    [size * 8 / rate_bps] seconds starting at [at] (default 0). *)
 
 val pause : t -> unit
 (** Suspends emission (packets already in flight are unaffected). *)
 
 val resume : t -> unit
 val stop : t -> unit
-val packets_sent : t -> int

@@ -9,37 +9,14 @@ type Payload.t +=
   | Tcp_data of { flow : int; seq : int }
   | Tcp_ack of { flow : int; ack : int }
 
-let () =
-  Payload.register_pp (fun fmt -> function
-    | Tcp_data { flow; seq } ->
-        Format.fprintf fmt "tcp-data f%d s%d" flow seq;
-        true
-    | Tcp_ack { flow; ack } ->
-        Format.fprintf fmt "tcp-ack f%d a%d" flow ack;
-        true
-    | _ -> false)
-
-type config = {
-  segment_size : int;
-  initial_cwnd : float;
-  initial_ssthresh : float;
-  min_rto : float;
-  max_rto : float;
-  ack_size : int;
-}
-
-let default_config =
-  {
-    segment_size = 576;
-    initial_cwnd = 1.;
-    initial_ssthresh = 64.;
-    min_rto = 0.5;
-    max_rto = 60.;
-    ack_size = 40;
-  }
+(* Bytes on the wire per data segment (the paper's packet size) and
+   per ACK, and the RTO clamp in seconds. *)
+let segment_size = 576
+let ack_size = 40
+let min_rto = 0.5
+let max_rto = 60.
 
 type t = {
-  config : config;
   sim : Sim.t;
   flow : int;
   src : Node.t;
@@ -73,7 +50,6 @@ type t = {
 
 let delivered_meter t = t.meter
 let cwnd t = t.cwnd
-let ssthresh t = t.ssthresh
 let retransmissions t = t.retransmissions
 let timeouts t = t.timeouts
 
@@ -91,7 +67,7 @@ let send_segment t ~seq ~retransmit =
   else if t.timing = None then t.timing <- Some (seq, Sim.now t.sim);
   let pkt =
     Packet.make ~src:t.src.Node.id ~dst:(Packet.Unicast t.dst.Node.id)
-      ~size:t.config.segment_size
+      ~size:segment_size
       (Tcp_data { flow = t.flow; seq })
   in
   Node.originate t.src pkt
@@ -100,7 +76,7 @@ let send_segment t ~seq ~retransmit =
    nothing is left to time. *)
 let rec arm_rto t =
   if flight t > 0 && t.running then begin
-    let delay = min t.config.max_rto (t.rto *. t.backoff) in
+    let delay = min max_rto (t.rto *. t.backoff) in
     Sim.arm t.rto_timer ~at:(Sim.now t.sim +. delay) t.on_rto
   end
   else Sim.disarm t.rto_timer
@@ -142,8 +118,7 @@ let rtt_sample t r =
       t.srtt <- Some ((0.875 *. srtt) +. (0.125 *. r)));
   let srtt = Option.value t.srtt ~default:r in
   t.rto <-
-    Float.min t.config.max_rto
-      (Float.max t.config.min_rto (srtt +. (4. *. t.rttvar)))
+    Float.min max_rto (Float.max min_rto (srtt +. (4. *. t.rttvar)))
 
 let on_ack t ack =
   if ack > t.snd_una then begin
@@ -185,7 +160,7 @@ let on_ack t ack =
 let send_ack t =
   let pkt =
     Packet.make ~src:t.dst.Node.id ~dst:(Packet.Unicast t.src.Node.id)
-      ~size:t.config.ack_size
+      ~size:ack_size
       (Tcp_ack { flow = t.flow; ack = t.rcv_nxt })
   in
   Node.originate t.dst pkt
@@ -193,13 +168,12 @@ let send_ack t =
 let on_data t seq =
   if seq = t.rcv_nxt then begin
     t.rcv_nxt <- t.rcv_nxt + 1;
-    Meter.record t.meter ~time:(Sim.now t.sim) ~bytes:t.config.segment_size;
+    Meter.record t.meter ~time:(Sim.now t.sim) ~bytes:segment_size;
     let rec drain () =
       if Hashtbl.mem t.ooo t.rcv_nxt then begin
         Hashtbl.remove t.ooo t.rcv_nxt;
         t.rcv_nxt <- t.rcv_nxt + 1;
-        Meter.record t.meter ~time:(Sim.now t.sim)
-          ~bytes:t.config.segment_size;
+        Meter.record t.meter ~time:(Sim.now t.sim) ~bytes:segment_size;
         drain ()
       end
     in
@@ -208,18 +182,17 @@ let on_data t seq =
   else if seq > t.rcv_nxt then Hashtbl.replace t.ooo seq ();
   send_ack t
 
-let start ?(config = default_config) ?(at = 0.) topo ~flow ~src ~dst () =
+let start ?(at = 0.) topo ~flow ~src ~dst () =
   let sim = Mcc_net.Topology.sim topo in
   let rec t =
     {
-      config;
       sim;
       flow;
       src;
       dst;
       meter = Meter.create ();
-      cwnd = config.initial_cwnd;
-      ssthresh = config.initial_ssthresh;
+      cwnd = 1.;
+      ssthresh = 64.;
       snd_una = 0;
       snd_nxt = 0;
       dupacks = 0;

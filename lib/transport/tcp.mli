@@ -4,26 +4,14 @@
     slow start, congestion avoidance, fast retransmit after three
     duplicate ACKs, fast recovery with window inflation, and an RTO
     estimator with Karn's algorithm and exponential backoff.  Sequence
-    numbers count segments, every segment is [segment_size] bytes on the
-    wire, and ACKs are 40-byte packets on the reverse path. *)
-
-type config = {
-  segment_size : int;  (** bytes on the wire per data segment *)
-  initial_cwnd : float;  (** segments *)
-  initial_ssthresh : float;  (** segments *)
-  min_rto : float;  (** seconds *)
-  max_rto : float;
-  ack_size : int;  (** bytes *)
-}
-
-val default_config : config
-(** 576-byte segments (the paper's packet size), cwnd 1, ssthresh 64,
-    RTO in [0.5, 60] s, 40-byte ACKs. *)
+    numbers count segments, every segment is 576 bytes on the wire (the
+    paper's packet size), and ACKs are 40-byte packets on the reverse
+    path.  A flow starts with cwnd 1 and ssthresh 64 segments, and its
+    RTO stays within [0.5, 60] s. *)
 
 type t
 
 val start :
-  ?config:config ->
   ?at:float ->
   Mcc_net.Topology.t ->
   flow:int ->
@@ -40,7 +28,6 @@ val delivered_meter : t -> Mcc_util.Meter.t
 (** Goodput meter fed by in-order delivery at the sink. *)
 
 val cwnd : t -> float
-val ssthresh : t -> float
 val retransmissions : t -> int
 val timeouts : t -> int
 

@@ -4,8 +4,8 @@
 
 type t
 
-val create : ?bin:float -> unit -> t
-(** [bin] is the sampling interval in seconds (default 1.0). *)
+val create : unit -> t
+(** A meter sampling throughput in 1-second bins. *)
 
 val record : t -> time:float -> bytes:int -> unit
 (** Account [bytes] delivered at [time].  Times must be non-decreasing. *)

@@ -24,25 +24,3 @@ let to_list t =
     if i < 0 then acc else build (i - 1) ((t.times.(i), t.values.(i)) :: acc)
   in
   build (t.len - 1) []
-
-let values_between t ~lo ~hi =
-  let rec build i acc =
-    if i < 0 then acc
-    else
-      let time = t.times.(i) in
-      if time >= lo && time < hi then build (i - 1) (t.values.(i) :: acc)
-      else build (i - 1) acc
-  in
-  build (t.len - 1) []
-
-let mean_between t ~lo ~hi = Stats.mean (values_between t ~lo ~hi)
-
-let moving_average t ~window =
-  let half = window /. 2. in
-  List.map
-    (fun (time, _) -> (time, mean_between t ~lo:(time -. half) ~hi:(time +. half)))
-    (to_list t)
-
-let pp_rows ?label fmt t =
-  (match label with None -> () | Some l -> Format.fprintf fmt "# %s@." l);
-  List.iter (fun (time, v) -> Format.fprintf fmt "%.3f %.3f@." time v) (to_list t)

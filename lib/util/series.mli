@@ -1,5 +1,5 @@
-(** Append-only time series of (time, value) samples with helpers to
-    bin, window-average, and print the series the paper's figures plot. *)
+(** Append-only time series of (time, value) samples: the level
+    trajectories and sampled telemetry the paper's figures plot. *)
 
 type t
 
@@ -13,16 +13,3 @@ val length : t -> int
 
 val to_list : t -> (float * float) list
 (** Samples in insertion order. *)
-
-val values_between : t -> lo:float -> hi:float -> float list
-(** Values of samples with [lo <= time < hi]. *)
-
-val mean_between : t -> lo:float -> hi:float -> float
-(** Mean value over the half-open window; 0. if the window is empty. *)
-
-val moving_average : t -> window:float -> (float * float) list
-(** Centered moving average: for each sample time [t], the mean of values
-    in [t - window/2, t + window/2]. *)
-
-val pp_rows : ?label:string -> Format.formatter -> t -> unit
-(** Prints "time value" rows, one per line, gnuplot-style. *)

@@ -2,35 +2,6 @@ let mean = function
   | [] -> 0.
   | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
-let stddev = function
-  | [] | [ _ ] -> 0.
-  | xs ->
-      let m = mean xs in
-      let var = mean (List.map (fun x -> (x -. m) *. (x -. m)) xs) in
-      sqrt var
-
-let minimum = function
-  | [] -> invalid_arg "Stats.minimum"
-  | x :: xs -> List.fold_left min x xs
-
-let maximum = function
-  | [] -> invalid_arg "Stats.maximum"
-  | x :: xs -> List.fold_left max x xs
-
-let percentile q xs =
-  if xs = [] then invalid_arg "Stats.percentile: empty";
-  if q < 0. || q > 1. then invalid_arg "Stats.percentile: q out of range";
-  let arr = Array.of_list xs in
-  Array.sort Float.compare arr;
-  let n = Array.length arr in
-  let pos = q *. float_of_int (n - 1) in
-  let lo = int_of_float (floor pos) in
-  let hi = int_of_float (ceil pos) in
-  if lo = hi then arr.(lo)
-  else
-    let w = pos -. float_of_int lo in
-    ((1. -. w) *. arr.(lo)) +. (w *. arr.(hi))
-
 let jain_fairness xs =
   match xs with
   | [] -> 1.0

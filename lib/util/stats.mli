@@ -3,20 +3,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0. on the empty list. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0. on fewer than two samples. *)
-
-val minimum : float list -> float
-(** @raise Invalid_argument on the empty list. *)
-
-val maximum : float list -> float
-(** @raise Invalid_argument on the empty list. *)
-
-val percentile : float -> float list -> float
-(** [percentile q xs] with [q] in [0, 1]; linear interpolation between
-    order statistics.  @raise Invalid_argument on the empty list or a
-    [q] outside [0, 1]. *)
-
 val jain_fairness : float list -> float
 (** Jain's fairness index (sum x)^2 / (n * sum x^2); 1.0 for a perfectly
     equal allocation, approaching 1/n under maximal unfairness.

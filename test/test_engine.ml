@@ -7,6 +7,17 @@ module Prng = Mcc_util.Prng
    assertions must hold for heap and wheel alike. *)
 let backends = Scheduler.all
 
+(* The earliest event as [Some (time, value)], popped through the
+   engine's own [pop_before] with no bound; [dummy] is the value the
+   call would return on an empty queue, never returned here. *)
+let pop q dummy =
+  if q.Scheduler.is_empty () then None
+  else begin
+    let cell = { Scheduler.time = nan } in
+    let v = q.Scheduler.pop_before cell ~bound:infinity dummy in
+    Some (cell.Scheduler.time, v)
+  end
+
 let each_backend check f =
   List.iter
     (fun b ->
@@ -19,9 +30,7 @@ let test_queue_order () =
       q.Scheduler.push ~time:3. "c";
       q.Scheduler.push ~time:1. "a";
       q.Scheduler.push ~time:2. "b";
-      let pop () =
-        match q.Scheduler.pop () with Some (_, v) -> v | None -> "?"
-      in
+      let pop () = match pop q "?" with Some (_, v) -> v | None -> "?" in
       let first = pop () in
       let second = pop () in
       let third = pop () in
@@ -37,7 +46,7 @@ let test_queue_fifo_ties () =
       done;
       let out = ref [] in
       let rec drain () =
-        match q.Scheduler.pop () with
+        match pop q (-1) with
         | Some (_, v) ->
             out := v :: !out;
             drain ()
@@ -70,7 +79,7 @@ let prop_queue_sorted =
           let q = Scheduler.instantiate b () in
           List.iter (fun t -> q.Scheduler.push ~time:t ()) times;
           let rec drain last =
-            match q.Scheduler.pop () with
+            match pop q () with
             | None -> true
             | Some (t, ()) -> t >= last && drain t
           in
@@ -88,41 +97,15 @@ let test_wheel_level_span () =
   let q = Scheduler.instantiate Scheduler.wheel () in
   List.iter (fun t -> q.Scheduler.push ~time:t ()) (List.rev times);
   let rec drain acc =
-    match q.Scheduler.pop () with
+    match pop q () with
     | Some (t, ()) -> drain (t :: acc)
     | None -> List.rev acc
   in
   Alcotest.(check (list (float 0.))) "level span sorted" times (drain [])
 
-let test_queue_clear_resets () =
-  each_backend backends (fun name q ->
-      for i = 0 to 199 do
-        q.Scheduler.push ~time:(float_of_int (i mod 7)) i
-      done;
-      q.Scheduler.clear ();
-      Alcotest.(check int) (name ^ " empty after clear") 0 (q.Scheduler.size ());
-      (* Same-time pushes after clear drain in insertion order, exactly
-         as they would in a fresh queue (next_seq restarted). *)
-      for i = 0 to 9 do
-        q.Scheduler.push ~time:1. i
-      done;
-      let out = ref [] in
-      let rec drain () =
-        match q.Scheduler.pop () with
-        | Some (_, v) ->
-            out := v :: !out;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      Alcotest.(check (list int))
-        (name ^ " fifo restarts")
-        [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-        (List.rev !out))
-
 (* The heap grows in place by doubling from a lazy empty start: the
    capacity trajectory is exactly 0, 64, 128, 256, ... with one
-   reallocation per doubling, and clear drops back to 0. *)
+   reallocation per doubling. *)
 let test_heap_capacity_trajectory () =
   let q = Scheduler.instantiate Scheduler.heap () in
   Alcotest.(check int) "lazy start" 0 (q.Scheduler.capacity ());
@@ -132,16 +115,12 @@ let test_heap_capacity_trajectory () =
     let c = q.Scheduler.capacity () in
     if c <> List.hd !trajectory then trajectory := c :: !trajectory
   done;
-  Alcotest.(check (list int))
-    "doubling trajectory" [ 0; 64; 128; 256; 512 ]
-    (List.rev !trajectory);
   (* Growth points: capacity changes only when a push finds the arrays
      full, i.e. after pushes 1, 65, 129, 257 — four reallocations for
      300 elements, against 300 under the old Array.append regime. *)
-  q.Scheduler.clear ();
-  Alcotest.(check int) "clear drops storage" 0 (q.Scheduler.capacity ());
-  q.Scheduler.push ~time:1. 1;
-  Alcotest.(check int) "regrows lazily" 64 (q.Scheduler.capacity ())
+  Alcotest.(check (list int))
+    "doubling trajectory" [ 0; 64; 128; 256; 512 ]
+    (List.rev !trajectory)
 
 let test_of_name () =
   (match Scheduler.of_name "WHEEL" with
@@ -240,8 +219,9 @@ let test_heap_stats () =
   for i = 0 to 99 do
     Scheduler.Heap.push q ~time:(float_of_int i) i
   done;
+  let cell = { Scheduler.time = 0. } in
   for _ = 0 to 49 do
-    ignore (Scheduler.Heap.pop q)
+    ignore (Scheduler.Heap.pop_before q cell ~bound:infinity (-1))
   done;
   let s = Scheduler.Heap.stats q in
   Alcotest.(check int) "heap pushes" 100 s.Mcc_obs.Profile.pushes;
@@ -249,10 +229,7 @@ let test_heap_stats () =
   Alcotest.(check (list int))
     "heap capacity trajectory" [ 64; 128 ] s.Mcc_obs.Profile.capacities;
   Alcotest.(check (list int))
-    "heap has no levels" [] s.Mcc_obs.Profile.level_places;
-  Scheduler.Heap.clear q;
-  let s = Scheduler.Heap.stats q in
-  Alcotest.(check int) "heap stats cleared" 0 s.Mcc_obs.Profile.pushes
+    "heap has no levels" [] s.Mcc_obs.Profile.level_places
 
 let test_wheel_stats () =
   let q = Scheduler.Wheel.create () in
@@ -274,10 +251,10 @@ let test_wheel_stats () =
     (s.Mcc_obs.Profile.free_misses >= 1);
   (* Drain everything: the recycled cells show up as free-list hits on
      the next batch of pushes. *)
-  let rec drain () =
-    match Scheduler.Wheel.pop q with Some _ -> drain () | None -> ()
-  in
-  drain ();
+  let cell = { Scheduler.time = 0. } in
+  while not (Scheduler.Wheel.is_empty q) do
+    ignore (Scheduler.Wheel.pop_before q cell ~bound:infinity "")
+  done;
   Scheduler.Wheel.push q ~time:2.0 "e";
   let s = Scheduler.Wheel.stats q in
   Alcotest.(check bool) "wheel free-list hit" true
@@ -475,7 +452,6 @@ let suite =
       Alcotest.test_case "queue nan" `Quick test_queue_nan;
       Alcotest.test_case "wheel negative time" `Quick test_wheel_negative_time;
       Alcotest.test_case "wheel level span" `Quick test_wheel_level_span;
-      Alcotest.test_case "queue clear resets" `Quick test_queue_clear_resets;
       Alcotest.test_case "heap capacity trajectory" `Quick
         test_heap_capacity_trajectory;
       Alcotest.test_case "backend of_name" `Quick test_of_name;

@@ -27,7 +27,6 @@ module Series = Mcc_util.Series
 module Metrics = Mcc_obs.Metrics
 module Timeseries = Mcc_obs.Timeseries
 module Tracer = Mcc_obs.Tracer
-module Ring = Mcc_obs.Ring
 module Json = Mcc_obs.Json
 
 type proto = P_flid | P_rlm of Rlm.policy | P_rep | P_ovs
@@ -82,11 +81,14 @@ let simulated_metrics () =
 let run proto modes ecn =
   Metrics.reset ();
   Timeseries.enable ~dt:0.5 ();
-  let ring, sink =
-    Tracer.ring ~capacity:(1 lsl 20)
+  let trace = Buffer.create 65536 in
+  let sink =
+    Tracer.install
       ~components:
         [ "flid.receiver"; "rlm.receiver"; "rep.receiver"; "oversub.receiver" ]
-      ()
+      (fun r ->
+        Buffer.add_string trace (Json.to_string (Tracer.record_json r));
+        Buffer.add_char trace '\n')
   in
   Fun.protect
     ~finally:(fun () ->
@@ -219,11 +221,7 @@ let run proto modes ecn =
       Buffer.add_string b
         (Json.to_string (Timeseries.snapshot_json (Timeseries.snapshot ())));
       add_tag b "trace";
-      Ring.iter
-        (fun r ->
-          Buffer.add_string b (Json.to_string (Tracer.record_json r));
-          Buffer.add_char b '\n')
-        ring;
+      Buffer.add_buffer b trace;
       Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let cases =

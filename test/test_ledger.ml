@@ -303,18 +303,21 @@ let test_standalone_document () =
 
 let test_openmetrics () =
   let page =
-    Metrics.to_openmetrics
+    Metrics.openmetrics_page
       [
-        ("engine.events", Metrics.Counter 42);
-        ("link.queue_depth", Metrics.Gauge 3.5);
-        ( "sched.latency",
-          Metrics.Histogram
-            {
-              bounds = [ 1.; 2. ];
-              buckets = [ 3; 4; 5 ];
-              observations = 12;
-              sum = 18.5;
-            } );
+        ( [],
+          [
+            ("engine.events", Metrics.Counter 42);
+            ("link.queue_depth", Metrics.Gauge 3.5);
+            ( "sched.latency",
+              Metrics.Histogram
+                {
+                  bounds = [ 1.; 2. ];
+                  buckets = [ 3; 4; 5 ];
+                  observations = 12;
+                  sum = 18.5;
+                } );
+          ] );
       ]
   in
   Alcotest.(check bool) "counter gets _total and its value" true

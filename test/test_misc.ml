@@ -1,57 +1,9 @@
-(* Smaller odds and ends: printers, report formatting, and observability
-   helpers that the larger suites don't exercise. *)
+(* Smaller odds and ends: the event counter, topology lookups and
+   message sizes that the larger suites don't exercise. *)
 
 module Sim = Mcc_engine.Sim
 module Topology = Mcc_net.Topology
 module Node = Mcc_net.Node
-module Packet = Mcc_net.Packet
-module Payload = Mcc_net.Payload
-module Series = Mcc_util.Series
-
-let to_string pp v = Format.asprintf "%a" pp v
-
-(* Substring helper without external deps. *)
-let contains s affix =
-  let n = String.length s and m = String.length affix in
-  let rec scan i = i + m <= n && (String.sub s i m = affix || scan (i + 1)) in
-  m = 0 || scan 0
-
-let test_packet_pp () =
-  let pkt =
-    Packet.make ~src:1 ~dst:(Packet.Unicast 2) ~size:100 Payload.Raw
-  in
-  let s = to_string Packet.pp pkt in
-  Alcotest.(check bool) "route shown" true (contains s "1->u2");
-  Alcotest.(check bool) "size shown" true (contains s "100B");
-  let mc =
-    Packet.make ~src:3 ~dst:(Packet.Multicast 99) ~size:50 Payload.Raw
-  in
-  Alcotest.(check bool) "group shown" true (contains (to_string Packet.pp mc) "g99")
-
-let test_payload_pp_extension () =
-  let flid =
-    Mcc_mcast.Flid.Data
-      {
-        session = 1;
-        group = 2;
-        slot = 3;
-        seq = 4;
-        last = true;
-        upgrade_mask = 0;
-        delta = None;
-      }
-  in
-  let s = to_string Payload.pp flid in
-  Alcotest.(check bool) "flid printer registered" true (contains s "flid");
-  Alcotest.(check string) "raw payload" "raw" (to_string Payload.pp Payload.Raw)
-
-let test_series_pp_rows () =
-  let s = Series.create () in
-  Series.add s ~time:1. ~value:2.;
-  Series.add s ~time:3. ~value:4.;
-  let out = Format.asprintf "%a" (Series.pp_rows ~label:"demo") s in
-  Alcotest.(check bool) "label" true (contains out "# demo");
-  Alcotest.(check bool) "row" true (contains out "1.000 2.000")
 
 let test_sim_events_counter () =
   let sim = Sim.create () in
@@ -103,10 +55,6 @@ let test_messages_sizes () =
 let suite =
   ( "misc",
     [
-      Alcotest.test_case "packet pp" `Quick test_packet_pp;
-      Alcotest.test_case "payload pp extensions" `Quick
-        test_payload_pp_extension;
-      Alcotest.test_case "series pp" `Quick test_series_pp_rows;
       Alcotest.test_case "sim events counter" `Quick test_sim_events_counter;
       Alcotest.test_case "node link_to / topology" `Quick test_node_link_to;
       Alcotest.test_case "topology unknown node" `Quick

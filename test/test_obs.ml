@@ -1,15 +1,14 @@
-(* mcc_obs tests: metrics registry semantics, ring-buffer eviction,
-   tracer filtering/sinks, profile rendering, and JSON escaping.
+(* mcc_obs tests: metrics registry semantics, tracer filtering/sinks,
+   profile rendering, and JSON escaping.
 
    These run against the library directly (no simulation) so every
    behaviour the instrumented components rely on — get-or-create
-   handles, reset detachment, bounded rings, component-prefix filters —
+   handles, reset detachment, component-prefix filters —
    is pinned independently of the simulator. *)
 
 module Json = Mcc_obs.Json
 module Metrics = Mcc_obs.Metrics
 module Profile = Mcc_obs.Profile
-module Ring = Mcc_obs.Ring
 module Tracer = Mcc_obs.Tracer
 
 let contains ~needle haystack =
@@ -41,7 +40,8 @@ let test_gauge_basics () =
   let g = Metrics.gauge "t.gauge" in
   Metrics.set g 2.5;
   Metrics.set_gauge "t.gauge" 3.5;
-  Alcotest.(check (float 0.)) "last set wins" 3.5 (Metrics.gauge_value g);
+  Alcotest.(check bool) "last set wins" true
+    (List.assoc "t.gauge" (Metrics.snapshot ()) = Metrics.Gauge 3.5);
   Metrics.reset ()
 
 let test_histogram_buckets () =
@@ -105,31 +105,6 @@ let test_values_json () =
     (Json.to_string (Metrics.values_json (Metrics.snapshot ())));
   Metrics.reset ()
 
-(* --- ring --------------------------------------------------------------- *)
-
-let test_ring_eviction () =
-  let r = Ring.create ~capacity:3 in
-  List.iter (Ring.push r) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "capacity" 3 (Ring.capacity r);
-  Alcotest.(check int) "length capped" 3 (Ring.length r);
-  Alcotest.(check int) "pushed counts evictions" 5 (Ring.pushed r);
-  Alcotest.(check (list int)) "oldest first, oldest evicted" [ 3; 4; 5 ]
-    (Ring.to_list r);
-  let seen = ref [] in
-  Ring.iter (fun x -> seen := x :: !seen) r;
-  Alcotest.(check (list int)) "iter order" [ 3; 4; 5 ] (List.rev !seen);
-  Alcotest.(check int) "fold order"
-    345
-    (Ring.fold (fun acc x -> (acc * 10) + x) 0 r);
-  Ring.clear r;
-  Alcotest.(check int) "clear drops retained" 0 (Ring.length r);
-  Alcotest.(check int) "clear keeps pushed" 5 (Ring.pushed r)
-
-let test_ring_bad_capacity () =
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Ring.create: capacity <= 0") (fun () ->
-      ignore (Ring.create ~capacity:0))
-
 (* --- tracer ------------------------------------------------------------- *)
 
 let emit_all () =
@@ -141,28 +116,31 @@ let emit_all () =
   e "sigma.router" "lockout" ~level:Tracer.Warn;
   e "flid.receiver" "level" ~level:Tracer.Debug
 
+(* A sink that keeps the events it receives, oldest first. *)
+let capture ?min_level ?components () =
+  let events = ref [] in
+  let sink =
+    Tracer.install ?min_level ?components (fun r ->
+        events := r.Tracer.event :: !events)
+  in
+  ((fun () -> List.rev !events), sink)
+
 let test_tracer_component_filter () =
   Alcotest.(check bool) "disabled without sinks" false (Tracer.enabled ());
-  let captured, sink = Tracer.ring ~components:[ "sigma" ] () in
+  let captured, sink = capture ~components:[ "sigma" ] () in
   Alcotest.(check bool) "enabled with a sink" true (Tracer.enabled ());
   emit_all ();
   Tracer.remove sink;
   Alcotest.(check bool) "disabled after remove" false (Tracer.enabled ());
   Alcotest.(check (list string)) "prefix matches dotted descendants"
-    [ "subscribe"; "lockout" ]
-    (List.map
-       (fun (r : Tracer.record) -> r.Tracer.event)
-       (Ring.to_list captured))
+    [ "subscribe"; "lockout" ] (captured ())
 
 let test_tracer_level_filter () =
-  let captured, sink = Tracer.ring ~min_level:Tracer.Info () in
+  let captured, sink = capture ~min_level:Tracer.Info () in
   emit_all ();
   Tracer.remove sink;
   Alcotest.(check (list string)) "debug suppressed"
-    [ "drop"; "subscribe"; "lockout" ]
-    (List.map
-       (fun (r : Tracer.record) -> r.Tracer.event)
-       (Ring.to_list captured))
+    [ "drop"; "subscribe"; "lockout" ] (captured ())
 
 let test_tracer_attr_thunk_laziness () =
   (* With no interested sink, the attribute closure must not run. *)
@@ -171,7 +149,7 @@ let test_tracer_attr_thunk_laziness () =
       ran := true;
       []);
   Alcotest.(check bool) "no sink, no thunk" false !ran;
-  let _, sink = Tracer.ring ~components:[ "other" ] () in
+  let _, sink = capture ~components:[ "other" ] () in
   Tracer.emit ~sim_time:0. ~component:"x" ~event:"e" (fun () ->
       ran := true;
       []);
@@ -259,8 +237,6 @@ let suite =
       Alcotest.test_case "snapshot sorted; reset detaches" `Quick
         test_snapshot_sorted_and_reset;
       Alcotest.test_case "values_json" `Quick test_values_json;
-      Alcotest.test_case "ring eviction" `Quick test_ring_eviction;
-      Alcotest.test_case "ring bad capacity" `Quick test_ring_bad_capacity;
       Alcotest.test_case "tracer component filter" `Quick
         test_tracer_component_filter;
       Alcotest.test_case "tracer level filter" `Quick test_tracer_level_filter;

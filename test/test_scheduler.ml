@@ -28,9 +28,11 @@ let random_time prng =
   | 4 -> Prng.float prng *. 3600. (* level 3 *)
   | _ -> 140000. +. (Prng.float prng *. 40000.) (* overflow *)
 
+let pop = Test_engine.pop
+
 let drain q =
   let rec go acc =
-    match q.Scheduler.pop () with
+    match pop q 0 with
     | None -> List.rev acc
     | Some (t, v) -> go ((t, v) :: acc)
   in
@@ -40,10 +42,8 @@ let check_same_event msg (t1, v1) (t2, v2) =
   Alcotest.(check (float 0.)) (msg ^ " time") t1 t2;
   Alcotest.(check int) (msg ^ " value") v1 v2
 
-(* Random push/pop interleavings, including a mid-trial clear-then-reuse
-   on some trials: both backends must pop identical sequences at every
-   step, and tie-break sequence numbers must restart identically after
-   [clear]. *)
+(* Random push/pop interleavings: both backends must pop identical
+   sequences at every step. *)
 let test_differential_interleaved () =
   let prng = Prng.create 2003 in
   for trial = 1 to 40 do
@@ -55,7 +55,7 @@ let test_differential_interleaved () =
       match Prng.int prng 10 with
       | 0 | 1 | 2 ->
           (* pop from both, compare *)
-          let ph = h.Scheduler.pop () and pw = w.Scheduler.pop () in
+          let ph = pop h 0 and pw = pop w 0 in
           (match (ph, pw) with
           | None, None -> ()
           | Some e1, Some e2 ->
@@ -64,12 +64,6 @@ let test_differential_interleaved () =
                 e1 e2
           | _ ->
               Alcotest.failf "trial %d op %d: one backend empty" trial op)
-      | 3 when trial mod 7 = 0 ->
-          h.Scheduler.clear ();
-          w.Scheduler.clear ();
-          Alcotest.(check bool)
-            "both empty after clear" true
-            (h.Scheduler.is_empty () && w.Scheduler.is_empty ())
       | _ ->
           let t = random_time prng in
           incr next;
@@ -97,7 +91,7 @@ let test_differential_same_tick () =
   done;
   (* pop half, then push more onto the draining tick *)
   for _ = 1 to 1000 do
-    match (h.Scheduler.pop (), w.Scheduler.pop ()) with
+    match (pop h 0, pop w 0) with
     | Some e1, Some e2 -> check_same_event "same-tick pop" e1 e2
     | _ -> Alcotest.fail "same-tick: unexpected empty"
   done;
@@ -108,8 +102,8 @@ let test_differential_same_tick () =
   done;
   List.iter2 (check_same_event "same-tick drain") (drain h) (drain w)
 
-(* pop_into / pop_before / next_before agree with pop on both backends,
-   and leave the ref or cell untouched when they decline. *)
+(* pop_into and pop_before pop in order on both backends, and leave the
+   ref or cell untouched when they decline. *)
 let test_bounded_pop_contract () =
   List.iter
     (fun backend ->
@@ -124,12 +118,6 @@ let test_bounded_pop_contract () =
       q.Scheduler.push ~time:2. 22;
       q.Scheduler.push ~time:1. 11;
       q.Scheduler.push ~time:3. 33;
-      Alcotest.(check bool)
-        (name ^ " next_before 0.5") false
-        (q.Scheduler.next_before 0.5);
-      Alcotest.(check bool)
-        (name ^ " next_before 1.0") true
-        (q.Scheduler.next_before 1.0);
       Alcotest.(check int)
         (name ^ " pop_before declines")
         0
@@ -183,24 +171,22 @@ let test_pop_before_differential () =
    thousand events (five to seven levels of the 4-ary heap, with
    partial last sibling groups), must agree with it at every step.
    Keys reserved in blocks are pushed later, in any order, at times no
-   earlier than the last pop (the engine's rule), among plain pushes. *)
+   earlier than the last pop (the engine's rule), among plain pushes.
+   The queue drains at the end through [pop_before] with no bound, the
+   way [Sim.run] empties it. *)
 type queue_op =
   | Push of float
   | Reserve of int
   | Push_keyed of int * float  (** pending key index, time *)
-  | Pop
   | Pop_into
   | Pop_before of float
-  | Clear
 
 let show_queue_op = function
   | Push t -> Printf.sprintf "push %h" t
   | Reserve n -> Printf.sprintf "reserve %d" n
   | Push_keyed (k, t) -> Printf.sprintf "push_keyed #%d %h" k t
-  | Pop -> "pop"
   | Pop_into -> "pop_into"
   | Pop_before b -> Printf.sprintf "pop_before %h" b
-  | Clear -> "clear"
 
 (* Mostly a handful of exactly tied times, some spread, and the
    extremes the heap must order like any other time. *)
@@ -233,10 +219,8 @@ let gen_queue_ops gen_time =
            (5000, map (fun t -> Push t) gen_time);
            (300, map (fun n -> Reserve n) (int_bound 12));
            (1700, map2 (fun k t -> Push_keyed (k, t)) nat gen_time);
-           (1000, return Pop);
-           (1000, return Pop_into);
-           (1000, map (fun b -> Pop_before b) gen_time);
-           (2, return Clear);
+           (1500, return Pop_into);
+           (1500, map (fun b -> Pop_before b) gen_time);
          ]))
 
 let key_before (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2)
@@ -296,11 +280,6 @@ let prop_matches_model ~name ~monotone gen_time (module B : Scheduler.S) =
                   pending := List.filter (fun s -> s <> seq) keys;
                   let time = not_before_last t in
                   add ~time ~seq (B.push_keyed q ~time ~seq))
-          | Pop -> (
-              match (B.pop q, !model) with
-              | None, [] -> ()
-              | Some (t, v), _ -> popped op v t
-              | None, _ :: _ -> fail op "empty, model is not")
           | Pop_into ->
               r := nan;
               let v = B.pop_into q r 0 in
@@ -318,23 +297,17 @@ let prop_matches_model ~name ~monotone gen_time (module B : Scheduler.S) =
                 if not (Float.is_nan cell.Scheduler.time) then fail op "cell written"
               end
               else if not due then fail op "popped %d past the bound" v
-              else popped op v cell.Scheduler.time
-          | Clear ->
-              B.clear q;
-              model := [];
-              pending := [];
-              last_pop := neg_infinity;
-              next_seq := 0);
+              else popped op v cell.Scheduler.time);
           if B.size q <> List.length !model then
             fail op "size %d, model %d" (B.size q) (List.length !model))
         ops;
       if (B.stats q).Mcc_obs.Profile.pushes <> !next_seq then
         QCheck.Test.fail_report "pushes is not the keys issued";
       let rec drain () =
-        match (B.pop q, !model) with
-        | None, [] -> true
-        | Some (t, v), (mt, _, mv) :: rest
-          when v = mv && Float.equal t mt ->
+        match (B.pop_before q cell ~bound:infinity 0, !model) with
+        | 0, [] -> true
+        | v, (mt, _, mv) :: rest
+          when v = mv && Float.equal cell.Scheduler.time mt ->
             model := rest;
             drain ()
         | _ -> QCheck.Test.fail_report "final drain disagrees with the model"
@@ -363,25 +336,34 @@ let test_push_keyed_unissued () =
     Scheduler.all
 
 (* A popped value can outlive its pop: the heap's parking slot and the
-   wheel's cell keep it reachable until a push reuses the slot.  [clear]
-   drops the store, so nothing pushed before it outlives it.  Fresh
-   blocks, watched through a [Weak] array, are pushed and partly popped
-   by a function of their own, so no caller frame holds one when the
-   collector runs; the queue itself stays live throughout, so only
-   [clear] can release them. *)
+   wheel's cell keep it reachable until a push reuses the slot.  Both
+   reuse freed slots before growing, so as many fresh pushes as there
+   were pops release every popped value, and exactly the queued ones
+   stay.  Fresh blocks, watched through a [Weak] array, are pushed and
+   partly popped by a function of their own, so no caller frame holds
+   one when the collector runs; the queue itself stays live
+   throughout, so only slot reuse can release them.  A push that grows
+   the store fills the new slots with its own value, so late unwatched
+   values first take the store to its final 1024 slots. *)
 let watched_values = 300
+let popped_values = watched_values / 3
+let prefill = 1024 - watched_values
 
 let[@inline never] push_watched q watched =
+  for _ = 1 to prefill do
+    q.Scheduler.push ~time:1000. Bytes.empty
+  done;
   for i = 0 to watched_values - 1 do
     let v = Bytes.make 8 'v' in
     Weak.set watched i (Some v);
     q.Scheduler.push ~time:(float_of_int (i mod 17)) v
   done;
-  for _ = 1 to watched_values / 3 do
-    ignore (q.Scheduler.pop ())
+  let cell = { Scheduler.time = 0. } in
+  for _ = 1 to popped_values do
+    ignore (q.Scheduler.pop_before cell ~bound:infinity Bytes.empty)
   done
 
-let test_clear_releases_values backend () =
+let test_reuse_releases_values backend () =
   let q = Scheduler.instantiate backend () in
   let watched = Weak.create watched_values in
   push_watched q watched;
@@ -390,13 +372,16 @@ let test_clear_releases_values backend () =
       (List.filter (Weak.check watched) (List.init watched_values Fun.id))
   in
   Gc.full_major ();
-  Alcotest.(check bool)
-    "every queued value is still reachable" true
-    (reachable () >= q.Scheduler.size ());
-  q.Scheduler.clear ();
+  Alcotest.(check int) "queued and parked values are reachable"
+    watched_values (reachable ());
+  for _ = 1 to popped_values do
+    q.Scheduler.push ~time:100. Bytes.empty
+  done;
   Gc.full_major ();
-  Alcotest.(check int) "reachable after clear" 0 (reachable ());
-  Alcotest.(check int) "the cleared queue is still in use" 0
+  Alcotest.(check int) "reachable after reuse"
+    (watched_values - popped_values)
+    (reachable ());
+  Alcotest.(check int) "the queue is still in use" (prefill + watched_values)
     (q.Scheduler.size ())
 
 (* End-to-end: a Runner batch's sink output must not depend on the
@@ -466,10 +451,10 @@ let suite =
       QCheck_alcotest.to_alcotest prop_wheel_matches_model;
       Alcotest.test_case "push_keyed needs a reserved seq" `Quick
         test_push_keyed_unissued;
-      Alcotest.test_case "heap: parked values do not outlive clear" `Quick
-        (test_clear_releases_values Scheduler.heap);
-      Alcotest.test_case "wheel: parked values do not outlive clear" `Quick
-        (test_clear_releases_values Scheduler.wheel);
+      Alcotest.test_case "heap: parked values do not outlive reuse" `Quick
+        (test_reuse_releases_values Scheduler.heap);
+      Alcotest.test_case "wheel: parked values do not outlive reuse" `Quick
+        (test_reuse_releases_values Scheduler.wheel);
       Alcotest.test_case "runner output backend-independent" `Slow
         test_runner_backend_identical;
     ] )

@@ -8,28 +8,8 @@ let test_series_order () =
     (Invalid_argument "Series.add: time going backwards") (fun () ->
       Series.add s ~time:1.5 ~value:0.)
 
-let test_series_window () =
-  let s = Series.create () in
-  List.iter
-    (fun (t, v) -> Series.add s ~time:t ~value:v)
-    [ (0., 1.); (1., 2.); (2., 3.); (3., 4.) ];
-  Alcotest.(check int) "length" 4 (Series.length s);
-  Alcotest.(check (list (float 0.))) "between" [ 2.; 3. ]
-    (Series.values_between s ~lo:1. ~hi:3.);
-  Alcotest.(check (float 1e-9)) "mean window" 2.5
-    (Series.mean_between s ~lo:1. ~hi:3.)
-
-let test_series_moving_average () =
-  let s = Series.create () in
-  List.iter (fun t -> Series.add s ~time:t ~value:t) [ 0.; 1.; 2.; 3.; 4. ];
-  let ma = Series.moving_average s ~window:2.0 in
-  (* At time 2 the window [1,3] holds values 1,2 (hi exclusive gives 1,2)
-     - centered average includes 1,2 (3 excluded by half-open bound). *)
-  let _, v2 = List.nth ma 2 in
-  Alcotest.(check (float 1e-9)) "centered" 1.5 v2
-
 let test_meter_bins () =
-  let m = Meter.create ~bin:1.0 () in
+  let m = Meter.create () in
   Meter.record m ~time:0.2 ~bytes:125;
   Meter.record m ~time:0.7 ~bytes:125;
   Meter.record m ~time:1.5 ~bytes:250;
@@ -41,7 +21,7 @@ let test_meter_bins () =
   | _ -> Alcotest.fail "expected two bins")
 
 let test_meter_mean () =
-  let m = Meter.create ~bin:1.0 () in
+  let m = Meter.create () in
   for i = 0 to 9 do
     Meter.record m ~time:(float_of_int i +. 0.5) ~bytes:1250
   done;
@@ -51,7 +31,7 @@ let test_meter_mean () =
 (* Windows that do not align with bin boundaries: each bin contributes
    proportionally to its overlap with [lo, hi). *)
 let test_meter_mean_partial_bins () =
-  let m = Meter.create ~bin:1.0 () in
+  let m = Meter.create () in
   Meter.record m ~time:0.5 ~bytes:1000;  (* bin [0,1): 8 kbps *)
   Meter.record m ~time:1.5 ~bytes:2000;  (* bin [1,2): 16 kbps *)
   (* Half of each bin: (500 + 1000) B over 1 s = 12 kbps. *)
@@ -89,9 +69,6 @@ let suite =
   ( "series-meter",
     [
       Alcotest.test_case "series ordering" `Quick test_series_order;
-      Alcotest.test_case "series windows" `Quick test_series_window;
-      Alcotest.test_case "series moving average" `Quick
-        test_series_moving_average;
       Alcotest.test_case "meter bins" `Quick test_meter_bins;
       Alcotest.test_case "meter mean" `Quick test_meter_mean;
       Alcotest.test_case "meter mean, partial bins" `Quick

@@ -192,13 +192,11 @@ let test_client_subscribe_ack_retransmit () =
 let test_client_retransmits_without_ack () =
   let env = make_env () in
   (* No distribution: router has no keys, never acks (nothing valid). *)
-  let client =
-    Client.create ~width:16 ~retransmit_timeout:0.05 ~max_retransmits:3
-      env.topo ~host:env.d1
-  in
+  let client = Client.create ~width:16 env.topo ~host:env.d1 in
   Client.subscribe client ~slot:2 ~pairs:[ (minimal, 0xAA) ];
+  (* Every 80 ms: the last retry leaves at 0.4 s. *)
   Sim.run_until env.sim 1.0;
-  Alcotest.(check int) "initial + 3 retries" 4 (Client.messages_sent client)
+  Alcotest.(check int) "initial + 5 retries" 6 (Client.messages_sent client)
 
 let test_suppression_between_receivers () =
   (* Two receivers share a LAN interface: once the first subscription is

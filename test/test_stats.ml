@@ -6,25 +6,6 @@ let test_mean () =
   Alcotest.(check bool) "mean" true (feq (Stats.mean [ 1.; 2.; 3. ]) 2.);
   Alcotest.(check bool) "empty" true (feq (Stats.mean []) 0.)
 
-let test_stddev () =
-  Alcotest.(check bool) "constant" true (feq (Stats.stddev [ 5.; 5.; 5. ]) 0.);
-  (* population stddev of 2,4,4,4,5,5,7,9 is 2 *)
-  Alcotest.(check bool) "known" true
-    (feq (Stats.stddev [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ]) 2.)
-
-let test_min_max () =
-  Alcotest.(check (float 0.)) "min" 1. (Stats.minimum [ 3.; 1.; 2. ]);
-  Alcotest.(check (float 0.)) "max" 3. (Stats.maximum [ 3.; 1.; 2. ]);
-  Alcotest.check_raises "min empty" (Invalid_argument "Stats.minimum")
-    (fun () -> ignore (Stats.minimum []))
-
-let test_percentile () =
-  let xs = [ 1.; 2.; 3.; 4.; 5. ] in
-  Alcotest.(check (float 1e-9)) "median" 3. (Stats.percentile 0.5 xs);
-  Alcotest.(check (float 1e-9)) "p0" 1. (Stats.percentile 0. xs);
-  Alcotest.(check (float 1e-9)) "p100" 5. (Stats.percentile 1. xs);
-  Alcotest.(check (float 1e-9)) "p25 interpolates" 2. (Stats.percentile 0.25 xs)
-
 let test_jain () =
   Alcotest.(check (float 1e-9)) "equal" 1. (Stats.jain_fairness [ 2.; 2.; 2. ]);
   Alcotest.(check (float 1e-9)) "one hog" (1. /. 3.)
@@ -39,20 +20,10 @@ let prop_jain_bounds =
       let n = float_of_int (List.length xs) in
       j >= (1. /. n) -. 1e-9 && j <= 1. +. 1e-9)
 
-let prop_percentile_monotone =
-  QCheck.Test.make ~name:"percentile monotone in q" ~count:200
-    QCheck.(list_of_size Gen.(int_range 2 30) (float_bound_inclusive 1000.))
-    (fun xs ->
-      Stats.percentile 0.25 xs <= Stats.percentile 0.75 xs +. 1e-9)
-
 let suite =
   ( "stats",
     [
       Alcotest.test_case "mean" `Quick test_mean;
-      Alcotest.test_case "stddev" `Quick test_stddev;
-      Alcotest.test_case "min/max" `Quick test_min_max;
-      Alcotest.test_case "percentile" `Quick test_percentile;
       Alcotest.test_case "jain" `Quick test_jain;
       QCheck_alcotest.to_alcotest prop_jain_bounds;
-      QCheck_alcotest.to_alcotest prop_percentile_monotone;
     ] )

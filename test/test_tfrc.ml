@@ -39,13 +39,14 @@ let test_equation_invalid () =
     (bad (fun () -> Tfrc.throughput ~packet_bytes:0 ~rtt:0.1 ~loss_rate:0.1))
 
 let test_loss_estimator () =
-  let est = Tfrc.Loss_estimator.create ~alpha:0.5 () in
+  let est = Tfrc.Loss_estimator.create () in
   Alcotest.(check (float 0.)) "initial" 0. (Tfrc.Loss_estimator.value est);
   Tfrc.Loss_estimator.update est ~loss_rate:0.2;
   Alcotest.(check (float 1e-9)) "first sample adopted" 0.2
     (Tfrc.Loss_estimator.value est);
+  (* A new sample weighs 0.1: 0.9 * 0.2 + 0.1 * 0. *)
   Tfrc.Loss_estimator.update est ~loss_rate:0.;
-  Alcotest.(check (float 1e-9)) "ewma" 0.1 (Tfrc.Loss_estimator.value est);
+  Alcotest.(check (float 1e-9)) "ewma" 0.18 (Tfrc.Loss_estimator.value est);
   Alcotest.(check int) "samples" 2 (Tfrc.Loss_estimator.samples est)
 
 let test_equation_receiver_end_to_end () =

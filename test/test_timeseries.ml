@@ -18,8 +18,8 @@ module Timeseries = Mcc_obs.Timeseries
 module Tracer = Mcc_obs.Tracer
 module Flid = Mcc_mcast.Flid
 
-let with_sampling ?max_points ~dt f =
-  Timeseries.enable ?max_points ~dt ();
+let with_sampling ~dt f =
+  Timeseries.enable ~dt ();
   Fun.protect ~finally:Timeseries.disable f
 
 (* --- sampler semantics -------------------------------------------------- *)
@@ -65,15 +65,16 @@ let test_name_collision_suffix () =
       Alcotest.(check (list string)) "suffixed names" [ "q"; "q#2"; "q#3" ]
         (List.map fst (Timeseries.snapshot ())))
 
+(* Every series keeps at most 65536 samples. *)
 let test_bounded_series () =
-  with_sampling ~max_points:3 ~dt:1. (fun () ->
+  with_sampling ~dt:1. (fun () ->
       Timeseries.sample_gauge "g" (fun () -> 0.);
-      for i = 0 to 9 do
+      for i = 0 to 65536 + 6 do
         Timeseries.sample_all ~time:(float_of_int i)
       done;
       (match Timeseries.snapshot () with
       | [ ("g", points) ] ->
-          Alcotest.(check int) "capped at max_points" 3 (List.length points)
+          Alcotest.(check int) "capped at 65536" 65536 (List.length points)
       | _ -> Alcotest.fail "expected one series");
       Alcotest.(check int) "dropped counted" 7 (Timeseries.dropped ()))
 
