@@ -123,6 +123,16 @@ module Heap = struct
     let ti = Array.unsafe_get times i and tj = Array.unsafe_get times j in
     ti < tj || (ti = tj && Array.unsafe_get seqs i < Array.unsafe_get seqs j)
 
+  (* [before] as 1 or 0, with no branch: each comparison becomes a
+     flag set ([cmpltsd], [cmpeqsd], [setl]) and the three combine
+     bitwise.  A sibling tournament's outcome is a coin toss, so there
+     [before]'s short-circuit jumps mispredict about half the time. *)
+  let[@hot] [@inline] before_bit (times : float array) (seqs : int array) i j =
+    let ti = Array.unsafe_get times i and tj = Array.unsafe_get times j in
+    Bool.to_int (ti < tj)
+    lor (Bool.to_int (ti = tj)
+        land Bool.to_int (Array.unsafe_get seqs i < Array.unsafe_get seqs j))
+
   let[@hot] [@inline] move (times : float array) (seqs : int array)
       (ids : int array) ~src ~dst =
     Array.unsafe_set times dst (Array.unsafe_get times src);
@@ -168,7 +178,10 @@ module Heap = struct
         (c + 1) last
 
   (* Sink the element staged at [s] from the hole at [i]; the tree is
-     [0 .. s-1].  Returns the hole where the staged element belongs. *)
+     [0 .. s-1].  Returns the hole where the staged element belongs.
+     A full sibling group picks its least child by arithmetic on
+     [before_bit]; the test against the staged element keeps [before],
+     whose branch predicts well (it fails once per pop). *)
   let[@hot] rec sift_down (times : float array) (seqs : int array)
       (ids : int array) s i =
     let c = (4 * i) + 1 in
@@ -176,9 +189,9 @@ module Heap = struct
     else begin
       let m =
         if c + 3 < s then begin
-          let a = if before times seqs (c + 1) c then c + 1 else c in
-          let b = if before times seqs (c + 3) (c + 2) then c + 3 else c + 2 in
-          if before times seqs b a then b else a
+          let a = c + before_bit times seqs (c + 1) c in
+          let b = c + 2 + before_bit times seqs (c + 3) (c + 2) in
+          a + (before_bit times seqs b a * (b - a))
         end
         else min_child times seqs c (c + 1) (s - 1)
       in
