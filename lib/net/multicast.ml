@@ -5,7 +5,7 @@ let upstream_link topo ~(node : Node.t) ~group =
   | None -> None
   | Some src ->
       if src.Node.id = node.Node.id then None
-      else Hashtbl.find_opt node.Node.fib src.Node.id
+      else Node.Itbl.find_opt node.Node.fib src.Node.id
 
 let rec graft topo ~node ~group ~down =
   let was_off_tree = Node.add_downstream node ~group down in
@@ -23,7 +23,7 @@ let rec graft topo ~node ~group ~down =
 
 let rec prune topo ~node ~group ~down =
   let became_empty = Node.remove_downstream node ~group down in
-  if became_empty && not (Hashtbl.mem node.Node.local_groups group) then
+  if became_empty && not (Node.Itbl.mem node.Node.local_groups group) then
     match upstream_link topo ~node ~group with
     | None -> ()
     | Some up -> (
@@ -49,15 +49,15 @@ let propagate_graft topo ~(node : Node.t) ~group =
 
 let graft_local topo ~(node : Node.t) ~group =
   let on_tree =
-    Hashtbl.mem node.Node.local_groups group
+    Node.Itbl.mem node.Node.local_groups group
     || Node.downstream node ~group <> []
   in
-  if not (Hashtbl.mem node.Node.local_groups group) then
+  if not (Node.Itbl.mem node.Node.local_groups group) then
     Node.subscribe_local node ~group (fun _ -> ());
   if not on_tree then propagate_graft topo ~node ~group
 
 let prune_local topo ~(node : Node.t) ~group =
-  if Hashtbl.mem node.Node.local_groups group then begin
+  if Node.Itbl.mem node.Node.local_groups group then begin
     Node.unsubscribe_local node ~group;
     if Node.downstream node ~group = [] then
       match upstream_link topo ~node ~group with
@@ -107,7 +107,7 @@ let host_join topo ~host ~group =
   | Some router, Some down ->
       Sim.post_after (Topology.sim topo) ~delay:(Link.control_delay down)
         (fun () ->
-          if not (Hashtbl.mem router.Node.protected_groups group) then
+          if not (Node.Itbl.mem router.Node.protected_groups group) then
             graft topo ~node:router ~group ~down)
   | _, _ -> ()
 
@@ -118,6 +118,6 @@ let host_leave topo ~host ~group =
   match router_of topo host with
   | Some router, Some down ->
       Sim.post_after (Topology.sim topo) ~delay:leave_latency (fun () ->
-             if not (Hashtbl.mem router.Node.protected_groups group) then
+             if not (Node.Itbl.mem router.Node.protected_groups group) then
                prune topo ~node:router ~group ~down)
   | _, _ -> ()

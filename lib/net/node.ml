@@ -3,21 +3,31 @@ module Lineage = Mcc_obs.Lineage
 
 type kind = Host | Edge_router | Core_router | Lan
 
+(* Node ids and group addresses are small consecutive ints, so the key
+   itself spreads across buckets, and a lookup calls no C hash or
+   compare. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 type t = {
   id : int;
   kind : kind;
   sim : Mcc_engine.Sim.t;
   mutable links : Link.t list;
-  fib : (int, Link.t) Hashtbl.t;
-  mcast_out : (int, Link.t list ref) Hashtbl.t;
-  local_groups : (int, Packet.t -> unit) Hashtbl.t;
+  fib : Link.t Itbl.t;
+  mcast_out : Link.t list ref Itbl.t;
+  local_groups : (Packet.t -> unit) Itbl.t;
   mutable local_unicast : (Packet.t -> unit) option;
   mutable unicast_handlers : (Packet.t -> bool) list;
   mutable mcast_filter : (int -> Link.t -> bool) option;
   mutable intercept : (Packet.t -> unit) option;
   mutable on_forward : (int -> Link.t -> Packet.t -> unit) option;
   mutable promiscuous : (Packet.t -> unit) option;
-  protected_groups : (int, unit) Hashtbl.t;
+  protected_groups : unit Itbl.t;
 }
 
 let create ~sim ~id ~kind =
@@ -26,25 +36,25 @@ let create ~sim ~id ~kind =
     kind;
     sim;
     links = [];
-    fib = Hashtbl.create 16;
-    mcast_out = Hashtbl.create 16;
-    local_groups = Hashtbl.create 16;
+    fib = Itbl.create 16;
+    mcast_out = Itbl.create 16;
+    local_groups = Itbl.create 16;
     local_unicast = None;
     unicast_handlers = [];
     mcast_filter = None;
     intercept = None;
     on_forward = None;
     promiscuous = None;
-    protected_groups = Hashtbl.create 16;
+    protected_groups = Itbl.create 16;
   }
 
 let downstream t ~group =
-  match Hashtbl.find_opt t.mcast_out group with Some l -> !l | None -> []
+  match Itbl.find_opt t.mcast_out group with Some l -> !l | None -> []
 
 let add_downstream t ~group link =
-  match Hashtbl.find_opt t.mcast_out group with
+  match Itbl.find_opt t.mcast_out group with
   | None ->
-      Hashtbl.replace t.mcast_out group (ref [ link ]);
+      Itbl.replace t.mcast_out group (ref [ link ]);
       true
   | Some l ->
       let was_empty = !l = [] in
@@ -52,15 +62,15 @@ let add_downstream t ~group link =
       was_empty
 
 let remove_downstream t ~group link =
-  match Hashtbl.find_opt t.mcast_out group with
+  match Itbl.find_opt t.mcast_out group with
   | None -> false
   | Some l ->
       let before = !l in
       l := List.filter (fun x -> not (x == link)) before;
       before <> [] && !l = []
 
-let subscribe_local t ~group handler = Hashtbl.replace t.local_groups group handler
-let unsubscribe_local t ~group = Hashtbl.remove t.local_groups group
+let subscribe_local t ~group handler = Itbl.replace t.local_groups group handler
+let unsubscribe_local t ~group = Itbl.remove t.local_groups group
 let set_unicast_handler t handler = t.local_unicast <- Some handler
 
 let rec dispatch_unicast pkt = function
@@ -87,7 +97,7 @@ let[@hot] deliver_local t pkt =
       end
   | Packet.Multicast g ->
       if not pkt.Packet.router_alert then begin
-        match Hashtbl.find_opt t.local_groups g with
+        match Itbl.find_opt t.local_groups g with
         | Some h -> h pkt
         | None -> ()
       end
@@ -149,7 +159,7 @@ let receive_body t ~from pkt =
       match pkt.Packet.dst with
       | Packet.Unicast id ->
           if id <> t.id then (
-            match Hashtbl.find_opt t.fib id with
+            match Itbl.find_opt t.fib id with
             | Some link -> ignore (Link.send link pkt)
             | None -> ())
       | Packet.Multicast g -> forward_multicast t ~from ~group:g pkt)
@@ -164,7 +174,7 @@ let originate t pkt =
   | Packet.Unicast id -> (
       if id = t.id then deliver_local t pkt
       else
-        match Hashtbl.find_opt t.fib id with
+        match Itbl.find_opt t.fib id with
         | Some link -> ignore (Link.send link pkt)
         | None -> ())
   | Packet.Multicast g ->

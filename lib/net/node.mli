@@ -9,15 +9,26 @@
 
 type kind = Host | Edge_router | Core_router | Lan
 
+(** The node's int-keyed tables: [Hashtbl.Make] over [int] with
+    [Int.equal] and the key masked non-negative as its hash, so a lookup
+    on the per-packet path makes no C call ([caml_hash],
+    [compare_val]).  Node ids are consecutive and group addresses are
+    handed out consecutively, so the keys spread across buckets as they
+    are.  Bucket order differs from the generic [Hashtbl]'s; nothing
+    iterates these tables, so no output depends on it.
+    SIGMA's [Router_agent] tables keep the generic [Hashtbl]: its
+    sweeps and [known_groups] iterate them, so their order is part of
+    the outputs. *)
+module Itbl : Hashtbl.S with type key = int
+
 type t = {
   id : int;
   kind : kind;
   sim : Mcc_engine.Sim.t;
   mutable links : Link.t list;  (** outgoing links *)
-  fib : (int, Link.t) Hashtbl.t;  (** destination node -> next-hop link *)
-  mcast_out : (int, Link.t list ref) Hashtbl.t;
-      (** group -> downstream interfaces *)
-  local_groups : (int, Packet.t -> unit) Hashtbl.t;
+  fib : Link.t Itbl.t;  (** destination node -> next-hop link *)
+  mcast_out : Link.t list ref Itbl.t;  (** group -> downstream interfaces *)
+  local_groups : (Packet.t -> unit) Itbl.t;
   mutable local_unicast : (Packet.t -> unit) option;
   mutable unicast_handlers : (Packet.t -> bool) list;
       (** handlers registered through {!add_unicast_handler}, in
@@ -33,7 +44,7 @@ type t = {
   mutable promiscuous : (Packet.t -> unit) option;
       (** host-only tap: sees every packet reaching the host regardless
           of destination (SIGMA ack suppression on shared LANs) *)
-  protected_groups : (int, unit) Hashtbl.t;
+  protected_groups : unit Itbl.t;
       (** groups for which this router ignores plain IGMP joins because
           SIGMA guards them *)
 }

@@ -90,11 +90,11 @@ let compute_routes t =
         end
       in
       loop ();
-      Hashtbl.reset src.Node.fib;
+      Node.Itbl.reset src.Node.fib;
       for v = 0 to n - 1 do
         if v <> src.Node.id then
           match first_hop.(v) with
-          | Some l -> Hashtbl.replace src.Node.fib v l
+          | Some l -> Node.Itbl.replace src.Node.fib v l
           | None -> ()
       done)
     all

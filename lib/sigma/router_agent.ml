@@ -203,7 +203,7 @@ let group_info t group =
         }
       in
       Hashtbl.replace t.groups group gi;
-      Hashtbl.replace t.node.Node.protected_groups group ();
+      Node.Itbl.replace t.node.Node.protected_groups group ();
       gi
 
 let iface_of_link t (link : Link.t) =
@@ -215,7 +215,7 @@ let iface_of_link t (link : Link.t) =
       i
 
 let iface_toward t receiver =
-  match Hashtbl.find_opt t.node.Node.fib receiver with
+  match Node.Itbl.find_opt t.node.Node.fib receiver with
   | Some link -> Some (iface_of_link t link)
   | None -> None
 
@@ -850,7 +850,7 @@ let on_unicast t pkt =
   | _ -> false
 
 let iface_active t ~group ~toward =
-  match Hashtbl.find_opt t.node.Node.fib toward with
+  match Node.Itbl.find_opt t.node.Node.fib toward with
   | None -> false
   | Some link -> (
       match Hashtbl.find_opt t.ifaces link.Link.id with

@@ -120,7 +120,7 @@ let test_routing_shortest_path () =
   connect a c 0.001;
   connect c d 0.001;
   Topology.compute_routes topo;
-  match Hashtbl.find_opt a.Node.fib d.Node.id with
+  match Node.Itbl.find_opt a.Node.fib d.Node.id with
   | Some link -> Alcotest.(check int) "via c" c.Node.id link.Link.dst
   | None -> Alcotest.fail "no route"
 
@@ -193,7 +193,7 @@ let test_protected_group_ignores_igmp () =
   let sim, topo, h1, _, r2, h2, _ = line_topology () in
   let group = 700 in
   Topology.register_group topo ~group ~source:h1;
-  Hashtbl.replace r2.Node.protected_groups group ();
+  Node.Itbl.replace r2.Node.protected_groups group ();
   let got = ref 0 in
   Node.subscribe_local h2 ~group (fun _ -> incr got);
   Multicast.host_join topo ~host:h2 ~group;
