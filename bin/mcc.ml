@@ -298,8 +298,8 @@ let drive ~kind ~label ?(config = []) ~noun ?(finish = ignore) b ~sinks run =
 
 let run_cmd =
   let run all only quick b metrics metrics_format series sample_dt =
-    if sample_dt <= 0. then begin
-      Printf.eprintf "mcc run: --sample-dt must be positive\n";
+    if not (Float.is_finite sample_dt && sample_dt > 0.) then begin
+      Printf.eprintf "mcc run: --sample-dt must be finite and positive\n";
       exit 2
     end;
     let entries = resolve_entries ~cmd:"run" ~all ~only ~quick in
@@ -482,6 +482,21 @@ let matrix_cmd =
           names
   in
   let run quick seed duration attack_at attacks protocols defences out b =
+    let reject fmt =
+      Printf.ksprintf
+        (fun msg ->
+          Printf.eprintf "mcc matrix: %s\n" msg;
+          exit 2)
+        fmt
+    in
+    if not (Float.is_finite duration && duration > 0.) then
+      reject "--duration must be finite and positive (got %g)" duration;
+    if not (Float.is_finite attack_at && attack_at >= 0. && attack_at < duration)
+    then
+      reject
+        "--attack-at must be finite, at least 0 and below --duration %g \
+         (got %g)"
+        duration attack_at;
     let attack_names = attacks and protocol_names = protocols
     and defence_names = defences in
     let attacks =

@@ -249,6 +249,25 @@ for BAD in bad-workload bad-number; do
   grep -q "$BAD.json" "$SCRATCH/$BAD.err"
 done
 grep -q "duration" "$SCRATCH/bad-workload.err"
+# ... and so must a non-finite timing option on the command line, within
+# a minute and naming the option: a NaN sample interval used to raise in
+# Timeseries.enable, and a NaN attack time to run its cell without end.
+reject() {
+  OPTION="$1"
+  shift
+  STATUS=0
+  timeout 60 dune exec bin/mcc.exe -- "$@" 2> "$SCRATCH/reject.err" \
+    || STATUS=$?
+  if [ "$STATUS" -ne 2 ]; then
+    echo "mcc $* exited $STATUS" >&2
+    exit 1
+  fi
+  grep -q -- "$OPTION" "$SCRATCH/reject.err"
+}
+reject --sample-dt run --only fig1 --quick \
+  --series "$SCRATCH/bad-series.jsonl" --sample-dt nan
+reject --attack-at matrix --attacks inflate --protocols flid \
+  --defences plain --attack-at nan --quiet
 
 # Benchmark output checks: a short seed-1 run of each BENCHMARK.json
 # workload must reproduce the committed digests (perfbench/digests.json)
