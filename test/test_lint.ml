@@ -134,20 +134,24 @@ let test_gc_stats () =
   Alcotest.(check (list string)) "rule id" [ "gc-stats" ] (ids fs);
   Alcotest.(check (list int)) "GC read flagged, pragma twin clean" [ 2 ]
     (lines fs);
-  (* The same probe under lib/obs/ is the sanctioned telemetry home. *)
+  (* The same probe under lib/obs/ is the sanctioned telemetry home.
+     Run from the repository root, that is the real lib/obs/, so the
+     probe and the directories made for it go however the check ends. *)
   let dir = Filename.concat "lib" "obs" in
-  if not (Sys.file_exists dir) then begin
-    Sys.mkdir "lib" 0o755;
-    Sys.mkdir dir 0o755
-  end;
+  let made = List.filter (fun d -> not (Sys.file_exists d)) [ "lib"; dir ] in
+  List.iter (fun d -> Sys.mkdir d 0o755) made;
   let exempt = Filename.concat dir "gc_probe.ml" in
-  let oc = open_out exempt in
-  output_string oc "let heat () = Gc.minor_words ()\n";
-  close_out oc;
-  (match Lint.check_file (config [ Lint.Gc_stats ]) exempt with
-  | Ok fs -> Alcotest.(check (list int)) "lib/obs is exempt" [] (lines fs)
-  | Error msg -> Alcotest.failf "lib/obs probe: %s" msg);
-  Sys.remove exempt
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists exempt then Sys.remove exempt;
+      List.iter Sys.rmdir (List.rev made))
+    (fun () ->
+      let oc = open_out exempt in
+      output_string oc "let heat () = Gc.minor_words ()\n";
+      close_out oc;
+      match Lint.check_file (config [ Lint.Gc_stats ]) exempt with
+      | Ok fs -> Alcotest.(check (list int)) "lib/obs is exempt" [] (lines fs)
+      | Error msg -> Alcotest.failf "lib/obs probe: %s" msg)
 
 (* Typed-rule fixtures live in a compiled sub-library; the .cmts land
    under _build/default, which is ".." from the test's cwd. *)
@@ -199,13 +203,15 @@ let test_registry_exhaustive () =
 
 let test_missing_cmt () =
   let probe = "typed_probe_no_cmt.ml" in
-  let oc = open_out probe in
-  output_string oc "let x = ref 0\n";
-  close_out oc;
   let report =
-    Lint.run (config ~build_dir:".." [ Lint.Domain_escape ]) [ probe ]
+    Fun.protect
+      ~finally:(fun () -> if Sys.file_exists probe then Sys.remove probe)
+      (fun () ->
+        let oc = open_out probe in
+        output_string oc "let x = ref 0\n";
+        close_out oc;
+        Lint.run (config ~build_dir:".." [ Lint.Domain_escape ]) [ probe ])
   in
-  Sys.remove probe;
   Alcotest.(check int) "degrades without findings" 0
     (List.length report.Lint.findings);
   Alcotest.(check int) "still exits clean" 0 (Lint.exit_code report);
