@@ -249,9 +249,9 @@ for BAD in bad-workload bad-number; do
   grep -q "$BAD.json" "$SCRATCH/$BAD.err"
 done
 grep -q "duration" "$SCRATCH/bad-workload.err"
-# ... and so must a non-finite timing option on the command line, within
-# a minute and naming the option: a NaN sample interval used to raise in
-# Timeseries.enable, and a NaN attack time to run its cell without end.
+# ... and so must a non-finite timing option on the command line, naming
+# the option.  The timeout bounds the check: a NaN attack time that got
+# through would run its cell without end.
 reject() {
   OPTION="$1"
   shift
