@@ -125,8 +125,8 @@ module Heap = struct
 
   (* [before] as 1 or 0, with no branch: each comparison becomes a
      flag set ([cmpltsd], [cmpeqsd], [setl]) and the three combine
-     bitwise.  A sibling tournament's outcome is a coin toss, so there
-     [before]'s short-circuit jumps mispredict about half the time. *)
+     bitwise.  A sibling tournament's outcome is a coin toss, which no
+     branch predictor learns, so there [before]'s jumps cost. *)
   let[@hot] [@inline] before_bit (times : float array) (seqs : int array) i j =
     let ti = Array.unsafe_get times i and tj = Array.unsafe_get times j in
     Bool.to_int (ti < tj)
