@@ -53,11 +53,12 @@ dune exec bin/mcc.exe -- run --all --quick --jobs 2 \
   --json "$SCRATCH/out.jsonl" --quiet
 test -s "$SCRATCH/out.jsonl"
 
-# Work budgets: every registry entry's events, scheduler pushes and
-# queue high-water must stay within 1% of budgets.json, and its minor
-# words within 0.1%.  They count simulated work, so the gate cannot
-# flake with host speed; every entry needs a budget row and every row
-# an entry.  Re-pin with
+# Work budgets: every registry entry's events, scheduler pushes, queue
+# high-water and peak heap words must stay within 1% of budgets.json,
+# and its minor words within 0.1%.  Peak heap is measured per entry in
+# a process of its own (about 15 s for the registry).  They count
+# simulated work, so the gate cannot flake with host speed; every
+# entry needs a budget row and every row an entry.  Re-pin with
 # `python3 budgets.py pin OUT.jsonl` over the same batch when a change
 # lowers a count.
 python3 budgets.py check "$SCRATCH/out.jsonl"
