@@ -77,8 +77,9 @@ type stats = {
   distinct_guesses : int;
 }
 
-(* Running tallies behind {!stats}; each bump also feeds the domain's
-   "sigma.*" metrics, whose handles live alongside. *)
+(* Running tallies behind {!stats}, the one source of every field; each
+   bump also feeds the domain's "sigma.*" metrics, whose handles live
+   alongside. *)
 type tallies = {
   mutable t_subscriptions : int;
   mutable t_keys_accepted : int;
@@ -87,9 +88,11 @@ type tallies = {
   mutable t_upgrade_graces : int;
   mutable t_grace_admissions : int;
   mutable t_dup_joins : int;
+  mutable t_fec_dups : int;
   mutable t_unsubscribes : int;
   mutable t_lockouts : int;
   mutable t_specials : int;
+  mutable t_guesses : int;
   m_subscriptions : Metrics.counter;
   m_keys_accepted : Metrics.counter;
   m_keys_rejected : Metrics.counter;
@@ -113,9 +116,11 @@ let tallies_create () =
     t_upgrade_graces = 0;
     t_grace_admissions = 0;
     t_dup_joins = 0;
+    t_fec_dups = 0;
     t_unsubscribes = 0;
     t_lockouts = 0;
     t_specials = 0;
+    t_guesses = 0;
     m_subscriptions = Metrics.counter "sigma.subscriptions";
     m_keys_accepted = Metrics.counter "sigma.keys_accepted";
     m_keys_rejected = Metrics.counter "sigma.keys_rejected";
@@ -159,7 +164,8 @@ type t = {
   config : config;
   groups : (int, group_info) Hashtbl.t;
   ifaces : (int, iface) Hashtbl.t;  (* keyed by link id *)
-  decoders : (int * int, Fec.decoder) Hashtbl.t;  (* (session, slot) *)
+  decoders : (int, int * Fec.decoder) Hashtbl.t;
+      (* session -> its newest slot and that slot's decoder *)
   guesses : (int * int, (Key.t, unit) Hashtbl.t) Hashtbl.t;
   sessions : (int, int list ref) Hashtbl.t;
       (* minimal-group address -> all group addresses of the session *)
@@ -401,13 +407,16 @@ let on_special t pkt =
   match pkt.Packet.payload with
   | Messages.Special { session; slot; slot_duration; chunk; total_chunks; copy;
                        tuples } ->
-      let key = (session, slot) in
+      (* Specials reach the router in slot order: {!Special.distribute}
+         sends all of slot s's within the first half of slot s-2, and
+         links are FIFO.  So the first special of a newer slot retires
+         the session's decoder, and no later special needs it. *)
       let decoder =
-        match Hashtbl.find_opt t.decoders key with
-        | Some d -> d
-        | None ->
+        match Hashtbl.find_opt t.decoders session with
+        | Some (newest, d) when newest = slot -> d
+        | Some _ | None ->
             let d = Fec.decoder_create () in
-            Hashtbl.replace t.decoders key d;
+            Hashtbl.replace t.decoders session (slot, d);
             d
       in
       let is_parity = chunk = total_chunks in
@@ -435,8 +444,10 @@ let on_special t pkt =
           store_tuples t ~slot ~slot_duration all
       | None -> ());
       let dup_delta = Fec.duplicates decoder - dups_before in
-      if dup_delta > 0 then
+      if dup_delta > 0 then begin
+        t.tallies.t_fec_dups <- t.tallies.t_fec_dups + dup_delta;
         Metrics.incr t.tallies.m_suppressed ~by:dup_delta
+      end
   | _ -> ()
 
 (* --- receiver messages ------------------------------------------------- *)
@@ -450,7 +461,10 @@ let tally_guess t ~group ~slot key =
         Hashtbl.replace t.guesses (group, slot) tbl;
         tbl
   in
-  if not (Hashtbl.mem tbl key) then Metrics.incr t.tallies.m_guesses;
+  if not (Hashtbl.mem tbl key) then begin
+    t.tallies.t_guesses <- t.tallies.t_guesses + 1;
+    Metrics.incr t.tallies.m_guesses
+  end;
   Hashtbl.replace tbl key ()
 
 let interface_keys_enabled t = t.config.interface_keys
@@ -520,8 +534,7 @@ let guess_count t ~group ~slot =
   | Some tbl -> Hashtbl.length tbl
   | None -> 0
 
-let total_guesses t =
-  Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.guesses 0
+let total_guesses t = t.tallies.t_guesses
 
 let failure_audit t =
   let view s =
@@ -537,9 +550,6 @@ let failure_audit t =
     (List.rev_map view t.closed_failures @ open_spans)
 
 let stats t =
-  let fec_dups =
-    Hashtbl.fold (fun _ d acc -> acc + Fec.duplicates d) t.decoders 0
-  in
   {
     subscriptions = t.tallies.t_subscriptions;
     keys_accepted = t.tallies.t_keys_accepted;
@@ -547,11 +557,11 @@ let stats t =
     acks = t.tallies.t_acks;
     upgrade_graces = t.tallies.t_upgrade_graces;
     grace_admissions = t.tallies.t_grace_admissions;
-    suppressed_duplicates = t.tallies.t_dup_joins + fec_dups;
+    suppressed_duplicates = t.tallies.t_dup_joins + t.tallies.t_fec_dups;
     unsubscribes = t.tallies.t_unsubscribes;
     lockouts = t.tallies.t_lockouts;
     special_packets = t.tallies.t_specials;
-    distinct_guesses = total_guesses t;
+    distinct_guesses = t.tallies.t_guesses;
   }
 
 (* Every ack is sized at 16-bit keys, whatever width the session's
@@ -822,7 +832,7 @@ let sweep t =
   in
   purge_pads t.pads;
   purge_pads t.dec_pads;
-  (* Purge stale slot entries and decoders. *)
+  (* Purge stale slot entries. *)
   Hashtbl.iter
     (fun _ gi ->
       let stale =
@@ -876,7 +886,7 @@ let attach ?(config = default_config) topo node =
       config;
       groups = Hashtbl.create 32;
       ifaces = Hashtbl.create 16;
-      decoders = Hashtbl.create 64;
+      decoders = Hashtbl.create 8;
       guesses = Hashtbl.create 16;
       sessions = Hashtbl.create 8;
       control_held = Hashtbl.create 8;

@@ -15,7 +15,14 @@
     The agent stores keys per (group address, slot) and estimates slot
     wall-clock boundaries from special-packet arrival (tuples for slot s
     arrive during slot s-2, paper Figure 2), so it needs no
-    protocol-specific code — Requirement 3. *)
+    protocol-specific code — Requirement 3.
+
+    It keeps one FEC decoder per session, for the newest slot whose
+    special packets have arrived.  That relies on specials arriving in
+    slot order: {!Special.distribute} sends every special of slot s
+    within the first half of slot s-2, and links are FIFO, so none of
+    slot s reaches the router after one of slot s+1.  The first special
+    of a newer slot replaces the session's decoder. *)
 
 type config = {
   upgrade_grace_slots : float;
@@ -81,7 +88,8 @@ val guess_count : t -> group:int -> slot:int -> int
     indicator of a key-guessing attack. *)
 
 val total_guesses : t -> int
-(** Sum of {!guess_count} over every (group, slot).  Honest receivers
+(** Sum of {!guess_count} over every (group, slot), kept as a running
+    total.  Honest receivers
     contribute only when the router's keystore has gaps (lost special
     packets), which makes this a sensitive FEC-quality metric. *)
 
@@ -104,8 +112,11 @@ val failure_audit : t -> key_failure list
 (** Every key-failure span seen so far, closed and still-open, ordered
     by start time. *)
 
-(** Lifetime activity of one agent, in one read.  The same quantities
-    are published continuously to the domain's metrics registry under
+(** Lifetime activity of one agent, in one read.  Every field is a
+    running total, bumped where the event happens, so a read walks no
+    table and no decoder has to outlive its slot for it.  The same
+    quantities are published continuously to the domain's metrics
+    registry under
     "sigma.*" names (subscriptions, keys_accepted, keys_rejected, acks,
     upgrade_graces, grace_admissions, suppressed_duplicates,
     unsubscribes, lockouts, specials, guesses, plus the

@@ -23,6 +23,10 @@ let distribute ?(scheme = Fec.Repetition 2) topo ~sender ~session ~via_group
       coded
   in
   let n = List.length sorted in
+  (* Every special of the slot leaves within the first half of the slot
+     it is sent in.  The router agent relies on it: with FIFO links, no
+     special of this slot reaches it after one of the next slot, so it
+     keeps a decoder for the newest slot only. *)
   let spacing = slot_duration /. 2. /. float_of_int (max 1 n) in
   List.iteri
     (fun i (c : Fec.coded) ->

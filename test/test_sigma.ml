@@ -357,7 +357,35 @@ let test_stats_subscribe_path () =
   Router_agent.handle_unsubscribe env.agent ~receiver:env.d1.Node.id
     ~groups:[ minimal ];
   Alcotest.(check int) "unsubscribe counted" 1
-    (Router_agent.stats env.agent).Router_agent.unsubscribes
+    (Router_agent.stats env.agent).Router_agent.unsubscribes;
+  (* A wrong key for the next distributed slot is a guess of its own:
+     the distinct guesses add up across slots. *)
+  distribute env ~slot:3
+    ~tuples:(tuples_for ~slot:3 ~minimal_key:0xCC ~upper_key:0xDD);
+  Sim.run_until env.sim 0.45;
+  Router_agent.handle_subscribe env.agent ~receiver:env.d1.Node.id ~slot:3
+    ~pairs:[ (upper, 0x11) ];
+  Alcotest.(check int) "guesses counted across slots" 2
+    (Router_agent.stats env.agent).Router_agent.distinct_guesses
+
+(* The FEC path across slots: at the default [Repetition 2], each slot's
+   single chunk arrives twice, and the second copy is a duplicate.  The
+   totals must keep every slot's share after newer slots arrive.  Each
+   distribution follows a slot of simulated time, the first so that the
+   router's graft reaches the sender before any special leaves. *)
+let test_stats_fec_across_slots () =
+  let env = make_env () in
+  List.iteri
+    (fun i slot ->
+      Sim.run_until env.sim (float_of_int (i + 1) *. slot_duration);
+      distribute env ~slot
+        ~tuples:(tuples_for ~slot ~minimal_key:0xAA ~upper_key:0xBB))
+    [ 2; 3; 4 ];
+  Sim.run_until env.sim (4. *. slot_duration);
+  let s = Router_agent.stats env.agent in
+  Alcotest.(check int) "two specials per slot" 6 s.Router_agent.special_packets;
+  Alcotest.(check int) "one duplicate per slot" 3
+    s.Router_agent.suppressed_duplicates
 
 (* The keyless session-join path: grace admission, duplicate
    suppression while the interface is active, and the lockout when the
@@ -420,5 +448,7 @@ let suite =
         test_stats_subscribe_path;
       Alcotest.test_case "stats: join suppression & lockout" `Quick
         test_stats_join_suppression_and_lockout;
+      Alcotest.test_case "stats: FEC duplicates across slots" `Quick
+        test_stats_fec_across_slots;
       Alcotest.test_case "wire sizes" `Quick test_tuple_wire_bytes;
     ] )
