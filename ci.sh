@@ -234,12 +234,15 @@ for W in workloads/*.json; do
   cmp "$SCRATCH/workload1.jsonl" "$SCRATCH/workload2.jsonl"
 done
 # ... and a malformed document must be rejected with a diagnostic
-# naming the file and exit 2: one without a duration, and one whose
-# duration is not a number.
+# naming the file and exit 2: one without a duration, one whose
+# duration is not a number, and one whose duration overflows to
+# infinity (it would run without end).
 printf '{"version": 1, "name": "bad"}\n' > "$SCRATCH/bad-workload.json"
 printf '{"version": 1, "name": "bad", "duration": 1e}\n' \
   > "$SCRATCH/bad-number.json"
-for BAD in bad-workload bad-number; do
+printf '{"version": 1, "name": "bad", "duration": 1e999}\n' \
+  > "$SCRATCH/bad-infinite.json"
+for BAD in bad-workload bad-number bad-infinite; do
   STATUS=0
   dune exec bin/mcc.exe -- workload check "$SCRATCH/$BAD.json" \
     2> "$SCRATCH/$BAD.err" || STATUS=$?

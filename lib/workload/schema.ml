@@ -34,9 +34,12 @@ let as_int ctx = function
   | Json.Int i -> Ok i
   | _ -> err ctx "expected an integer"
 
+(* Non-finite numbers are rejected here, for every float field: a
+   [1e999] duration would otherwise run without end. *)
 let as_float ctx v =
   match Json.to_float_opt v with
-  | Some f -> Ok f
+  | Some f when Float.is_finite f -> Ok f
+  | Some _ -> err ctx "expected a finite number"
   | None -> err ctx "expected a number"
 
 let as_string ctx = function

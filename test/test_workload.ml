@@ -99,7 +99,20 @@ let test_schema_invalid () =
   expect_error ~needle:"w.json.seeds"
     {|{ "version": 1, "name": "t", "seed": 1, "seeds": [1, 2], "duration": 20,
         "topology": { "kind": "dumbbell" },
-        "protocol": "flid", "defence": "plain", "receivers": 2 }|}
+        "protocol": "flid", "defence": "plain", "receivers": 2 }|};
+  (* A number that overflows to infinity is no number: an infinite
+     duration would run without end. *)
+  expect_error ~needle:"w.json.duration: expected a finite number"
+    {|{ "version": 1, "name": "t", "duration": 1e999,
+        "topology": { "kind": "dumbbell" },
+        "protocol": "flid", "defence": "plain", "receivers": 2 }|};
+  (* ... in a nested field too, where no range check applies. *)
+  expect_error ~needle:"w.json.churn.leave_after: expected a finite number"
+    {|{ "version": 1, "name": "t", "duration": 20,
+        "topology": { "kind": "dumbbell" },
+        "protocol": "flid", "defence": "plain", "receivers": 2,
+        "churn": { "kind": "flash_crowd", "at": 5, "arrivals": 2,
+                   "leave_after": 1e999 } }|}
 
 let test_schema_multi_seed () =
   let doc =
