@@ -880,7 +880,9 @@ let report_cmd =
 let load_ledger ~cmd =
   let dir = Ledger.default_dir () in
   match Ledger.load ~dir with
-  | Ok entries -> (dir, entries)
+  | Ok (entries, skipped) ->
+      List.iter (Printf.eprintf "mcc %s: %s (line skipped)\n" cmd) skipped;
+      (dir, entries)
   | Error msg ->
       Printf.eprintf "mcc %s: %s\n" cmd msg;
       exit 2

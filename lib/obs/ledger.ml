@@ -79,26 +79,42 @@ let read_lines path =
       in
       go [])
 
+(* A line that is not an entry (a write cut short, say) costs only
+   itself: it is skipped with a warning, and the lines after it load. *)
 let load ~dir =
   let path = file ~dir in
-  if not (Sys.file_exists path) then Ok []
+  if not (Sys.file_exists path) then Ok ([], [])
   else
     match read_lines path with
     | exception Sys_error msg -> Error msg
     | lines ->
-        let rec go n acc = function
-          | [] -> Ok (List.rev acc)
-          | line :: rest when String.trim line = "" -> go (n + 1) acc rest
-          | line :: rest -> (
-              match Json.of_string line with
-              | Error e ->
-                  Error (Printf.sprintf "%s: line %d: invalid JSON: %s" path n e)
-              | Ok json -> (
-                  match entry_of_json json with
-                  | Error e -> Error (Printf.sprintf "%s: line %d: %s" path n e)
-                  | Ok entry -> go (n + 1) (entry :: acc) rest))
+        let parse line =
+          match Json.of_string line with
+          | Error e -> Error ("invalid JSON: " ^ e)
+          | Ok json -> entry_of_json json
         in
-        go 1 [] lines
+        let rec go n entries skipped = function
+          | [] -> Ok (List.rev entries, List.rev skipped)
+          | line :: rest when String.trim line = "" ->
+              go (n + 1) entries skipped rest
+          | line :: rest -> (
+              match parse line with
+              | Ok entry -> go (n + 1) (entry :: entries) skipped rest
+              | Error e ->
+                  let warning = Printf.sprintf "%s: line %d: %s" path n e in
+                  go (n + 1) entries (warning :: skipped) rest)
+        in
+        go 1 [] [] lines
+
+(* Whether the file's last line lacks its newline, as a cut-short write
+   leaves it. *)
+let ends_mid_line path =
+  In_channel.with_open_bin path (fun ic ->
+      let len = In_channel.length ic in
+      len > 0L
+      &&
+      (In_channel.seek ic (Int64.pred len);
+       In_channel.input_char ic <> Some '\n'))
 
 let rec mkdir_p dir =
   if String.equal dir "" || String.equal dir "." || Sys.file_exists dir then ()
@@ -118,18 +134,21 @@ let append ~dir ~kind ~label ?(payload = Json.Null) ?(wall = []) () =
   let digest = digest_of_json digest_source in
   match load ~dir with
   | Error _ as e -> e
-  | Ok existing -> (
-      let entry =
-        { seq = List.length existing + 1; kind; label; digest; payload; wall }
-      in
+  | Ok (existing, _) -> (
+      let seq = List.fold_left (fun acc e -> max acc e.seq) 0 existing + 1 in
+      let entry = { seq; kind; label; digest; payload; wall } in
+      let path = file ~dir in
       match
         mkdir_p dir;
+        let start =
+          if Sys.file_exists path && ends_mid_line path then "\n" else ""
+        in
         Out_channel.with_open_gen
           [ Open_append; Open_creat; Open_binary ]
-          0o644 (file ~dir)
+          0o644 path
           (fun oc ->
             Out_channel.output_string oc
-              (Json.to_string (entry_to_json entry) ^ "\n"))
+              (start ^ Json.to_string (entry_to_json entry) ^ "\n"))
       with
       | () -> Ok entry
       | exception Sys_error msg -> Error msg)

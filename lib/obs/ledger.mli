@@ -10,7 +10,7 @@
     Determinism discipline (the same one {!Profile.to_json} follows):
     every field of an entry except the trailing [wall] object is a pure
     function of the recorded configuration, the simulation it produced,
-    and the ledger's existing length — so two appends of the same config
+    and the ledger's existing entries — so two appends of the same config
     at the same position render byte-identical deterministic prefixes,
     and [mcc diff] of two same-config entries reports zero drift.  The
     [wall] object (wall seconds, events/s, self-profiler times,
@@ -18,7 +18,9 @@
     renders strictly last on the line. *)
 
 type entry = {
-  seq : int;  (** 1-based position in the ledger file *)
+  seq : int;
+      (** 1 + the highest [seq] before it: the entry's 1-based position
+          in the ledger file, unless a line before it was skipped *)
   kind : string;  (** "run", "matrix", "profile", "workload" or "lint" *)
   label : string;  (** human selector, e.g. "fig1" or "all" *)
   digest : string;  (** content hash of the config (see {!digest_of_json}) *)
@@ -59,13 +61,16 @@ val append :
   (entry, string) result
 (** Appends one entry, creating [dir] (and its parent) if needed.  The
     digest is computed over the payload's ["config"] member (or the
-    whole payload if there is none) and [seq] is the current entry
-    count plus one, so the entry is deterministic given the config and
-    the ledger's history.  [Error] carries a filesystem or permission
+    whole payload if there is none) and [seq] follows the highest [seq]
+    that {!load} reads, so the entry is deterministic given the config
+    and the ledger's history.  A last line left without its newline is
+    ended first, so the new entry gets a line of its own.  [Error] carries a filesystem or permission
     message; recording is telemetry, so callers typically warn and
     continue rather than fail the run. *)
 
-val load : dir:string -> (entry list, string) result
-(** Every entry of the ledger in file (= seq) order; [Ok []] when the
-    ledger does not exist yet.  [Error] names the offending 1-based
-    line on parse failures. *)
+val load : dir:string -> (entry list * string list, string) result
+(** Every entry of the ledger in file (= seq) order, with one warning
+    per line that is not a valid entry, such as a write cut short:
+    ["FILE: line N: REASON"], N 1-based.  Such a line is skipped, and
+    the lines after it still load.  [Ok ([], [])] when the ledger does
+    not exist yet; [Error] only when the file cannot be read. *)

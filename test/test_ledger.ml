@@ -86,7 +86,7 @@ let test_append_load () =
   Alcotest.(check string) "same config, same digest" a.Ledger.digest
     b.Ledger.digest;
   (match Ledger.load ~dir with
-  | Ok [ la; lb ] ->
+  | Ok ([ la; lb ], []) ->
       Alcotest.(check string) "kind round-trips" "run" la.Ledger.kind;
       Alcotest.(check string) "label round-trips" "fig1" la.Ledger.label;
       Alcotest.(check string) "digest round-trips" a.Ledger.digest
@@ -98,10 +98,52 @@ let test_append_load () =
         (Option.bind
            (List.assoc_opt "events_per_sec" lb.Ledger.wall)
            Json.to_float_opt)
-  | Ok es -> Alcotest.failf "expected 2 entries, got %d" (List.length es)
+  | Ok (es, skipped) ->
+      Alcotest.failf "expected 2 entries and no warning, got %d and %d"
+        (List.length es) (List.length skipped)
   | Error m -> Alcotest.failf "load failed: %s" m);
   Alcotest.(check bool) "missing ledger loads as empty" true
-    (Ledger.load ~dir:(dir ^ "-enoent") = Ok [])
+    (Ledger.load ~dir:(dir ^ "-enoent") = Ok ([], []))
+
+(* A write cut short leaves a last line that is no entry.  It costs only
+   itself: load skips it with a warning naming the file and the line,
+   and the next append follows the highest valid seq on a line of its
+   own. *)
+let test_truncated_line () =
+  let dir = fresh_dir () in
+  let append () =
+    match
+      Ledger.append ~dir ~kind:"run" ~label:"fig1" ~payload:(config_payload 4)
+        ~wall:(wall_suffix 100.) ()
+    with
+    | Ok e -> e
+    | Error m -> Alcotest.failf "append failed: %s" m
+  in
+  ignore (append ());
+  ignore (append ());
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644
+    (Ledger.file ~dir) (fun oc ->
+      Out_channel.output_string oc {|{"seq":3,"kind":"run","lab|});
+  let check_load what ~seqs =
+    match Ledger.load ~dir with
+    | Ok (entries, [ warning ]) ->
+        Alcotest.(check (list int)) (what ^ ": valid entries load") seqs
+          (List.map (fun (e : Ledger.entry) -> e.Ledger.seq) entries);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: warning %S names the file and line 3" what
+             warning)
+          true
+          (contains ~needle:(Ledger.file ~dir ^ ": line 3: invalid JSON")
+             warning)
+    | Ok (_, skipped) ->
+        Alcotest.failf "%s: expected one warning, got %d" what
+          (List.length skipped)
+    | Error m -> Alcotest.failf "%s: load failed: %s" what m
+  in
+  check_load "before append" ~seqs:[ 1; 2 ];
+  Alcotest.(check int) "next entry follows the highest valid seq" 3
+    (append ()).Ledger.seq;
+  check_load "after append" ~seqs:[ 1; 2; 3 ]
 
 let test_wall_renders_last () =
   let entry rate =
@@ -369,6 +411,7 @@ let suite =
     [
       Alcotest.test_case "digest is a content hash" `Quick test_digest;
       Alcotest.test_case "append/load round-trip" `Quick test_append_load;
+      Alcotest.test_case "truncated line skipped" `Quick test_truncated_line;
       Alcotest.test_case "wall renders last" `Quick test_wall_renders_last;
       Alcotest.test_case "MCC_LEDGER override" `Quick test_default_dir;
       Alcotest.test_case "run payload convention" `Slow test_run_payload;
