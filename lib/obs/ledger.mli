@@ -64,9 +64,10 @@ val append :
     whole payload if there is none) and [seq] follows the highest [seq]
     that {!load} reads, so the entry is deterministic given the config
     and the ledger's history.  A last line left without its newline is
-    ended first, so the new entry gets a line of its own.  [Error] carries a filesystem or permission
-    message; recording is telemetry, so callers typically warn and
-    continue rather than fail the run. *)
+    ended first, so the new entry gets a line of its own.  [Error]
+    carries a filesystem or permission message; recording is
+    telemetry, so callers typically warn and continue rather than fail
+    the run. *)
 
 val load : dir:string -> (entry list * string list, string) result
 (** Every entry of the ledger in file (= seq) order, with one warning

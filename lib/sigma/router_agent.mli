@@ -89,9 +89,9 @@ val guess_count : t -> group:int -> slot:int -> int
 
 val total_guesses : t -> int
 (** Sum of {!guess_count} over every (group, slot), kept as a running
-    total.  Honest receivers
-    contribute only when the router's keystore has gaps (lost special
-    packets), which makes this a sensitive FEC-quality metric. *)
+    total.  Honest receivers contribute only when the router's keystore
+    has gaps (lost special packets), which makes this a sensitive
+    FEC-quality metric. *)
 
 (** One receiver's contiguous run of rejected keys: opened by the first
     Subscribe carrying an invalid (group, key) pair, extended by every
@@ -113,15 +113,14 @@ val failure_audit : t -> key_failure list
     by start time. *)
 
 (** Lifetime activity of one agent, in one read.  Every field is a
-    running total, bumped where the event happens, so a read walks no
-    table and no decoder has to outlive its slot for it.  The same
-    quantities are published continuously to the domain's metrics
-    registry under
-    "sigma.*" names (subscriptions, keys_accepted, keys_rejected, acks,
-    upgrade_graces, grace_admissions, suppressed_duplicates,
-    unsubscribes, lockouts, specials, guesses, plus the
-    "sigma.subscribe_pairs" histogram), where they aggregate across all
-    agents of the domain's current run. *)
+    running total, bumped where its event happens, so a read walks no
+    table.  The same quantities are published continuously to the
+    domain's metrics registry under "sigma.*" names (subscriptions,
+    keys_accepted, keys_rejected, acks, upgrade_graces,
+    grace_admissions, suppressed_duplicates, unsubscribes, lockouts,
+    specials, guesses, plus the "sigma.subscribe_pairs" histogram),
+    where they aggregate across all agents of the domain's current
+    run. *)
 type stats = {
   subscriptions : int;  (** Subscribe messages processed *)
   keys_accepted : int;  (** (group, key) pairs that validated *)
