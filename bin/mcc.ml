@@ -505,11 +505,11 @@ let matrix_cmd =
     in
     let protocols =
       pick ~what:"protocol" ~str:Spec.protocol_str
-        ~catalogue:Mcc_attack.Matrix.default_protocols protocols
+        ~catalogue:Spec.protocols protocols
     in
     let defences =
       pick ~what:"defence" ~str:Spec.defence_str
-        ~catalogue:Mcc_attack.Matrix.default_defences defences
+        ~catalogue:Spec.defences defences
     in
     let entries =
       Mcc_attack.Matrix.entries ~seed ~duration ~attack_at ~attacks ~protocols

@@ -43,15 +43,8 @@ let containment ~attack_at ~duration ~victim sample =
 (* Every cell shares one shape: a 1 Mbps dumbbell carrying the attacked
    session (A), an honest victim session (B) of the same protocol whose
    receiver is the honest-goodput probe, and one TCP Reno flow.  The
-   defence picks the machinery around them:
-
-   - Undefended: both sessions in Plain mode, no agent — plain IGMP.
-   - Delta_only: Robust senders (keys flow in band) but a legacy edge
-     ([Scenario.create ~sigma:false]) and IGMP receivers
-     ([receiver_mode = Plain]) — the paper's incremental-deployment
-     counterfactual, where DELTA alone protects nothing.
-   - Delta_sigma: Robust end to end, SIGMA agent with interface keys.
-   - Delta_sigma_ecn: additionally ECN marking + component scrubbing.
+   defence's deployment ([Spec.deployment]) picks the machinery around
+   them; its SIGMA edge enforces interface-specific keys.
 
    The protocol's adversary context ([P.history], FLID only) picks the
    adversary.  With a context, member attacks run as a session-A
@@ -66,59 +59,29 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
     p
   in
   let module P = (val Spec.impl protocol) in
-  let sigma_enforced =
-    match defence with
-    | Spec.Delta_sigma | Spec.Delta_sigma_ecn -> true
-    | Spec.Undefended | Spec.Delta_only -> false
-  in
-  let mode =
-    match defence with Spec.Undefended -> Flid.Plain | _ -> Flid.Robust
-  in
-  let receiver_mode =
-    match defence with Spec.Delta_only -> Some Flid.Plain | _ -> None
-  in
-  let ecn = defence = Spec.Delta_sigma_ecn in
+  let d = Spec.deployment defence in
   let agent_config =
     { Router_agent.default_config with Router_agent.interface_keys = true }
   in
   let t =
-    Scenario.create ~seed ~ecn ~sigma:sigma_enforced ~agent_config
+    Scenario.create ~seed ~ecn:d.Spec.ecn ~sigma:d.Spec.sigma ~agent_config
       ~bottleneck_rate_bps:1_000_000. ()
   in
   let add receivers =
-    Scenario.add_session (module P) ?receiver_mode t ~mode ~receivers ()
+    Scenario.add_session (module P) ?receiver_mode:d.Spec.receiver_mode t
+      ~mode:d.Spec.sender_mode ~receivers ()
   in
-  let strat = Strategy.of_kind attack in
-  (* The attacker's own randomness (guessed keys); decoupled from the
-     scenario seed stream so adding a strategy never perturbs the honest
-     sessions. *)
+  (* The attacker's own randomness (guessed keys), shared by every
+     colluder; decoupled from the scenario seed stream so adding a
+     strategy never perturbs the honest sessions. *)
   let attacker_prng = Prng.create ((seed * 7919) + 13) in
-  let member_receiver slot_duration =
-    let inst =
-      strat.Strategy.instantiate ~attack_at ~slot_duration ~prng:attacker_prng
-    in
-    Scenario.receiver ~behavior:(Flid.Adversarial (Strategy.member inst)) ()
-  in
   let launch_bare ?feed config =
-    let slot_duration = P.slot_duration config in
-    let inst =
-      strat.Strategy.instantiate ~attack_at ~slot_duration ~prng:attacker_prng
-    in
-    let host = Dumbbell.add_receiver (Scenario.dumbbell t) in
-    let target =
-      {
-        Strategy.tgt_groups =
-          List.init Defaults.groups (fun g -> P.group_addr config (g + 1));
-        tgt_slot_duration = slot_duration;
-        tgt_sigma = sigma_enforced;
-      }
-    in
-    let bare =
-      Strategy.launch_bare ~at:attack_at ?feed
-        (Scenario.dumbbell t).Dumbbell.topo ~host ~prng:attacker_prng ~target
-        ~kind:attack inst
-    in
-    Strategy.bare_meter bare
+    let db = Scenario.dumbbell t in
+    let host = Dumbbell.add_receiver db in
+    Strategy.launch_bare ?feed db.Dumbbell.topo ~host ~prng:attacker_prng
+      ~groups:(List.init Defaults.groups (fun g -> P.group_addr config (g + 1)))
+      ~slot_duration:(P.slot_duration config) ~sigma:d.Spec.sigma ~attack_at
+      attack
   in
   (* Session A plus its adversary; returns the attacker-side meters. *)
   let attacker_meters =
@@ -126,8 +89,13 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
     | ( Some _,
         ( Spec.Persistent_inflation | Spec.Pulse_inflation _
         | Spec.Key_guessing _ | Spec.Stale_replay _ ) ) ->
-        let member = member_receiver (P.default_slot mode) in
-        let _, _, receivers = add [ member ] in
+        let inst =
+          (Strategy.of_kind attack).Strategy.instantiate ~attack_at
+            ~slot_duration:(P.default_slot d.Spec.sender_mode)
+            ~prng:attacker_prng
+        in
+        let behavior = Flid.Adversarial (Strategy.member inst) in
+        let _, _, receivers = add [ Scenario.receiver ~behavior () ] in
         [ P.receiver_meter (List.hd receivers) ]
     | Some history, Spec.Collusion { colluders } ->
         (* One honest session member is the accomplice; the colluders
@@ -198,6 +166,10 @@ let () = Experiments.set_adversary_impl run_cell
 
 (* --- The matrix --------------------------------------------------------- *)
 
+(* Written out rather than derived from the strategies: a list built at
+   module initialisation allocates there, and that shifts the GC's
+   pacing enough to move peak heap words by 1-3% on registry entries
+   that run no attack code. *)
 let default_attacks =
   [
     Spec.Persistent_inflation;
@@ -208,18 +180,11 @@ let default_attacks =
     Spec.Collusion { colluders = 3 };
   ]
 
-(* The Spec registry, so a protocol added there shows up as a matrix
-   column (and a scorecard heading) without touching this file. *)
-let default_protocols = Spec.protocols
-
-let default_defences =
-  [ Spec.Undefended; Spec.Delta_only; Spec.Delta_sigma; Spec.Delta_sigma_ecn ]
-
 let entries ?(seed = Spec.default_adversary.Spec.seed)
     ?(duration = Spec.default_adversary.Spec.duration)
     ?(attack_at = Spec.default_adversary.Spec.attack_at)
-    ?(attacks = default_attacks) ?(protocols = default_protocols)
-    ?(defences = default_defences) () =
+    ?(attacks = default_attacks) ?(protocols = Spec.protocols)
+    ?(defences = Spec.defences) () =
   List.concat_map
     (fun attack ->
       List.concat_map

@@ -14,20 +14,17 @@
 
 val run_cell :
   Mcc_core.Spec.adversary_params -> Mcc_core.Experiments.adversary_result
-(** Simulate one cell.  Defence mapping: [Undefended] = both sessions
-    Plain, no agent; [Delta_only] = Robust senders behind a legacy edge
-    (keys in band, nothing enforced, receivers on IGMP); [Delta_sigma] =
-    SIGMA agent with interface-specific keys; [Delta_sigma_ecn] adds ECN
-    marking and component scrubbing.  The adversary is a session member
-    for member attacks on a protocol whose module carries an adversary
-    context ({!Mcc_core.Protocol.S.history}: FLID), a standalone bare
-    attacker otherwise. *)
+(** Simulate one cell.  The defence deploys what
+    {!Mcc_core.Spec.deployment} says, with interface-specific keys at
+    the SIGMA edge.  The adversary is a session member for member
+    attacks on a protocol whose module carries an adversary context
+    ({!Mcc_core.Protocol.S.history}: FLID), a standalone bare attacker
+    ({!Strategy.launch_bare}) otherwise. *)
 
 val default_attacks : Mcc_core.Spec.attack_kind list
-(** All six strategies at catalogue parameters. *)
-
-val default_protocols : Mcc_core.Spec.protocol list
-val default_defences : Mcc_core.Spec.defence list
+(** All six strategies at their default parameters, in
+    {!Mcc_core.Spec.attack_kind} declaration order: the matrix's attack
+    rows and the CLI's [--attacks] choices. *)
 
 val entries :
   ?seed:int ->
@@ -41,7 +38,8 @@ val entries :
 (** The grid as runner entries named
     ["matrix-<attack>-<protocol>-<defence>"], all in group ["matrix"]
     (attack-major, defence-minor order).  Defaults come from
-    {!Mcc_core.Spec.default_adversary} and the [default_*] lists. *)
+    {!Mcc_core.Spec.default_adversary}, {!default_attacks} and the Spec
+    registries ({!Mcc_core.Spec.protocols}, {!Mcc_core.Spec.defences}). *)
 
 val run :
   ?jobs:int ->

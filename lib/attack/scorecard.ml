@@ -46,11 +46,6 @@ let rank cs =
 let dedup_keep_order xs =
   List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] xs
 
-(* Headings come from the Spec protocol registry: a protocol registered
-   there renders its own scorecard section without this module naming
-   it. *)
-let protocol_heading = Spec.protocol_heading
-
 let render ppf rows =
   let cs = cells rows in
   let attacks = dedup_keep_order (List.map (fun c -> c.params.Spec.attack) cs) in
@@ -78,7 +73,7 @@ let render ppf rows =
     (Mcc_core.Defaults.fair_share_bps /. 1000.);
   List.iter
     (fun protocol ->
-      Format.fprintf ppf "## %s@.@." (protocol_heading protocol);
+      Format.fprintf ppf "## %s@.@." (Spec.protocol_heading protocol);
       Format.fprintf ppf "| attack |";
       List.iter
         (fun d -> Format.fprintf ppf " %s |" (Spec.defence_str d))
@@ -121,12 +116,7 @@ let render ppf rows =
     attacks;
   (* The headline claim the matrix exists to check. *)
   let sigma_cells =
-    List.filter
-      (fun c ->
-        match c.params.Spec.defence with
-        | Spec.Delta_sigma | Spec.Delta_sigma_ecn -> true
-        | Spec.Undefended | Spec.Delta_only -> false)
-      cs
+    List.filter (fun c -> (Spec.deployment c.params.Spec.defence).Spec.sigma) cs
   in
   let sigma_breaches = List.filter (fun c -> not (contained c.result)) sigma_cells in
   if sigma_cells <> [] then begin

@@ -19,7 +19,6 @@ type instance = {
   label : string;
   active : time:float -> bool;
   on_slot : Flid.adv_ctx -> Flid.submission list;
-  on_packet : time:float -> group:int -> bytes:int -> unit;
   on_key_result : slot:int -> group:int -> accepted:bool -> unit;
 }
 
@@ -37,7 +36,6 @@ let trace ~time event attrs =
   if Tracer.enabled () then
     Tracer.emit ~sim_time:time ~component:"attack.strategy" ~event attrs
 
-let no_packet ~time:_ ~group:_ ~bytes:_ = ()
 let no_key_result ~slot:_ ~group:_ ~accepted:_ = ()
 
 (* The inflation submission every claim-everything strategy shares:
@@ -77,7 +75,6 @@ let persistent =
           label = "inflate";
           active = (fun ~time -> time >= attack_at);
           on_slot = inflation_submissions;
-          on_packet = no_packet;
           on_key_result = no_key_result;
         });
   }
@@ -105,7 +102,6 @@ let pulse ~period_s ~duty =
               time >= attack_at
               && Float.rem (time -. attack_at) period_s < duty *. period_s);
           on_slot = inflation_submissions;
-          on_packet = no_packet;
           on_key_result = no_key_result;
         });
   }
@@ -165,7 +161,6 @@ let guess ~budget_per_slot =
                   sub_pairs = ctx.Flid.actx_entitled @ guesses;
                 };
               ]);
-          on_packet = no_packet;
           on_key_result =
             (fun ~slot:_ ~group:_ ~accepted -> if accepted then incr hits);
         });
@@ -223,7 +218,6 @@ let replay ~lag_slots =
                       sub_pairs = s.Flid.sub_pairs;
                     };
                   ]);
-          on_packet = no_packet;
           on_key_result = no_key_result;
         });
   }
@@ -253,7 +247,6 @@ let churn ~period_slots =
           (* The cycle acts on the control channel, not on key
              submissions: the bare driver implements it. *)
           on_slot = (fun _ctx -> []);
-          on_packet = no_packet;
           on_key_result = no_key_result;
         });
   }
@@ -298,7 +291,6 @@ let collude ~colluders =
                       ]);
                   [ s ]
               | _ -> []);
-          on_packet = no_packet;
           on_key_result = no_key_result;
         });
   }
@@ -311,16 +303,6 @@ let of_kind = function
   | Spec.Grace_churn { period_slots } -> churn ~period_slots
   | Spec.Collusion { colluders } -> collude ~colluders
 
-let catalogue () =
-  [
-    persistent;
-    pulse ~period_s:10. ~duty:0.5;
-    guess ~budget_per_slot:4;
-    replay ~lag_slots:4;
-    churn ~period_slots:2.5;
-    collude ~colluders:3;
-  ]
-
 let member inst =
   {
     Flid.adv_label = inst.label;
@@ -330,20 +312,12 @@ let member inst =
 
 (* --- Bare attacker ------------------------------------------------------ *)
 
-type target = {
-  tgt_groups : int list;
-  tgt_slot_duration : float;
-  tgt_sigma : bool;
-}
-
-type bare = { bare_meter : Meter.t }
-
-let bare_meter b = b.bare_meter
-
 let key_matches acked (g, k) =
   List.exists (fun (g', k') -> g' = g && k' = k) acked
 
-let launch_bare ?(at = 0.) ?feed topo ~host ~prng ~target ~kind inst =
+let launch_bare ?feed topo ~host ~prng ~groups ~slot_duration ~sigma
+    ~attack_at kind =
+  let inst = (of_kind kind).instantiate ~attack_at ~slot_duration ~prng in
   let sim = Topology.sim topo in
   let meter = Meter.create () in
   Timeseries.sample_rate ~scale:0.008 "attack.bare.goodput_kbps" (fun () ->
@@ -351,30 +325,21 @@ let launch_bare ?(at = 0.) ?feed topo ~host ~prng ~target ~kind inst =
   List.iter
     (fun group ->
       Node.subscribe_local host ~group (fun pkt ->
-          let time = Sim.now sim in
-          Meter.record meter ~time ~bytes:pkt.Packet.size;
-          inst.on_packet ~time ~group ~bytes:pkt.Packet.size))
-    target.tgt_groups;
-  let minimal = List.hd target.tgt_groups in
-  let slot_d = target.tgt_slot_duration in
-  let client =
-    if target.tgt_sigma then Some (Client.create topo ~host) else None
-  in
+          Meter.record meter ~time:(Sim.now sim) ~bytes:pkt.Packet.size))
+    groups;
+  let minimal = List.hd groups in
+  let client = if sigma then Some (Client.create topo ~host) else None in
   let joined = ref false in
   let join_all () =
     if not !joined then begin
       joined := true;
-      List.iter
-        (fun group -> Multicast.host_join topo ~host ~group)
-        target.tgt_groups
+      List.iter (fun group -> Multicast.host_join topo ~host ~group) groups
     end
   in
   let leave_all () =
     if !joined then begin
       joined := false;
-      List.iter
-        (fun group -> Multicast.host_leave topo ~host ~group)
-        target.tgt_groups
+      List.iter (fun group -> Multicast.host_leave topo ~host ~group) groups
     end
   in
   let history = ref [] in
@@ -386,7 +351,7 @@ let launch_bare ?(at = 0.) ?feed topo ~host ~prng ~target ~kind inst =
           history := s :: List.filteri (fun i _ -> i < 15) !history;
           (* Observe the verdicts one slot later through the ack state
              the client accumulated (snooped Sub_acks). *)
-          Sim.post_after sim ~delay:slot_d (fun () ->
+          Sim.post_after sim ~delay:slot_duration (fun () ->
                  let acked = Client.acked_pairs client ~slot:s.Flid.sub_slot in
                  List.iter
                    (fun pair ->
@@ -401,10 +366,12 @@ let launch_bare ?(at = 0.) ?feed topo ~host ~prng ~target ~kind inst =
       (* The churn cycle: grab traffic for [hold] seconds, release it
          just before the keyless grant would expire, rejoin at the next
          cycle boundary. *)
-      let period = Float.max slot_d (period_slots *. slot_d) in
-      let hold = Float.max (0.5 *. slot_d) (period -. (0.25 *. slot_d)) in
+      let period = Float.max slot_duration (period_slots *. slot_duration) in
+      let hold =
+        Float.max (0.5 *. slot_duration) (period -. (0.25 *. slot_duration))
+      in
       ignore
-        (Sim.every sim ~start:at ~period (fun () ->
+        (Sim.every sim ~start:attack_at ~period (fun () ->
              let sp = Prof.span "attack" in
              let time = Sim.now sim in
              (if inst.active ~time then begin
@@ -425,14 +392,14 @@ let launch_bare ?(at = 0.) ?feed topo ~host ~prng ~target ~kind inst =
   | _, None ->
       (* Legacy IGMP edge: claiming a group is joining it. *)
       ignore
-        (Sim.every sim ~start:at ~period:slot_d (fun () ->
+        (Sim.every sim ~start:attack_at ~period:slot_duration (fun () ->
              let sp = Prof.span "attack" in
              let time = Sim.now sim in
              (if inst.active ~time then begin
                 if not !joined then begin
                   Metrics.tick "attack.submissions";
                   trace ~time "igmp_join_all" (fun () ->
-                      [ ("groups", Json.Int (List.length target.tgt_groups)) ])
+                      [ ("groups", Json.Int (List.length groups)) ])
                 end;
                 join_all ()
               end
@@ -440,7 +407,7 @@ let launch_bare ?(at = 0.) ?feed topo ~host ~prng ~target ~kind inst =
              Prof.finish sp))
   | _, Some client ->
       ignore
-        (Sim.every sim ~start:at ~period:slot_d (fun () ->
+        (Sim.every sim ~start:attack_at ~period:slot_duration (fun () ->
              let sp = Prof.span "attack" in
              let time = Sim.now sim in
              (if inst.active ~time then begin
@@ -451,9 +418,9 @@ let launch_bare ?(at = 0.) ?feed topo ~host ~prng ~target ~kind inst =
                let ctx =
                  {
                    Flid.actx_time = time;
-                   actx_slot = int_of_float (time /. slot_d) + 1;
+                   actx_slot = int_of_float (time /. slot_duration) + 1;
                    actx_entitled = [];
-                   actx_groups = target.tgt_groups;
+                   actx_groups = groups;
                    actx_fresh_key =
                      (fun () -> Key.nonce prng ~width:Key.default_width);
                    actx_history =
@@ -462,6 +429,5 @@ let launch_bare ?(at = 0.) ?feed topo ~host ~prng ~target ~kind inst =
                in
                submit client (inst.on_slot ctx)
              end);
-             Prof.finish sp)))
-  |> ignore;
-  { bare_meter = meter }
+             Prof.finish sp)));
+  meter

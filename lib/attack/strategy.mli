@@ -11,12 +11,12 @@
       FLID session whose [on_slot] callback replaces the honest key
       submission; under a [Plain]-mode session the receiver degrades to
       the IGMP join-everything misbehaviour, gated by [active];
-    - the {e bare} driver ({!launch_bare}) runs the instance as a
+    - the {e bare} driver ({!launch_bare}) runs the strategy as a
       standalone attacker host with its own SIGMA client (or raw IGMP
       joins when the edge is legacy), which is how attacks are mounted
       against protocols whose receivers take no behaviour parameter
-      (RLM-like, replicated) and how grace-window churn acts on the
-      control channel.
+      (RLM-like, replicated), how grace-window churn acts on the
+      control channel, and how a workload mounts its attacker.
 
     Instances carry their own mutable state (guess cursors, hit
     counters), so one instance drives exactly one attacker.  All
@@ -36,9 +36,6 @@ type instance = {
           adapter wires this into the receiver's subscription path; the
           bare driver calls it on its own slot tick with an empty
           entitlement. *)
-  on_packet : time:float -> group:int -> bytes:int -> unit;
-      (** every session packet reaching the attacker's host (driven by
-          the bare driver, which owns the host's group handlers) *)
   on_key_result : slot:int -> group:int -> accepted:bool -> unit;
       (** validation verdicts for submitted keys, observed one slot
           after submission through the SIGMA client's ack state (driven
@@ -62,44 +59,33 @@ type t = {
 val of_kind : Spec.attack_kind -> t
 (** The strategy implementing a spec-level attack kind. *)
 
-val catalogue : unit -> t list
-(** All six strategies at their default parameters, in
-    {!Mcc_core.Spec.attack_kind} declaration order — the table
-    EXPERIMENTS.md documents. *)
-
 val member : instance -> Flid.adversary
 (** Adapt an instance into a misbehaving FLID session member. *)
 
 (** {1 Bare attacker} *)
 
-type target = {
-  tgt_groups : int list;
-      (** the attacked session's group addresses, minimal group first *)
-  tgt_slot_duration : float;
-  tgt_sigma : bool;
-      (** [true]: the edge enforces keys, so the attacker drives the
-          SIGMA control channel (session-join, key submissions);
-          [false]: legacy edge, the attacker just IGMP-joins *)
-}
-
-type bare
-
 val launch_bare :
-  ?at:float ->
   ?feed:(unit -> Flid.submission list) ->
   Mcc_net.Topology.t ->
   host:Mcc_net.Node.t ->
   prng:Mcc_util.Prng.t ->
-  target:target ->
-  kind:Spec.attack_kind ->
-  instance ->
-  bare
-(** Start a standalone attacker on [host] at [at] (default 0): group
-    handlers feed [on_packet] and the attacker's meter; a slot tick
-    evaluates [active] and sends [on_slot]'s submissions through the
-    SIGMA client (acks drive [on_key_result]) or translates claims into
-    IGMP joins on a legacy edge.  [Spec.Grace_churn] runs its
-    join/leave cycle on the control channel instead of submitting keys:
+  groups:int list ->
+  slot_duration:float ->
+  sigma:bool ->
+  attack_at:float ->
+  Spec.attack_kind ->
+  Mcc_util.Meter.t
+(** [launch_bare topo ~host ... kind] starts a standalone attacker
+    mounting [kind] from [host] at [attack_at], against the session
+    whose group addresses are [groups] (minimal group first), and
+    returns its meter: the bytes of session traffic reaching the host.
+    The strategy is instantiated through {!of_kind} with [prng], which
+    also draws the attacker's guessed keys.  A slot tick of
+    [slot_duration] evaluates [active] and, where the edge enforces
+    keys ([sigma]), sends [on_slot]'s submissions through a SIGMA
+    client (acks drive [on_key_result]); on a legacy edge it turns
+    claims into IGMP joins.  [Spec.Grace_churn] runs its join/leave
+    cycle on the control channel instead of submitting keys:
     session-join, hold through the grace window, unsubscribe, rejoin
     next cycle.
 
@@ -107,6 +93,3 @@ val launch_bare :
     [on_slot] — by default the attacker's own past submissions; a
     collusion harness passes the accomplice's
     {!Mcc_mcast.Flid.receiver_history} here. *)
-
-val bare_meter : bare -> Mcc_util.Meter.t
-(** Bytes of attacked-session traffic reaching the attacker's host. *)

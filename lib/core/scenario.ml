@@ -121,9 +121,10 @@ let transform agent prng (link : Link.t) pkt =
       end
   | _ -> ()
 
-(* Exported for builders over generated topologies (Mcc_workload): the
-   same transform, one per attached agent. *)
-let delta_transform = transform
+let sigma_edge ~config topo node prng =
+  let agent = Router_agent.attach ~config topo node in
+  Router_agent.set_scrubber agent (transform agent prng);
+  agent
 
 (* With [sigma = false] the right-hand edge router stays a legacy IGMP
    device even for Robust sessions (the paper's incremental-deployment
@@ -135,11 +136,9 @@ let ensure_agent t =
     | Some agent -> Some agent
     | None ->
         let agent =
-          Router_agent.attach ~config:t.agent_config t.db.Dumbbell.topo
-            t.db.Dumbbell.right
+          sigma_edge ~config:t.agent_config t.db.Dumbbell.topo
+            t.db.Dumbbell.right (Prng.split t.prng)
         in
-        let scrub_prng = Prng.split t.prng in
-        Router_agent.set_scrubber agent (transform agent scrub_prng);
         t.agent <- Some agent;
         Some agent
 

@@ -50,16 +50,18 @@ val agent : t -> Mcc_sigma.Router_agent.t option
 (** The SIGMA agent on the right edge router; installed as soon as the
     first robust session is added. *)
 
-val delta_transform :
-  Mcc_sigma.Router_agent.t ->
+val sigma_edge :
+  config:Mcc_sigma.Router_agent.config ->
+  Mcc_net.Topology.t ->
+  Mcc_net.Node.t ->
   Mcc_util.Prng.t ->
-  Mcc_net.Link.t ->
-  Mcc_net.Packet.t ->
-  unit
-(** The component transform installed on SIGMA agents (ECN scrub of
-    marked DELTA components, interface-key padding).  Exported so
-    builders over generated topologies ([Mcc_workload]) can install the
-    same scrubber on every edge agent; one PRNG per agent. *)
+  Mcc_sigma.Router_agent.t
+(** [sigma_edge ~config topo node prng] makes [node] a SIGMA edge: it
+    attaches an agent and installs the DELTA scrubber (ECN scrub of
+    marked components, interface-key padding), which draws from [prng].
+    The dumbbell's right edge and every receiver-side edge of a
+    generated topology ([Mcc_workload]) are set up this way, one PRNG
+    per agent. *)
 
 val add_session :
   (module Protocol.S

@@ -204,6 +204,32 @@ let protocol_heading p =
   let module P = (val impl p) in
   P.heading
 
+(* The defence registry, in matrix column order, and the one match that
+   says what each defence deploys.  The matrix, the workload builder, the
+   scorecard, the schema and the CLI all read these two. *)
+let defences = [ Undefended; Delta_only; Delta_sigma; Delta_sigma_ecn ]
+
+type deployment = {
+  sigma : bool;
+  sender_mode : mode;
+  receiver_mode : mode option;
+  ecn : bool;
+}
+
+let deployment = function
+  | Undefended ->
+      { sigma = false; sender_mode = Flid.Plain; receiver_mode = None;
+        ecn = false }
+  | Delta_only ->
+      { sigma = false; sender_mode = Flid.Robust;
+        receiver_mode = Some Flid.Plain; ecn = false }
+  | Delta_sigma ->
+      { sigma = true; sender_mode = Flid.Robust; receiver_mode = None;
+        ecn = false }
+  | Delta_sigma_ecn ->
+      { sigma = true; sender_mode = Flid.Robust; receiver_mode = None;
+        ecn = true }
+
 let defence_str = function
   | Undefended -> "plain"
   | Delta_only -> "delta"

@@ -113,9 +113,9 @@ type protocol = Flid_ds | Rlm_threshold | Replicated | Oversub
     layered scheme driven by an EWMA of the ECN mark fraction. *)
 
 type defence = Undefended | Delta_only | Delta_sigma | Delta_sigma_ecn
-(** The defence column of the matrix: plain IGMP (no keys, no agent),
-    DELTA keys without an enforcing edge router (legacy edge), the
-    paper's full DELTA + SIGMA, and the ECN-marking variant. *)
+(** The defence column of the matrix: plain IGMP, DELTA behind a legacy
+    edge, the paper's full DELTA + SIGMA, and its ECN-marking variant;
+    {!deployment} says what each one deploys. *)
 
 type adversary_params = {
   seed : int;
@@ -282,6 +282,40 @@ val protocol_str : protocol -> string
 
 val protocol_heading : protocol -> string
 (** The module's scorecard column heading. *)
+
+val defences : defence list
+(** The defence registry, in matrix column order.  The matrix's default
+    defence set, the CLI [--defences] parser and the workload schema
+    all read this list. *)
+
+type deployment = {
+  sigma : bool;
+      (** a SIGMA agent on the receiver-side edge router(s); [false]
+          leaves a legacy IGMP edge that enforces nothing *)
+  sender_mode : mode;  (** [Robust]: DELTA keys flow in band *)
+  receiver_mode : mode option;
+      (** overrides the receivers' mode; [None] runs the sender's *)
+  ecn : bool;
+      (** ECN marking at the bottleneck, and component scrubbing of
+          marked copies at the SIGMA edge *)
+}
+
+val deployment : defence -> deployment
+(** What a defence deploys around a session.  The only dispatch on
+    {!defence} besides {!defence_str}; the matrix cells, the workload
+    builder and the scorecard's headline all read it.  The tiers:
+
+    - [Undefended]: Plain senders and receivers, no agent — plain
+      IGMP.
+    - [Delta_only]: Robust senders (keys flow in band) behind a legacy
+      edge, with Plain receivers on IGMP — the paper's
+      incremental-deployment counterfactual (Section 3.2.3), where
+      DELTA alone protects nothing.
+    - [Delta_sigma]: Robust end to end behind a SIGMA edge (the matrix
+      and the workloads configure its agent with interface-specific
+      keys, Section 4.2).
+    - [Delta_sigma_ecn]: additionally ECN marking and component
+      scrubbing. *)
 
 val topology_str : topology_spec -> string
 (** "dumbbell", "fat_tree", "star_lans" or "isp_random". *)

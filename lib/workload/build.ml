@@ -17,20 +17,11 @@ module Strategy = Mcc_attack.Strategy
 type instance = { meter : Meter.t; lo : float; hi : float }
 
 let run (p : Spec.workload_params) : Experiments.workload_result =
-  let ecn = p.Spec.defence = Spec.Delta_sigma_ecn in
-  let sigma_enforced =
-    match p.Spec.defence with
-    | Spec.Delta_sigma | Spec.Delta_sigma_ecn -> true
-    | Spec.Undefended | Spec.Delta_only -> false
-  in
-  let mode =
-    match p.Spec.defence with
-    | Spec.Undefended -> Flid.Plain
-    | _ -> Flid.Robust
-  in
-  let receiver_mode =
-    match p.Spec.defence with Spec.Delta_only -> Some Flid.Plain | _ -> None
-  in
+  let d = Spec.deployment p.Spec.defence in
+  let mode = d.Spec.sender_mode in
+  (* FLID's slot for the mode, whatever the protocol: a Plain session of
+     any protocol runs 500 ms slots here, where the matrix gives the
+     protocol's own default. *)
   let slot =
     match mode with
     | Flid.Plain -> Defaults.flid_dl_slot
@@ -44,27 +35,21 @@ let run (p : Spec.workload_params) : Experiments.workload_result =
   let traffic_prng = Prng.split prng in
   let sim = Sim.create () in
   let hosts = Churn.hosts_needed ~spec:p.Spec.churn ~receivers:p.Spec.receivers in
-  let built = Topo_gen.build ~ecn sim ~prng:topo_prng ~spec:p.Spec.topology ~hosts in
+  let built =
+    Topo_gen.build ~ecn:d.Spec.ecn sim ~prng:topo_prng ~spec:p.Spec.topology
+      ~hosts
+  in
   let topo = built.Topo_gen.topo in
   (* SIGMA agents on every receiver-side edge router, each with its own
      scrubber stream — the per-edge equivalent of the dumbbell
      scenario's single agent. *)
   let agents =
-    if sigma_enforced then
+    if d.Spec.sigma then
+      let config =
+        { Router_agent.default_config with Router_agent.interface_keys = true }
+      in
       List.map
-        (fun edge ->
-          let agent =
-            Router_agent.attach
-              ~config:
-                {
-                  Router_agent.default_config with
-                  Router_agent.interface_keys = true;
-                }
-              topo edge
-          in
-          Router_agent.set_scrubber agent
-            (Scenario.delta_transform agent (Prng.split prng));
-          agent)
+        (fun edge -> Scenario.sigma_edge ~config topo edge (Prng.split prng))
         built.Topo_gen.edges
     else []
   in
@@ -77,7 +62,9 @@ let run (p : Spec.workload_params) : Experiments.workload_result =
     P.make ~id:1 ~base_group:0x1000 ~layering ~slot_duration:slot ~mode
   in
   let rconfig =
-    match receiver_mode with Some m -> P.with_mode config m | None -> config
+    match d.Spec.receiver_mode with
+    | Some m -> P.with_mode config m
+    | None -> config
   in
   ignore
     (P.sender_start topo ~node:built.Topo_gen.sender ~prng:(Prng.split prng)
@@ -122,26 +109,13 @@ let run (p : Spec.workload_params) : Experiments.workload_result =
     match p.Spec.attack with
     | None -> None
     | Some kind ->
-        let strat = Strategy.of_kind kind in
-        let attacker_prng = Prng.create ((p.Spec.seed * 7919) + 13) in
         let host = Topology.add_node topo Node.Host in
         Topo_gen.access_link topo (List.hd built.Topo_gen.edges) host;
-        let inst =
-          strat.Strategy.instantiate ~attack_at:p.Spec.attack_at
-            ~slot_duration:slot ~prng:attacker_prng
-        in
-        let target =
-          {
-            Strategy.tgt_groups = group_addrs;
-            tgt_slot_duration = slot;
-            tgt_sigma = sigma_enforced;
-          }
-        in
-        let bare =
-          Strategy.launch_bare ~at:p.Spec.attack_at topo ~host
-            ~prng:attacker_prng ~target ~kind inst
-        in
-        Some (Strategy.bare_meter bare)
+        Some
+          (Strategy.launch_bare topo ~host
+             ~prng:(Prng.create ((p.Spec.seed * 7919) + 13))
+             ~groups:group_addrs ~slot_duration:slot ~sigma:d.Spec.sigma
+             ~attack_at:p.Spec.attack_at kind)
   in
   Topology.compute_routes topo;
   Sim.run_until sim p.Spec.duration;

@@ -69,28 +69,18 @@ let positive ctx what v =
 
 (* --- Enumerations from the Spec registries ------------------------------ *)
 
-let protocol_of_string ctx s =
-  match
-    List.find_opt (fun p -> String.equal (Spec.protocol_str p) s) Spec.protocols
-  with
-  | Some p -> Ok p
+(* A field naming an entry of a Spec registry; an unknown name's
+   diagnostic lists the registry. *)
+let registry_field ctx fields name ~str registry =
+  let path = Printf.sprintf "%s.%s" ctx name in
+  let* v = field ctx fields name in
+  let* s = as_string path v in
+  match List.find_opt (fun x -> String.equal (str x) s) registry with
+  | Some x -> Ok x
   | None ->
-      err ctx
-        (Printf.sprintf "unknown protocol %S (one of: %s)" s
-           (String.concat ", " (List.map Spec.protocol_str Spec.protocols)))
-
-let defences =
-  [ Spec.Undefended; Spec.Delta_only; Spec.Delta_sigma; Spec.Delta_sigma_ecn ]
-
-let defence_of_string ctx s =
-  match
-    List.find_opt (fun d -> String.equal (Spec.defence_str d) s) defences
-  with
-  | Some d -> Ok d
-  | None ->
-      err ctx
-        (Printf.sprintf "unknown defence %S (one of: %s)" s
-           (String.concat ", " (List.map Spec.defence_str defences)))
+      err path
+        (Printf.sprintf "unknown %s %S (one of: %s)" name s
+           (String.concat ", " (List.map str registry)))
 
 (* --- Nested objects ----------------------------------------------------- *)
 
@@ -329,12 +319,12 @@ let params_of_json ~ctx json =
   let* _ = positive (ctx ^ ".duration") "duration" duration in
   let* topo_json = field ctx fields "topology" in
   let* topology = topology (ctx ^ ".topology") topo_json in
-  let* protocol = field ctx fields "protocol" in
-  let* protocol = as_string (ctx ^ ".protocol") protocol in
-  let* protocol = protocol_of_string (ctx ^ ".protocol") protocol in
-  let* defence = field ctx fields "defence" in
-  let* defence = as_string (ctx ^ ".defence") defence in
-  let* defence = defence_of_string (ctx ^ ".defence") defence in
+  let* protocol =
+    registry_field ctx fields "protocol" ~str:Spec.protocol_str Spec.protocols
+  in
+  let* defence =
+    registry_field ctx fields "defence" ~str:Spec.defence_str Spec.defences
+  in
   let* receivers = int_field ctx fields "receivers" in
   let* () =
     if receivers < 1 then err (ctx ^ ".receivers") "need at least one receiver"

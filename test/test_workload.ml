@@ -289,7 +289,12 @@ let test_oversub_registry () =
   Alcotest.(check string) "oversub short name" "oversub"
     (Spec.protocol_str Spec.Oversub);
   Alcotest.(check bool) "matrix columns follow the registry" true
-    (List.mem Spec.Oversub Mcc_attack.Matrix.default_protocols);
+    (List.exists
+       (fun (e : Runner.entry) ->
+         match e.Runner.spec with
+         | Spec.Adversary p -> p.Spec.protocol = Spec.Oversub
+         | _ -> false)
+       (Mcc_attack.Matrix.entries ()));
   Alcotest.(check bool) "heading distinct from CLI name" true
     (Spec.protocol_heading Spec.Oversub <> Spec.protocol_str Spec.Oversub)
 
