@@ -235,14 +235,20 @@ for W in workloads/*.json; do
 done
 # ... and a malformed document must be rejected with a diagnostic
 # naming the file and exit 2: one without a duration, one whose
-# duration is not a number, and one whose duration overflows to
-# infinity (it would run without end).
+# duration is not a number, one whose duration overflows to infinity
+# (it would run without end), and one whose diurnal churn period is so
+# short that its churn plan would exhaust memory.
 printf '{"version": 1, "name": "bad"}\n' > "$SCRATCH/bad-workload.json"
 printf '{"version": 1, "name": "bad", "duration": 1e}\n' \
   > "$SCRATCH/bad-number.json"
 printf '{"version": 1, "name": "bad", "duration": 1e999}\n' \
   > "$SCRATCH/bad-infinite.json"
-for BAD in bad-workload bad-number bad-infinite; do
+printf '%s\n' '{"version": 1, "name": "bad", "duration": 20,
+  "topology": {"kind": "dumbbell"}, "protocol": "flid",
+  "defence": "plain", "receivers": 2,
+  "churn": {"kind": "diurnal", "period": 1e-7, "fraction": 0.5}}' \
+  > "$SCRATCH/bad-period.json"
+for BAD in bad-workload bad-number bad-infinite bad-period; do
   STATUS=0
   dune exec bin/mcc.exe -- workload check "$SCRATCH/$BAD.json" \
     2> "$SCRATCH/$BAD.err" || STATUS=$?
@@ -253,6 +259,7 @@ for BAD in bad-workload bad-number bad-infinite; do
   grep -q "$BAD.json" "$SCRATCH/$BAD.err"
 done
 grep -q "duration" "$SCRATCH/bad-workload.err"
+grep -q "churn.period" "$SCRATCH/bad-period.err"
 # ... and so must a non-finite timing option on the command line, naming
 # the option.  The timeout bounds the check: a NaN attack time that got
 # through would run its cell without end.

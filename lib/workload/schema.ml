@@ -1,5 +1,6 @@
 module Json = Mcc_core.Json
 module Spec = Mcc_core.Spec
+module Defaults = Mcc_core.Defaults
 module Runner = Mcc_core.Runner
 
 let version = 1
@@ -165,8 +166,15 @@ let churn ctx v =
       let* () = check_keys ctx [ "kind"; "period"; "fraction" ] fields in
       let* period = float_field ctx fields "period" in
       let* fraction = float_field ctx fields "fraction" in
-      let* _ = positive (ctx ^ ".period") "period" period in
-      if fraction <= 0. || fraction > 1. then
+      (* Each cycling receiver gets one interval per period, so a tiny
+         period exhausts memory; the on-half of a cycle must hold at
+         least one FLID-DL slot. *)
+      let min_period = 2. *. Defaults.flid_dl_slot in
+      if period < min_period then
+        err (ctx ^ ".period")
+          (Printf.sprintf "must be at least %g s (two FLID-DL slots)"
+             min_period)
+      else if fraction <= 0. || fraction > 1. then
         err (ctx ^ ".fraction") "must be in (0, 1]"
       else Ok (Spec.Diurnal { period; fraction })
   | "regional_outage" ->

@@ -112,7 +112,15 @@ let test_schema_invalid () =
         "topology": { "kind": "dumbbell" },
         "protocol": "flid", "defence": "plain", "receivers": 2,
         "churn": { "kind": "flash_crowd", "at": 5, "arrivals": 2,
-                   "leave_after": 1e999 } }|}
+                   "leave_after": 1e999 } }|};
+  (* A diurnal period shorter than two FLID-DL slots: the churn plan
+     makes one receiver interval per period, and this one would exhaust
+     memory. *)
+  expect_error ~needle:"w.json.churn.period"
+    {|{ "version": 1, "name": "t", "duration": 20,
+        "topology": { "kind": "dumbbell" },
+        "protocol": "flid", "defence": "plain", "receivers": 2,
+        "churn": { "kind": "diurnal", "period": 1e-7, "fraction": 0.5 } }|}
 
 let test_schema_multi_seed () =
   let doc =
