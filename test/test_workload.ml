@@ -122,6 +122,110 @@ let test_schema_invalid () =
         "protocol": "flid", "defence": "plain", "receivers": 2,
         "churn": { "kind": "diurnal", "period": 1e-7, "fraction": 0.5 } }|}
 
+(* Mutated copies of the committed workload files: the schema must
+   answer each with a diagnostic naming the file, never an exception.
+   A mutation replaces a value below the root (a leaf, or a whole
+   object or list) with a hostile one, drops an object's field, or adds
+   an unknown field; each case applies one to three of them.  The files
+   are read on first use, from the copy dune puts beside the test. *)
+let workload_docs =
+  lazy
+    (Sys.readdir "../workloads" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".json")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let path = Filename.concat "../workloads" f in
+           (path, parse (In_channel.with_open_bin path In_channel.input_all))))
+
+type step = Key of string | Index of int
+
+(* Every value below the root, with its path. *)
+let rec sites path (j : Json.t) =
+  let here = if path = [] then [] else [ (List.rev path, j) ] in
+  let below =
+    match j with
+    | Json.Obj fields ->
+        List.concat_map (fun (k, v) -> sites (Key k :: path) v) fields
+    | Json.List items ->
+        List.concat (List.mapi (fun i v -> sites (Index i :: path) v) items)
+    | _ -> []
+  in
+  here @ below
+
+(* [j] with [f] applied to the value at [path]. *)
+let rec edit path f (j : Json.t) =
+  match (path, j) with
+  | [], _ -> f j
+  | Key k :: rest, Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k', v) -> (k', if k' = k then edit rest f v else v))
+           fields)
+  | Index i :: rest, Json.List items ->
+      Json.List
+        (List.mapi (fun i' v -> if i' = i then edit rest f v else v) items)
+  | _ -> j
+
+let hostile =
+  Json.
+    [
+      Int max_int; Int min_int; Int 0; Int (-1); Float 5e-324; Float 1e-300;
+      Float (-1.5); Float 0.; String ""; String "x"; Null; Bool true; List [];
+      List [ Int 1 ]; Obj [];
+    ]
+
+let gen_mutation (j : Json.t) =
+  let open QCheck.Gen in
+  let objects =
+    (* The root is an object too: it can lose or gain a field. *)
+    ([], j)
+    :: List.filter
+         (fun (_, v) -> match v with Json.Obj _ -> true | _ -> false)
+         (sites [] j)
+  in
+  let replace =
+    let* path, _ = oneofl (sites [] j) in
+    let* v = oneofl hostile in
+    return (edit path (fun _ -> v) j)
+  in
+  let drop =
+    let* path, o = oneofl objects in
+    match o with
+    | Json.Obj (_ :: _ as fields) ->
+        let* n = int_bound (List.length fields - 1) in
+        let fields = List.filteri (fun i _ -> i <> n) fields in
+        return (edit path (fun _ -> Json.Obj fields) j)
+    | _ -> return j
+  in
+  let add =
+    let* path, _ = oneofl objects in
+    let add_field = function
+      | Json.Obj fields -> Json.Obj (fields @ [ ("unknown", Json.Int 1) ])
+      | v -> v
+    in
+    return (edit path add_field j)
+  in
+  frequency [ (3, replace); (1, drop); (1, add) ]
+
+let gen_mutated_doc =
+  let open QCheck.Gen in
+  let* path, doc = delay (fun () -> oneofl (Lazy.force workload_docs)) in
+  let rec mutate n doc =
+    if n = 0 then return doc else gen_mutation doc >>= mutate (n - 1)
+  in
+  let* doc = int_range 1 3 >>= fun n -> mutate n doc in
+  return (path, doc)
+
+let prop_schema_diagnoses =
+  QCheck.Test.make ~name:"schema diagnoses mutated workloads" ~count:2000
+    (QCheck.make
+       ~print:(fun (path, doc) -> path ^ ": " ^ Json.to_string doc)
+       gen_mutated_doc)
+    (fun (path, doc) ->
+      match Schema.entries_of_json ~ctx:path doc with
+      | Ok _ -> true
+      | Error e -> contains ~needle:path e)
+
 let test_schema_multi_seed () =
   let doc =
     {|{ "version": 1, "name": "multi seed", "seeds": [7, 8], "duration": 10,
@@ -320,6 +424,7 @@ let suite =
       Alcotest.test_case "schema valid" `Quick test_schema_valid;
       Alcotest.test_case "schema invalid" `Quick test_schema_invalid;
       Alcotest.test_case "schema multi-seed" `Quick test_schema_multi_seed;
+      QCheck_alcotest.to_alcotest prop_schema_diagnoses;
       Alcotest.test_case "generator determinism" `Quick
         test_generator_determinism;
       Alcotest.test_case "generator shapes" `Quick test_generator_shapes;
