@@ -322,11 +322,10 @@ let launch_bare ?feed topo ~host ~prng ~groups ~slot_duration ~sigma
   let meter = Meter.create () in
   Timeseries.sample_rate ~scale:0.008 "attack.bare.goodput_kbps" (fun () ->
       float_of_int (Meter.total_bytes meter));
-  List.iter
-    (fun group ->
-      Node.subscribe_local host ~group (fun pkt ->
-          Meter.record meter ~time:(Sim.now sim) ~bytes:pkt.Packet.size))
-    groups;
+  let record pkt =
+    Meter.record meter ~time:(Sim.now sim) ~bytes:pkt.Packet.size
+  in
+  List.iter (fun group -> Node.subscribe_local host ~group record) groups;
   let minimal = List.hd groups in
   let client = if sigma then Some (Client.create topo ~host) else None in
   let joined = ref false in

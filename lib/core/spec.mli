@@ -296,8 +296,8 @@ type deployment = {
   receiver_mode : mode option;
       (** overrides the receivers' mode; [None] runs the sender's *)
   ecn : bool;
-      (** ECN marking at the bottleneck, and component scrubbing of
-          marked copies at the SIGMA edge *)
+      (** ECN marking at the routers' queues, and component scrubbing
+          of marked copies at the SIGMA edge *)
 }
 
 val deployment : defence -> deployment
