@@ -20,7 +20,14 @@ prints to stderr at exit, so GC reads stay out of lib/.  That takes the
 mcc binary `dune build` leaves in _build/, and about 15 s for the
 registry.  The peak moves by up to 3% with the length of the binary's
 path (the runtime keeps it as Sys.executable_name), so each sweep runs
-a copy at a path of fixed length under /tmp.  Events, pushes, max_size
+a copy at a path of fixed length under /tmp.  It is exact only across
+builds whose module initialisation allocates the same: building
+Matrix.default_attacks from the strategies at initialisation, in place
+of a literal list, changed no output but moved top_heap_words on 11 of
+89 entries by 1.09-3.33%, both ways, in steps of 4,096-word pools, on
+entries that run no attack code.  When a peak moves on entries a change
+does not touch, look for new allocation at module initialisation
+before re-pinning.  Events, pushes, max_size
 and top_heap_words may run 1% over budget.  Minor words repeat exactly
 except that the first spec a domain runs reads up to 202 words more
 (0.05% of the smallest budget), so they may run only 0.1% over: at 1%,
