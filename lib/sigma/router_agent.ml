@@ -36,6 +36,10 @@ type slot_entry = {
   duration : float;
 }
 
+(* A slot entry outlives its guarded slot by nine durations: the sweep
+   drops it once this time has passed. *)
+let expiry entry = entry.est_start +. (10. *. entry.duration)
+
 type group_info = {
   mutable minimal : bool;
   mutable latest_duration : float;
@@ -43,6 +47,9 @@ type group_info = {
       (** address of this group's session's minimal group, learnt from
           the special-packet batches *)
   slots : (int, slot_entry) Hashtbl.t;
+  mutable purge_at : float;
+      (** the earliest {!expiry} among [slots] ([infinity] when empty):
+          the sweep folds [slots] only once it has passed *)
 }
 
 type grant = {
@@ -173,6 +180,9 @@ type t = {
       (* minimal groups the router itself is grafted to, keeping the
          special-packet channel alive while receivers hold only higher
          groups *)
+  live : (int, unit) Hashtbl.t;
+      (* scratch set for the sweep: groups some interface holds an
+         active grant for *)
   pads : (int * int * int, Key.t) Hashtbl.t;
       (* (link id, group, guarded slot) -> XOR of the pads applied to
          that interface's forwarded components: the delta between the
@@ -206,6 +216,7 @@ let group_info t group =
           latest_duration = 0.5;
           session_minimal = None;
           slots = Hashtbl.create 32;
+          purge_at = infinity;
         }
       in
       Hashtbl.replace t.groups group gi;
@@ -302,32 +313,34 @@ let ensure_control_channel t group =
       end
   | Some { session_minimal = None; _ } | None -> ()
 
+(* Pruning and lockouts leave every grant's [active_at] as it was, so
+   the set of live groups is built once, before any channel is
+   released. *)
 let release_idle_control_channels t =
-  let active_session m =
-    match Hashtbl.find_opt t.sessions m with
-    | None -> false
-    | Some members ->
-        let time = now t in
-        List.exists
-          (fun g ->
-            Hashtbl.fold
-              (fun _ iface acc ->
-                acc
-                ||
-                match Hashtbl.find_opt iface.grants g with
-                | Some grant -> active_at grant time
-                | None -> false)
-              t.ifaces false)
-          !members
-  in
-  let held = Hashtbl.fold (fun m () acc -> m :: acc) t.control_held [] in
-  List.iter
-    (fun m ->
-      if not (active_session m) then begin
-        Hashtbl.remove t.control_held m;
-        Multicast.prune_local t.topo ~node:t.node ~group:m
-      end)
-    held
+  if Hashtbl.length t.control_held > 0 then begin
+    let time = now t in
+    Hashtbl.clear t.live;
+    Hashtbl.iter
+      (fun _ iface ->
+        Hashtbl.iter
+          (fun g grant ->
+            if active_at grant time then Hashtbl.replace t.live g ())
+          iface.grants)
+      t.ifaces;
+    let active_session m =
+      match Hashtbl.find_opt t.sessions m with
+      | None -> false
+      | Some members -> List.exists (Hashtbl.mem t.live) !members
+    in
+    let held = Hashtbl.fold (fun m () acc -> m :: acc) t.control_held [] in
+    List.iter
+      (fun m ->
+        if not (active_session m) then begin
+          Hashtbl.remove t.control_held m;
+          Multicast.prune_local t.topo ~node:t.node ~group:m
+        end)
+      held
+  end
 
 let graft_iface t iface group =
   let grant = grant_of t iface group in
@@ -378,8 +391,8 @@ let store_tuples t ~slot ~slot_duration tuples =
                              | Some _ as m -> m
                              | None -> gi.session_minimal);
       if tuple.Tuple.minimal then gi.minimal <- true;
-      if not (Hashtbl.mem gi.slots slot) then
-        Hashtbl.replace gi.slots slot
+      if not (Hashtbl.mem gi.slots slot) then begin
+        let entry =
           {
             keys = tuple.Tuple.keys;
             (* Tuples for slot s are sent during slot s-2 starting at its
@@ -387,7 +400,11 @@ let store_tuples t ~slot ~slot_duration tuples =
                after the first special packet lands (paper Figure 2). *)
             est_start = time +. (2. *. slot_duration);
             duration = slot_duration;
-          };
+          }
+        in
+        Hashtbl.replace gi.slots slot entry;
+        gi.purge_at <- Float.min gi.purge_at (expiry entry)
+      end;
       (* A session-join grace for a group that tuples now reveal to be
          non-minimal was an inflation attempt: revoke it. *)
       if not gi.minimal then
@@ -793,6 +810,21 @@ let handle_session_join t ~receiver ~group =
 
 (* --- expiry sweep ------------------------------------------------------ *)
 
+(* Drops the entries whose expiry has passed and sets [purge_at] to the
+   earliest expiry left, in one pass. *)
+let purge_slots gi time =
+  let next = ref infinity in
+  Hashtbl.filter_map_inplace
+    (fun _ entry ->
+      let e = expiry entry in
+      if e < time then None
+      else begin
+        next := Float.min !next e;
+        Some entry
+      end)
+    gi.slots;
+  gi.purge_at <- !next
+
 let sweep t =
   let time = now t in
   Hashtbl.iter
@@ -832,18 +864,8 @@ let sweep t =
   in
   purge_pads t.pads;
   purge_pads t.dec_pads;
-  (* Purge stale slot entries. *)
-  Hashtbl.iter
-    (fun _ gi ->
-      let stale =
-        Hashtbl.fold
-          (fun slot entry acc ->
-            if entry.est_start +. (10. *. entry.duration) < time then
-              slot :: acc
-            else acc)
-          gi.slots []
-      in
-      List.iter (Hashtbl.remove gi.slots) stale)
+  (* Purge stale slot entries, visiting only the groups that hold one. *)
+  Hashtbl.iter (fun _ gi -> if gi.purge_at < time then purge_slots gi time)
     t.groups
 
 let on_unicast t pkt =
@@ -890,6 +912,7 @@ let attach ?(config = default_config) topo node =
       guesses = Hashtbl.create 16;
       sessions = Hashtbl.create 8;
       control_held = Hashtbl.create 8;
+      live = Hashtbl.create 16;
       pads = Hashtbl.create 256;
       dec_pads = Hashtbl.create 256;
       scrubber = None;

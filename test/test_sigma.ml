@@ -415,6 +415,86 @@ let test_stats_join_suppression_and_lockout () =
   let s3 = Router_agent.stats env.agent in
   Alcotest.(check bool) "lockout counted" true (s3.Router_agent.lockouts >= 1)
 
+(* --- the expiry sweep ------------------------------------------------------ *)
+
+(* Hooks the router's special-packet intercept to note when the first
+   special lands: the agent dates a slot's entry from that instant. *)
+let note_first_special env =
+  let landed = ref Float.nan in
+  let on_special = Option.get env.router.Node.intercept in
+  env.router.Node.intercept <-
+    Some
+      (fun pkt ->
+        if Float.is_nan !landed then landed := Sim.now env.sim;
+        on_special pkt);
+  landed
+
+(* A slot entry is dated two durations after its first special lands and
+   kept for ten durations more, 3 s in all.  The first special to reach
+   the router is the slot's second copy, at about 64.5 ms (the first
+   leaves before the router's graft reaches the sender), so the entry
+   expires at about 3.0645 s.  The sweep runs every 50 ms: the key must
+   still validate between its expiry and the sweep at 3.1 s, and fail,
+   as a guess, from that sweep on. *)
+let test_slot_entry_purged_at_first_sweep_after_expiry () =
+  let env = make_env () in
+  let landed = note_first_special env in
+  distribute env ~slot:2
+    ~tuples:(tuples_for ~slot:2 ~minimal_key:0xAA ~upper_key:0xBB);
+  Sim.run_until env.sim 0.2;
+  let expiry = !landed +. (12. *. slot_duration) in
+  Alcotest.(check bool) "expiry falls between the sweeps at 3.05 s and 3.1 s"
+    true
+    (expiry > 3.05 && expiry < 3.08);
+  let accepted () = (Router_agent.stats env.agent).Router_agent.keys_accepted in
+  let submit_at time =
+    Sim.run_until env.sim time;
+    Router_agent.handle_subscribe env.agent ~receiver:env.d1.Node.id ~slot:2
+      ~pairs:[ (upper, 0xBB) ]
+  in
+  submit_at 2.9;
+  Alcotest.(check int) "accepted before its expiry" 1 (accepted ());
+  submit_at 3.08;
+  Alcotest.(check int) "accepted after its expiry, before the next sweep" 2
+    (accepted ());
+  Alcotest.(check int) "no guess yet" 0
+    (Router_agent.guess_count env.agent ~group:upper ~slot:2);
+  submit_at 3.11;
+  Alcotest.(check int) "rejected from the first sweep after its expiry" 2
+    (accepted ());
+  Alcotest.(check int) "and counted as a guess" 1
+    (Router_agent.guess_count env.agent ~group:upper ~slot:2)
+
+(* A receiver holding only the session's upper group keeps the router on
+   the minimal group's tree, its special-packet channel, until the upper
+   grant lapses: slot 2 ends three durations after its first special
+   lands (about 64.5 ms, as above), and two grace slots follow, so at
+   about 1.3145 s.  The channel is released at the first sweep after
+   that, at 1.35 s. *)
+let test_control_channel_held_by_higher_group () =
+  let env = make_env () in
+  let landed = note_first_special env in
+  distribute env ~slot:2
+    ~tuples:(tuples_for ~slot:2 ~minimal_key:0xAA ~upper_key:0xBB);
+  Sim.run_until env.sim 0.2;
+  let lapse = !landed +. (5. *. slot_duration) in
+  Alcotest.(check bool) "the grant lapses between the sweeps at 1.3 s and 1.35 s"
+    true
+    (lapse > 1.3 && lapse < 1.33);
+  Router_agent.handle_subscribe env.agent ~receiver:env.d1.Node.id ~slot:2
+    ~pairs:[ (upper, 0xBB) ];
+  let on_channel () = Node.Itbl.mem env.router.Node.local_groups minimal in
+  Sim.run_until env.sim 0.3;
+  Alcotest.(check bool) "held while the upper grant is active" true
+    (on_channel ());
+  Sim.run_until env.sim 1.33;
+  Alcotest.(check bool) "upper grant lapsed" false
+    (Router_agent.iface_active env.agent ~group:upper ~toward:env.d1.Node.id);
+  Alcotest.(check bool) "held until the next sweep" true (on_channel ());
+  Sim.run_until env.sim 1.36;
+  Alcotest.(check bool) "released at the first sweep after the lapse" false
+    (on_channel ())
+
 let test_tuple_wire_bytes () =
   let t = Tuple.make ~group:1 ~slot:1 ~keys:[ 1; 2; 3 ] ~minimal:false in
   (* 4 (addr) + 1 (flags) + 3 x 2 (16-bit keys). *)
@@ -450,5 +530,9 @@ let suite =
         test_stats_join_suppression_and_lockout;
       Alcotest.test_case "stats: FEC duplicates across slots" `Quick
         test_stats_fec_across_slots;
+      Alcotest.test_case "sweep: slot entry purged after expiry" `Quick
+        test_slot_entry_purged_at_first_sweep_after_expiry;
+      Alcotest.test_case "sweep: control channel held by higher group" `Quick
+        test_control_channel_held_by_higher_group;
       Alcotest.test_case "wire sizes" `Quick test_tuple_wire_bytes;
     ] )
