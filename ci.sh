@@ -92,6 +92,27 @@ for h, w in zip(heap, wheel):
 print("registry runs backend-independent:", len(heap), "rows")
 EOF
 
+# Randomized pass: the canonical output set (canonical.sh, the set
+# identity.sh compares) once more under OCAMLRUNPARAM=R, which seeds
+# every generic Hashtbl at random, `cmp`ed file by file against a normal
+# pass: no output may depend on hash-table order.  One R run misses an
+# order dependence among k tied records with a chance of about 1/k!
+# (1/2 for a pair), so the pass runs on every CI run, and a dependence
+# that slips through once is caught soon.
+. ./canonical.sh
+registry_names _build/default/bin/mcc.exe > "$SCRATCH/names"
+ONLY="$(paste -sd, "$SCRATCH/names")"
+WORKLOADS="$(ls workloads/*.json)"
+canonical_outputs "$PWD" "$SCRATCH/canon"
+(
+  OCAMLRUNPARAM="${OCAMLRUNPARAM:+$OCAMLRUNPARAM,}R"
+  export OCAMLRUNPARAM
+  canonical_outputs "$PWD" "$SCRATCH/canon-r"
+)
+FAILED=0
+compare_outputs "$SCRATCH/canon" "$SCRATCH/canon-r" "R: "
+test "$FAILED" -eq 0
+
 # Telemetry smoke: a metrics-enabled run must emit parseable JSONL with
 # a busy bottleneck (nonzero link.drops on fig1's congested link).
 dune exec bin/mcc.exe -- run --only fig1 --quick --json "$SCRATCH/out2.jsonl" \

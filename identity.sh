@@ -1,29 +1,55 @@
 #!/bin/sh
 # Identity oracle for refactors: build BASE (any git revision) from
 # `git archive` in a temporary directory, produce the canonical output
-# set on BASE and on the working tree, and `cmp` every file.
+# set (canonical.sh) on BASE and on the working tree, and `cmp` every
+# file.
 #
 #   ./identity.sh BASE          # e.g. ./identity.sh HEAD, ./identity.sh main~1
+#   ./identity.sh BASE --except series:NAME ...
 #
-# The canonical set, all at --quick:
-#   - `mcc run` over BASE's registry (`mcc list --json`) at --jobs 2:
-#     JSONL, CSV and --metrics on the heap and on the wheel backend,
-#     plus --series;
-#   - the default 96-cell `mcc matrix` JSONL and scorecard;
-#   - every workloads/*.json of BASE;
-#   - `mcc trace --only fig1` and `--only fig7`;
-#   - `mcc profile matrix-inflate-flid-delta+sigma --json`, every member
-#     but `prof`, which holds host self times (the Markdown rendering
-#     holds wall times too and is not compared).
-# One filter drops the profile fields a run does not determine: host
-# timing (wall_s, events_per_sec), per-domain allocation (minor_words)
-# and scheduler storage (queue_capacity, sched_stats).  Entries and
-# workload files that exist only in the working tree are listed as new
-# and not compared.  Last, perfbench's seed-1 digests must match.
+# BASE's registry entries and workload files are compared; those that
+# exist only in the working tree are listed as new and not compared.
+# `--except series:NAME` (repeatable) drops the series NAME from both
+# sides' series.jsonl before the cmp and prints it as exempt; every
+# other file and series must still match.  It is for a change that
+# reorders one series' records on purpose, and CHANGES.md says which.
+#
+# Then the working tree's set is produced once more under
+# OCAMLRUNPARAM=R, which seeds every generic Hashtbl at random, and
+# every file must match the normal pass with nothing exempt: no output
+# may depend on hash-table order.  Last, perfbench's seed-1 digests
+# must match.
 set -eu
 
-BASE="${1:?usage: ./identity.sh BASE}"
+usage() {
+  echo "usage: ./identity.sh BASE [--except series:NAME]..." >&2
+  exit 2
+}
+
+BASE=""
+SERIES_EXEMPT=""
+while [ $# -gt 0 ]; do
+  case "$1" in
+  --except)
+    [ $# -ge 2 ] || usage
+    case "$2" in
+    series:?*) SERIES_EXEMPT="$SERIES_EXEMPT ${2#series:}" ;;
+    *) usage ;;
+    esac
+    shift 2
+    ;;
+  -*) usage ;;
+  *)
+    [ -z "$BASE" ] || usage
+    BASE="$1"
+    shift
+    ;;
+  esac
+done
+[ -n "$BASE" ] || usage
+
 ROOT="$(cd "$(dirname "$0")" && pwd)"
+. "$ROOT/canonical.sh"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 MCC_LEDGER="$WORK/ledger"
@@ -34,75 +60,24 @@ git -C "$ROOT" archive "$BASE" | tar -x -C "$WORK/base"
 (cd "$WORK/base" && dune build --root . ./bin/mcc.exe)
 (cd "$ROOT" && dune build ./bin/mcc.exe)
 
-names() {
-  "$1/_build/default/bin/mcc.exe" list --json | python3 -c '
-import json, sys
-print("\n".join(e["name"] for e in json.load(sys.stdin)["experiments"]))'
-}
-
-names "$WORK/base" > "$WORK/base-names"
-names "$ROOT" > "$WORK/head-names"
+registry_names "$WORK/base/_build/default/bin/mcc.exe" > "$WORK/base-names"
+registry_names "$ROOT/_build/default/bin/mcc.exe" > "$WORK/head-names"
 ONLY="$(paste -sd, "$WORK/base-names")"
 NEW="$(grep -vxF -f "$WORK/base-names" "$WORK/head-names" || true)"
 WORKLOADS="$(cd "$WORK/base" && ls workloads/*.json)"
 
-# outputs TREE DIR: the canonical set of TREE, written under DIR.
-outputs() {
-  mkdir "$2"
-  cd "$1"
-  mcc="$1/_build/default/bin/mcc.exe"
-  for S in heap wheel; do
-    "$mcc" run --only "$ONLY" --quick --jobs 2 --sched "$S" --quiet \
-      --no-progress --json "$2/run-$S.jsonl" --csv "$2/run-$S.csv" \
-      --metrics="$2/metrics-$S.jsonl"
-  done
-  "$mcc" run --only "$ONLY" --quick --jobs 2 --quiet --no-progress \
-    --series="$2/series.jsonl"
-  "$mcc" matrix --quick --jobs 2 --quiet --no-progress \
-    --json "$2/matrix.jsonl" --out "$2/scorecard.md"
-  for W in $WORKLOADS; do
-    "$mcc" workload run "$W" --quick --jobs 2 --quiet --no-progress \
-      --json "$2/workload-$(basename "$W" .json).jsonl"
-  done
-  for F in fig1 fig7; do
-    "$mcc" trace --only "$F" --quick --out "$2/trace-$F.jsonl"
-  done
-  "$mcc" profile matrix-inflate-flid-delta+sigma --quick -o /dev/null \
-    --json "$2.profile.json"
-  python3 -c '
-import json, sys
-doc = json.load(open(sys.argv[1]))
-del doc["prof"]
-print(json.dumps(doc, separators=(",", ":")))' "$2.profile.json" \
-    > "$2/profile.json"
-  cd "$ROOT"
-}
-
-outputs "$WORK/base" "$WORK/out-base"
-outputs "$ROOT" "$WORK/out-head"
-
-# The shared filter: every dropped field follows another profile field,
-# so each goes with its leading comma; sched_stats nests only lists.
-scrub() {
-  sed -E -e 's/,"(wall_s|events_per_sec|minor_words|queue_capacity)":[^,}]*//g' \
-    -e 's/,"sched_stats":\{[^{}]*\}//g' "$1"
-}
+canonical_outputs "$WORK/base" "$WORK/out-base"
+canonical_outputs "$ROOT" "$WORK/out-head"
+(
+  OCAMLRUNPARAM="${OCAMLRUNPARAM:+$OCAMLRUNPARAM,}R"
+  export OCAMLRUNPARAM
+  canonical_outputs "$ROOT" "$WORK/out-rand"
+)
 
 FAILED=0
-for F in $(cd "$WORK/out-base" && ls); do
-  if [ ! -s "$WORK/out-base/$F" ]; then
-    echo "EMPTY    $F"
-    FAILED=1
-  fi
-  scrub "$WORK/out-base/$F" > "$WORK/a"
-  scrub "$WORK/out-head/$F" > "$WORK/b"
-  if cmp -s "$WORK/a" "$WORK/b"; then
-    echo "same     $F"
-  else
-    echo "DIFFERS  $F"
-    FAILED=1
-  fi
-done
+compare_outputs "$WORK/out-base" "$WORK/out-head" ""
+SERIES_EXEMPT=""
+compare_outputs "$WORK/out-head" "$WORK/out-rand" "R: "
 for N in $NEW; do echo "new      entry $N"; done
 for W in $(cd "$ROOT" && ls workloads/*.json); do
   case " $(echo $WORKLOADS) " in
