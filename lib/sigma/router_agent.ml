@@ -1,5 +1,6 @@
 module Sim = Mcc_engine.Sim
 module Node = Mcc_net.Node
+module Itbl = Node.Itbl
 module Link = Mcc_net.Link
 module Packet = Mcc_net.Packet
 module Topology = Mcc_net.Topology
@@ -67,7 +68,7 @@ type grant = {
 
 type iface = {
   link : Link.t;  (** router -> host/LAN direction *)
-  grants : (int, grant) Hashtbl.t;
+  grants : grant Itbl.t;  (* by group *)
 }
 
 type stats = {
@@ -169,8 +170,8 @@ type t = {
   topo : Topology.t;
   node : Node.t;
   config : config;
-  groups : (int, group_info) Hashtbl.t;
-  ifaces : (int, iface) Hashtbl.t;  (* keyed by link id *)
+  groups : group_info Itbl.t;
+  ifaces : iface Itbl.t;  (* keyed by link id *)
   decoders : (int, int * Fec.decoder) Hashtbl.t;
       (* session -> its newest slot and that slot's decoder *)
   guesses : (int * int, (Key.t, unit) Hashtbl.t) Hashtbl.t;
@@ -180,7 +181,7 @@ type t = {
       (* minimal groups the router itself is grafted to, keeping the
          special-packet channel alive while receivers hold only higher
          groups *)
-  live : (int, unit) Hashtbl.t;
+  live : unit Itbl.t;
       (* scratch set for the sweep: groups some interface holds an
          active grant for *)
   pads : (int * int * int, Key.t) Hashtbl.t;
@@ -207,7 +208,7 @@ let trace ?level t event attrs =
       (fun () -> ("router", Json.Int t.node.Node.id) :: attrs ())
 
 let group_info t group =
-  match Hashtbl.find_opt t.groups group with
+  match Itbl.find_opt t.groups group with
   | Some gi -> gi
   | None ->
       let gi =
@@ -219,25 +220,25 @@ let group_info t group =
           purge_at = infinity;
         }
       in
-      Hashtbl.replace t.groups group gi;
-      Node.Itbl.replace t.node.Node.protected_groups group ();
+      Itbl.replace t.groups group gi;
+      Itbl.replace t.node.Node.protected_groups group ();
       gi
 
 let iface_of_link t (link : Link.t) =
-  match Hashtbl.find_opt t.ifaces link.Link.id with
+  match Itbl.find_opt t.ifaces link.Link.id with
   | Some i -> i
   | None ->
-      let i = { link; grants = Hashtbl.create 8 } in
-      Hashtbl.replace t.ifaces link.Link.id i;
+      let i = { link; grants = Itbl.create 8 } in
+      Itbl.replace t.ifaces link.Link.id i;
       i
 
 let iface_toward t receiver =
-  match Node.Itbl.find_opt t.node.Node.fib receiver with
+  match Itbl.find_opt t.node.Node.fib receiver with
   | Some link -> Some (iface_of_link t link)
   | None -> None
 
 let grant_of _t iface group =
-  match Hashtbl.find_opt iface.grants group with
+  match Itbl.find_opt iface.grants group with
   | Some g -> g
   | None ->
       let g =
@@ -250,7 +251,7 @@ let grant_of _t iface group =
           join_strikes = 0;
         }
       in
-      Hashtbl.replace iface.grants group g;
+      Itbl.replace iface.grants group g;
       g
 
 let active_at grant time =
@@ -280,12 +281,12 @@ let charge_join_lockout t grant ~group ~time ~duration =
 (* --- enforcement hooks ------------------------------------------------ *)
 
 let[@hot] filter t group link =
-  if not (Hashtbl.mem t.groups group) then true (* unprotected group *)
+  if not (Itbl.mem t.groups group) then true (* unprotected group *)
   else
-    match Hashtbl.find_opt t.ifaces link.Link.id with
+    match Itbl.find_opt t.ifaces link.Link.id with
     | None -> false
     | Some iface -> (
-        match Hashtbl.find_opt iface.grants group with
+        match Itbl.find_opt iface.grants group with
         | None -> false
         | Some grant -> active_at grant (now t))
 
@@ -305,7 +306,7 @@ let on_forward t _group (link : Link.t) pkt =
    alive at this router while any local grant exists, even when no
    interface subscribes to the minimal group itself. *)
 let ensure_control_channel t group =
-  match Hashtbl.find_opt t.groups group with
+  match Itbl.find_opt t.groups group with
   | Some { session_minimal = Some m; _ } ->
       if not (Hashtbl.mem t.control_held m) then begin
         Hashtbl.replace t.control_held m ();
@@ -319,18 +320,17 @@ let ensure_control_channel t group =
 let release_idle_control_channels t =
   if Hashtbl.length t.control_held > 0 then begin
     let time = now t in
-    Hashtbl.clear t.live;
-    Hashtbl.iter
+    Itbl.clear t.live;
+    Itbl.iter
       (fun _ iface ->
-        Hashtbl.iter
-          (fun g grant ->
-            if active_at grant time then Hashtbl.replace t.live g ())
+        Itbl.iter
+          (fun g grant -> if active_at grant time then Itbl.replace t.live g ())
           iface.grants)
       t.ifaces;
     let active_session m =
       match Hashtbl.find_opt t.sessions m with
       | None -> false
-      | Some members -> List.exists (Hashtbl.mem t.live) !members
+      | Some members -> List.exists (Itbl.mem t.live) !members
     in
     let held = Hashtbl.fold (fun m () acc -> m :: acc) t.control_held [] in
     List.iter
@@ -406,18 +406,29 @@ let store_tuples t ~slot ~slot_duration tuples =
         gi.purge_at <- Float.min gi.purge_at (expiry entry)
       end;
       (* A session-join grace for a group that tuples now reveal to be
-         non-minimal was an inflation attempt: revoke it. *)
-      if not gi.minimal then
-        Hashtbl.iter
-          (fun _ iface ->
-            match Hashtbl.find_opt iface.grants tuple.Tuple.group with
-            | Some grant when grant.by_join ->
+         non-minimal was an inflation attempt: revoke it, interface by
+         interface in link-id order. *)
+      if not gi.minimal then begin
+        let group = tuple.Tuple.group in
+        let joined =
+          Itbl.fold
+            (fun link_id iface acc ->
+              match Itbl.find_opt iface.grants group with
+              | Some grant when grant.by_join -> (link_id, iface, grant) :: acc
+              | Some _ | None -> acc)
+            t.ifaces []
+        in
+        match joined with
+        | [] -> ()
+        | _ :: _ ->
+            List.iter
+              (fun (_, iface, grant) ->
                 grant.grace_until <- neg_infinity;
-                charge_join_lockout t grant ~group:tuple.Tuple.group ~time
+                charge_join_lockout t grant ~group ~time
                   ~duration:slot_duration;
-                prune_iface t iface tuple.Tuple.group
-            | Some _ | None -> ())
-          t.ifaces)
+                prune_iface t iface group)
+              (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) joined)
+      end)
     tuples
 
 let on_special t pkt =
@@ -526,7 +537,7 @@ let upper_candidates t ~link_id ~group ~slot key =
   if not t.config.interface_keys then [ key ]
   else
     let session_base =
-      match Hashtbl.find_opt t.groups group with
+      match Itbl.find_opt t.groups group with
       | Some { session_minimal = Some m; _ } -> m
       | Some _ | None -> group
     in
@@ -606,7 +617,7 @@ let handle_subscribe_body ?lineage t ~receiver ~slot ~pairs =
       let accepted =
         List.filter
           (fun (group, key) ->
-            match Hashtbl.find_opt t.groups group with
+            match Itbl.find_opt t.groups group with
             | None -> false
             | Some gi -> (
                 match Hashtbl.find_opt gi.slots slot with
@@ -698,7 +709,7 @@ let handle_subscribe_body ?lineage t ~receiver ~slot ~pairs =
          | Some _ | None -> ());
       List.iter
         (fun (group, _) ->
-          let gi = Hashtbl.find t.groups group in
+          let gi = Itbl.find t.groups group in
           let entry = Hashtbl.find gi.slots slot in
           let grant = grant_of t iface group in
           Log.debug (fun m ->
@@ -740,7 +751,7 @@ let handle_unsubscribe t ~receiver ~groups =
       let time = now t in
       List.iter
         (fun group ->
-          match Hashtbl.find_opt iface.grants group with
+          match Itbl.find_opt iface.grants group with
           | None -> ()
           | Some grant ->
               (* A keyless (session-join) admission that leaves before
@@ -750,7 +761,7 @@ let handle_unsubscribe t ~receiver ~groups =
                  free ride never ends. *)
               if grant.by_join && active_at grant time then begin
                 let duration =
-                  match Hashtbl.find_opt t.groups group with
+                  match Itbl.find_opt t.groups group with
                   | Some gi -> gi.latest_duration
                   | None -> 0.5
                 in
@@ -772,13 +783,13 @@ let handle_session_join t ~receiver ~group =
   | None -> ()
   | Some iface ->
       let known_non_minimal =
-        match Hashtbl.find_opt t.groups group with
+        match Itbl.find_opt t.groups group with
         | Some gi -> not gi.minimal
         | None -> false
       in
       if not known_non_minimal then begin
         let duration =
-          match Hashtbl.find_opt t.groups group with
+          match Itbl.find_opt t.groups group with
           | Some gi -> gi.latest_duration
           | None -> 0.5
         in
@@ -825,27 +836,43 @@ let purge_slots gi time =
     gi.slots;
   gi.purge_at <- !next
 
+(* (link id, group) order *)
+let by_link_then_group (l1, g1, _, _) (l2, g2, _, _) =
+  match Int.compare l1 l2 with 0 -> Int.compare g1 g2 | c -> c
+
 let sweep t =
   let time = now t in
-  Hashtbl.iter
-    (fun _ iface ->
-      Hashtbl.iter
-        (fun group grant ->
-          if grant.grafted && not (active_at grant time) then begin
-            if grant.by_join then begin
-              (* Keyless admission expired: pause the minimal group for
-                 at least one slot (paper Section 3.2.2). *)
-              let duration =
-                match Hashtbl.find_opt t.groups group with
-                | Some gi -> gi.latest_duration
-                | None -> 0.5
-              in
-              charge_join_lockout t grant ~group ~time ~duration
-            end;
-            prune_iface t iface group
-          end)
-        iface.grants)
-    t.ifaces;
+  (* Grants that lapsed while grafted, acted on in (link id, group)
+     order, so the lockouts' records and the prunes' events do not
+     depend on table order. *)
+  let lapsed =
+    Itbl.fold
+      (fun link_id iface acc ->
+        Itbl.fold
+          (fun group grant acc ->
+            if grant.grafted && not (active_at grant time) then
+              (link_id, group, iface, grant) :: acc
+            else acc)
+          iface.grants acc)
+      t.ifaces []
+  in
+  (match lapsed with
+  | [] -> ()
+  | _ :: _ ->
+      List.iter
+        (fun (_, group, iface, grant) ->
+          if grant.by_join then begin
+            (* Keyless admission expired: pause the minimal group for at
+               least one slot (paper Section 3.2.2). *)
+            let duration =
+              match Itbl.find_opt t.groups group with
+              | Some gi -> gi.latest_duration
+              | None -> 0.5
+            in
+            charge_join_lockout t grant ~group ~time ~duration
+          end;
+          prune_iface t iface group)
+        (List.sort by_link_then_group lapsed));
   release_idle_control_channels t;
   (* Purge pad accumulators for long-gone slots. *)
   let purge_pads pads =
@@ -865,7 +892,7 @@ let sweep t =
   purge_pads t.pads;
   purge_pads t.dec_pads;
   (* Purge stale slot entries, visiting only the groups that hold one. *)
-  Hashtbl.iter (fun _ gi -> if gi.purge_at < time then purge_slots gi time)
+  Itbl.iter (fun _ gi -> if gi.purge_at < time then purge_slots gi time)
     t.groups
 
 let on_unicast t pkt =
@@ -882,17 +909,17 @@ let on_unicast t pkt =
   | _ -> false
 
 let iface_active t ~group ~toward =
-  match Node.Itbl.find_opt t.node.Node.fib toward with
+  match Itbl.find_opt t.node.Node.fib toward with
   | None -> false
   | Some link -> (
-      match Hashtbl.find_opt t.ifaces link.Link.id with
+      match Itbl.find_opt t.ifaces link.Link.id with
       | None -> false
       | Some iface -> (
-          match Hashtbl.find_opt iface.grants group with
+          match Itbl.find_opt iface.grants group with
           | None -> false
           | Some grant -> active_at grant (now t)))
 
-let known_groups t = Hashtbl.fold (fun g _ acc -> g :: acc) t.groups []
+let known_groups t = Itbl.fold (fun g _ acc -> g :: acc) t.groups []
 
 let set_scrubber t f = t.scrubber <- Some f
 
@@ -906,13 +933,13 @@ let attach ?(config = default_config) topo node =
       topo;
       node;
       config;
-      groups = Hashtbl.create 32;
-      ifaces = Hashtbl.create 16;
+      groups = Itbl.create 32;
+      ifaces = Itbl.create 16;
       decoders = Hashtbl.create 8;
       guesses = Hashtbl.create 16;
       sessions = Hashtbl.create 8;
       control_held = Hashtbl.create 8;
-      live = Hashtbl.create 16;
+      live = Itbl.create 16;
       pads = Hashtbl.create 256;
       dec_pads = Hashtbl.create 256;
       scrubber = None;

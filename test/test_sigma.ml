@@ -495,6 +495,66 @@ let test_control_channel_held_by_higher_group () =
   Alcotest.(check bool) "released at the first sweep after the lapse" false
     (on_channel ())
 
+(* Three interfaces whose keyless grants lapse at one sweep: their
+   lockouts are recorded in link-id order.  Padding links give the
+   interfaces ids 2, 16 and 20, which a 16-bucket table keeps in buckets
+   2, 0 and 4, and their groups (950, 940, 945) are in neither order, so
+   neither table order, nor its reverse, nor group order gives link-id
+   order. *)
+let test_evictions_in_link_id_order () =
+  Mcc_obs.Timeseries.enable ~dt:1.0 ();
+  Fun.protect ~finally:Mcc_obs.Timeseries.disable @@ fun () ->
+  let sim = Sim.create () in
+  let topo = Topology.create sim in
+  let src = Topology.add_node topo Node.Host in
+  let router = Topology.add_node topo Node.Edge_router in
+  let connect a b =
+    fst
+      (Topology.connect topo a b ~rate_bps:10_000_000. ~delay_s:0.002
+         ~buffer_bytes:100_000 ())
+  in
+  let pad n =
+    for _ = 1 to n do
+      ignore
+        (connect (Topology.add_node topo Node.Host)
+           (Topology.add_node topo Node.Host))
+    done
+  in
+  let host () =
+    let h = Topology.add_node topo Node.Host in
+    (h, connect router h)
+  in
+  ignore (connect src router);
+  let d1, l1 = host () in
+  pad 6;
+  let d2, l2 = host () in
+  pad 1;
+  let d3, l3 = host () in
+  Alcotest.(check (list int)) "link ids" [ 2; 16; 20 ]
+    (List.map (fun (l : Mcc_net.Link.t) -> l.Mcc_net.Link.id) [ l1; l2; l3 ]);
+  Topology.compute_routes topo;
+  let joins = [ (d1, 950); (d2, 940); (d3, 945) ] in
+  List.iter
+    (fun (_, group) -> Topology.register_group topo ~group ~source:src)
+    joins;
+  let agent = Router_agent.attach topo router in
+  Sim.run_until sim 0.12;
+  List.iter
+    (fun ((d : Node.t), group) ->
+      Router_agent.handle_session_join agent ~receiver:d.Node.id ~group)
+    joins;
+  Sim.run_until sim 2.0;
+  let evictions =
+    Option.value ~default:[]
+      (List.assoc_opt "sigma.evictions" (Mcc_obs.Timeseries.snapshot ()))
+  in
+  Alcotest.(check (list (float 0.))) "groups, by link id" [ 950.; 940.; 945. ]
+    (List.map snd evictions);
+  Alcotest.(check bool) "at one sweep" true
+    (match evictions with
+    | (t0, _) :: rest -> List.for_all (fun (t, _) -> Float.equal t t0) rest
+    | [] -> false)
+
 let test_tuple_wire_bytes () =
   let t = Tuple.make ~group:1 ~slot:1 ~keys:[ 1; 2; 3 ] ~minimal:false in
   (* 4 (addr) + 1 (flags) + 3 x 2 (16-bit keys). *)
@@ -534,5 +594,7 @@ let suite =
         test_slot_entry_purged_at_first_sweep_after_expiry;
       Alcotest.test_case "sweep: control channel held by higher group" `Quick
         test_control_channel_held_by_higher_group;
+      Alcotest.test_case "sweep: evictions in link-id order" `Quick
+        test_evictions_in_link_id_order;
       Alcotest.test_case "wire sizes" `Quick test_tuple_wire_bytes;
     ] )
