@@ -3,15 +3,137 @@ module Lineage = Mcc_obs.Lineage
 
 type kind = Host | Edge_router | Core_router | Lan
 
-(* Node ids and group addresses are small consecutive ints, so the key
-   itself spreads across buckets, and a lookup calls no C hash or
-   compare. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
+(* The stdlib's chained buckets, specialised to int keys: node ids and
+   group addresses are small consecutive ints, so the key masked to the
+   bucket count is the index, and a lookup compares keys with an inline
+   [Int.equal].  No hash or equality function is called per lookup, C
+   or OCaml.  A bucket keeps its newest binding first, and a resize
+   keeps each bucket's order, as the stdlib does. *)
+module Itbl = struct
+  type 'a bucket =
+    | Empty
+    | Cons of { key : int; mutable data : 'a; mutable next : 'a bucket }
 
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
+  type 'a t = {
+    mutable size : int;
+    mutable data : 'a bucket array;
+    initial_size : int;
+  }
+
+  let rec power_2_above x n =
+    if x >= n || x * 2 > Sys.max_array_length then x
+    else power_2_above (x * 2) n
+
+  let create n =
+    let s = power_2_above 16 n in
+    { size = 0; data = Array.make s Empty; initial_size = s }
+
+  let clear t =
+    if t.size > 0 then begin
+      t.size <- 0;
+      Array.fill t.data 0 (Array.length t.data) Empty
+    end
+
+  (* Like [Hashtbl.reset]: an array of the initial size is reused. *)
+  let reset t =
+    if Array.length t.data = t.initial_size then clear t
+    else begin
+      t.size <- 0;
+      t.data <- Array.make t.initial_size Empty
+    end
+
+  let[@inline] index t key = key land (Array.length t.data - 1)
+
+  let rec find_in key = function
+    | Empty -> None
+    | Cons c -> if Int.equal c.key key then Some c.data else find_in key c.next
+
+  let find_opt t key = find_in key t.data.(index t key)
+
+  let rec find_exn key = function
+    | Empty -> raise Not_found
+    | Cons c -> if Int.equal c.key key then c.data else find_exn key c.next
+
+  let find t key = find_exn key t.data.(index t key)
+
+  let rec mem_in key = function
+    | Empty -> false
+    | Cons c -> Int.equal c.key key || mem_in key c.next
+
+  let mem t key = mem_in key t.data.(index t key)
+
+  (* Doubles the bucket array, relinking the cells in place. *)
+  let resize t =
+    let odata = t.data in
+    let nsize = Array.length odata * 2 in
+    if nsize < Sys.max_array_length then begin
+      let ndata = Array.make nsize Empty in
+      let tails = Array.make nsize Empty in
+      t.data <- ndata;
+      let rec relink = function
+        | Empty -> ()
+        | Cons c as cell ->
+            let next = c.next in
+            let i = c.key land (nsize - 1) in
+            (match tails.(i) with
+            | Empty -> ndata.(i) <- cell
+            | Cons tail -> tail.next <- cell);
+            tails.(i) <- cell;
+            relink next
+      in
+      Array.iter relink odata;
+      Array.iter (function Empty -> () | Cons c -> c.next <- Empty) tails
+    end
+
+  let rec replace_in key data = function
+    | Empty -> true
+    | Cons c ->
+        if Int.equal c.key key then begin
+          c.data <- data;
+          false
+        end
+        else replace_in key data c.next
+
+  let replace t key data =
+    let i = index t key in
+    let l = t.data.(i) in
+    if replace_in key data l then begin
+      t.data.(i) <- Cons { key; data; next = l };
+      t.size <- t.size + 1;
+      if t.size > Array.length t.data lsl 1 then resize t
+    end
+
+  let rec remove_in t i key prec = function
+    | Empty -> ()
+    | Cons c as cell ->
+        if Int.equal c.key key then begin
+          t.size <- t.size - 1;
+          match prec with
+          | Empty -> t.data.(i) <- c.next
+          | Cons p -> p.next <- c.next
+        end
+        else remove_in t i key cell c.next
+
+  let remove t key =
+    let i = index t key in
+    remove_in t i key Empty t.data.(i)
+
+  let iter f t =
+    let rec go = function
+      | Empty -> ()
+      | Cons c ->
+          f c.key c.data;
+          go c.next
+    in
+    Array.iter go t.data
+
+  let fold f t init =
+    let rec go acc = function
+      | Empty -> acc
+      | Cons c -> go (f c.key c.data acc) c.next
+    in
+    Array.fold_left go init t.data
+end
 
 type t = {
   id : int;

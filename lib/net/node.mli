@@ -9,17 +9,37 @@
 
 type kind = Host | Edge_router | Core_router | Lan
 
-(** The node's int-keyed tables: [Hashtbl.Make] over [int] with
-    [Int.equal] and the key masked non-negative as its hash, so a lookup
-    on the per-packet path makes no C call ([caml_hash],
-    [compare_val]).  Node ids are consecutive and group addresses are
-    handed out consecutively, so the keys spread across buckets as they
-    are.  Bucket order differs from the generic [Hashtbl]'s; nothing
-    iterates these tables, so no output depends on it.
-    SIGMA's [Router_agent] tables keep the generic [Hashtbl]: its
-    sweeps and [known_groups] iterate them, so their order is part of
-    the outputs. *)
-module Itbl : Hashtbl.S with type key = int
+(** Int-keyed hash tables for the per-packet path: the node's tables
+    and SIGMA's [Router_agent] interface, grant and group tables.  A
+    monomorphic copy of the stdlib's chained buckets: the key masked to
+    the bucket count is the bucket index, and keys compare with an
+    inline [Int.equal], so a lookup calls no hash or equality function,
+    neither a C one ([caml_hash], [compare_val]) nor a functor argument.
+    Node ids are consecutive and group addresses are handed out
+    consecutively, so the keys spread across buckets as they are.  Only
+    the operations callers use are here; they behave as [Hashtbl]'s do
+    ([reset] reuses a bucket array of the initial size).  [iter] and
+    [fold] visit buckets in index order, which is neither key order nor
+    the generic [Hashtbl]'s; their function must not change the table.
+    No output depends on that order: [Router_agent] sorts what it acts
+    on by key, and nothing else iterates these tables. *)
+module Itbl : sig
+  type 'a t
+
+  val create : int -> 'a t
+  val clear : 'a t -> unit
+  val reset : 'a t -> unit
+  val find_opt : 'a t -> int -> 'a option
+
+  val find : 'a t -> int -> 'a
+  (** @raise Not_found if the key is unbound. *)
+
+  val mem : 'a t -> int -> bool
+  val replace : 'a t -> int -> 'a -> unit
+  val remove : 'a t -> int -> unit
+  val iter : (int -> 'a -> unit) -> 'a t -> unit
+  val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+end
 
 type t = {
   id : int;

@@ -305,6 +305,64 @@ let test_lan_repeats () =
   Alcotest.(check int) "b receives" 1 !b_local;
   Alcotest.(check int) "a snoops via promiscuous tap" 1 !a_prom
 
+(* Node.Itbl against the stdlib Hashtbl as a model: random replace,
+   remove, clear and reset steps over keys that force resizes (and
+   include negative ones); after each step every lookup agrees, and a
+   fold visits each binding once. *)
+type itbl_op = Replace of int * int | Remove of int | Clear | Reset
+
+let prop_itbl_matches_hashtbl =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, map2 (fun k v -> Replace (k, v)) (int_range (-20) 200) nat);
+          (6, map (fun k -> Remove k) (int_range (-20) 200));
+          (1, return Clear);
+          (1, return Reset);
+        ])
+  in
+  QCheck.Test.make ~name:"Itbl matches Hashtbl" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 400) op))
+    (fun ops ->
+      let t = Node.Itbl.create 16 and model = Hashtbl.create 16 in
+      let agrees () =
+        let bindings =
+          List.sort compare (Node.Itbl.fold (fun k v acc -> (k, v) :: acc) t [])
+        in
+        let visited = ref 0 in
+        Node.Itbl.iter (fun _ _ -> incr visited) t;
+        bindings = List.sort compare (List.of_seq (Hashtbl.to_seq model))
+        && !visited = List.length bindings
+        && List.for_all
+             (fun k ->
+               let want = Hashtbl.find_opt model k in
+               Node.Itbl.find_opt t k = want
+               && Node.Itbl.mem t k = Option.is_some want
+               &&
+               match Node.Itbl.find t k with
+               | v -> want = Some v
+               | exception Not_found -> want = None)
+             (List.init 221 (fun i -> i - 20))
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+              Node.Itbl.replace t k v;
+              Hashtbl.replace model k v
+          | Remove k ->
+              Node.Itbl.remove t k;
+              Hashtbl.remove model k
+          | Clear ->
+              Node.Itbl.clear t;
+              Hashtbl.clear model
+          | Reset ->
+              Node.Itbl.reset t;
+              Hashtbl.reset model);
+          agrees ())
+        ops)
+
 let suite =
   ( "net",
     [
@@ -324,4 +382,5 @@ let suite =
       Alcotest.test_case "graft_local" `Quick test_graft_local_holds_tree;
       Alcotest.test_case "packet-count buffer" `Quick test_packet_count_buffer;
       Alcotest.test_case "lan repeats" `Quick test_lan_repeats;
+      QCheck_alcotest.to_alcotest prop_itbl_matches_hashtbl;
     ] )
