@@ -14,10 +14,6 @@ module Json = Mcc_obs.Json
 module Prof = Mcc_obs.Prof
 module Lineage = Mcc_obs.Lineage
 
-let log_src = Logs.Src.create "mcc.sigma" ~doc:"SIGMA edge-router agent"
-
-module Log = (val Logs.src_log log_src)
-
 type config = { upgrade_grace_slots : float; interface_keys : bool }
 
 let default_config = { upgrade_grace_slots = 2.0; interface_keys = false }
@@ -676,10 +672,6 @@ let handle_subscribe_body ?lineage t ~receiver ~slot ~pairs =
              | [] -> ());
           Lineage.retire lin ~time
       | None -> ());
-      if denied > 0 then
-        Log.debug (fun m ->
-            m "t=%.3f router %d: %d invalid key(s) from receiver %d for slot %d"
-              (now t) t.node.Node.id denied receiver slot);
       (* Key-failure audit: track each receiver's run of rejections as a
          span.  Warn-level start/end events give the forensics report
          exact attack boundaries in sim time. *)
@@ -712,9 +704,6 @@ let handle_subscribe_body ?lineage t ~receiver ~slot ~pairs =
           let gi = Itbl.find t.groups group in
           let entry = Hashtbl.find gi.slots slot in
           let grant = grant_of t iface group in
-          Log.debug (fun m ->
-              m "t=%.3f router %d: grant group %d slot %d to receiver %d"
-                (now t) t.node.Node.id group slot receiver);
           let slot_end = entry.est_start +. entry.duration in
           let newly_active = not (active_at grant time) in
           grant.granted_until <- Float.max grant.granted_until slot_end;
@@ -796,9 +785,6 @@ let handle_session_join t ~receiver ~group =
         let grant = grant_of t iface group in
         let time = now t in
         if time >= grant.lockout_until && not (active_at grant time) then begin
-          Log.debug (fun m ->
-              m "t=%.3f router %d: session-join admits receiver %d to group %d"
-                time t.node.Node.id receiver group);
           grant.grace_until <- time +. (join_grace_slots *. duration);
           grant.by_join <- true;
           t.tallies.t_grace_admissions <- t.tallies.t_grace_admissions + 1;
