@@ -257,8 +257,10 @@ done
 # ... and a malformed document must be rejected with a diagnostic
 # naming the file and exit 2: one without a duration, one whose
 # duration is not a number, one whose duration overflows to infinity
-# (it would run without end), and one whose diurnal churn period is so
-# short that its churn plan would exhaust memory.
+# (it would run without end), one whose diurnal churn period is so
+# short that its churn plan would exhaust memory, and the committed
+# fat-tree flash crowd with max_int arrivals, whose seat count would
+# wrap negative.
 printf '{"version": 1, "name": "bad"}\n' > "$SCRATCH/bad-workload.json"
 printf '{"version": 1, "name": "bad", "duration": 1e}\n' \
   > "$SCRATCH/bad-number.json"
@@ -269,7 +271,17 @@ printf '%s\n' '{"version": 1, "name": "bad", "duration": 20,
   "defence": "plain", "receivers": 2,
   "churn": {"kind": "diurnal", "period": 1e-7, "fraction": 0.5}}' \
   > "$SCRATCH/bad-period.json"
-for BAD in bad-workload bad-number bad-infinite bad-period; do
+python3 - <<'EOF'
+import json
+import os
+
+with open("workloads/fat_tree_flash_crowd.json") as f:
+    doc = json.load(f)
+doc["churn"]["arrivals"] = 4611686018427387903
+with open(os.path.join(os.environ["SCRATCH"], "bad-seats.json"), "w") as f:
+    json.dump(doc, f)
+EOF
+for BAD in bad-workload bad-number bad-infinite bad-period bad-seats; do
   STATUS=0
   dune exec bin/mcc.exe -- workload check "$SCRATCH/$BAD.json" \
     2> "$SCRATCH/$BAD.err" || STATUS=$?
@@ -281,6 +293,8 @@ for BAD in bad-workload bad-number bad-infinite bad-period; do
 done
 grep -q "duration" "$SCRATCH/bad-workload.err"
 grep -q "churn.period" "$SCRATCH/bad-period.err"
+grep -q "receivers" "$SCRATCH/bad-seats.err"
+grep -q "churn.arrivals" "$SCRATCH/bad-seats.err"
 # ... and so must a non-finite timing option on the command line, naming
 # the option.  The timeout bounds the check: a NaN attack time that got
 # through would run its cell without end.

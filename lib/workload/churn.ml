@@ -10,10 +10,12 @@ type interval = { host : int; at : float; until : float option }
    instance; a rejoining host is a new receiver, matching how a real
    application would restart its session. *)
 
-let hosts_needed ~(spec : Spec.churn_spec) ~receivers =
+let arrivals (spec : Spec.churn_spec) =
   match spec with
-  | Spec.No_churn | Spec.Diurnal _ | Spec.Regional_outage _ -> receivers
-  | Spec.Flash_crowd { arrivals; _ } -> receivers + arrivals
+  | Spec.No_churn | Spec.Diurnal _ | Spec.Regional_outage _ -> 0
+  | Spec.Flash_crowd { arrivals; _ } -> arrivals
+
+let hosts_needed ~spec ~receivers = receivers + arrivals spec
 
 let base ~receivers = List.init receivers (fun i -> { host = i; at = 0.; until = None })
 

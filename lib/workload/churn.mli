@@ -13,9 +13,12 @@ type interval = {
   until : float option;  (** leave time; [None] = stays to the end *)
 }
 
+val arrivals : Mcc_core.Spec.churn_spec -> int
+(** Hosts the plan needs beyond the steady population: a flash crowd's
+    arrivals (which land on their own hosts), 0 otherwise. *)
+
 val hosts_needed : spec:Mcc_core.Spec.churn_spec -> receivers:int -> int
-(** Pool size the plan requires: the steady population plus, for a
-    flash crowd, its arrivals (which land on their own hosts). *)
+(** Pool size the plan requires: [receivers + arrivals spec]. *)
 
 val plan :
   Mcc_util.Prng.t ->

@@ -369,16 +369,19 @@ let params_of_json ~ctx json =
     else Ok ()
   in
   (* Capacity: the topology must seat the steady population plus any
-     churn arrivals. *)
-  let needed = Churn.hosts_needed ~spec:churn ~receivers in
-  let cap = Topo_gen.capacity ~spec:topology ~hosts:needed in
+     churn arrivals.  The arrivals are compared with the seats the
+     receivers leave, so no sum can wrap; a dumbbell seats any count. *)
+  let arrivals = Churn.arrivals churn in
+  let cap = Topo_gen.capacity ~spec:topology ~hosts:max_int in
   let* () =
-    if needed > cap then
+    if arrivals > cap - receivers then
       err (ctx ^ ".receivers")
-        (Printf.sprintf
-           "%d receivers (plus churn arrivals: %d hosts) exceed the %s \
-            topology's %d receiver hosts"
-           receivers needed (Spec.topology_str topology) cap)
+        (Printf.sprintf "%d receivers%s exceed the %s topology's %d receiver \
+                         hosts"
+           receivers
+           (if arrivals = 0 then ""
+            else Printf.sprintf " plus %d churn.arrivals" arrivals)
+           (Spec.topology_str topology) cap)
     else Ok ()
   in
   let params seed =

@@ -179,12 +179,17 @@ let isp_random ~ecn topo ~prng ~routers ~extra_links ~hosts_per_edge
 
 (* --- Dispatch ----------------------------------------------------------- *)
 
+(* The product of two non-negative ints, saturating at [max_int]: a
+   capacity never wraps negative. *)
+let mul_sat a b = if a <> 0 && b > max_int / a then max_int else a * b
+
 let capacity ~(spec : Spec.topology_spec) ~hosts =
   match spec with
   | Spec.Dumbbell_topo -> hosts
-  | Spec.Fat_tree { k; _ } -> (k * k * k / 4) - 1
-  | Spec.Star_lans { lans; hosts_per_lan; _ } -> lans * hosts_per_lan
-  | Spec.Isp_random { routers; hosts_per_edge; _ } -> routers * hosts_per_edge
+  | Spec.Fat_tree { k; _ } -> (mul_sat (mul_sat k k) k / 4) - 1
+  | Spec.Star_lans { lans; hosts_per_lan; _ } -> mul_sat lans hosts_per_lan
+  | Spec.Isp_random { routers; hosts_per_edge; _ } ->
+      mul_sat routers hosts_per_edge
 
 let build ?(ecn = false) sim ~prng ~(spec : Spec.topology_spec) ~hosts =
   let topo = Topology.create sim in

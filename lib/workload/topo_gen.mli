@@ -33,8 +33,9 @@ type built = {
 
 val capacity : spec:Mcc_core.Spec.topology_spec -> hosts:int -> int
 (** Size of [pool] the spec would generate ([hosts] is only read for
-    the dumbbell, whose pool is sized on demand).  Lets the schema
-    validate receiver counts without building anything. *)
+    the dumbbell, whose pool is sized on demand), saturating at
+    [max_int] rather than wrapping.  Lets the schema validate receiver
+    counts without building anything. *)
 
 val access_link : Mcc_net.Topology.t -> Mcc_net.Node.t -> Mcc_net.Node.t -> unit
 (** Standard access link (10 Mbps / 10 ms, two-BDP buffer) from a

@@ -120,7 +120,23 @@ let test_schema_invalid () =
     {|{ "version": 1, "name": "t", "duration": 20,
         "topology": { "kind": "dumbbell" },
         "protocol": "flid", "defence": "plain", "receivers": 2,
-        "churn": { "kind": "diurnal", "period": 1e-7, "fraction": 0.5 } }|}
+        "churn": { "kind": "diurnal", "period": 1e-7, "fraction": 0.5 } }|};
+  (* workloads/fat_tree_flash_crowd.json with max_int arrivals: the
+     receivers plus the arrivals would wrap negative, under any seat
+     count. *)
+  List.iter
+    (fun needle ->
+      expect_error ~needle
+        {|{ "version": 1, "name": "fat-tree-flash-crowd", "seed": 43,
+            "duration": 120,
+            "topology": { "kind": "fat_tree", "k": 4,
+                          "core_rate_bps": 2000000 },
+            "protocol": "flid", "defence": "delta+sigma+ecn",
+            "receivers": 6,
+            "churn": { "kind": "flash_crowd", "at": 30,
+                       "arrivals": 4611686018427387903,
+                       "leave_after": 40 } }|})
+    [ "w.json.receivers"; "4611686018427387903 churn.arrivals" ]
 
 (* Mutated copies of the committed workload files: the schema must
    answer each with a diagnostic naming the file, never an exception.
