@@ -807,19 +807,24 @@ let handle_session_join t ~receiver ~group =
 
 (* --- expiry sweep ------------------------------------------------------ *)
 
-(* Drops the entries whose expiry has passed and sets [purge_at] to the
-   earliest expiry left, in one pass. *)
+(* One fold finds the entries whose expiry has passed, usually just the
+   oldest, and the earliest expiry left, which becomes [purge_at]; then
+   the stale entries go.  A fold writes nothing per entry, where
+   [Hashtbl.filter_map_inplace] relinks every entry it keeps. *)
 let purge_slots gi time =
   let next = ref infinity in
-  Hashtbl.filter_map_inplace
-    (fun _ entry ->
-      let e = expiry entry in
-      if e < time then None
-      else begin
-        next := Float.min !next e;
-        Some entry
-      end)
-    gi.slots;
+  let stale =
+    Hashtbl.fold
+      (fun slot entry acc ->
+        let e = expiry entry in
+        if e < time then slot :: acc
+        else begin
+          if e < !next then next := e;
+          acc
+        end)
+      gi.slots []
+  in
+  List.iter (Hashtbl.remove gi.slots) stale;
   gi.purge_at <- !next
 
 (* (link id, group) order *)
