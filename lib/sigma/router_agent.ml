@@ -414,6 +414,8 @@ let store_tuples t ~slot ~slot_duration tuples =
               | Some _ | None -> acc)
             t.ifaces []
         in
+        (* This runs per tuple: build no closure when nothing is to be
+           revoked. *)
         match joined with
         | [] -> ()
         | _ :: _ ->
@@ -827,7 +829,6 @@ let purge_slots gi time =
   List.iter (Hashtbl.remove gi.slots) stale;
   gi.purge_at <- !next
 
-(* (link id, group) order *)
 let by_link_then_group (l1, g1, _, _) (l2, g2, _, _) =
   match Int.compare l1 l2 with 0 -> Int.compare g1 g2 | c -> c
 
@@ -847,6 +848,7 @@ let sweep t =
           iface.grants acc)
       t.ifaces []
   in
+  (* Most sweeps find nothing lapsed, and then build no closure. *)
   (match lapsed with
   | [] -> ()
   | _ :: _ ->

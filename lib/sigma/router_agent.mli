@@ -9,8 +9,22 @@
     a keyed upgrade to a new group, and after a session-join to the
     minimal group (which needs no key and forwards for 3 slots, but is
     then locked out for a slot if no valid key followed; the lockout
-    doubles per repeat, up to 4 slots).  Expired grants are swept every
-    50 ms, and acks are sized at 16-bit keys.
+    doubles per repeat, up to 4 slots).  Acks are sized at 16-bit keys.
+
+    Expired state is swept every 50 ms, at a cost that follows what
+    expires.  The sweep folds every interface's grants once, and acts
+    on those that lapsed while grafted in (link id, group) order:
+    lockout (with its "sigma.evictions" record) and prune.  When the
+    router holds a session's special-packet channel, it builds the set
+    of groups with an active grant in one more pass, and releases each
+    channel none of whose session's groups is in it, in the order the
+    held-channel table yields them.  A group's slot entries are folded
+    only once the earliest of their expiries (ten durations after the
+    guarded slot's estimated start) has passed.  Revoking session-join
+    graces for a group that tuples reveal as non-minimal also goes by
+    link id.  So no output depends on the order of a hash table: the
+    group, interface and grant tables are [Mcc_net.Node.Itbl]s, whose
+    iteration order is neither key order nor the generic [Hashtbl]'s.
 
     The agent stores keys per (group address, slot) and estimates slot
     wall-clock boundaries from special-packet arrival (tuples for slot s
@@ -141,7 +155,7 @@ type stats = {
 val stats : t -> stats
 
 val known_groups : t -> int list
-(** Groups the agent has received tuples for. *)
+(** Groups the agent has received tuples for, in no particular order. *)
 
 (** The three receiver messages (paper Figure 6) arrive as unicast
     packets addressed to the router and are handled internally; these
