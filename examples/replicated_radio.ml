@@ -31,7 +31,7 @@ let () =
   (* Five tiers: 64, 96, 144, 216, 324 kbps. *)
   let layering = Layering.make ~groups:5 ~min_rate_bps:64_000. ~factor:1.5 in
   let config =
-    Rep.make_config ~id:1 ~base_group:0x5000 ~layering ~slot_duration:0.25
+    Flid.make_config ~id:1 ~base_group:0x5000 ~layering ~slot_duration:0.25
       ~mode:Flid.Robust ()
   in
   let src = Dumbbell.add_sender db in

@@ -102,23 +102,21 @@ module Rlm = struct
   let history = None
 end
 
+(* FLID's config, with the replicated sender and receivers. *)
 module Replicated = struct
   module R = Mcc_mcast.Replicated_proto
 
-  type config = R.config
+  type config = F.config
   type sender = R.sender
   type receiver = R.receiver
 
   let name = "replicated"
   let heading = "Replicated streams"
   let default_slot = ds_slot
-
-  let make ~id ~base_group ~layering ~slot_duration ~mode =
-    R.make_config ~id ~base_group ~layering ~slot_duration ~mode ()
-
-  let with_mode c mode = { c with R.mode }
-  let slot_duration c = c.R.slot_duration
-  let group_addr = R.group_addr
+  let make = Flid.make
+  let with_mode = Flid.with_mode
+  let slot_duration = Flid.slot_duration
+  let group_addr = F.group_addr
   let sender_start topo ~node ~prng c = R.sender_start topo ~node ~prng c
 
   let receiver_start ?at ?behavior topo ~host ~prng c =

@@ -91,10 +91,10 @@ module Rlm :
 
 module Replicated :
   S
-    with type config = Mcc_mcast.Replicated_proto.config
+    with type config = Mcc_mcast.Flid.config
      and type sender = Mcc_mcast.Replicated_proto.sender
      and type receiver = Mcc_mcast.Replicated_proto.receiver
-(** Replicated streams with tier switching. *)
+(** Replicated streams with tier switching, on FLID's config. *)
 
 module Oversub :
   S

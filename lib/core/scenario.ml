@@ -202,7 +202,7 @@ let add_multicast ?slot ?layering ?fec_scheme ?packet_size ?receiver_mode t
   { config; sender; receivers }
 
 type replicated_session = {
-  rep_config : Mcc_mcast.Replicated_proto.config;
+  rep_config : Mcc_mcast.Flid.config;
   rep_sender : Mcc_mcast.Replicated_proto.sender;
   rep_receivers : Mcc_mcast.Replicated_proto.receiver list;
 }

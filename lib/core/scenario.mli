@@ -101,7 +101,7 @@ val add_multicast :
     subscriptions over IGMP. *)
 
 type replicated_session = {
-  rep_config : Mcc_mcast.Replicated_proto.config;
+  rep_config : Mcc_mcast.Flid.config;
   rep_sender : Mcc_mcast.Replicated_proto.sender;
   rep_receivers : Mcc_mcast.Replicated_proto.receiver list;
 }

@@ -25,16 +25,22 @@ type sender = {
   closed : bool array;  (* last component already emitted *)
 }
 
-let sender_create ~prng ~width ~groups ~upgrades =
-  if groups < 1 then invalid_arg "Layered.sender_create: groups < 1";
-  if Array.length upgrades <> groups then
-    invalid_arg "Layered.sender_create: upgrades length";
-  let c = Array.init groups (fun _ -> Key.nonce prng ~width) in
+(* Eq. 3: lambda_g = C_1 xor ... xor C_g. *)
+let prefix_xor c =
+  let groups = Array.length c in
   let top = Array.make groups 0 in
   top.(0) <- c.(0);
   for g = 2 to groups do
     top.(g - 1) <- Key.xor top.(g - 2) c.(g - 1)
   done;
+  top
+
+let sender_create_with ~tops ~prng ~width ~groups ~upgrades =
+  if groups < 1 then invalid_arg "Layered.sender_create: groups < 1";
+  if Array.length upgrades <> groups then
+    invalid_arg "Layered.sender_create: upgrades length";
+  let c = Array.init groups (fun _ -> Key.nonce prng ~width) in
+  let top = tops c in
   let decrease =
     Array.init (max 0 (groups - 1)) (fun _ -> Key.nonce prng ~width)
   in
@@ -49,6 +55,9 @@ let sender_create ~prng ~width ~groups ~upgrades =
     acc = Array.copy c;
     closed = Array.make groups false;
   }
+
+let sender_create ~prng ~width ~groups ~upgrades =
+  sender_create_with ~tops:prefix_xor ~prng ~width ~groups ~upgrades
 
 let sender_keys s = s.keys
 

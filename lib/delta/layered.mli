@@ -43,6 +43,20 @@ val sender_create :
     @raise Invalid_argument if [groups < 1] or [upgrades] has the wrong
     length. *)
 
+val sender_create_with :
+  tops:(Key.t array -> Key.t array) ->
+  prng:Mcc_util.Prng.t ->
+  width:int ->
+  groups:int ->
+  upgrades:bool array ->
+  sender
+(** [sender_create] with the top keys [tops c] computed from [c.(g-1)],
+    the XOR of all of group g's components this slot: Eq. 3's prefix
+    XOR for [sender_create], Eq. 6's [c] itself for
+    {!Replicated.sender_create}.  The components and decrease nonces
+    are drawn from [prng] in the same order either way, and the
+    increase key [iota_g] is [top.(g-2)]. *)
+
 val sender_keys : sender -> keys
 (** Available immediately after creation (precomputation property). *)
 
@@ -57,7 +71,13 @@ val decrease_field : sender -> group:int -> Key.t option
 
 (** {1 Receiver} *)
 
-type receiver
+type receiver = private {
+  xors : Key.t array;
+      (** [xors.(g-1)]: XOR of the component fields received on group g *)
+  dfields : Key.t option array;
+      (** [dfields.(g-1)]: the decrease field last received on group g *)
+}
+(** Per-group accumulators, read by {!Replicated.slot_end}. *)
 
 val receiver_create : groups:int -> receiver
 (** [groups] = N, the session size. *)

@@ -74,6 +74,27 @@ type sender = {
 let sender_stats s = s.s_stats
 let sender_keys_for_slot s ~slot = List.assoc_opt slot s.s_keys
 
+(* The slot's DELTA key state and its SIGMA distribution, shared with
+   the replicated sender, which draws its keys with Eq. 6. *)
+let slot_keys ~create config prng ~mask =
+  let n = config.layering.Layering.groups in
+  let upgrades =
+    Array.init n (fun i -> i >= 1 && Slotted.mask_bit mask (i + 1))
+  in
+  create ~prng ~width:Key.default_width ~groups:n ~upgrades
+
+let distribute_keys config topo ~node ~guarded keys =
+  let tuples =
+    List.init config.layering.Layering.groups (fun i ->
+        let g = i + 1 in
+        Tuple.make ~group:(group_addr config g) ~slot:guarded
+          ~keys:(Layered.valid_keys keys ~group:g) ~minimal:(g = 1))
+  in
+  Special.distribute ~scheme:config.fec_scheme topo ~sender:node
+    ~session:config.id ~via_group:(group_addr config 1)
+    ~width:Key.default_width ~slot:guarded ~slot_duration:config.slot_duration
+    ~tuples ()
+
 (* Per slot: count the upgrade authorizations, then (Robust) draw the
    DELTA key material guarding slot+2 and distribute its tuples through
    SIGMA.  The returned key state feeds every data packet of the slot. *)
@@ -89,27 +110,14 @@ let prepare s ~slot ~mask ~counts:_ =
   match config.mode with
   | Plain -> None
   | Robust ->
-      let upgrades =
-        Array.init n (fun i -> i >= 1 && Slotted.mask_bit mask (i + 1))
-      in
       let st =
-        Layered.sender_create ~prng:s.s_prng ~width:Key.default_width ~groups:n
-          ~upgrades
+        slot_keys ~create:Layered.sender_create config s.s_prng ~mask
       in
       let keys = Layered.sender_keys st in
       let guarded = slot + 2 in
       s.s_keys <- (guarded, keys) :: List.filteri (fun i _ -> i < 3) s.s_keys;
-      let tuples =
-        List.init n (fun i ->
-            let g = i + 1 in
-            Tuple.make ~group:(group_addr config g) ~slot:guarded
-              ~keys:(Layered.valid_keys keys ~group:g) ~minimal:(g = 1))
-      in
       let sent =
-        Special.distribute ~scheme:config.fec_scheme s.s_topo ~sender:s.s_node
-          ~session:config.id ~via_group:(group_addr config 1)
-          ~width:Key.default_width ~slot:guarded
-          ~slot_duration:config.slot_duration ~tuples ()
+        distribute_keys config s.s_topo ~node:s.s_node ~guarded keys
       in
       stats.sigma_payload_bits <-
         stats.sigma_payload_bits + sent.Special.payload_bits;
@@ -120,32 +128,33 @@ let prepare s ~slot ~mask ~counts:_ =
       Some st
 
 (* A packet's DELTA fields are computed at its own emission instant. *)
+let delta_field st ~group ~last =
+  match st with
+  | Some st ->
+      Some
+        (Field.make
+           ~component:(Layered.next_component st ~group ~last)
+           ~decrease:(Layered.decrease_field st ~group))
+  | None -> None
+
+let field_bytes = function
+  | Some f -> Field.wire_bytes ~width:Key.default_width f
+  | None -> 0
+
 let emit s st ~group ~slot ~seq ~last ~repair:_ ~mask =
   let config = s.s_config in
-  let delta =
-    match st with
-    | Some st ->
-        Some
-          (Field.make
-             ~component:(Layered.next_component st ~group ~last)
-             ~decrease:(Layered.decrease_field st ~group))
-    | None -> None
-  in
-  let field_bytes =
-    match delta with
-    | Some f -> Field.wire_bytes ~width:Key.default_width f
-    | None -> 0
-  in
+  let delta = delta_field st ~group ~last in
+  let bytes = field_bytes delta in
   let pkt =
     Packet.make ~src:s.s_node.Node.id
       ~dst:(Packet.Multicast (group_addr config group))
-      ~size:(config.packet_size + field_bytes)
+      ~size:(config.packet_size + bytes)
       (Data
          { session = config.id; group; slot; seq; last; upgrade_mask = mask;
            delta })
   in
   s.s_stats.data_bits <- s.s_stats.data_bits + (config.packet_size * 8);
-  s.s_stats.delta_bits <- s.s_stats.delta_bits + (field_bytes * 8);
+  s.s_stats.delta_bits <- s.s_stats.delta_bits + (bytes * 8);
   Mcc_obs.Lineage.set_origin pkt.Packet.lineage ~session:config.id
     ~level:group
     ~time:(Sim.now (Topology.sim s.s_topo));

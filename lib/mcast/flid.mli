@@ -98,6 +98,49 @@ val sender_keys_for_slot :
 (** Keys guarding [slot] (Robust mode; the four most recent slots are
     retained).  Exposed for tests. *)
 
+(** {2 The sending half for the replicated instantiation}
+
+    {!Replicated_proto}'s sender runs FLID's per-slot key work and
+    per-packet DELTA fields with its own key draw and wire constructor. *)
+
+val slot_keys :
+  create:
+    (prng:Mcc_util.Prng.t ->
+    width:int ->
+    groups:int ->
+    upgrades:bool array ->
+    Mcc_delta.Layered.sender) ->
+  config ->
+  Mcc_util.Prng.t ->
+  mask:int ->
+  Mcc_delta.Layered.sender
+(** The slot's DELTA sender state, drawn by [create] from the PRNG at
+    {!Mcc_delta.Key.default_width} bits, with an upgrade to g authorized
+    where [mask] sets bit g-1 (g >= 2). *)
+
+val distribute_keys :
+  config ->
+  Mcc_net.Topology.t ->
+  node:Mcc_net.Node.t ->
+  guarded:int ->
+  Mcc_delta.Layered.keys ->
+  Mcc_sigma.Special.stats
+(** Sends every group's {!Mcc_delta.Layered.valid_keys} for slot
+    [guarded] to the edge routers through SIGMA special packets from
+    [node], FEC-coded with the config's scheme, over the minimal
+    group's tree. *)
+
+val delta_field :
+  Mcc_delta.Layered.sender option ->
+  group:int ->
+  last:bool ->
+  Mcc_delta.Field.t option
+(** The DELTA fields of the next packet of [group]; [None] without key
+    state (Plain mode). *)
+
+val field_bytes : Mcc_delta.Field.t option -> int
+(** Wire bytes the fields add to a packet. *)
+
 (** {1 Receivers} *)
 
 type submission = {

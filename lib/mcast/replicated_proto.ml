@@ -6,28 +6,9 @@ module Topology = Mcc_net.Topology
 module Prng = Mcc_util.Prng
 module Key = Mcc_delta.Key
 module Field = Mcc_delta.Field
+module Layered = Mcc_delta.Layered
 module Replicated = Mcc_delta.Replicated
-module Tuple = Mcc_sigma.Tuple
-module Special = Mcc_sigma.Special
 module Metrics = Mcc_obs.Metrics
-
-type config = {
-  id : int;
-  base_group : int;
-  layering : Layering.t;
-  slot_duration : float;
-  mode : Flid.mode;
-}
-
-let make_config ~id ~base_group ~layering ~slot_duration ~mode () =
-  if slot_duration <= 0. then
-    invalid_arg "Replicated_proto.make_config: slot_duration";
-  { id; base_group; layering; slot_duration; mode }
-
-(* Data bytes per packet: the paper's 576. *)
-let packet_size = 576
-
-let group_addr config g = config.base_group + g - 1
 
 type Payload.t +=
   | Rep_data of {
@@ -45,84 +26,47 @@ type Payload.t +=
 (* ----------------------------------------------------------------- *)
 
 type sender = {
-  s_config : config;
+  s_config : Flid.config;
   s_topo : Topology.t;
   s_node : Node.t;
   s_prng : Prng.t;
-  mutable s_keys : (int * Replicated.keys) list;  (* (guarded slot, keys) *)
 }
 
-let sender_keys_for_slot s ~slot = List.assoc_opt slot s.s_keys
-
+(* FLID's per-slot key work with Eq. 6's per-group top keys. *)
 let prepare s ~slot ~mask ~counts:_ =
   let config = s.s_config in
-  let n = config.layering.Layering.groups in
-  match config.mode with
+  match config.Flid.mode with
   | Flid.Plain -> None
   | Flid.Robust ->
-      let upgrades =
-        Array.init n (fun i -> i >= 1 && Slotted.mask_bit mask (i + 1))
-      in
       let st =
-        Replicated.sender_create ~prng:s.s_prng ~width:Key.default_width ~groups:n
-          ~upgrades
-      in
-      let keys = Replicated.sender_keys st in
-      let guarded = slot + 2 in
-      s.s_keys <- (guarded, keys) :: List.filteri (fun i _ -> i < 3) s.s_keys;
-      let tuples =
-        List.init n (fun i ->
-            let g = i + 1 in
-            Tuple.make ~group:(group_addr config g) ~slot:guarded
-              ~keys:(Replicated.valid_keys keys ~group:g) ~minimal:(g = 1))
+        Flid.slot_keys ~create:Replicated.sender_create config s.s_prng ~mask
       in
       ignore
-        (Special.distribute s.s_topo ~sender:s.s_node ~session:config.id
-           ~via_group:(group_addr config 1) ~width:Key.default_width ~slot:guarded
-           ~slot_duration:config.slot_duration ~tuples ());
+        (Flid.distribute_keys config s.s_topo ~node:s.s_node ~guarded:(slot + 2)
+           (Layered.sender_keys st));
       Some st
 
 let emit s st ~group ~slot ~seq ~last ~repair:_ ~mask =
   let config = s.s_config in
-  let delta =
-    match st with
-    | Some st ->
-        Some
-          (Field.make
-             ~component:(Replicated.next_component st ~group ~last)
-             ~decrease:(Replicated.decrease_field st ~group))
-    | None -> None
-  in
-  let field_bytes =
-    match delta with
-    | Some f -> Field.wire_bytes ~width:Key.default_width f
-    | None -> 0
-  in
+  let delta = Flid.delta_field st ~group ~last in
   Node.originate s.s_node
     (Packet.make ~src:s.s_node.Node.id
-       ~dst:(Packet.Multicast (group_addr config group))
-       ~size:(packet_size + field_bytes)
+       ~dst:(Packet.Multicast (Flid.group_addr config group))
+       ~size:(config.Flid.packet_size + Flid.field_bytes delta)
        (Rep_data
           { session = config.id; group; slot; seq; last; upgrade_mask = mask;
             delta }))
 
-let sender_start ?at topo ~node ~prng config =
-  let s =
-    {
-      s_config = config;
-      s_topo = topo;
-      s_node = node;
-      s_prng = prng;
-      s_keys = [];
-    }
-  in
+let sender_start ?at topo ~node ~prng (config : Flid.config) =
+  let s = { s_config = config; s_topo = topo; s_node = node; s_prng = prng } in
   (* Each group carries the full content: group g transmits at the
      cumulative rate R_g, not a layer residue. *)
   Slotted.sender_start ?at topo ~node ~base_group:config.base_group
     ~rates:
       (Array.init config.layering.Layering.groups (fun i ->
            Layering.cumulative_rate config.layering ~level:(i + 1)))
-    ~packet_size ~repair_fraction:0. ~slot_duration:config.slot_duration
+    ~packet_size:config.packet_size ~repair_fraction:0.
+    ~slot_duration:config.slot_duration
     ~upgrade_period:(Flid.default_upgrade_period config.layering)
     ~prepare:(prepare s) ~emit:(emit s) ();
   s
@@ -141,7 +85,7 @@ type state = {
   mutable joined_all : bool;
 }
 
-type receiver = (Replicated.receiver, state) Slotted.t
+type receiver = (Layered.receiver, state) Slotted.t
 
 let receiver_meter (r : receiver) = r.Slotted.meter
 let receiver_group (r : receiver) = r.Slotted.level
@@ -244,7 +188,7 @@ let on_data rx pkt =
   | _ -> ()
 
 let receiver_start ?at ?(behavior = Flid.Well_behaved) topo ~host ~prng
-    config =
+    (config : Flid.config) =
   let n = config.layering.Layering.groups in
   let adversary =
     match behavior with
@@ -271,7 +215,7 @@ let receiver_start ?at ?(behavior = Flid.Well_behaved) topo ~host ~prng
         key_width = Key.default_width;
         new_keys =
           (match config.mode with
-          | Flid.Robust -> Some (fun () -> Replicated.receiver_create ~groups:n)
+          | Flid.Robust -> Some (fun () -> Layered.receiver_create ~groups:n)
           | Flid.Plain -> None);
         (* A packet of another group (stale forwarding during a switch)
            counts in no lane but still feeds the DELTA accumulators,
@@ -279,7 +223,7 @@ let receiver_start ?at ?(behavior = Flid.Well_behaved) topo ~host ~prng
         feed =
           (fun dr -> function
             | Rep_data { group; delta = Some f; _ } ->
-                Replicated.on_packet dr ~group ~component:f.Field.component
+                Layered.on_packet dr ~group ~component:f.Field.component
                   ~decrease:f.Field.decrease
             | _ -> ());
         lane_of = (fun ~level ~group -> if group = level then 0 else -1);

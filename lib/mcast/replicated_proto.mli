@@ -11,27 +11,6 @@
     component XOR — enforced by the same generic SIGMA agent that
     guards FLID-DS. *)
 
-type config = {
-  id : int;
-  base_group : int;
-  layering : Layering.t;  (** level g = single group g at rate R_g *)
-  slot_duration : float;
-  mode : Flid.mode;  (** [Plain] or [Robust], as for FLID *)
-}
-
-val make_config :
-  id:int ->
-  base_group:int ->
-  layering:Layering.t ->
-  slot_duration:float ->
-  mode:Flid.mode ->
-  unit ->
-  config
-(** Packets carry 576 data bytes; keys, upgrade authorizations and the
-    silent-slot fallback are FLID's ({!Flid.make_config}). *)
-
-val group_addr : config -> int -> int
-
 type Mcc_net.Payload.t +=
   | Rep_data of {
       session : int;
@@ -42,6 +21,11 @@ type Mcc_net.Payload.t +=
       upgrade_mask : int;
       delta : Mcc_delta.Field.t option;
     }
+(** FLID's {!Flid.Data} fields under a constructor of their own: the
+    SIGMA edge's ECN scrubber and interface padding
+    ({!Mcc_core.Scenario}) match only [Flid.Data], so they leave
+    replicated packets as sent, and no replicated packet carries a
+    lineage origin. *)
 
 type sender
 
@@ -50,12 +34,13 @@ val sender_start :
   Mcc_net.Topology.t ->
   node:Mcc_net.Node.t ->
   prng:Mcc_util.Prng.t ->
-  config ->
+  Flid.config ->
   sender
-
-
-val sender_keys_for_slot :
-  sender -> slot:int -> Mcc_delta.Replicated.keys option
+(** A FLID config serves unchanged: level g is the single group g, sent
+    at the cumulative rate R_g of [layering].  Packets carry the
+    config's [packet_size] data bytes; keys, upgrade authorizations, the
+    SIGMA distribution and its FEC scheme, and the silent-slot fallback
+    are FLID's. *)
 
 type receiver
 
@@ -65,7 +50,7 @@ val receiver_start :
   Mcc_net.Topology.t ->
   host:Mcc_net.Node.t ->
   prng:Mcc_util.Prng.t ->
-  config ->
+  Flid.config ->
   receiver
 
 val receiver_meter : receiver -> Mcc_util.Meter.t

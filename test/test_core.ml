@@ -281,7 +281,7 @@ let test_three_protocol_coexistence () =
        (Mcc_mcast.Rlm_like.receiver_meter (List.hd rlm.Scenario.rlm_receivers)));
   (* Disjoint group address ranges. *)
   let fb = flid.Scenario.config.Flid.base_group in
-  let rb = rep.Scenario.rep_config.Mcc_mcast.Replicated_proto.base_group in
+  let rb = rep.Scenario.rep_config.Flid.base_group in
   let lb = rlm.Scenario.rlm_config.Mcc_mcast.Rlm_like.base_group in
   Alcotest.(check bool) "disjoint ranges" true
     (rb >= fb + Defaults.groups && lb >= rb + Defaults.groups)

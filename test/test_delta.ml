@@ -247,17 +247,17 @@ let prop_top_key_iff_no_loss =
 let run_replicated ?(upgrades = Array.make n false) ~counts ~drop () =
   let prng = Prng.create 77 in
   let sender = Replicated.sender_create ~prng ~width ~groups:n ~upgrades in
-  let receiver = Replicated.receiver_create ~groups:n in
+  let receiver = Layered.receiver_create ~groups:n in
   for g = 1 to n do
     for i = 0 to counts.(g - 1) - 1 do
       let last = i = counts.(g - 1) - 1 in
-      let component = Replicated.next_component sender ~group:g ~last in
-      let decrease = Replicated.decrease_field sender ~group:g in
+      let component = Layered.next_component sender ~group:g ~last in
+      let decrease = Layered.decrease_field sender ~group:g in
       if not (drop g i) then
-        Replicated.on_packet receiver ~group:g ~component ~decrease
+        Layered.on_packet receiver ~group:g ~component ~decrease
     done
   done;
-  (Replicated.sender_keys sender, receiver)
+  (Layered.sender_keys sender, receiver)
 
 let test_replicated_top () =
   let keys, receiver =
@@ -269,7 +269,7 @@ let test_replicated_top () =
   in
   Alcotest.(check int) "stays" 3 outcome.Replicated.next_group;
   (match outcome.Replicated.key with
-  | Some k -> Alcotest.(check int) "top key" keys.Replicated.top.(2) k
+  | Some k -> Alcotest.(check int) "top key" keys.Layered.top.(2) k
   | None -> Alcotest.fail "expected a key")
 
 let test_replicated_independence () =
@@ -283,7 +283,7 @@ let test_replicated_independence () =
       ~upgrade_to:(fun _ -> false)
   in
   match outcome.Replicated.key with
-  | Some k -> Alcotest.(check int) "unaffected" keys.Replicated.top.(2) k
+  | Some k -> Alcotest.(check int) "unaffected" keys.Layered.top.(2) k
   | None -> Alcotest.fail "expected a key"
 
 let test_replicated_decrease () =
@@ -297,9 +297,9 @@ let test_replicated_decrease () =
   Alcotest.(check int) "switches down" 2 outcome.Replicated.next_group;
   match outcome.Replicated.key with
   | Some k ->
-      Alcotest.(check int) "decrease key of group 2" keys.Replicated.decrease.(1) k;
+      Alcotest.(check int) "decrease key of group 2" keys.Layered.decrease.(1) k;
       Alcotest.(check bool) "valid at router" true
-        (List.mem k (Replicated.valid_keys keys ~group:2))
+        (List.mem k (Layered.valid_keys keys ~group:2))
   | None -> Alcotest.fail "expected a key"
 
 let test_replicated_upgrade () =
@@ -316,7 +316,7 @@ let test_replicated_upgrade () =
   match outcome.Replicated.key with
   | Some k ->
       Alcotest.(check bool) "increase key valid for group 4" true
-        (List.mem k (Replicated.valid_keys keys ~group:4))
+        (List.mem k (Layered.valid_keys keys ~group:4))
   | None -> Alcotest.fail "expected a key"
 
 let test_replicated_minimal_congested () =
@@ -340,16 +340,16 @@ let prop_replicated_independence =
         Replicated.sender_create ~prng ~width:48 ~groups:n
           ~upgrades:(Array.make n false)
       in
-      let receiver = Replicated.receiver_create ~groups:n in
+      let receiver = Layered.receiver_create ~groups:n in
       for g = 1 to n do
         for i = 0 to 2 do
           let last = i = 2 in
-          let component = Replicated.next_component sender ~group:g ~last in
+          let component = Layered.next_component sender ~group:g ~last in
           if not (g = lossy_group && i = 1) then
-            Replicated.on_packet receiver ~group:g ~component ~decrease:None
+            Layered.on_packet receiver ~group:g ~component ~decrease:None
         done
       done;
-      let keys = Replicated.sender_keys sender in
+      let keys = Layered.sender_keys sender in
       List.for_all
         (fun g ->
           let outcome =
@@ -358,8 +358,8 @@ let prop_replicated_independence =
           in
           match outcome.Replicated.key with
           | Some k ->
-              if g = lossy_group then k <> keys.Replicated.top.(g - 1)
-              else k = keys.Replicated.top.(g - 1)
+              if g = lossy_group then k <> keys.Layered.top.(g - 1)
+              else k = keys.Layered.top.(g - 1)
           | None -> false)
         (List.init n (fun i -> i + 1)))
 

@@ -26,7 +26,7 @@ let build ~bottleneck ~mode =
 (* --- replicated -------------------------------------------------------- *)
 
 let rep_config ~mode =
-  Rep.make_config ~id:1 ~base_group:0x2000 ~layering:(Defaults.layering ())
+  Flid.make_config ~id:1 ~base_group:0x2000 ~layering:(Defaults.layering ())
     ~slot_duration:0.25 ~mode ()
 
 let run_replicated ~mode ~behavior ~seconds ~bottleneck =
