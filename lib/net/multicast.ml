@@ -7,45 +7,24 @@ let upstream_link topo ~(node : Node.t) ~group =
       if src.Node.id = node.Node.id then None
       else Node.Itbl.find_opt node.Node.fib src.Node.id
 
+(* Post [step] (graft or prune) of [group] at [node]'s parent toward the
+   source, one control delay up the upstream link; nothing at the
+   source or off any route. *)
+let upstream topo ~node ~group step =
+  match upstream_link topo ~node ~group with
+  | Some ({ Link.rev = Some rev; _ } as up) ->
+      let parent = Topology.node topo up.Link.dst in
+      Sim.post_after (Topology.sim topo) ~delay:(Link.control_delay up)
+        (fun () -> step topo ~node:parent ~group ~down:rev)
+  | Some { Link.rev = None; _ } | None -> ()
+
 let rec graft topo ~node ~group ~down =
-  let was_off_tree = Node.add_downstream node ~group down in
-  if was_off_tree then
-    match upstream_link topo ~node ~group with
-    | None -> () (* at the source, or unroutable *)
-    | Some up -> (
-        match up.Link.rev with
-        | None -> ()
-        | Some rev ->
-            let parent = Topology.node topo up.Link.dst in
-            Sim.post_after (Topology.sim topo)
-                 ~delay:(Link.control_delay up) (fun () ->
-                   graft topo ~node:parent ~group ~down:rev))
+  if Node.add_downstream node ~group down then upstream topo ~node ~group graft
 
 let rec prune topo ~node ~group ~down =
   let became_empty = Node.remove_downstream node ~group down in
   if became_empty && not (Node.Itbl.mem node.Node.local_groups group) then
-    match upstream_link topo ~node ~group with
-    | None -> ()
-    | Some up -> (
-        match up.Link.rev with
-        | None -> ()
-        | Some rev ->
-            let parent = Topology.node topo up.Link.dst in
-            Sim.post_after (Topology.sim topo)
-                 ~delay:(Link.control_delay up) (fun () ->
-                   prune topo ~node:parent ~group ~down:rev))
-
-let propagate_graft topo ~(node : Node.t) ~group =
-  match upstream_link topo ~node ~group with
-  | None -> ()
-  | Some up -> (
-      match up.Link.rev with
-      | None -> ()
-      | Some rev ->
-          let parent = Topology.node topo up.Link.dst in
-          Sim.post_after (Topology.sim topo)
-               ~delay:(Link.control_delay up) (fun () ->
-                 graft topo ~node:parent ~group ~down:rev))
+    upstream topo ~node ~group prune
 
 let graft_local topo ~(node : Node.t) ~group =
   let on_tree =
@@ -54,22 +33,12 @@ let graft_local topo ~(node : Node.t) ~group =
   in
   if not (Node.Itbl.mem node.Node.local_groups group) then
     Node.subscribe_local node ~group (fun _ -> ());
-  if not on_tree then propagate_graft topo ~node ~group
+  if not on_tree then upstream topo ~node ~group graft
 
 let prune_local topo ~(node : Node.t) ~group =
   if Node.Itbl.mem node.Node.local_groups group then begin
     Node.unsubscribe_local node ~group;
-    if Node.downstream node ~group = [] then
-      match upstream_link topo ~node ~group with
-      | None -> ()
-      | Some up -> (
-          match up.Link.rev with
-          | None -> ()
-          | Some rev ->
-              let parent = Topology.node topo up.Link.dst in
-              Sim.post_after (Topology.sim topo)
-                   ~delay:(Link.control_delay up) (fun () ->
-                     prune topo ~node:parent ~group ~down:rev))
+    if Node.downstream node ~group = [] then upstream topo ~node ~group prune
   end
 
 let router_of topo (host : Node.t) =
