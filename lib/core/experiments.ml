@@ -533,8 +533,8 @@ let oversub_receivers ~seed ~duration ~mean =
   let t =
     Scenario.create ~seed ~ecn:true ~bottleneck_rate_bps:1_000_000. ()
   in
-  let s =
-    Scenario.add_oversub t ~mode:Flid.Robust
+  let _, _, receivers =
+    Scenario.add_session (module Protocol.Oversub) t ~mode:Flid.Robust
       ~receivers:(List.init 3 (fun _ -> Scenario.receiver ()))
       ()
   in
@@ -549,7 +549,7 @@ let oversub_receivers ~seed ~duration ~mean =
            (key "mark_ewma", Oversub.mark_ewma r);
            (key "decreases", float_of_int (Oversub.decrease_events r));
          ])
-       s.Scenario.ovs_receivers)
+       receivers)
 
 (* The Shamir threshold instantiation's in-band share bits, as a
    percentage of data bits: one RLM-like session behind a SIGMA edge. *)

@@ -230,19 +230,6 @@ let add_rlm ?slot ?layering ?policy ?receiver_mode t ~mode ~receivers () =
   in
   { rlm_config; rlm_sender; rlm_receivers }
 
-type oversub_session = {
-  ovs_config : Mcc_mcast.Oversub.config;
-  ovs_sender : Mcc_mcast.Oversub.sender;
-  ovs_receivers : Mcc_mcast.Oversub.receiver list;
-}
-
-let add_oversub ?slot ?layering ?receiver_mode t ~mode ~receivers () =
-  let ovs_config, ovs_sender, ovs_receivers =
-    session (module Protocol.Oversub) ?receiver_mode ?slot ?layering t ~mode
-      receivers
-  in
-  { ovs_config; ovs_sender; ovs_receivers }
-
 let add_tcp ?(at = 0.) t =
   t.tcp_flows <- t.tcp_flows + 1;
   let src = Dumbbell.add_sender t.db in

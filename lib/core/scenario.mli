@@ -139,26 +139,6 @@ val add_rlm :
     specs are ignored: only well-behaved threshold receivers are
     modelled. *)
 
-type oversub_session = {
-  ovs_config : Mcc_mcast.Oversub.config;
-  ovs_sender : Mcc_mcast.Oversub.sender;
-  ovs_receivers : Mcc_mcast.Oversub.receiver list;
-}
-
-val add_oversub :
-  ?slot:float ->
-  ?layering:Mcc_mcast.Layering.t ->
-  ?receiver_mode:Mcc_mcast.Flid.mode ->
-  t ->
-  mode:Mcc_mcast.Flid.mode ->
-  receivers:receiver_spec list ->
-  unit ->
-  oversub_session
-(** An oversubscribed-CC session (EWMA of the ECN mark fraction) on the
-    same dumbbell.  It shares FLID's wire format, so the agent's ECN
-    scrubber applies unchanged.  Receiver behaviours in the specs are
-    ignored: attacks on this protocol are mounted as bare attackers. *)
-
 val add_tcp : ?at:float -> t -> Mcc_transport.Tcp.t
 (** One TCP Reno flow left to right; returns the flow (its meter gives
     the receiver throughput). *)

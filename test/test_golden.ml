@@ -190,14 +190,15 @@ let run proto modes ecn =
                   add_int b (Rep.receiver_group r))
                 s.Scenario.rep_receivers
         | P_ovs ->
-            let s =
-              Scenario.add_oversub ?receiver_mode t ~mode ~receivers:honest ()
+            let _, sender, receivers =
+              Scenario.add_session (module Mcc_core.Protocol.Oversub)
+                ?receiver_mode t ~mode ~receivers:honest ()
             in
-            (match s.Scenario.ovs_receivers with
+            (match receivers with
             | [ _; late ] -> leave_at_30 (fun () -> Ovs.receiver_leave late)
             | _ -> assert false);
             fun () ->
-              let st = Ovs.sender_stats s.Scenario.ovs_sender in
+              let st = Ovs.sender_stats sender in
               add_tag b "sender";
               add_int b st.Flid.slots;
               add_int b st.Flid.sigma_packets;
@@ -210,7 +211,7 @@ let run proto modes ecn =
                   add_float b (Ovs.mark_ewma r);
                   add_int b (Ovs.congestion_events r);
                   add_int b (Ovs.decrease_events r))
-                s.Scenario.ovs_receivers
+                receivers
       in
       ignore (Scenario.add_tcp t);
       Scenario.run t ~seconds:40.;

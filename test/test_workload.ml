@@ -395,12 +395,12 @@ let test_oversub_session () =
     Scenario.create ~seed:21 ~ecn:true ~sigma:true
       ~bottleneck_rate_bps:1_000_000. ()
   in
-  let s =
-    Scenario.add_oversub t ~mode:Flid.Robust
+  let _, _, receivers =
+    Scenario.add_session (module Mcc_core.Protocol.Oversub) t ~mode:Flid.Robust
       ~receivers:[ Scenario.receiver () ] ()
   in
   Scenario.run t ~seconds:30.;
-  let r = List.hd s.Scenario.ovs_receivers in
+  let r = List.hd receivers in
   Alcotest.(check bool) "receiver climbed" true (Oversub.receiver_level r >= 1);
   Alcotest.(check bool) "goodput flowed" true
     (Meter.mean_kbps (Oversub.receiver_meter r) ~lo:5. ~hi:30. > 50.);
