@@ -258,9 +258,12 @@ done
 # naming the file and exit 2: one without a duration, one whose
 # duration is not a number, one whose duration overflows to infinity
 # (it would run without end), one whose diurnal churn period is so
-# short that its churn plan would exhaust memory, and the committed
+# short that its churn plan would exhaust memory, the committed
 # fat-tree flash crowd with max_int arrivals, whose seat count would
-# wrap negative.
+# wrap negative, and two whose topology or churn plan is too large to
+# build: a k=100000 fat tree and a 1e12 s diurnal run with a 1 s
+# period.  Only `workload check` reads them; running them would
+# exhaust memory.
 printf '{"version": 1, "name": "bad"}\n' > "$SCRATCH/bad-workload.json"
 printf '{"version": 1, "name": "bad", "duration": 1e}\n' \
   > "$SCRATCH/bad-number.json"
@@ -281,7 +284,17 @@ doc["churn"]["arrivals"] = 4611686018427387903
 with open(os.path.join(os.environ["SCRATCH"], "bad-seats.json"), "w") as f:
     json.dump(doc, f)
 EOF
-for BAD in bad-workload bad-number bad-infinite bad-period bad-seats; do
+printf '%s\n' '{"version": 1, "name": "bad", "duration": 20,
+  "topology": {"kind": "fat_tree", "k": 100000}, "protocol": "flid",
+  "defence": "plain", "receivers": 2}' \
+  > "$SCRATCH/bad-tree.json"
+printf '%s\n' '{"version": 1, "name": "bad", "duration": 1e12,
+  "topology": {"kind": "dumbbell"}, "protocol": "flid",
+  "defence": "plain", "receivers": 2,
+  "churn": {"kind": "diurnal", "period": 1, "fraction": 0.5}}' \
+  > "$SCRATCH/bad-diurnal.json"
+for BAD in bad-workload bad-number bad-infinite bad-period bad-seats \
+  bad-tree bad-diurnal; do
   STATUS=0
   dune exec bin/mcc.exe -- workload check "$SCRATCH/$BAD.json" \
     2> "$SCRATCH/$BAD.err" || STATUS=$?
@@ -295,6 +308,8 @@ grep -q "duration" "$SCRATCH/bad-workload.err"
 grep -q "churn.period" "$SCRATCH/bad-period.err"
 grep -q "receivers" "$SCRATCH/bad-seats.err"
 grep -q "churn.arrivals" "$SCRATCH/bad-seats.err"
+grep -q "bad-tree.json.topology" "$SCRATCH/bad-tree.err"
+grep -q "bad-diurnal.json.churn" "$SCRATCH/bad-diurnal.err"
 # ... and so must a non-finite timing option on the command line, naming
 # the option.  The timeout bounds the check: a NaN attack time that got
 # through would run its cell without end.

@@ -68,6 +68,21 @@ let opt_int_field ctx fields name ~default =
 let positive ctx what v =
   if v > 0. then Ok v else err ctx (Printf.sprintf "%s must be positive" what)
 
+(* --- Size bounds --------------------------------------------------------- *)
+
+(* A run builds its topology and its churn plan in full before the first
+   event, so the document's numbers alone set how much memory it takes.
+   Every node gets a route to every other, N^2 FIB entries computed by a
+   linear-scan Dijkstra per node (O(N^3) time).  1,000 receiver hosts is
+   over 60 times the largest committed workload (a k=4 fat tree's 15):
+   an 8 s star_lans run with 10 LANs of 100 hosts took 5.0 s and 68 MB
+   peak RSS on a 2-core x86-64 container. *)
+let max_receiver_hosts = 1_000
+
+(* The builder starts a receiver instance for every churn interval up
+   front; the committed workloads plan at most 15 intervals. *)
+let max_churn_intervals = 10_000
+
 (* --- Enumerations from the Spec registries ------------------------------ *)
 
 (* A field naming an entry of a Spec registry; an unknown name's
@@ -383,6 +398,43 @@ let params_of_json ~ctx json =
             else Printf.sprintf " plus %d churn.arrivals" arrivals)
            (Spec.topology_str topology) cap)
     else Ok ()
+  in
+  (* Size: a dumbbell builds the receivers plus the arrivals, any other
+     shape its whole pool.  As above, no sum is formed. *)
+  let* () =
+    match topology with
+    | Spec.Dumbbell_topo when arrivals > max_receiver_hosts - receivers ->
+        err (ctx ^ ".receivers")
+          (Printf.sprintf "%d receivers%s exceed the %d receiver hosts a \
+                           workload may build"
+             receivers
+             (if arrivals = 0 then ""
+              else Printf.sprintf " plus %d churn.arrivals" arrivals)
+             max_receiver_hosts)
+    | Spec.Dumbbell_topo -> Ok ()
+    | Spec.Fat_tree _ | Spec.Star_lans _ | Spec.Isp_random _ ->
+        if cap > max_receiver_hosts then
+          err (ctx ^ ".topology")
+            (Printf.sprintf "the %s topology builds %d receiver hosts, more \
+                             than the %d a workload may build"
+               (Spec.topology_str topology) cap max_receiver_hosts)
+        else Ok ()
+  in
+  (* A diurnal plan gives each cycling receiver one interval per period;
+     counted in floats, which cannot wrap. *)
+  let* () =
+    match churn with
+    | Spec.Diurnal { period; fraction } ->
+        let cycling = Float.round (fraction *. float_of_int receivers) in
+        let intervals = cycling *. Float.max 1. (Float.ceil (duration /. period)) in
+        if intervals > float_of_int max_churn_intervals then
+          err (ctx ^ ".churn")
+            (Printf.sprintf "%.0f cycling receivers over a %g s duration with \
+                             a %g s period make %.3g receiver intervals, more \
+                             than the %d a workload may plan"
+               cycling duration period intervals max_churn_intervals)
+        else Ok ()
+    | Spec.No_churn | Spec.Flash_crowd _ | Spec.Regional_outage _ -> Ok ()
   in
   let params seed =
     {

@@ -136,7 +136,24 @@ let test_schema_invalid () =
             "churn": { "kind": "flash_crowd", "at": 30,
                        "arrivals": 4611686018427387903,
                        "leave_after": 40 } }|})
-    [ "w.json.receivers"; "4611686018427387903 churn.arrivals" ]
+    [ "w.json.receivers"; "4611686018427387903 churn.arrivals" ];
+  (* Sizes a run would build in full before its first event: a fat tree
+     of about 2.5e14 receiver hosts, a dumbbell one host past the bound,
+     and a diurnal plan of one interval per second for 1e12 s. *)
+  expect_error ~needle:"w.json.topology: the fat_tree topology builds"
+    {|{ "version": 1, "name": "t", "duration": 20,
+        "topology": { "kind": "fat_tree", "k": 100000 },
+        "protocol": "flid", "defence": "plain", "receivers": 2 }|};
+  expect_error ~needle:"w.json.receivers: 990 receivers plus 11 churn.arrivals"
+    {|{ "version": 1, "name": "t", "duration": 20,
+        "topology": { "kind": "dumbbell" },
+        "protocol": "flid", "defence": "plain", "receivers": 990,
+        "churn": { "kind": "flash_crowd", "at": 5, "arrivals": 11 } }|};
+  expect_error ~needle:"w.json.churn: 1 cycling receivers"
+    {|{ "version": 1, "name": "t", "duration": 1e12,
+        "topology": { "kind": "dumbbell" },
+        "protocol": "flid", "defence": "plain", "receivers": 2,
+        "churn": { "kind": "diurnal", "period": 1, "fraction": 0.5 } }|}
 
 (* Mutated copies of the committed workload files: the schema must
    answer each with a diagnostic naming the file, never an exception.
