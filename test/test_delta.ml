@@ -363,6 +363,60 @@ let prop_replicated_independence =
           | None -> false)
         (List.init n (fun i -> i + 1)))
 
+(* Property: Figs. 4 and 5 share one key machine.  From equal seeds the
+   layered and replicated senders draw the same decrease nonces and the
+   same component stream; the layered top key of g is the XOR of the
+   replicated top keys of groups 1..g (Eq. 3 against Eq. 6); and each
+   one's increase key for g is its own top key for g-1, exactly where an
+   upgrade to g is authorized. *)
+let prop_instantiations_share_draws =
+  QCheck.Test.make ~name:"layered and replicated keys share one draw"
+    ~count:200
+    QCheck.(
+      quad small_int (int_range 1 8)
+        (list_of_size (Gen.return 8) bool)
+        (small_list small_nat))
+    (fun (seed, groups, ups, requests) ->
+      let upgrades = Array.sub (Array.of_list ups) 0 groups in
+      let create f =
+        f ~prng:(Prng.create seed) ~width ~groups ~upgrades
+      in
+      let layered = create Layered.sender_create in
+      let replicated = create Replicated.sender_create in
+      let lk = Layered.sender_keys layered in
+      let rk = Layered.sender_keys replicated in
+      (* The requests in order, then each group's last packet. *)
+      let requests =
+        List.map (fun r -> (1 + (r mod groups), false)) requests
+        @ List.init groups (fun i -> (groups - i, true))
+      in
+      let same_stream =
+        List.for_all
+          (fun (group, last) ->
+            Layered.decrease_field layered ~group
+            = Layered.decrease_field replicated ~group
+            && Layered.next_component layered ~group ~last
+               = Layered.next_component replicated ~group ~last)
+          requests
+      in
+      let gs = List.init groups (fun i -> i + 1) in
+      let prefix_xor g =
+        List.fold_left
+          (fun acc j -> Key.xor acc rk.Layered.top.(j - 1))
+          0
+          (List.init g (fun i -> i + 1))
+      in
+      let increase_is_lower_top (k : Layered.keys) =
+        List.for_all
+          (fun g ->
+            k.increase.(g - 1)
+            = if g >= 2 && upgrades.(g - 1) then Some k.top.(g - 2) else None)
+          gs
+      in
+      lk.decrease = rk.decrease && same_stream
+      && List.for_all (fun g -> lk.top.(g - 1) = prefix_xor g) gs
+      && increase_is_lower_top lk && increase_is_lower_top rk)
+
 (* --- ECN / Field -------------------------------------------------------- *)
 
 let test_ecn_scrub_changes () =
@@ -411,6 +465,7 @@ let suite =
       Alcotest.test_case "replicated minimal congested" `Quick
         test_replicated_minimal_congested;
       QCheck_alcotest.to_alcotest prop_replicated_independence;
+      QCheck_alcotest.to_alcotest prop_instantiations_share_draws;
       Alcotest.test_case "ecn scrub changes component" `Quick
         test_ecn_scrub_changes;
       Alcotest.test_case "ecn scrub field" `Quick test_ecn_scrub_field;
