@@ -2,7 +2,7 @@ module Sim = Mcc_engine.Sim
 
 type t = {
   sim : Sim.t;
-  mutable nodes : Node.t list;  (* reverse insertion order *)
+  mutable nodes : Node.t array;  (* by id; slots from [node_count] on are filler *)
   mutable node_count : int;
   mutable links : Link.t list;
   mutable link_count : int;
@@ -10,22 +10,27 @@ type t = {
 }
 
 let create sim =
-  { sim; nodes = []; node_count = 0; links = []; link_count = 0; groups = Hashtbl.create 16 }
+  { sim; nodes = [||]; node_count = 0; links = []; link_count = 0; groups = Hashtbl.create 16 }
 
 let sim t = t.sim
 
 let add_node t kind =
   let node = Node.create ~sim:t.sim ~id:t.node_count ~kind in
+  if t.node_count = Array.length t.nodes then begin
+    let grown = Array.make (max 16 (2 * t.node_count)) node in
+    Array.blit t.nodes 0 grown 0 t.node_count;
+    t.nodes <- grown
+  end;
+  t.nodes.(t.node_count) <- node;
   t.node_count <- t.node_count + 1;
-  t.nodes <- node :: t.nodes;
   node
 
-let nodes t = List.rev t.nodes
+let nodes t = List.init t.node_count (Array.get t.nodes)
 
 let node t id =
-  match List.find_opt (fun (n : Node.t) -> n.Node.id = id) t.nodes with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Topology.node: unknown id %d" id)
+  if id < 0 || id >= t.node_count then
+    invalid_arg (Printf.sprintf "Topology.node: unknown id %d" id);
+  t.nodes.(id)
 
 let dst_kind_of (n : Node.t) =
   match n.Node.kind with
@@ -55,49 +60,105 @@ let connect t a b ~rate_bps ~delay_s ~buffer_bytes ?buffer_packets
   b.Node.links <- ba :: b.Node.links;
   (ab, ba)
 
-let compute_routes t =
-  let all = nodes t in
-  let n = t.node_count in
-  List.iter
-    (fun (src : Node.t) ->
-      (* Dijkstra from [src] over propagation delay. *)
-      let dist = Array.make n infinity in
-      let first_hop : Link.t option array = Array.make n None in
-      let visited = Array.make n false in
-      dist.(src.Node.id) <- 0.;
-      let rec loop () =
-        (* Linear-scan extraction is fine at simulation topology sizes. *)
-        let best = ref (-1) in
-        for i = 0 to n - 1 do
-          if (not visited.(i)) && dist.(i) < infinity
-             && (!best = -1 || dist.(i) < dist.(!best))
-          then best := i
-        done;
-        if !best >= 0 then begin
-          let u = !best in
-          visited.(u) <- true;
-          let node_u = node t u in
-          List.iter
-            (fun (l : Link.t) ->
-              let v = l.Link.dst in
-              let d = dist.(u) +. l.Link.delay_s +. 1e-9 in
-              if d < dist.(v) then begin
-                dist.(v) <- d;
-                first_hop.(v) <- (if u = src.Node.id then Some l else first_hop.(u))
-              end)
-            node_u.Node.links;
-          loop ()
-        end
+(* --- Routes ------------------------------------------------------------- *)
+
+(* A binary min-heap of (distance, node id) entries in two flat arrays:
+   the least distance first, the lower id on a tie. *)
+type heap = { dists : float array; ids : int array; mutable len : int }
+
+let[@inline] before (d : float) (v : int) d' v' = d < d' || (d = d' && v < v')
+
+(* Queues [v] at its current distance in [dist]. *)
+let heap_push h (dist : float array) v =
+  let d = dist.(v) in
+  let i = ref h.len in
+  h.len <- h.len + 1;
+  while !i > 0 && before d v h.dists.((!i - 1) / 2) h.ids.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    h.dists.(!i) <- h.dists.(p);
+    h.ids.(!i) <- h.ids.(p);
+    i := p
+  done;
+  h.dists.(!i) <- d;
+  h.ids.(!i) <- v
+
+(* Removes the least entry and returns its node id. *)
+let heap_pop h =
+  let top = h.ids.(0) in
+  let len = h.len - 1 in
+  h.len <- len;
+  if len > 0 then begin
+    let d = h.dists.(len) and v = h.ids.(len) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c =
+        if l + 1 < len
+           && before h.dists.(l + 1) h.ids.(l + 1) h.dists.(l) h.ids.(l)
+        then l + 1
+        else l
       in
-      loop ();
-      Node.Itbl.reset src.Node.fib;
-      for v = 0 to n - 1 do
-        if v <> src.Node.id then
-          match first_hop.(v) with
-          | Some l -> Node.Itbl.replace src.Node.fib v l
-          | None -> ()
-      done)
-    all
+      if c < len && before h.dists.(c) h.ids.(c) d v then begin
+        h.dists.(!i) <- h.dists.(c);
+        h.ids.(!i) <- h.ids.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    h.dists.(!i) <- d;
+    h.ids.(!i) <- v
+  end;
+  top
+
+(* Dijkstra from every node over propagation delay plus 1e-9 s a hop.
+   Nodes settle in (distance, id) order: every improvement pushes the
+   node at its new distance, and a popped entry of a settled node is
+   stale and skipped.  A linear scan for the nearest unsettled node,
+   lowest id first, settles them in the same order, so ties pick the
+   same first hops.  One set of scratch arrays serves every source. *)
+let compute_routes t =
+  let n = t.node_count in
+  let dist = Array.make n infinity in
+  let first_hop : Link.t option array = Array.make n None in
+  let settled = Array.make n false in
+  (* Each simplex link pushes at most once per source, when its tail
+     settles, and the source pushes once. *)
+  let cap = t.link_count + 1 in
+  let heap = { dists = Array.make cap 0.; ids = Array.make cap 0; len = 0 } in
+  let rec relax ~src u = function
+    | [] -> ()
+    | (l : Link.t) :: rest ->
+        let v = l.Link.dst in
+        let d = dist.(u) +. l.Link.delay_s +. 1e-9 in
+        if d < dist.(v) then begin
+          dist.(v) <- d;
+          first_hop.(v) <- (if u = src then Some l else first_hop.(u));
+          heap_push heap dist v
+        end;
+        relax ~src u rest
+  in
+  for src = 0 to n - 1 do
+    Array.fill dist 0 n infinity;
+    Array.fill first_hop 0 n None;
+    Array.fill settled 0 n false;
+    dist.(src) <- 0.;
+    heap_push heap dist src;
+    while heap.len > 0 do
+      let u = heap_pop heap in
+      if not settled.(u) then begin
+        settled.(u) <- true;
+        relax ~src u t.nodes.(u).Node.links
+      end
+    done;
+    let fib = t.nodes.(src).Node.fib in
+    Node.Itbl.reset fib;
+    for v = 0 to n - 1 do
+      if v <> src then
+        match first_hop.(v) with
+        | Some l -> Node.Itbl.replace fib v l
+        | None -> ()
+    done
+  done
 
 let register_group t ~group ~source = Hashtbl.replace t.groups group source
 let group_source t group = Hashtbl.find_opt t.groups group

@@ -5,6 +5,9 @@ module Link = Mcc_net.Link
 module Packet = Mcc_net.Packet
 module Payload = Mcc_net.Payload
 module Multicast = Mcc_net.Multicast
+module Prng = Mcc_util.Prng
+module Spec = Mcc_core.Spec
+module Topo_gen = Mcc_workload.Topo_gen
 
 (* Two hosts joined by two routers: h1 - r1 - r2 - h2. *)
 let line_topology () =
@@ -363,6 +366,152 @@ let prop_itbl_matches_hashtbl =
           agrees ())
         ops)
 
+(* --- Routes against the linear-scan Dijkstra ------------------------------ *)
+
+(* The reference model: the linear-scan Dijkstra [Topology.compute_routes]
+   ran before it kept a heap, reading the graph through the public
+   interface.  For each source in id order, the first hop's link id
+   toward every destination it reaches, in destination order. *)
+let reference_routes topo =
+  let all = Topology.nodes topo in
+  let n = List.length all in
+  List.map
+    (fun (src : Node.t) ->
+      let dist = Array.make n infinity in
+      let first_hop : Link.t option array = Array.make n None in
+      let visited = Array.make n false in
+      dist.(src.Node.id) <- 0.;
+      let rec loop () =
+        let best = ref (-1) in
+        for i = 0 to n - 1 do
+          if (not visited.(i)) && dist.(i) < infinity
+             && (!best = -1 || dist.(i) < dist.(!best))
+          then best := i
+        done;
+        if !best >= 0 then begin
+          let u = !best in
+          visited.(u) <- true;
+          let node_u = Topology.node topo u in
+          List.iter
+            (fun (l : Link.t) ->
+              let v = l.Link.dst in
+              let d = dist.(u) +. l.Link.delay_s +. 1e-9 in
+              if d < dist.(v) then begin
+                dist.(v) <- d;
+                first_hop.(v) <-
+                  (if u = src.Node.id then Some l else first_hop.(u))
+              end)
+            node_u.Node.links;
+          loop ()
+        end
+      in
+      loop ();
+      List.filter_map
+        (fun v ->
+          match first_hop.(v) with
+          | Some (l : Link.t) when v <> src.Node.id -> Some (v, l.Link.id)
+          | _ -> None)
+        (List.init n Fun.id))
+    all
+
+(* Every node's FIB as (destination, link id) bindings in destination
+   order. *)
+let fibs topo =
+  List.map
+    (fun (n : Node.t) ->
+      List.sort compare
+        (Node.Itbl.fold
+           (fun v (l : Link.t) acc -> (v, l.Link.id) :: acc)
+           n.Node.fib []))
+    (Topology.nodes topo)
+
+let routes_match topo =
+  Topology.compute_routes topo;
+  fibs topo = reference_routes topo
+
+(* A connected graph of 2-32 hosts and routers ([hosts.(id)] is true for
+   a host): a spanning tree over a random labelling plus up to 2N extra
+   links, parallel ones allowed, wired in a random order and
+   orientation.  Delays of 1, 2 or 3 ms make equal-distance paths
+   common, so the tie rule decides many first hops. *)
+type graph = { hosts : bool array; wires : (int * int * float) list }
+
+let gen_graph =
+  let open QCheck.Gen in
+  let delay = oneofl [ 0.001; 0.002; 0.003 ] in
+  int_range 2 32 >>= fun n ->
+  list_repeat n bool >>= fun hosts ->
+  shuffle_l (List.init n Fun.id) >>= fun order ->
+  let order = Array.of_list order in
+  let tree =
+    flatten_l
+      (List.init (n - 1) (fun i ->
+           map2 (fun p d -> (order.(i + 1), order.(p), d)) (int_bound i) delay))
+  in
+  let extra =
+    list_size
+      (int_bound (2 * n))
+      (map3
+         (fun a b d -> (a, (a + 1 + b) mod n, d))
+         (int_bound (n - 1))
+         (int_bound (n - 2))
+         delay)
+  in
+  map2 ( @ ) tree extra >>= shuffle_l >>= fun wires ->
+  list_repeat (List.length wires) bool >>= fun flips ->
+  return
+    {
+      hosts = Array.of_list hosts;
+      wires =
+        List.map2
+          (fun (a, b, d) flip -> if flip then (b, a, d) else (a, b, d))
+          wires flips;
+    }
+
+let print_graph g =
+  Printf.sprintf "hosts [%s]; wires [%s]"
+    (String.concat ";" (Array.to_list (Array.map string_of_bool g.hosts)))
+    (String.concat "; "
+       (List.map (fun (a, b, d) -> Printf.sprintf "%d-%d %gms" a b (d *. 1e3))
+          g.wires))
+
+let prop_routes_match_linear_scan =
+  QCheck.Test.make ~name:"routes match the linear-scan Dijkstra" ~count:500
+    (QCheck.make ~print:print_graph gen_graph)
+    (fun g ->
+      let topo = Topology.create (Sim.create ()) in
+      let nodes =
+        Array.map
+          (fun host ->
+            Topology.add_node topo (if host then Node.Host else Node.Core_router))
+          g.hosts
+      in
+      List.iter
+        (fun (a, b, delay_s) ->
+          ignore
+            (Topology.connect topo nodes.(a) nodes.(b) ~rate_bps:1e6 ~delay_s
+               ~buffer_bytes:10_000 ()))
+        g.wires;
+      routes_match topo)
+
+(* The workload generators' shapes, whose equal core and access delays
+   tie many paths. *)
+let test_generator_routes spec () =
+  List.iter
+    (fun seed ->
+      let built =
+        Topo_gen.build (Sim.create ()) ~prng:(Prng.create seed) ~spec ~hosts:1
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s seed %d" (Spec.topology_str spec) seed)
+        true
+        (routes_match built.Topo_gen.topo))
+    [ 1; 2; 3 ]
+
+let test_empty_routes () =
+  Alcotest.(check bool) "nothing to route" true
+    (routes_match (Topology.create (Sim.create ())))
+
 let suite =
   ( "net",
     [
@@ -383,4 +532,16 @@ let suite =
       Alcotest.test_case "packet-count buffer" `Quick test_packet_count_buffer;
       Alcotest.test_case "lan repeats" `Quick test_lan_repeats;
       QCheck_alcotest.to_alcotest prop_itbl_matches_hashtbl;
+      QCheck_alcotest.to_alcotest prop_routes_match_linear_scan;
+      Alcotest.test_case "routes: fat tree" `Quick
+        (test_generator_routes
+           (Spec.Fat_tree { k = 4; core_rate_bps = 2_000_000. }));
+      Alcotest.test_case "routes: star of LANs" `Quick
+        (test_generator_routes
+           (Spec.Star_lans { lans = 4; hosts_per_lan = 4; core_rate_bps = 2_000_000. }));
+      Alcotest.test_case "routes: ISP random" `Quick
+        (test_generator_routes
+           (Spec.Isp_random
+              { routers = 8; extra_links = 6; hosts_per_edge = 2; core_rate_bps = 2_000_000. }));
+      Alcotest.test_case "routes: empty topology" `Quick test_empty_routes;
     ] )
