@@ -21,6 +21,7 @@ type sampler =
 type state = {
   mutable dt : float option;  (** None = sampling disabled *)
   mutable samplers : (string * sampler) list;  (** reverse registration order *)
+  names : (string, unit) Hashtbl.t;  (** the samplers' names; never iterated *)
   series : (string, Series.t) Hashtbl.t;
   mutable dropped : int;  (** points discarded by the [max_points] bound *)
 }
@@ -30,7 +31,13 @@ let max_points = 65536
 
 let state : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { dt = None; samplers = []; series = Hashtbl.create 16; dropped = 0 })
+      {
+        dt = None;
+        samplers = [];
+        names = Hashtbl.create 16;
+        series = Hashtbl.create 16;
+        dropped = 0;
+      })
 
 let enable ~dt () =
   if not (Float.is_finite dt && dt > 0.) then
@@ -43,6 +50,7 @@ let dt () = (Domain.DLS.get state).dt
 let reset () =
   let t = Domain.DLS.get state in
   t.samplers <- [];
+  Hashtbl.reset t.names;
   Hashtbl.reset t.series;
   t.dropped <- 0
 
@@ -72,13 +80,17 @@ let record name ~time ~value =
 (* Two components may pick the same series name; suffix later registrations "#2", "#3", ...
    deterministically rather than interleave their points. *)
 let unique_name t name =
-  if not (List.mem_assoc name t.samplers) then name
-  else
-    let rec go k =
-      let candidate = Printf.sprintf "%s#%d" name k in
-      if List.mem_assoc candidate t.samplers then go (k + 1) else candidate
-    in
-    go 2
+  let unique =
+    if not (Hashtbl.mem t.names name) then name
+    else
+      let rec go k =
+        let candidate = Printf.sprintf "%s#%d" name k in
+        if Hashtbl.mem t.names candidate then go (k + 1) else candidate
+      in
+      go 2
+  in
+  Hashtbl.replace t.names unique ();
+  unique
 
 let add_sampler name sampler =
   let t = Domain.DLS.get state in

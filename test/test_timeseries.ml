@@ -63,7 +63,20 @@ let test_name_collision_suffix () =
       Timeseries.sample_gauge "q" (fun () -> 3.);
       Timeseries.sample_all ~time:0.;
       Alcotest.(check (list string)) "suffixed names" [ "q"; "q#2"; "q#3" ]
-        (List.map fst (Timeseries.snapshot ())))
+        (List.map fst (Timeseries.snapshot ()));
+      (* [reset] forgets the names, and so does [disable]: the next "q"
+         is "q" again, not "q#4". *)
+      let register_q_again () =
+        Timeseries.sample_gauge "q" (fun () -> 4.);
+        Timeseries.sample_all ~time:1.;
+        List.map fst (Timeseries.snapshot ())
+      in
+      Timeseries.reset ();
+      Alcotest.(check (list string)) "after reset" [ "q" ] (register_q_again ());
+      Timeseries.disable ();
+      Timeseries.enable ~dt:1. ();
+      Alcotest.(check (list string)) "after disable and enable" [ "q" ]
+        (register_q_again ()))
 
 (* Every series keeps at most 65536 samples. *)
 let test_bounded_series () =
