@@ -260,10 +260,11 @@ done
 # (it would run without end), one whose diurnal churn period is so
 # short that its churn plan would exhaust memory, the committed
 # fat-tree flash crowd with max_int arrivals, whose seat count would
-# wrap negative, and two whose topology or churn plan is too large to
-# build: a k=100000 fat tree and a 1e12 s diurnal run with a 1 s
-# period.  Only `workload check` reads them; running them would
-# exhaust memory.
+# wrap negative, and four whose topology, churn plan or traffic is too
+# large to build: a k=100000 fat tree, a 1e12 s diurnal run with a 1 s
+# period, the committed ISP outage with 1e12 shortcut links and the
+# committed web cross traffic with 1e12 tcp flows.  Only `workload
+# check` reads them; running them would exhaust memory.
 printf '{"version": 1, "name": "bad"}\n' > "$SCRATCH/bad-workload.json"
 printf '{"version": 1, "name": "bad", "duration": 1e}\n' \
   > "$SCRATCH/bad-number.json"
@@ -283,6 +284,16 @@ with open("workloads/fat_tree_flash_crowd.json") as f:
 doc["churn"]["arrivals"] = 4611686018427387903
 with open(os.path.join(os.environ["SCRATCH"], "bad-seats.json"), "w") as f:
     json.dump(doc, f)
+with open("workloads/isp_regional_outage.json") as f:
+    doc = json.load(f)
+doc["topology"]["extra_links"] = 10**12
+with open(os.path.join(os.environ["SCRATCH"], "bad-shortcuts.json"), "w") as f:
+    json.dump(doc, f)
+with open("workloads/web_cross_traffic.json") as f:
+    doc = json.load(f)
+doc["traffic"][1]["flows"] = 10**12
+with open(os.path.join(os.environ["SCRATCH"], "bad-flows.json"), "w") as f:
+    json.dump(doc, f)
 EOF
 printf '%s\n' '{"version": 1, "name": "bad", "duration": 20,
   "topology": {"kind": "fat_tree", "k": 100000}, "protocol": "flid",
@@ -294,7 +305,7 @@ printf '%s\n' '{"version": 1, "name": "bad", "duration": 1e12,
   "churn": {"kind": "diurnal", "period": 1, "fraction": 0.5}}' \
   > "$SCRATCH/bad-diurnal.json"
 for BAD in bad-workload bad-number bad-infinite bad-period bad-seats \
-  bad-tree bad-diurnal; do
+  bad-tree bad-diurnal bad-shortcuts bad-flows; do
   STATUS=0
   dune exec bin/mcc.exe -- workload check "$SCRATCH/$BAD.json" \
     2> "$SCRATCH/$BAD.err" || STATUS=$?
@@ -310,6 +321,8 @@ grep -q "receivers" "$SCRATCH/bad-seats.err"
 grep -q "churn.arrivals" "$SCRATCH/bad-seats.err"
 grep -q "bad-tree.json.topology" "$SCRATCH/bad-tree.err"
 grep -q "bad-diurnal.json.churn" "$SCRATCH/bad-diurnal.err"
+grep -q "bad-shortcuts.json.topology.extra_links" "$SCRATCH/bad-shortcuts.err"
+grep -qF "bad-flows.json.traffic[1].flows" "$SCRATCH/bad-flows.err"
 # ... and so must a non-finite timing option on the command line, naming
 # the option.  The timeout bounds the check: a NaN attack time that got
 # through would run its cell without end.

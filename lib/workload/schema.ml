@@ -72,16 +72,29 @@ let positive ctx what v =
 
 (* A run builds its topology and its churn plan in full before the first
    event, so the document's numbers alone set how much memory it takes.
-   Every node gets a route to every other, N^2 FIB entries computed by a
-   linear-scan Dijkstra per node (O(N^3) time).  1,000 receiver hosts is
-   over 60 times the largest committed workload (a k=4 fat tree's 15):
-   an 8 s star_lans run with 10 LANs of 100 hosts took 5.0 s and 68 MB
-   peak RSS on a 2-core x86-64 container. *)
+   Every node gets a route to every other: a heap Dijkstra per node
+   takes O(N E log E) time, and the N^2 FIB entries it fills are what
+   grows.  1,000 receiver hosts is over 60 times the largest committed
+   workload (a k=4 fat tree's 15): an 8 s star_lans run with 10 LANs of
+   100 hosts (1,012 nodes) took 0.25-0.39 s of CPU and 56 MB peak RSS
+   on a 2-core x86-64 container. *)
 let max_receiver_hosts = 1_000
 
 (* The builder starts a receiver instance for every churn interval up
    front; the committed workloads plan at most 15 intervals. *)
 let max_churn_intervals = 10_000
+
+(* An isp_random shortcut is one more duplex core link for every
+   source's Dijkstra to relax.  1,000 is as many as the routers of the
+   largest ISP graph the host bound admits, so shortcuts at most double
+   its core; the committed workload draws 3. *)
+let max_extra_links = 1_000
+
+(* Each web or tcp flow starts from a host of its own, on its own
+   access link, that every node routes to.  1,000 flows over all the
+   traffic entries at most double the hosts the receiver bound allows;
+   the committed workloads start at most 4. *)
+let max_flows = 1_000
 
 (* --- Enumerations from the Spec registries ------------------------------ *)
 
@@ -149,6 +162,10 @@ let topology ctx v =
       if routers < 2 then err (ctx ^ ".routers") "need at least two routers"
       else if extra_links < 0 then
         err (ctx ^ ".extra_links") "must be non-negative"
+      else if extra_links > max_extra_links then
+        err (ctx ^ ".extra_links")
+          (Printf.sprintf "%d shortcut links exceed the %d a workload may build"
+             extra_links max_extra_links)
       else if hosts_per_edge < 1 then
         err (ctx ^ ".hosts_per_edge") "need at least one host per edge"
       else
@@ -362,13 +379,29 @@ let params_of_json ~ctx json =
     match opt_field fields "traffic" with
     | None -> Ok []
     | Some (Json.List xs) ->
-        let rec each i acc = function
+        (* [before] counts the earlier entries' flows, at most
+           [max_flows]; the comparison forms no sum that could wrap. *)
+        let rec each i before acc = function
           | [] -> Ok (List.rev acc)
           | x :: rest ->
-              let* t = traffic_one (Printf.sprintf "%s.traffic[%d]" ctx i) x in
-              each (i + 1) (t :: acc) rest
+              let ctx_i = Printf.sprintf "%s.traffic[%d]" ctx i in
+              let* t = traffic_one ctx_i x in
+              let flows =
+                match t with
+                | Spec.Web_mix { flows; _ } | Spec.Tcp_flows { flows } -> flows
+              in
+              if flows > max_flows - before then
+                err (ctx_i ^ ".flows")
+                  (Printf.sprintf
+                     "%d flows%s exceed the %d a workload may start" flows
+                     (if before = 0 then ""
+                      else
+                        Printf.sprintf " plus %d in earlier traffic entries"
+                          before)
+                     max_flows)
+              else each (i + 1) (before + flows) (t :: acc) rest
         in
-        each 0 [] xs
+        each 0 0 [] xs
     | Some _ -> err (ctx ^ ".traffic") "expected a list of traffic objects"
   in
   let* attack, attack_at =

@@ -153,7 +153,39 @@ let test_schema_invalid () =
     {|{ "version": 1, "name": "t", "duration": 1e12,
         "topology": { "kind": "dumbbell" },
         "protocol": "flid", "defence": "plain", "receivers": 2,
-        "churn": { "kind": "diurnal", "period": 1, "fraction": 0.5 } }|}
+        "churn": { "kind": "diurnal", "period": 1, "fraction": 0.5 } }|};
+  (* ... and the links or hosts each of these would build: the committed
+     workloads/isp_regional_outage.json with 1e12 shortcut links, and
+     workloads/web_cross_traffic.json with 1e12 web flows, then 1e12
+     tcp flows after its 4 web ones. *)
+  expect_error
+    ~needle:"w.json.topology.extra_links: 1000000000000 shortcut links exceed"
+    {|{ "version": 1, "name": "isp-regional-outage", "seed": 53,
+        "duration": 120,
+        "topology": { "kind": "isp_random", "routers": 6,
+                      "extra_links": 1000000000000, "hosts_per_edge": 2,
+                      "core_rate_bps": 2000000 },
+        "protocol": "flid", "defence": "delta+sigma", "receivers": 9,
+        "churn": { "kind": "regional_outage", "at": 40, "restore_at": 80,
+                   "fraction": 0.4 } }|};
+  let web_cross_traffic ~web ~tcp =
+    Printf.sprintf
+      {|{ "version": 1, "name": "web-cross-traffic", "seed": 61,
+          "duration": 120, "topology": { "kind": "dumbbell" },
+          "protocol": "flid", "defence": "delta+sigma", "receivers": 4,
+          "traffic": [
+            { "kind": "web", "flows": %d, "rate_bps": 200000, "mean_on": 5,
+              "mean_off": 5 },
+            { "kind": "tcp", "flows": %d } ] }|}
+      web tcp
+  in
+  expect_error ~needle:"w.json.traffic[0].flows: 1000000000000 flows exceed"
+    (web_cross_traffic ~web:1_000_000_000_000 ~tcp:1);
+  expect_error
+    ~needle:
+      "w.json.traffic[1].flows: 1000000000000 flows plus 4 in earlier \
+       traffic entries"
+    (web_cross_traffic ~web:4 ~tcp:1_000_000_000_000)
 
 (* Mutated copies of the committed workload files: the schema must
    answer each with a diagnostic naming the file, never an exception.
