@@ -93,7 +93,7 @@ let max_extra_links = 1_000
 (* Each web or tcp flow starts from a host of its own, on its own
    access link, that every node routes to.  1,000 flows over all the
    traffic entries at most double the hosts the receiver bound allows;
-   the committed workloads start at most 4. *)
+   the committed workloads start at most 5. *)
 let max_flows = 1_000
 
 (* --- Enumerations from the Spec registries ------------------------------ *)

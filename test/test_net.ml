@@ -368,8 +368,8 @@ let prop_itbl_matches_hashtbl =
 
 (* --- Routes against the linear-scan Dijkstra ------------------------------ *)
 
-(* The reference model: the linear-scan Dijkstra [Topology.compute_routes]
-   ran before it kept a heap, reading the graph through the public
+(* The reference model: a Dijkstra that scans for the nearest unsettled
+   node, lowest id first, reading the graph through the public
    interface.  For each source in id order, the first hop's link id
    toward every destination it reaches, in destination order. *)
 let reference_routes topo =
@@ -538,10 +538,16 @@ let suite =
            (Spec.Fat_tree { k = 4; core_rate_bps = 2_000_000. }));
       Alcotest.test_case "routes: star of LANs" `Quick
         (test_generator_routes
-           (Spec.Star_lans { lans = 4; hosts_per_lan = 4; core_rate_bps = 2_000_000. }));
+           (Spec.Star_lans
+              { lans = 4; hosts_per_lan = 4; core_rate_bps = 2_000_000. }));
       Alcotest.test_case "routes: ISP random" `Quick
         (test_generator_routes
            (Spec.Isp_random
-              { routers = 8; extra_links = 6; hosts_per_edge = 2; core_rate_bps = 2_000_000. }));
+              {
+                routers = 8;
+                extra_links = 6;
+                hosts_per_edge = 2;
+                core_rate_bps = 2_000_000.;
+              }));
       Alcotest.test_case "routes: empty topology" `Quick test_empty_routes;
     ] )
