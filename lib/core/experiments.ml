@@ -517,7 +517,7 @@ let key_passing ~seed ~duration ~interface_keys =
   in
   let drops =
     match Mcc_net.Multicast.router_of topo colluder_host with
-    | _, Some link -> link.Link.drops
+    | _, Some link -> link.Link.counts.drops
     | _, None -> -1
   in
   [
@@ -579,8 +579,8 @@ let run_study (p : Spec.study_params) =
       let link = (Scenario.dumbbell t).Dumbbell.forward in
       [
         ("honest_kbps", mean meter);
-        ("bottleneck_drops", float_of_int link.Mcc_net.Link.drops);
-        ("marks", float_of_int link.Mcc_net.Link.marks);
+        ("bottleneck_drops", float_of_int link.Mcc_net.Link.counts.drops);
+        ("marks", float_of_int link.Mcc_net.Link.counts.marks);
       ]
   | Spec.Fec_scheme { scheme } ->
       (* A CBR at the full bottleneck rate keeps the packet-count queue

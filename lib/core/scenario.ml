@@ -250,4 +250,4 @@ let run t ~seconds =
   end;
   Sim.run_until t.sim seconds
 
-let bottleneck_drops t = t.db.Dumbbell.forward.Link.drops
+let bottleneck_drops t = t.db.Dumbbell.forward.Link.counts.drops

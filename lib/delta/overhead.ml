@@ -33,17 +33,3 @@ let sigma_overhead p =
   in
   ((tuple_bits *. p.fec_expansion) +. float_of_int p.header_bits)
   /. (cumulative_rate p *. p.slot)
-
-type counters = {
-  mutable data_bits_sent : int;
-  mutable delta_field_bits : int;
-  mutable sigma_special_bits : int;
-}
-
-let counters () =
-  { data_bits_sent = 0; delta_field_bits = 0; sigma_special_bits = 0 }
-
-let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den
-
-let measured_delta c = ratio c.delta_field_bits c.data_bits_sent
-let measured_sigma c = ratio c.sigma_special_bits c.data_bits_sent

@@ -1,6 +1,7 @@
 (** Communication overhead of DELTA and SIGMA — the closed-form
-    analysis of paper Section 5.4 (reproduced by Figure 9), plus
-    counters for measuring the same ratios inside a simulation. *)
+    analysis of paper Section 5.4 (reproduced by Figure 9).  A
+    simulation measures the same two ratios from the sender's counts
+    ([Experiments.run_overhead]). *)
 
 type params = {
   groups : int;  (** N *)
@@ -31,18 +32,3 @@ val delta_overhead : params -> float
 val sigma_overhead : params -> float
 (** O_Sigma = ((l + 32 N + b (2N - 1 + sum f_g)) z + h) / (R t): the
     ratio of special-packet bits to data bits. *)
-
-(** {1 Measured counters} *)
-
-type counters = {
-  mutable data_bits_sent : int;
-  mutable delta_field_bits : int;
-  mutable sigma_special_bits : int;
-}
-
-val counters : unit -> counters
-
-val measured_delta : counters -> float
-(** delta field bits / data bits; 0 when no data was sent. *)
-
-val measured_sigma : counters -> float

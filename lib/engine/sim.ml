@@ -340,4 +340,3 @@ let run t =
   flush_metrics t
 
 let events_executed t = t.executed
-let queue_capacity t = t.queue.Scheduler.capacity ()

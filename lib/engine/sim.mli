@@ -89,7 +89,23 @@ val run_until : t -> float -> unit
 (** Execute events in time order until the queue is empty or the next
     event is later than the horizon; the clock ends at the horizon.
     The loop allocates nothing per event: each pop writes its time
-    into a flat {!Scheduler.cell}. *)
+    into a flat {!Scheduler.cell}.
+
+    [run] and [run_until] also publish to this domain's
+    {!Mcc_obs.Metrics} registry on return: the "engine.events" counter,
+    the backend-neutral "engine.queue_capacity" gauge (the event-queue
+    allocation high-water in slots, {!Scheduler.S.capacity} of the
+    backend: the "max heap depth" figure of a run profile), and the
+    per-backend "engine.queue_capacity.heap" /
+    "engine.queue_capacity.wheel" gauge for whichever backend the sim
+    runs on.  They additionally park the backend's
+    {!Scheduler.S.stats} probe — with this sim's timer-handle pool
+    hit/miss counters merged in — via
+    {!Mcc_obs.Profile.note_sched_stats} for the run-profile builder;
+    and when {!Mcc_obs.Prof} is collecting, the event loop runs an
+    instrumented variant attributing pop time to the "engine.sched"
+    span under "engine" (selected once at entry, so the disabled path
+    is the unmodified loop). *)
 
 val run : t -> unit
 (** Execute until the queue drains.  Periodic tasks never drain, so most
@@ -97,20 +113,3 @@ val run : t -> unit
 
 val events_executed : t -> int
 (** Total callbacks fired so far (observability / benchmarks). *)
-
-val queue_capacity : t -> int
-(** Event-queue allocation high-water in slots ({!Scheduler.S.capacity}
-    of the backend); the "max heap depth" figure of a run profile.
-
-    [run] and [run_until] also publish both counts to this domain's
-    {!Mcc_obs.Metrics} registry on return: the "engine.events" counter,
-    the backend-neutral "engine.queue_capacity" gauge, and the
-    per-backend "engine.queue_capacity.heap" / "engine.queue_capacity.wheel"
-    gauge for whichever backend the sim runs on.  They additionally park
-    the backend's {!Scheduler.S.stats} probe — with this sim's
-    timer-handle pool hit/miss counters merged in — via
-    {!Mcc_obs.Profile.note_sched_stats} for the run-profile builder; and
-    when {!Mcc_obs.Prof} is collecting, the event loop runs an
-    instrumented variant attributing pop time to the "engine.sched" span
-    under "engine" (selected once at entry, so the disabled path is the
-    unmodified loop). *)

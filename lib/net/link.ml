@@ -17,31 +17,28 @@ let event_name = function
   | Marked -> "mark"
   | Delivered -> "rx"
 
-(* Domain-aggregate counters over every link; the per-link totals stay
-   in the record fields below.  Get-or-create makes all links of a
-   domain share one set of handles. *)
-type metrics = {
-  m_tx : Metrics.counter;
-  m_tx_bytes : Metrics.counter;
-  m_enqueues : Metrics.counter;
-  m_enqueue_bytes : Metrics.counter;
-  m_drops : Metrics.counter;
-  m_drop_bytes : Metrics.counter;
-  m_marks : Metrics.counter;
-  m_mark_bytes : Metrics.counter;
+(* The link's one count of each event.  Its metrics reader reports
+   them as the domain's "link.*" counters, which sum over every link. *)
+type counters = {
+  mutable tx_packets : int;
+  mutable tx_bytes : int;
+  mutable enqueues : int;
+  mutable enqueue_bytes : int;
+  mutable drops : int;
+  mutable drop_bytes : int;
+  mutable marks : int;
+  mutable mark_bytes : int;
 }
 
-let link_metrics () =
-  {
-    m_tx = Metrics.counter "link.tx_packets";
-    m_tx_bytes = Metrics.counter "link.tx_bytes";
-    m_enqueues = Metrics.counter "link.enqueues";
-    m_enqueue_bytes = Metrics.counter "link.enqueue_bytes";
-    m_drops = Metrics.counter "link.drops";
-    m_drop_bytes = Metrics.counter "link.drop_bytes";
-    m_marks = Metrics.counter "link.marks";
-    m_mark_bytes = Metrics.counter "link.mark_bytes";
-  }
+let report c add =
+  add "link.tx_packets" c.tx_packets;
+  add "link.tx_bytes" c.tx_bytes;
+  add "link.enqueues" c.enqueues;
+  add "link.enqueue_bytes" c.enqueue_bytes;
+  add "link.drops" c.drops;
+  add "link.drop_bytes" c.drop_bytes;
+  add "link.marks" c.marks;
+  add "link.mark_bytes" c.mark_bytes
 
 type t = {
   id : int;
@@ -59,15 +56,7 @@ type t = {
   mutable busy : bool;
   mutable rev : t option;
   mutable deliver : Packet.t -> unit;
-  mutable tx_packets : int;
-  mutable tx_bytes : int;
-  mutable enqueues : int;
-  mutable enqueue_bytes : int;
-  mutable drops : int;
-  mutable drop_bytes : int;
-  mutable marks : int;
-  mutable mark_bytes : int;
-  metrics : metrics;
+  counts : counters;
 }
 
 let create ~sim ~id ~src ~dst ~dst_kind ~rate_bps ~delay_s ~buffer_bytes
@@ -75,6 +64,21 @@ let create ~sim ~id ~src ~dst ~dst_kind ~rate_bps ~delay_s ~buffer_bytes
   if rate_bps <= 0. then invalid_arg "Link.create: rate_bps <= 0";
   if delay_s < 0. then invalid_arg "Link.create: negative delay";
   if buffer_bytes < 0 then invalid_arg "Link.create: negative buffer";
+  let counts =
+    {
+      tx_packets = 0;
+      tx_bytes = 0;
+      enqueues = 0;
+      enqueue_bytes = 0;
+      drops = 0;
+      drop_bytes = 0;
+      marks = 0;
+      mark_bytes = 0;
+    }
+  in
+  (* The reader holds the counters, not the link, so a finished
+     scenario stays collectable. *)
+  Metrics.reader counts report;
   let t =
     {
       id;
@@ -94,15 +98,7 @@ let create ~sim ~id ~src ~dst ~dst_kind ~rate_bps ~delay_s ~buffer_bytes
       busy = false;
       rev = None;
       deliver = (fun _ -> ());
-      tx_packets = 0;
-      tx_bytes = 0;
-      enqueues = 0;
-      enqueue_bytes = 0;
-      drops = 0;
-      drop_bytes = 0;
-      marks = 0;
-      mark_bytes = 0;
-      metrics = link_metrics ();
+      counts;
     }
   in
   (* Per-link time series (no-ops unless the run enabled sampling):
@@ -113,9 +109,9 @@ let create ~sim ~id ~src ~dst ~dst_kind ~rate_bps ~delay_s ~buffer_bytes
     Timeseries.sample_gauge (name "queue_bytes") (fun () ->
         float_of_int t.queued_bytes);
     Timeseries.sample_rate (name "drops_per_s") (fun () ->
-        float_of_int t.drops);
+        float_of_int counts.drops);
     Timeseries.sample_rate ~scale:0.008 (name "tx_kbps") (fun () ->
-        float_of_int t.tx_bytes)
+        float_of_int counts.tx_bytes)
   end;
   t
 
@@ -156,10 +152,9 @@ let[@hot] note t event pkt =
 
 let rec start_tx t pkt =
   t.busy <- true;
-  t.tx_packets <- t.tx_packets + 1;
-  t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
-  Metrics.incr t.metrics.m_tx;
-  Metrics.incr_by t.metrics.m_tx_bytes pkt.Packet.size;
+  let c = t.counts in
+  c.tx_packets <- c.tx_packets + 1;
+  c.tx_bytes <- c.tx_bytes + pkt.Packet.size;
   note t Tx_start pkt;
   Sim.post_after t.sim ~delay:(tx_time t pkt) (fun () ->
          (* Serialization finished: launch propagation, then service the
@@ -180,10 +175,9 @@ let rec start_tx t pkt =
 
 let[@hot] mark t pkt =
   pkt.Packet.ecn <- true;
-  t.marks <- t.marks + 1;
-  t.mark_bytes <- t.mark_bytes + pkt.Packet.size;
-  Metrics.incr t.metrics.m_marks;
-  Metrics.incr_by t.metrics.m_mark_bytes pkt.Packet.size;
+  let c = t.counts in
+  c.marks <- c.marks + 1;
+  c.mark_bytes <- c.mark_bytes + pkt.Packet.size;
   note t Marked pkt
 
 let[@hot] send_body t pkt =
@@ -203,18 +197,16 @@ let[@hot] send_body t pkt =
     | Some _ | None -> ());
     Pool.Fifo.push t.queue pkt;
     t.queued_bytes <- t.queued_bytes + pkt.Packet.size;
-    t.enqueues <- t.enqueues + 1;
-    t.enqueue_bytes <- t.enqueue_bytes + pkt.Packet.size;
-    Metrics.incr t.metrics.m_enqueues;
-    Metrics.incr_by t.metrics.m_enqueue_bytes pkt.Packet.size;
+    let c = t.counts in
+    c.enqueues <- c.enqueues + 1;
+    c.enqueue_bytes <- c.enqueue_bytes + pkt.Packet.size;
     note t Enqueued pkt;
     true
   end
   else begin
-    t.drops <- t.drops + 1;
-    t.drop_bytes <- t.drop_bytes + pkt.Packet.size;
-    Metrics.incr t.metrics.m_drops;
-    Metrics.incr_by t.metrics.m_drop_bytes pkt.Packet.size;
+    let c = t.counts in
+    c.drops <- c.drops + 1;
+    c.drop_bytes <- c.drop_bytes + pkt.Packet.size;
     note t Dropped pkt;
     false
   end

@@ -9,21 +9,21 @@
 
 type dst_kind = To_host | To_router | To_lan
 
-type event =
-  | Tx_start  (** serialization of a packet began *)
-  | Enqueued
-  | Dropped
-  | Marked
-  | Delivered  (** handed to the receiving node after propagation *)
-
-val event_name : event -> string
-(** Short stable name ("tx", "enq", "drop", "mark", "rx") used by the
-    structured tracer. *)
-
-type metrics
-(** Domain-aggregate {!Mcc_obs.Metrics} counter handles
-    ("link.tx_packets", "link.drops", ...), shared by every link of the
-    domain; fetched once per link at creation. *)
+(** The link's packet and byte counts, the one count of each event.
+    {!create} registers them with the domain's {!Mcc_obs.Metrics}
+    registry as one reader, which reports each field under its name
+    with a "link." prefix ("link.tx_packets", "link.drops", ...), so
+    the snapshot sums them over every link.  Bytes are packet sizes. *)
+type counters = private {
+  mutable tx_packets : int;  (** serializations begun *)
+  mutable tx_bytes : int;
+  mutable enqueues : int;  (** packets queued behind a busy link *)
+  mutable enqueue_bytes : int;
+  mutable drops : int;  (** packets refused by a full buffer *)
+  mutable drop_bytes : int;
+  mutable marks : int;  (** packets ECN-marked on enqueue *)
+  mutable mark_bytes : int;
+}
 
 type t = {
   id : int;
@@ -45,16 +45,7 @@ type t = {
   mutable busy : bool;
   mutable rev : t option;  (** reverse direction of a duplex pair *)
   mutable deliver : Packet.t -> unit;
-  (* per-link packet and byte counters *)
-  mutable tx_packets : int;
-  mutable tx_bytes : int;
-  mutable enqueues : int;
-  mutable enqueue_bytes : int;
-  mutable drops : int;
-  mutable drop_bytes : int;
-  mutable marks : int;
-  mutable mark_bytes : int;
-  metrics : metrics;
+  counts : counters;
 }
 
 val create :

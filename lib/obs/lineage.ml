@@ -108,7 +108,6 @@ let state_key =
       })
 
 let state () = Domain.DLS.get state_key
-let enabled () = (state ()).on
 
 let reset () =
   let st = state () in
@@ -200,7 +199,6 @@ let hop t ~time comp =
   end
 
 let hops t = List.init t.hops (fun i -> (t.times.(i), t.comps.(i)))
-let origin t = (t.origin_session, t.origin_level, t.born)
 let lost t = t.lost
 
 let note_transition st ~from_comp ~to_comp dt =

@@ -24,8 +24,6 @@ type t
 (** A per-packet lineage record.  Mutable; ownership follows the
     packet (clone on copy, release with the packet's pool slot). *)
 
-val enabled : unit -> bool
-
 val enable : unit -> unit
 (** Clears this domain's aggregates and starts collecting: {!fresh}
     returns live records from here on. *)
@@ -71,9 +69,6 @@ val note_case : t -> kind:string -> time:float -> attrs:(string * Json.t) list -
     pin the first rejected key with its full causal path. *)
 
 val hops : t -> (float * string) list
-
-val origin : t -> int * int * float
-(** Session, level, birth time. *)
 
 val lost : t -> int
 

@@ -23,16 +23,30 @@ type value =
       sum : float;
     }
 
+(* The registered readers: each pairs the record that holds a
+   component's own counters with the function that reports them by
+   name.  A list of its own, so that registering a reader allocates one
+   block. *)
+type readers =
+  | No_readers
+  | Reader : 'a * ('a -> (string -> int -> unit) -> unit) * readers -> readers
+
+type registry = {
+  metrics : (string, metric) Hashtbl.t;
+  mutable readers : readers;
+}
+
 (* Domain-local, like the packet-UID registry: every domain of a batch
    run owns its own table, so concurrent simulations never contend on —
    or non-deterministically interleave — the counters.  Handles fetched
    before a [reset] keep mutating their detached records and simply stop
-   being visible in snapshots, which is exactly the isolation the
-   per-run reset in [Runner] relies on. *)
-let registry : (string, metric) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+   being visible in snapshots, and the readers go with the table, which
+   is exactly the isolation the per-run reset in [Runner] relies on. *)
+let registry : registry Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { metrics = Hashtbl.create 64; readers = No_readers })
 
-let table () = Domain.DLS.get registry
+let table () = (Domain.DLS.get registry).metrics
 
 let kind_error name =
   invalid_arg
@@ -48,10 +62,13 @@ let counter name =
       Hashtbl.replace tbl name (Counter_m c);
       c
 
-let[@hot] incr_by c by = c.count <- c.count + by
-let incr ?(by = 1) c = incr_by c by
+let incr ?(by = 1) c = c.count <- c.count + by
 let counter_value c = c.count
 let tick ?by name = incr ?by (counter name)
+
+let reader counts report =
+  let r = Domain.DLS.get registry in
+  r.readers <- Reader (counts, report, r.readers)
 
 let gauge name =
   let tbl = table () in
@@ -116,11 +133,45 @@ let freeze = function
           sum = h.sum;
         }
 
+(* A counter sums its handle's own increments and what every reader
+   reports under its name; a name only readers report is a counter
+   too. *)
 let snapshot () =
-  Hashtbl.fold (fun name m acc -> (name, freeze m) :: acc) (table ()) []
+  let r = Domain.DLS.get registry in
+  let counts = Hashtbl.create 64 in
+  let add name n =
+    let sum = Option.value (Hashtbl.find_opt counts name) ~default:0 in
+    Hashtbl.replace counts name (sum + n)
+  in
+  let others =
+    Hashtbl.fold
+      (fun name m acc ->
+        match m with
+        | Counter_m c ->
+            add name c.count;
+            acc
+        | Gauge_m _ | Histogram_m _ -> (name, freeze m) :: acc)
+      r.metrics []
+  in
+  let report name n =
+    match Hashtbl.find_opt r.metrics name with
+    | Some (Gauge_m _ | Histogram_m _) -> kind_error name
+    | Some (Counter_m _) | None -> add name n
+  in
+  let rec read_all = function
+    | No_readers -> ()
+    | Reader (component_counts, report_counts, rest) ->
+        report_counts component_counts report;
+        read_all rest
+  in
+  read_all r.readers;
+  Hashtbl.fold (fun name n acc -> (name, Counter n) :: acc) counts others
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset () = Hashtbl.reset (table ())
+let reset () =
+  let r = Domain.DLS.get registry in
+  Hashtbl.reset r.metrics;
+  r.readers <- No_readers
 
 let value_json = function
   | Counter n -> Json.Int n

@@ -9,10 +9,19 @@
     handle — so components instrumented independently aggregate into one
     metric.
 
+    A component that already keeps its own counters (a link, a SIGMA
+    router, a TCP flow) does not bump a handle as well: it registers one
+    {!reader}, and {!snapshot} adds what every reader reports to the
+    named counters.  So a snapshot reads the live components: it sums
+    their counts as they stand when it is taken.
+
     The intended per-run protocol (what [Mcc_core.Runner] does):
     {!reset}, run the simulation, {!snapshot}.  Handles fetched before a
     reset keep mutating their detached records and stop being visible,
-    so a stale component can never pollute the next run's snapshot. *)
+    and the reset drops every reader, so a stale component can never
+    pollute the next run's snapshot.  A reader holds its counter record
+    until the next reset, so a component should register the record its
+    counts live in, not itself: a finished scenario stays collectable. *)
 
 type counter
 type gauge
@@ -35,15 +44,22 @@ val counter : string -> counter
 
 val incr : ?by:int -> counter -> unit
 
-val incr_by : counter -> int -> unit
-(** [incr ~by] without the optional-argument [Some] box: [\[@hot\]]
-    call sites use this so per-packet accounting allocates nothing. *)
-
 val counter_value : counter -> int
+(** The handle's own increments.  What readers report under the same
+    name is not included: it shows only in {!snapshot}. *)
 
 val tick : ?by:int -> string -> unit
 (** [incr ?by (counter name)] — for cold paths where caching the handle
     is not worth the plumbing. *)
+
+val reader : 'a -> ('a -> (string -> int -> unit) -> unit) -> unit
+(** [reader counts report] registers a component's own counters with
+    this domain's registry: at every {!snapshot}, [report counts add]
+    calls [add name n] once per counter, and [n] is added to the counter
+    [name].  Several readers may report the same name, and a handle of
+    that name may count as well; all of it is summed.  Registering
+    allocates one small block and looks no name up, so a component
+    registers a single reader at creation, whatever it counts. *)
 
 val gauge : string -> gauge
 val set : gauge -> float -> unit
@@ -68,10 +84,15 @@ val observe : histogram -> float -> unit
 
 val snapshot : unit -> (string * value) list
 (** Every metric of this domain's registry, sorted by name — the sort
-    makes renderings deterministic and byte-comparable. *)
+    makes renderings deterministic and byte-comparable.  Each counter
+    holds its handle's increments plus what the readers report under its
+    name, and a name only readers report is listed as a counter.
+    @raise Invalid_argument if a reader reports a name registered as a
+    gauge or a histogram. *)
 
 val reset : unit -> unit
-(** Empties this domain's registry (see the per-run protocol above). *)
+(** Empties this domain's registry and drops its readers (see the
+    per-run protocol above). *)
 
 val values_json : (string * value) list -> Json.t
 (** An object keyed by metric name, in list order. *)

@@ -68,98 +68,46 @@ type iface = {
 }
 
 type stats = {
-  subscriptions : int;
-  keys_accepted : int;
-  keys_rejected : int;
-  acks : int;
-  upgrade_graces : int;
-  grace_admissions : int;
-  suppressed_duplicates : int;
-  unsubscribes : int;
-  lockouts : int;
-  special_packets : int;
-  distinct_guesses : int;
+  mutable subscriptions : int;
+  mutable keys_accepted : int;
+  mutable keys_rejected : int;
+  mutable acks : int;
+  mutable upgrade_graces : int;
+  mutable grace_admissions : int;
+  mutable suppressed_joins : int;
+  mutable fec_duplicates : int;
+  mutable unsubscribes : int;
+  mutable lockouts : int;
+  mutable special_packets : int;
+  mutable distinct_guesses : int;
 }
 
-(* Running tallies behind {!stats}, the one source of every field; each
-   bump also feeds the domain's "sigma.*" metrics, whose handles live
-   alongside. *)
-type tallies = {
-  mutable t_subscriptions : int;
-  mutable t_keys_accepted : int;
-  mutable t_keys_rejected : int;
-  mutable t_acks : int;
-  mutable t_upgrade_graces : int;
-  mutable t_grace_admissions : int;
-  mutable t_dup_joins : int;
-  mutable t_fec_dups : int;
-  mutable t_unsubscribes : int;
-  mutable t_lockouts : int;
-  mutable t_specials : int;
-  mutable t_guesses : int;
-  m_subscriptions : Metrics.counter;
-  m_keys_accepted : Metrics.counter;
-  m_keys_rejected : Metrics.counter;
-  m_acks : Metrics.counter;
-  m_upgrade_graces : Metrics.counter;
-  m_grace_admissions : Metrics.counter;
-  m_suppressed : Metrics.counter;
-  m_unsubscribes : Metrics.counter;
-  m_lockouts : Metrics.counter;
-  m_specials : Metrics.counter;
-  m_guesses : Metrics.counter;
-  h_subscribe_pairs : Metrics.histogram;
-}
-
-let tallies_create () =
-  {
-    t_subscriptions = 0;
-    t_keys_accepted = 0;
-    t_keys_rejected = 0;
-    t_acks = 0;
-    t_upgrade_graces = 0;
-    t_grace_admissions = 0;
-    t_dup_joins = 0;
-    t_fec_dups = 0;
-    t_unsubscribes = 0;
-    t_lockouts = 0;
-    t_specials = 0;
-    t_guesses = 0;
-    m_subscriptions = Metrics.counter "sigma.subscriptions";
-    m_keys_accepted = Metrics.counter "sigma.keys_accepted";
-    m_keys_rejected = Metrics.counter "sigma.keys_rejected";
-    m_acks = Metrics.counter "sigma.acks";
-    m_upgrade_graces = Metrics.counter "sigma.upgrade_graces";
-    m_grace_admissions = Metrics.counter "sigma.grace_admissions";
-    m_suppressed = Metrics.counter "sigma.suppressed_duplicates";
-    m_unsubscribes = Metrics.counter "sigma.unsubscribes";
-    m_lockouts = Metrics.counter "sigma.lockouts";
-    m_specials = Metrics.counter "sigma.specials";
-    m_guesses = Metrics.counter "sigma.guesses";
-    h_subscribe_pairs =
-      Metrics.histogram "sigma.subscribe_pairs"
-        ~bounds:(Metrics.exponential_bounds ~base:1. ~count:5);
-  }
+(* The router's metrics reader: every agent's counts sum into the
+   domain's "sigma.*" counters at each snapshot. *)
+let report s add =
+  add "sigma.subscriptions" s.subscriptions;
+  add "sigma.keys_accepted" s.keys_accepted;
+  add "sigma.keys_rejected" s.keys_rejected;
+  add "sigma.acks" s.acks;
+  add "sigma.upgrade_graces" s.upgrade_graces;
+  add "sigma.grace_admissions" s.grace_admissions;
+  add "sigma.suppressed_duplicates" (s.suppressed_joins + s.fec_duplicates);
+  add "sigma.unsubscribes" s.unsubscribes;
+  add "sigma.lockouts" s.lockouts;
+  add "sigma.specials" s.special_packets;
+  add "sigma.guesses" s.distinct_guesses
 
 (* One receiver's run of rejected keys: opened at the first invalid
    (group, key) pair, extended by every further rejection, closed by the
    next fully valid Subscribe.  The span boundaries are also emitted as
    Warn-level "key_failure_start"/"key_failure_end" trace events, which
    is what [mcc report] reads back as the attack timeline. *)
-type failure_span = {
-  f_receiver : int;
-  f_first : float;
-  mutable f_last : float;
-  mutable f_rejects : int;
-  mutable f_ended : float option;
-}
-
 type key_failure = {
   kf_receiver : int;
   kf_first : float;
-  kf_last : float;
-  kf_rejects : int;
-  kf_ended : float option;
+  mutable kf_last : float;
+  mutable kf_rejects : int;
+  mutable kf_ended : float option;
 }
 
 type t = {
@@ -191,9 +139,10 @@ type t = {
          interface, making decrease keys interface-specific too (they
          are per-slot constants, so one pad, not an XOR accumulator) *)
   mutable scrubber : (Link.t -> Packet.t -> unit) option;
-  tallies : tallies;
-  failures : (int, failure_span) Hashtbl.t;  (* open spans, by receiver *)
-  mutable closed_failures : failure_span list;  (* newest first *)
+  stats : stats;
+  h_subscribe_pairs : Metrics.histogram;
+  failures : (int, key_failure) Hashtbl.t;  (* open spans, by receiver *)
+  mutable closed_failures : key_failure list;  (* newest first *)
 }
 
 let now t = Sim.now (Topology.sim t.topo)
@@ -219,6 +168,13 @@ let group_info t group =
       Itbl.replace t.groups group gi;
       Itbl.replace t.node.Node.protected_groups group ();
       gi
+
+(* The latest slot duration tuples announced for [group], or the
+   default before any arrived. *)
+let slot_duration t group =
+  match Itbl.find_opt t.groups group with
+  | Some gi -> gi.latest_duration
+  | None -> 0.5
 
 let iface_of_link t (link : Link.t) =
   match Itbl.find_opt t.ifaces link.Link.id with
@@ -268,8 +224,7 @@ let charge_join_lockout t grant ~group ~time ~duration =
     Float.max grant.lockout_until
       (time +. (lockout_slots *. duration *. scale));
   grant.by_join <- false;
-  t.tallies.t_lockouts <- t.tallies.t_lockouts + 1;
-  Metrics.incr t.tallies.m_lockouts;
+  t.stats.lockouts <- t.stats.lockouts + 1;
   Timeseries.record "sigma.evictions" ~time ~value:(float_of_int group);
   trace t "lockout" (fun () ->
       [ ("group", Json.Int group); ("strikes", Json.Int grant.join_strikes) ])
@@ -456,8 +411,7 @@ let on_special t pkt =
           wire_bytes = pkt.Packet.size;
         }
       in
-      t.tallies.t_specials <- t.tallies.t_specials + 1;
-      Metrics.incr t.tallies.m_specials;
+      t.stats.special_packets <- t.stats.special_packets + 1;
       let dups_before = Fec.duplicates decoder in
       (match Fec.feed decoder coded with
       | Some all ->
@@ -469,11 +423,8 @@ let on_special t pkt =
               ]);
           store_tuples t ~slot ~slot_duration all
       | None -> ());
-      let dup_delta = Fec.duplicates decoder - dups_before in
-      if dup_delta > 0 then begin
-        t.tallies.t_fec_dups <- t.tallies.t_fec_dups + dup_delta;
-        Metrics.incr t.tallies.m_suppressed ~by:dup_delta
-      end
+      t.stats.fec_duplicates <-
+        t.stats.fec_duplicates + Fec.duplicates decoder - dups_before
   | _ -> ()
 
 (* --- receiver messages ------------------------------------------------- *)
@@ -487,10 +438,8 @@ let tally_guess t ~group ~slot key =
         Hashtbl.replace t.guesses (group, slot) tbl;
         tbl
   in
-  if not (Hashtbl.mem tbl key) then begin
-    t.tallies.t_guesses <- t.tallies.t_guesses + 1;
-    Metrics.incr t.tallies.m_guesses
-  end;
+  if not (Hashtbl.mem tbl key) then
+    t.stats.distinct_guesses <- t.stats.distinct_guesses + 1;
   Hashtbl.replace tbl key ()
 
 let interface_keys_enabled t = t.config.interface_keys
@@ -560,35 +509,20 @@ let guess_count t ~group ~slot =
   | Some tbl -> Hashtbl.length tbl
   | None -> 0
 
-let total_guesses t = t.tallies.t_guesses
+let total_guesses t = t.stats.distinct_guesses
 
 let failure_audit t =
-  let view s =
-    { kf_receiver = s.f_receiver; kf_first = s.f_first; kf_last = s.f_last;
-      kf_rejects = s.f_rejects; kf_ended = s.f_ended }
-  in
-  let open_spans = Hashtbl.fold (fun _ s acc -> view s :: acc) t.failures [] in
+  let copy s = { s with kf_last = s.kf_last } in
+  let open_spans = Hashtbl.fold (fun _ s acc -> copy s :: acc) t.failures [] in
   List.sort
     (fun a b ->
       match Float.compare a.kf_first b.kf_first with
       | 0 -> Int.compare a.kf_receiver b.kf_receiver
       | c -> c)
-    (List.rev_map view t.closed_failures @ open_spans)
+    (List.rev_map copy t.closed_failures @ open_spans)
 
-let stats t =
-  {
-    subscriptions = t.tallies.t_subscriptions;
-    keys_accepted = t.tallies.t_keys_accepted;
-    keys_rejected = t.tallies.t_keys_rejected;
-    acks = t.tallies.t_acks;
-    upgrade_graces = t.tallies.t_upgrade_graces;
-    grace_admissions = t.tallies.t_grace_admissions;
-    suppressed_duplicates = t.tallies.t_dup_joins + t.tallies.t_fec_dups;
-    unsubscribes = t.tallies.t_unsubscribes;
-    lockouts = t.tallies.t_lockouts;
-    special_packets = t.tallies.t_specials;
-    distinct_guesses = t.tallies.t_guesses;
-  }
+(* A copy, so an earlier read stays a value. *)
+let stats t = { t.stats with subscriptions = t.stats.subscriptions }
 
 (* Every ack is sized at 16-bit keys, whatever width the session's
    keys have. *)
@@ -608,9 +542,8 @@ let handle_subscribe_body ?lineage t ~receiver ~slot ~pairs =
       (match lineage with
       | Some lin -> Lineage.hop lin ~time "sigma.subscribe"
       | None -> ());
-      t.tallies.t_subscriptions <- t.tallies.t_subscriptions + 1;
-      Metrics.incr t.tallies.m_subscriptions;
-      Metrics.observe t.tallies.h_subscribe_pairs
+      t.stats.subscriptions <- t.stats.subscriptions + 1;
+      Metrics.observe t.h_subscribe_pairs
         (float_of_int (List.length pairs));
       let accepted =
         List.filter
@@ -639,11 +572,8 @@ let handle_subscribe_body ?lineage t ~receiver ~slot ~pairs =
           pairs
       in
       let denied = List.length pairs - List.length accepted in
-      t.tallies.t_keys_accepted <-
-        t.tallies.t_keys_accepted + List.length accepted;
-      Metrics.incr t.tallies.m_keys_accepted ~by:(List.length accepted);
-      t.tallies.t_keys_rejected <- t.tallies.t_keys_rejected + denied;
-      Metrics.incr t.tallies.m_keys_rejected ~by:denied;
+      t.stats.keys_accepted <- t.stats.keys_accepted + List.length accepted;
+      t.stats.keys_rejected <- t.stats.keys_rejected + denied;
       trace t "subscribe" (fun () ->
           [
             ("receiver", Json.Int receiver);
@@ -680,26 +610,26 @@ let handle_subscribe_body ?lineage t ~receiver ~slot ~pairs =
       (if denied > 0 then
          match Hashtbl.find_opt t.failures receiver with
          | Some span ->
-             span.f_last <- time;
-             span.f_rejects <- span.f_rejects + denied
+             span.kf_last <- time;
+             span.kf_rejects <- span.kf_rejects + denied
          | None ->
              Hashtbl.replace t.failures receiver
-               { f_receiver = receiver; f_first = time; f_last = time;
-                 f_rejects = denied; f_ended = None };
+               { kf_receiver = receiver; kf_first = time; kf_last = time;
+                 kf_rejects = denied; kf_ended = None };
              trace ~level:Tracer.Warn t "key_failure_start" (fun () ->
                  [ ("receiver", Json.Int receiver);
                    ("rejected", Json.Int denied) ])
        else
          match Hashtbl.find_opt t.failures receiver with
          | Some span when accepted <> [] ->
-             span.f_ended <- Some time;
+             span.kf_ended <- Some time;
              Hashtbl.remove t.failures receiver;
              t.closed_failures <- span :: t.closed_failures;
              trace ~level:Tracer.Warn t "key_failure_end" (fun () ->
                  [ ("receiver", Json.Int receiver);
-                   ("start", Json.Float span.f_first);
-                   ("rejected", Json.Int span.f_rejects);
-                   ("duration", Json.Float (time -. span.f_first)) ])
+                   ("start", Json.Float span.kf_first);
+                   ("rejected", Json.Int span.kf_rejects);
+                   ("duration", Json.Float (time -. span.kf_first)) ])
          | Some _ | None -> ());
       List.iter
         (fun (group, _) ->
@@ -719,14 +649,12 @@ let handle_subscribe_body ?lineage t ~receiver ~slot ~pairs =
               Float.max grant.grace_until
                 (grant.granted_until
                 +. (t.config.upgrade_grace_slots *. entry.duration));
-            t.tallies.t_upgrade_graces <- t.tallies.t_upgrade_graces + 1;
-            Metrics.incr t.tallies.m_upgrade_graces
+            t.stats.upgrade_graces <- t.stats.upgrade_graces + 1
           end;
           graft_iface t iface group)
         accepted;
       if accepted <> [] then begin
-        t.tallies.t_acks <- t.tallies.t_acks + 1;
-        Metrics.incr t.tallies.m_acks;
+        t.stats.acks <- t.stats.acks + 1;
         send_ack t ~receiver ~slot ~pairs:accepted
       end
 
@@ -750,19 +678,13 @@ let handle_unsubscribe t ~receiver ~groups =
                  charges at expiry; otherwise join/leave cycling inside
                  the grace window is admitted again immediately and the
                  free ride never ends. *)
-              if grant.by_join && active_at grant time then begin
-                let duration =
-                  match Itbl.find_opt t.groups group with
-                  | Some gi -> gi.latest_duration
-                  | None -> 0.5
-                in
-                charge_join_lockout t grant ~group ~time ~duration
-              end;
+              if grant.by_join && active_at grant time then
+                charge_join_lockout t grant ~group ~time
+                  ~duration:(slot_duration t group);
               grant.granted_until <- neg_infinity;
               grant.grace_until <- neg_infinity;
               grant.by_join <- false;
-              t.tallies.t_unsubscribes <- t.tallies.t_unsubscribes + 1;
-              Metrics.incr t.tallies.m_unsubscribes;
+              t.stats.unsubscribes <- t.stats.unsubscribes + 1;
               trace t "unsubscribe" (fun () ->
                   [ ("receiver", Json.Int receiver);
                     ("group", Json.Int group) ]);
@@ -779,18 +701,13 @@ let handle_session_join t ~receiver ~group =
         | None -> false
       in
       if not known_non_minimal then begin
-        let duration =
-          match Itbl.find_opt t.groups group with
-          | Some gi -> gi.latest_duration
-          | None -> 0.5
-        in
+        let duration = slot_duration t group in
         let grant = grant_of t iface group in
         let time = now t in
         if time >= grant.lockout_until && not (active_at grant time) then begin
           grant.grace_until <- time +. (join_grace_slots *. duration);
           grant.by_join <- true;
-          t.tallies.t_grace_admissions <- t.tallies.t_grace_admissions + 1;
-          Metrics.incr t.tallies.m_grace_admissions;
+          t.stats.grace_admissions <- t.stats.grace_admissions + 1;
           trace t "grace_admit" (fun () ->
               [ ("receiver", Json.Int receiver);
                 ("group", Json.Int group) ]);
@@ -799,8 +716,7 @@ let handle_session_join t ~receiver ~group =
         else if active_at grant time then begin
           (* The interface already forwards the group: the join adds
              nothing and is suppressed rather than re-granted. *)
-          t.tallies.t_dup_joins <- t.tallies.t_dup_joins + 1;
-          Metrics.incr t.tallies.m_suppressed;
+          t.stats.suppressed_joins <- t.stats.suppressed_joins + 1;
           trace t "join_suppressed" (fun () ->
               [ ("receiver", Json.Int receiver);
                 ("group", Json.Int group) ])
@@ -854,16 +770,11 @@ let sweep t =
   | _ :: _ ->
       List.iter
         (fun (_, group, iface, grant) ->
-          if grant.by_join then begin
-            (* Keyless admission expired: pause the minimal group for at
-               least one slot (paper Section 3.2.2). *)
-            let duration =
-              match Itbl.find_opt t.groups group with
-              | Some gi -> gi.latest_duration
-              | None -> 0.5
-            in
-            charge_join_lockout t grant ~group ~time ~duration
-          end;
+          (* Keyless admission expired: pause the minimal group for at
+             least one slot (paper Section 3.2.2). *)
+          if grant.by_join then
+            charge_join_lockout t grant ~group ~time
+              ~duration:(slot_duration t group);
           prune_iface t iface group)
         (List.sort by_link_then_group lapsed));
   release_idle_control_channels t;
@@ -921,6 +832,25 @@ let attach ?(config = default_config) topo node =
   | Node.Edge_router -> ()
   | Node.Host | Node.Core_router | Node.Lan ->
       invalid_arg "Router_agent.attach: node is not an edge router");
+  let stats =
+    {
+      subscriptions = 0;
+      keys_accepted = 0;
+      keys_rejected = 0;
+      acks = 0;
+      upgrade_graces = 0;
+      grace_admissions = 0;
+      suppressed_joins = 0;
+      fec_duplicates = 0;
+      unsubscribes = 0;
+      lockouts = 0;
+      special_packets = 0;
+      distinct_guesses = 0;
+    }
+  in
+  (* The reader holds the counters, not the agent, so a finished
+     scenario stays collectable. *)
+  Metrics.reader stats report;
   let t =
     {
       topo;
@@ -936,7 +866,10 @@ let attach ?(config = default_config) topo node =
       pads = Hashtbl.create 256;
       dec_pads = Hashtbl.create 256;
       scrubber = None;
-      tallies = tallies_create ();
+      stats;
+      h_subscribe_pairs =
+        Metrics.histogram "sigma.subscribe_pairs"
+          ~bounds:(Metrics.exponential_bounds ~base:1. ~count:5);
       failures = Hashtbl.create 8;
       closed_failures = [];
     }
@@ -950,13 +883,13 @@ let attach ?(config = default_config) topo node =
     Timeseries.sample_rate (name "guesses_per_s") (fun () ->
         float_of_int (total_guesses t));
     Timeseries.sample_rate (name "keys_rejected_per_s") (fun () ->
-        float_of_int t.tallies.t_keys_rejected);
+        float_of_int stats.keys_rejected);
     Timeseries.sample_rate (name "grace_admissions_per_s") (fun () ->
-        float_of_int t.tallies.t_grace_admissions);
+        float_of_int stats.grace_admissions);
     Timeseries.sample_rate (name "suppressed_joins_per_s") (fun () ->
-        float_of_int t.tallies.t_dup_joins);
+        float_of_int stats.suppressed_joins);
     Timeseries.sample_rate (name "lockouts_per_s") (fun () ->
-        float_of_int t.tallies.t_lockouts)
+        float_of_int stats.lockouts)
   end;
   node.Node.intercept <- Some (on_special t);
   node.Node.mcast_filter <- Some (filter t);

@@ -113,46 +113,53 @@ val total_guesses : t -> int
     next fully valid Subscribe — or left open if it never recovers.
     The boundaries are also emitted as Warn-level "key_failure_start" /
     "key_failure_end" trace events on "sigma.router", the raw material
-    of the [mcc report] attack timeline. *)
-type key_failure = {
+    of the [mcc report] attack timeline.  The agent updates a span in
+    place; {!failure_audit} hands out copies. *)
+type key_failure = private {
   kf_receiver : int;
   kf_first : float;  (** sim time of the first rejection *)
-  kf_last : float;  (** sim time of the latest rejection *)
-  kf_rejects : int;  (** total rejected pairs in the span *)
-  kf_ended : float option;
+  mutable kf_last : float;  (** sim time of the latest rejection *)
+  mutable kf_rejects : int;  (** total rejected pairs in the span *)
+  mutable kf_ended : float option;
 }
 
 val failure_audit : t -> key_failure list
-(** Every key-failure span seen so far, closed and still-open, ordered
-    by start time. *)
+(** A copy of every key-failure span seen so far, closed and still-open,
+    ordered by start time. *)
 
-(** Lifetime activity of one agent, in one read.  Every field is a
-    running total, bumped where its event happens, so a read walks no
-    table.  The same quantities are published continuously to the
-    domain's metrics registry under "sigma.*" names (subscriptions,
+(** Lifetime activity of one agent: the agent's own counters, one per
+    quantity, each bumped where its event happens.  {!attach} registers
+    them with the domain's metrics registry as one reader, so each
+    snapshot reads them as they stand and sums them over every agent of
+    the domain's current run, under "sigma.*" names: subscriptions,
     keys_accepted, keys_rejected, acks, upgrade_graces,
-    grace_admissions, suppressed_duplicates, unsubscribes, lockouts,
-    specials, guesses, plus the "sigma.subscribe_pairs" histogram),
-    where they aggregate across all agents of the domain's current
-    run. *)
-type stats = {
-  subscriptions : int;  (** Subscribe messages processed *)
-  keys_accepted : int;  (** (group, key) pairs that validated *)
-  keys_rejected : int;  (** pairs that failed validation *)
-  acks : int;  (** Sub_ack messages sent *)
-  upgrade_graces : int;  (** grace windows opened by keyed activation *)
-  grace_admissions : int;  (** keyless session-join admissions *)
-  suppressed_duplicates : int;
-      (** redundant arrivals absorbed without effect: session-joins for
-          already-active interfaces plus FEC packets that added no
-          information (repeat copies/chunks, post-completion) *)
-  unsubscribes : int;  (** groups explicitly released by receivers *)
-  lockouts : int;  (** minimal-group pauses after keyless expiry *)
-  special_packets : int;  (** special packets intercepted *)
-  distinct_guesses : int;  (** = {!total_guesses} at the time of the call *)
+    grace_admissions, suppressed_duplicates (suppressed joins plus FEC
+    duplicates), unsubscribes, lockouts, specials (special packets) and
+    guesses (distinct guesses).  The agent also observes the
+    "sigma.subscribe_pairs" histogram. *)
+type stats = private {
+  mutable subscriptions : int;  (** Subscribe messages processed *)
+  mutable keys_accepted : int;  (** (group, key) pairs that validated *)
+  mutable keys_rejected : int;  (** pairs that failed validation *)
+  mutable acks : int;  (** Sub_ack messages sent *)
+  mutable upgrade_graces : int;
+      (** grace windows opened by keyed activation *)
+  mutable grace_admissions : int;  (** keyless session-join admissions *)
+  mutable suppressed_joins : int;
+      (** session-joins for already-active interfaces, absorbed without
+          effect *)
+  mutable fec_duplicates : int;
+      (** FEC packets that added no information (repeat copies or
+          chunks, or arrivals after the slot decoded) *)
+  mutable unsubscribes : int;  (** groups explicitly released by receivers *)
+  mutable lockouts : int;  (** minimal-group pauses after keyless expiry *)
+  mutable special_packets : int;  (** special packets intercepted *)
+  mutable distinct_guesses : int;  (** = {!total_guesses} *)
 }
 
 val stats : t -> stats
+(** A copy of the agent's counters, so an earlier read keeps its
+    values. *)
 
 val known_groups : t -> int list
 (** Groups the agent has received tuples for, in no particular order. *)

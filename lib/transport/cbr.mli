@@ -18,4 +18,3 @@ val pause : t -> unit
 (** Suspends emission (packets already in flight are unaffected). *)
 
 val resume : t -> unit
-val stop : t -> unit

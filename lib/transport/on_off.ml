@@ -1,10 +1,6 @@
 module Sim = Mcc_engine.Sim
 
-type t = {
-  cbr : Cbr.t;
-  mutable toggles : Sim.handle list;
-  mutable stopped : bool;
-}
+type t = Cbr.t
 
 let start ?(at = 0.) ?until topo ~src ~dst ~rate_bps ~size ~on_period
     ~off_period () =
@@ -12,23 +8,15 @@ let start ?(at = 0.) ?until topo ~src ~dst ~rate_bps ~size ~on_period
   let sim = Mcc_net.Topology.sim topo in
   let cbr = Cbr.start ~at topo ~src ~dst ~rate_bps ~size () in
   Cbr.pause cbr;
-  let t = { cbr; toggles = []; stopped = false } in
   let horizon = Option.value until ~default:infinity in
   let rec cycle start_time () =
-    if (not t.stopped) && start_time < horizon then begin
+    if start_time < horizon then begin
       Cbr.resume cbr;
       let off_at = Float.min horizon (start_time +. on_period) in
-      t.toggles <-
-        Sim.schedule sim ~at:off_at (fun () -> Cbr.pause cbr) :: t.toggles;
+      Sim.post sim ~at:off_at (fun () -> Cbr.pause cbr);
       let next = start_time +. on_period +. off_period in
-      if next < horizon then
-        t.toggles <- Sim.schedule sim ~at:next (cycle next) :: t.toggles
+      if next < horizon then Sim.post sim ~at:next (cycle next)
     end
   in
-  t.toggles <- [ Sim.schedule sim ~at (cycle at) ];
-  t
-
-let stop t =
-  t.stopped <- true;
-  List.iter Sim.cancel t.toggles;
-  Cbr.stop t.cbr
+  Sim.post sim ~at (cycle at);
+  cbr

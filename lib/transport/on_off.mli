@@ -19,5 +19,3 @@ val start :
   t
 (** Starts an on period at [at] (default 0); if [until] is given, the
     source stops for good at that time. *)
-
-val stop : t -> unit

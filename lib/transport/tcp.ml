@@ -16,6 +16,14 @@ let ack_size = 40
 let min_rto = 0.5
 let max_rto = 60.
 
+(* The flow's one count of each event, which its metrics reader reports
+   as the domain's "tcp.*" counters. *)
+type counters = { mutable retransmissions : int; mutable timeouts : int }
+
+let report c add =
+  add "tcp.retransmits" c.retransmissions;
+  add "tcp.rto_fires" c.timeouts
+
 type t = {
   sim : Sim.t;
   flow : int;
@@ -37,28 +45,23 @@ type t = {
   mutable timing : (int * float) option;  (* (seq, send time) RTT sample *)
   rto_timer : Sim.timer;
   on_rto : unit -> unit;  (* [on_timeout] of this flow, built once *)
-  mutable retransmissions : int;
-  mutable timeouts : int;
+  counts : counters;
   mutable running : bool;
   (* receiver state *)
   mutable rcv_nxt : int;
   ooo : (int, unit) Hashtbl.t;  (* out-of-order segments buffered at sink *)
-  m_retransmits : Metrics.counter;
-  m_rto_fires : Metrics.counter;
   h_rtt_ms : Metrics.histogram;
 }
 
 let delivered_meter t = t.meter
 let cwnd t = t.cwnd
-let retransmissions t = t.retransmissions
-let timeouts t = t.timeouts
+let retransmissions t = t.counts.retransmissions
 
 let flight t = t.snd_nxt - t.snd_una
 
 let send_segment t ~seq ~retransmit =
   if retransmit then begin
-    t.retransmissions <- t.retransmissions + 1;
-    Metrics.incr t.m_retransmits;
+    t.counts.retransmissions <- t.counts.retransmissions + 1;
     (* Karn: never sample the RTT of a retransmitted segment. *)
     match t.timing with
     | Some (s, _) when s = seq -> t.timing <- None
@@ -83,8 +86,7 @@ let rec arm_rto t =
 
 and on_timeout t =
   if flight t > 0 && t.running then begin
-    t.timeouts <- t.timeouts + 1;
-    Metrics.incr t.m_rto_fires;
+    t.counts.timeouts <- t.counts.timeouts + 1;
     t.ssthresh <- Float.max (float_of_int (flight t) /. 2.) 2.;
     t.cwnd <- 1.;
     t.dupacks <- 0;
@@ -184,6 +186,10 @@ let on_data t seq =
 
 let start ?(at = 0.) topo ~flow ~src ~dst () =
   let sim = Mcc_net.Topology.sim topo in
+  let counts = { retransmissions = 0; timeouts = 0 } in
+  (* The reader holds the counters, not the flow, so a finished
+     scenario stays collectable. *)
+  Metrics.reader counts report;
   let rec t =
     {
       sim;
@@ -205,13 +211,10 @@ let start ?(at = 0.) topo ~flow ~src ~dst () =
       timing = None;
       rto_timer = Sim.timer sim;
       on_rto = (fun () -> on_timeout t);
-      retransmissions = 0;
-      timeouts = 0;
+      counts;
       running = false;
       rcv_nxt = 0;
       ooo = Hashtbl.create 64;
-      m_retransmits = Metrics.counter "tcp.retransmits";
-      m_rto_fires = Metrics.counter "tcp.rto_fires";
       h_rtt_ms =
         Metrics.histogram "tcp.rtt_ms"
           ~bounds:(Metrics.exponential_bounds ~base:10. ~count:8);
@@ -233,7 +236,3 @@ let start ?(at = 0.) topo ~flow ~src ~dst () =
          t.running <- true;
          fill_window t);
   t
-
-let stop t =
-  t.running <- false;
-  Sim.disarm t.rto_timer

@@ -28,8 +28,8 @@ val delivered_meter : t -> Mcc_util.Meter.t
 (** Goodput meter fed by in-order delivery at the sink. *)
 
 val cwnd : t -> float
-val retransmissions : t -> int
-val timeouts : t -> int
 
-val stop : t -> unit
-(** Stops sending and cancels the pending RTO timer. *)
+val retransmissions : t -> int
+(** Segments sent again, after three duplicate ACKs or an RTO.  The
+    flow's metrics reader reports this count as "tcp.retransmits" and
+    its RTO expiries as "tcp.rto_fires". *)

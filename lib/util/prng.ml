@@ -42,8 +42,6 @@ let float t =
   let v = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int v *. 0x1p-53
 
-let bool t = bits t 1 = 1
-
 let exponential t ~mean =
   let u = 1.0 -. float t in
   -.mean *. log u

@@ -33,8 +33,5 @@ val int : t -> int -> int
 val float : t -> float
 (** Uniform float in [0, 1). *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)

@@ -136,7 +136,8 @@ let run (p : Spec.workload_params) : Experiments.workload_result =
   let fold_max = List.fold_left Float.max neg_infinity in
   let drops, marks =
     List.fold_left
-      (fun (d, m) (l : Link.t) -> (d + l.Link.drops, m + l.Link.marks))
+      (fun (d, m) (l : Link.t) ->
+        (d + l.Link.counts.drops, m + l.Link.counts.marks))
       (0, 0) (Topology.links topo)
   in
   let keys_rejected, lockouts =

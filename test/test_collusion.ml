@@ -63,7 +63,7 @@ let run ~interface_keys =
   in
   let b_access_drops =
     match Multicast.router_of (Scenario.dumbbell t).Dumbbell.topo b_host with
-    | _, Some link -> link.Link.drops
+    | _, Some link -> link.Link.counts.drops
     | _, None -> -1
   in
   (Flid.receiver_level a, active_toward_b, b_access_drops)

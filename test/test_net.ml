@@ -79,8 +79,8 @@ let test_drop_tail_and_conservation () =
   done;
   Sim.run sim;
   Alcotest.(check int) "delivered" 3 !received;
-  Alcotest.(check int) "dropped" 7 ab.Link.drops;
-  Alcotest.(check int) "conservation" sent (!received + ab.Link.drops)
+  Alcotest.(check int) "dropped" 7 ab.Link.counts.drops;
+  Alcotest.(check int) "conservation" sent (!received + ab.Link.counts.drops)
 
 let test_ecn_marking () =
   let sim = Sim.create () in
@@ -103,7 +103,7 @@ let test_ecn_marking () =
   Sim.run sim;
   Alcotest.(check int) "all delivered" 5 (!marked + !clean);
   Alcotest.(check bool) "some marked" true (!marked > 0);
-  Alcotest.(check int) "counter matches" !marked ab.Link.marks
+  Alcotest.(check int) "counter matches" !marked ab.Link.counts.marks
 
 let test_routing_shortest_path () =
   (* Square with a shortcut: a-b-d is 2 x 10 ms, a-c-d is 1 + 1 ms. *)
@@ -141,7 +141,8 @@ let test_multicast_tree_and_prune () =
        Payload.Raw);
   Sim.run_until sim 2.0;
   Alcotest.(check int) "delivered over tree" 1 !got;
-  Alcotest.(check bool) "bottleneck on tree" true (mid.Link.tx_packets >= 1);
+  Alcotest.(check bool) "bottleneck on tree" true
+    (mid.Link.counts.tx_packets >= 1);
   (* Leave: prune propagates, further packets go nowhere. *)
   Multicast.host_leave topo ~host:h2 ~group;
   Sim.run_until sim 3.0;
@@ -190,7 +191,7 @@ let test_multicast_branching_copies () =
   Alcotest.(check int) "receiver 1" 4 !got1;
   Alcotest.(check int) "receiver 2" 4 !got2;
   Alcotest.(check int) "bottleneck carried each packet once" 4
-    mid.Link.tx_packets
+    mid.Link.counts.tx_packets
 
 let test_protected_group_ignores_igmp () =
   let sim, topo, h1, _, r2, h2, _ = line_topology () in
@@ -235,29 +236,31 @@ let test_graft_local_holds_tree () =
     (Packet.make ~src:h1.Node.id ~dst:(Packet.Multicast group) ~size:200
        Mcc_net.Payload.Raw);
   Sim.run_until sim 1.0;
-  Alcotest.(check bool) "tree reaches router" true (mid.Link.tx_packets >= 1);
+  Alcotest.(check bool) "tree reaches router" true
+    (mid.Link.counts.tx_packets >= 1);
   (* A downstream join and leave must not sever the local interest. *)
   Node.subscribe_local h2 ~group (fun _ -> ());
   Multicast.host_join topo ~host:h2 ~group;
   Sim.run_until sim 1.5;
   Multicast.host_leave topo ~host:h2 ~group;
   Sim.run_until sim 2.5;
-  let before = mid.Link.tx_packets in
+  let before = mid.Link.counts.tx_packets in
   Node.originate h1
     (Packet.make ~src:h1.Node.id ~dst:(Packet.Multicast group) ~size:200
        Mcc_net.Payload.Raw);
   Sim.run_until sim 3.0;
   Alcotest.(check bool) "still on tree after downstream leave" true
-    (mid.Link.tx_packets > before);
+    (mid.Link.counts.tx_packets > before);
   (* Dropping the local interest prunes for good. *)
   Multicast.prune_local topo ~node:r2 ~group;
   Sim.run_until sim 4.0;
-  let before = mid.Link.tx_packets in
+  let before = mid.Link.counts.tx_packets in
   Node.originate h1
     (Packet.make ~src:h1.Node.id ~dst:(Packet.Multicast group) ~size:200
        Mcc_net.Payload.Raw);
   Sim.run_until sim 5.0;
-  Alcotest.(check int) "pruned after local release" before mid.Link.tx_packets
+  Alcotest.(check int) "pruned after local release" before
+    mid.Link.counts.tx_packets
 
 let test_packet_count_buffer () =
   let sim = Sim.create () in
@@ -279,7 +282,7 @@ let test_packet_count_buffer () =
   Sim.run sim;
   (* 1 in service + 2 queued; byte budget would have fit all ten. *)
   Alcotest.(check int) "packet cap enforced" 3 !received;
-  Alcotest.(check int) "drops counted" 7 ab.Link.drops
+  Alcotest.(check int) "drops counted" 7 ab.Link.counts.drops
 
 let test_lan_repeats () =
   let sim = Sim.create () in

@@ -96,6 +96,41 @@ let test_snapshot_sorted_and_reset () =
     (Metrics.counter_value (Metrics.counter "z.last"));
   Metrics.reset ()
 
+(* Readers: a component registers the record its counters live in, and
+   each snapshot adds what it reports to the named counters. *)
+let test_readers () =
+  Metrics.reset ();
+  let c = Metrics.counter "t.read" in
+  Metrics.incr c ~by:5;
+  let a = ref 3 and b = ref 4 in
+  let report r add = add "t.read" !r in
+  Metrics.reader a report;
+  Metrics.reader b report;
+  Metrics.reader a (fun r add -> add "t.only_read" (10 * !r));
+  let counter name =
+    match List.assoc_opt name (Metrics.snapshot ()) with
+    | Some (Metrics.Counter n) -> n
+    | Some _ | None -> -1
+  in
+  Alcotest.(check int) "two readers summed with the handle" 12
+    (counter "t.read");
+  Alcotest.(check int) "a name only readers report" 30 (counter "t.only_read");
+  a := 7;
+  Alcotest.(check int) "a snapshot reads the live counts" 16
+    (counter "t.read");
+  Alcotest.(check int) "a second snapshot adds nothing" 16 (counter "t.read");
+  Alcotest.(check int) "counter_value is the handle's own" 5
+    (Metrics.counter_value c);
+  Metrics.reset ();
+  Alcotest.(check (list string)) "reset drops the readers" []
+    (List.map fst (Metrics.snapshot ()));
+  Metrics.set_gauge "t.gauge" 1.;
+  Metrics.reader a (fun r add -> add "t.gauge" !r);
+  Alcotest.check_raises "a reader reporting a gauge's name"
+    (Invalid_argument "Metrics: \"t.gauge\" already registered with another kind")
+    (fun () -> ignore (Metrics.snapshot ()));
+  Metrics.reset ()
+
 let test_values_json () =
   Metrics.reset ();
   Metrics.tick "t.c" ~by:3;
@@ -236,6 +271,8 @@ let suite =
       Alcotest.test_case "bad histogram bounds" `Quick test_bad_bounds;
       Alcotest.test_case "snapshot sorted; reset detaches" `Quick
         test_snapshot_sorted_and_reset;
+      Alcotest.test_case "readers summed into the snapshot" `Quick
+        test_readers;
       Alcotest.test_case "values_json" `Quick test_values_json;
       Alcotest.test_case "tracer component filter" `Quick
         test_tracer_component_filter;

@@ -64,15 +64,6 @@ let test_sigma_freq_length_check () =
        false
      with Invalid_argument _ -> true)
 
-let test_counters () =
-  let c = Overhead.counters () in
-  Alcotest.(check (float 0.)) "empty" 0. (Overhead.measured_delta c);
-  c.Overhead.data_bits_sent <- 4000;
-  c.Overhead.delta_field_bits <- 32;
-  c.Overhead.sigma_special_bits <- 20;
-  Alcotest.(check (float 1e-9)) "delta ratio" 0.008 (Overhead.measured_delta c);
-  Alcotest.(check (float 1e-9)) "sigma ratio" 0.005 (Overhead.measured_sigma c)
-
 let suite =
   ( "overhead",
     [
@@ -86,5 +77,4 @@ let suite =
       Alcotest.test_case "sigma amortized by slot" `Quick
         test_sigma_decreasing_in_slot;
       Alcotest.test_case "freq length check" `Quick test_sigma_freq_length_check;
-      Alcotest.test_case "counters" `Quick test_counters;
     ] )

@@ -35,9 +35,9 @@ let prop_link_conservation =
              Payload.Raw)
       done;
       Sim.run sim;
-      !received = ab.Link.tx_packets
-      && burst = !received + ab.Link.drops
-      && ab.Link.drop_bytes = ab.Link.drops * size)
+      !received = ab.Link.counts.tx_packets
+      && burst = !received + ab.Link.counts.drops
+      && ab.Link.counts.drop_bytes = ab.Link.counts.drops * size)
 
 (* Multicast: every subscribed receiver gets each packet exactly once,
    unsubscribed receivers get nothing, regardless of which subset

@@ -385,7 +385,7 @@ let test_stats_fec_across_slots () =
   let s = Router_agent.stats env.agent in
   Alcotest.(check int) "two specials per slot" 6 s.Router_agent.special_packets;
   Alcotest.(check int) "one duplicate per slot" 3
-    s.Router_agent.suppressed_duplicates
+    s.Router_agent.fec_duplicates
 
 (* The keyless session-join path: grace admission, duplicate
    suppression while the interface is active, and the lockout when the
@@ -405,8 +405,8 @@ let test_stats_join_suppression_and_lockout () =
     ~group:minimal;
   let s2 = Router_agent.stats env.agent in
   Alcotest.(check int) "duplicate join suppressed"
-    (s1.Router_agent.suppressed_duplicates + 1)
-    s2.Router_agent.suppressed_duplicates;
+    (s1.Router_agent.suppressed_joins + 1)
+    s2.Router_agent.suppressed_joins;
   Alcotest.(check int) "no second admission" 1
     s2.Router_agent.grace_admissions;
   (* Never presents a key: when the sweep revokes the keyless grant it

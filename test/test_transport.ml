@@ -44,7 +44,8 @@ let test_tcp_losses_trigger_retransmits () =
   let sim, topo, a, b, bottleneck = path ~rate:500_000. ~buffer:3_000 () in
   let flow = Tcp.start topo ~flow:1 ~src:a ~dst:b () in
   Sim.run_until sim 30.;
-  Alcotest.(check bool) "drops happened" true (bottleneck.Link.drops > 0);
+  Alcotest.(check bool) "drops happened" true
+    (bottleneck.Link.counts.drops > 0);
   Alcotest.(check bool) "retransmissions happened" true
     (Tcp.retransmissions flow > 0);
   let kbps = Meter.mean_kbps (Tcp.delivered_meter flow) ~lo:5. ~hi:30. in

@@ -437,6 +437,64 @@ let test_run_byte_identity () =
     reference
     (capture ~jobs:4 ~sched:wheel)
 
+(* --- two sources of the same counts ---------------------------------------- *)
+
+(* The runner's snapshot sums what every link's and SIGMA agent's
+   metrics reader reports; the workload result folds the same counters
+   over the topology's links and agents.  Two committed fat-tree
+   workloads at the quick horizon, one run after the other on this
+   domain: a reader lost at creation, or one kept past the runner's
+   reset, makes the two disagree. *)
+let test_snapshot_matches_result () =
+  let entries =
+    List.concat_map
+      (fun file ->
+        match Schema.load ~path:(Filename.concat "../workloads" file) with
+        | Ok entries ->
+            List.map
+              (fun (e : Runner.entry) ->
+                { e with
+                  Runner.spec = Spec.scale_time e.Runner.spec ~factor:0.25 })
+              entries
+        | Error e -> Alcotest.fail e)
+      [ "pulse_attack_fat_tree.json"; "fat_tree_flash_crowd.json" ]
+  in
+  let rows = Runner.run_batch ~jobs:1 ~sched:Scheduler.heap entries in
+  let counter (r : Runner.row) name =
+    match List.assoc_opt name r.Runner.metrics with
+    | Some (Mcc_obs.Metrics.Counter n) -> n
+    | Some _ | None -> Alcotest.failf "%s: no counter %s" r.entry.name name
+  in
+  let totals =
+    List.map
+      (fun (r : Runner.row) ->
+        match r.Runner.result with
+        | Mcc_core.Experiments.Workload w ->
+            let pairs =
+              [
+                ("sigma.keys_rejected", w.w_keys_rejected);
+                ("sigma.lockouts", w.w_lockouts);
+                ("link.drops", w.w_drops);
+                ("link.marks", w.w_marks);
+              ]
+            in
+            List.iter
+              (fun (name, n) ->
+                Alcotest.(check int)
+                  (r.entry.Runner.name ^ ": " ^ name)
+                  n (counter r name))
+              pairs;
+            List.map snd pairs
+        | _ -> Alcotest.failf "%s: not a workload result" r.entry.name)
+      rows
+  in
+  Alcotest.(check int) "both workloads ran" 2 (List.length rows);
+  (* Every compared count is non-zero in one of the two runs. *)
+  Alcotest.(check (list bool)) "no count is zero in both runs"
+    [ true; true; true; true ]
+    (List.map (fun n -> n > 0)
+       (List.fold_left (List.map2 ( + )) [ 0; 0; 0; 0 ] totals))
+
 (* --- oversub end to end -------------------------------------------------- *)
 
 let test_oversub_session () =
@@ -495,6 +553,8 @@ let suite =
       Alcotest.test_case "generator shapes" `Quick test_generator_shapes;
       Alcotest.test_case "churn plans" `Quick test_churn_plans;
       Alcotest.test_case "run byte identity" `Slow test_run_byte_identity;
+      Alcotest.test_case "snapshot counts match the result" `Quick
+        test_snapshot_matches_result;
       Alcotest.test_case "oversub session" `Slow test_oversub_session;
       Alcotest.test_case "oversub registry" `Quick test_oversub_registry;
       Alcotest.test_case "workload digest" `Quick test_workload_digest;
