@@ -62,7 +62,8 @@ type t = {
 let create ~sim ~id ~src ~dst ~dst_kind ~rate_bps ~delay_s ~buffer_bytes
     ?buffer_packets ?ecn_threshold_bytes () =
   if rate_bps <= 0. then invalid_arg "Link.create: rate_bps <= 0";
-  if delay_s < 0. then invalid_arg "Link.create: negative delay";
+  if not (delay_s >= 0. && delay_s < infinity) then
+    invalid_arg "Link.create: delay negative or not finite";
   if buffer_bytes < 0 then invalid_arg "Link.create: negative buffer";
   let counts =
     {

@@ -61,7 +61,8 @@ val create :
   ?ecn_threshold_bytes:int ->
   unit ->
   t
-(** @raise Invalid_argument on non-positive rate or negative delay. *)
+(** @raise Invalid_argument on non-positive rate, or on a delay that is
+    negative or not finite. *)
 
 val send : t -> Packet.t -> bool
 (** Transmit or queue the packet ([true]), or drop it ([false]).  A

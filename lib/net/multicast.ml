@@ -3,9 +3,7 @@ module Sim = Mcc_engine.Sim
 let upstream_link topo ~(node : Node.t) ~group =
   match Topology.group_source topo group with
   | None -> None
-  | Some src ->
-      if src.Node.id = node.Node.id then None
-      else Node.Itbl.find_opt node.Node.fib src.Node.id
+  | Some src -> Node.route node src.Node.id
 
 (* Post [step] (graft or prune) of [group] at [node]'s parent toward the
    source, one control delay up the upstream link; nothing at the

@@ -14,32 +14,19 @@ module Itbl = struct
     | Empty
     | Cons of { key : int; mutable data : 'a; mutable next : 'a bucket }
 
-  type 'a t = {
-    mutable size : int;
-    mutable data : 'a bucket array;
-    initial_size : int;
-  }
+  type 'a t = { mutable size : int; mutable data : 'a bucket array }
 
   let rec power_2_above x n =
     if x >= n || x * 2 > Sys.max_array_length then x
     else power_2_above (x * 2) n
 
   let create n =
-    let s = power_2_above 16 n in
-    { size = 0; data = Array.make s Empty; initial_size = s }
+    { size = 0; data = Array.make (power_2_above 16 n) Empty }
 
   let clear t =
     if t.size > 0 then begin
       t.size <- 0;
       Array.fill t.data 0 (Array.length t.data) Empty
-    end
-
-  (* Like [Hashtbl.reset]: an array of the initial size is reused. *)
-  let reset t =
-    if Array.length t.data = t.initial_size then clear t
-    else begin
-      t.size <- 0;
-      t.data <- Array.make t.initial_size Empty
     end
 
   let[@inline] index t key = key land (Array.length t.data - 1)
@@ -135,12 +122,16 @@ module Itbl = struct
     Array.fold_left go init t.data
 end
 
+type routes =
+  | Table of Link.t option array
+  | Via of { hop : Link.t option; component : int array }
+
 type t = {
   id : int;
   kind : kind;
   sim : Mcc_engine.Sim.t;
   mutable links : Link.t list;
-  fib : Link.t Itbl.t;
+  mutable routes : routes;
   mcast_out : Link.t list ref Itbl.t;
   local_groups : (Packet.t -> unit) Itbl.t;
   mutable local_unicast : (Packet.t -> unit) option;
@@ -158,7 +149,7 @@ let create ~sim ~id ~kind =
     kind;
     sim;
     links = [];
-    fib = Itbl.create 16;
+    routes = Table [||];
     mcast_out = Itbl.create 16;
     local_groups = Itbl.create 16;
     local_unicast = None;
@@ -207,6 +198,15 @@ let add_unicast_handler t handler =
       set_unicast_handler t (fun pkt -> dispatch_unicast pkt t.unicast_handlers)
   | _ :: _ -> ());
   t.unicast_handlers <- t.unicast_handlers @ [ handler ]
+
+let route t v =
+  match t.routes with
+  | Table hops -> if v < 0 || v >= Array.length hops then None else hops.(v)
+  | Via { hop; component } ->
+      if v < 0 || v >= Array.length component || v = t.id
+         || component.(v) <> component.(t.id)
+      then None
+      else hop
 
 let link_to t neighbor =
   List.find_opt (fun (l : Link.t) -> l.Link.dst = neighbor) t.links
@@ -281,7 +281,7 @@ let receive_body t ~from pkt =
       match pkt.Packet.dst with
       | Packet.Unicast id ->
           if id <> t.id then (
-            match Itbl.find_opt t.fib id with
+            match route t id with
             | Some link -> ignore (Link.send link pkt)
             | None -> ())
       | Packet.Multicast g -> forward_multicast t ~from ~group:g pkt)
@@ -296,7 +296,7 @@ let originate t pkt =
   | Packet.Unicast id -> (
       if id = t.id then deliver_local t pkt
       else
-        match Itbl.find_opt t.fib id with
+        match route t id with
         | Some link -> ignore (Link.send link pkt)
         | None -> ())
   | Packet.Multicast g ->

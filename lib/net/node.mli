@@ -17,10 +17,10 @@ type kind = Host | Edge_router | Core_router | Lan
     neither a C one ([caml_hash], [compare_val]) nor a functor argument.
     Node ids are consecutive and group addresses are handed out
     consecutively, so the keys spread across buckets as they are.  Only
-    the operations callers use are here; they behave as [Hashtbl]'s do
-    ([reset] reuses a bucket array of the initial size).  [iter] and
-    [fold] visit buckets in index order, which is neither key order nor
-    the generic [Hashtbl]'s; their function must not change the table.
+    the operations callers use are here; they behave as [Hashtbl]'s do.
+    [iter] and [fold] visit buckets in index order, which is neither key
+    order nor the generic [Hashtbl]'s; their function must not change
+    the table.
     No output depends on that order: [Router_agent] sorts what it acts
     on by key, and nothing else iterates these tables. *)
 module Itbl : sig
@@ -28,7 +28,6 @@ module Itbl : sig
 
   val create : int -> 'a t
   val clear : 'a t -> unit
-  val reset : 'a t -> unit
   val find_opt : 'a t -> int -> 'a option
 
   val find : 'a t -> int -> 'a
@@ -41,12 +40,24 @@ module Itbl : sig
   val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 end
 
+(** A node's unicast first hops, as [Topology.compute_routes] leaves
+    them; only it writes them, and {!route} reads them. *)
+type routes =
+  | Table of Link.t option array
+      (** the first hop toward each node id; an id past the end has
+          none *)
+  | Via of { hop : Link.t option; component : int array }
+      (** a node with one link: [hop] is [Some] that link, the first
+          hop toward every other node [v] of the node's connected
+          component, [component.(v) = component.(id)].  The whole
+          topology shares one [component] array. *)
+
 type t = {
   id : int;
   kind : kind;
   sim : Mcc_engine.Sim.t;
   mutable links : Link.t list;  (** outgoing links *)
-  fib : Link.t Itbl.t;  (** destination node -> next-hop link *)
+  mutable routes : routes;
   mcast_out : Link.t list ref Itbl.t;  (** group -> downstream interfaces *)
   local_groups : (Packet.t -> unit) Itbl.t;
   mutable local_unicast : (Packet.t -> unit) option;
@@ -74,8 +85,15 @@ val create : sim:Mcc_engine.Sim.t -> id:int -> kind:kind -> t
 val receive : t -> from:Link.t option -> Packet.t -> unit
 (** Entry point wired to [Link.deliver]: local delivery plus forwarding. *)
 
+val route : t -> int -> Link.t option
+(** [route t v] is the first hop of the route from [t] to node id [v]
+    that [Topology.compute_routes] chose.  It is [None] for [t] itself,
+    for a node [t] cannot reach, for an id that is negative or was added
+    after routes were computed, and from a node created since.  It
+    allocates nothing. *)
+
 val originate : t -> Packet.t -> unit
-(** Inject a packet at this node: unicast goes out the FIB next hop,
+(** Inject a packet at this node: unicast goes out its {!route},
     multicast fans out over the node's downstream set (the node must be
     the group source for multicast traffic to flow). *)
 

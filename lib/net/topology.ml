@@ -110,22 +110,56 @@ let heap_pop h =
   end;
   top
 
-(* Dijkstra from every node over propagation delay plus 1e-9 s a hop.
-   Nodes settle in (distance, id) order: every improvement pushes the
-   node at its new distance, and a popped entry of a settled node is
-   stale and skipped.  A linear scan for the nearest unsettled node,
-   lowest id first, settles them in the same order, so ties pick the
-   same first hops.  One set of scratch arrays serves every source. *)
+(* Connected components, labelled by their least node id.  Links come
+   in duplex pairs, so a node reaches exactly the other nodes of its
+   component. *)
+let components t =
+  let n = t.node_count in
+  let component = Array.make n (-1) and stack = Array.make n 0 in
+  (* Labels the unlabelled heads of [links], stacking them from [top];
+     returns the new top. *)
+  let rec push root top = function
+    | [] -> top
+    | (l : Link.t) :: rest ->
+        let v = l.Link.dst in
+        if component.(v) >= 0 then push root top rest
+        else begin
+          component.(v) <- root;
+          stack.(top) <- v;
+          push root (top + 1) rest
+        end
+  in
+  for root = 0 to n - 1 do
+    if component.(root) < 0 then begin
+      component.(root) <- root;
+      let top = ref (push root 0 t.nodes.(root).Node.links) in
+      while !top > 0 do
+        let u = stack.(!top - 1) in
+        top := push root (!top - 1) t.nodes.(u).Node.links
+      done
+    end
+  done;
+  component
+
+(* Every route leaves a node with one link through that link, so only
+   nodes with two or more run a Dijkstra, over propagation delay plus
+   1e-9 s a hop.  Nodes settle in (distance, id) order: every
+   improvement pushes the node at its new distance, and a popped entry
+   of a settled node is stale and skipped.  A linear scan for the
+   nearest unsettled node, lowest id first, settles them in the same
+   order, so ties pick the same first hops.  One set of scratch arrays
+   serves every source, and each source's first hops become its
+   table. *)
 let compute_routes t =
   let n = t.node_count in
+  let component = components t in
   let dist = Array.make n infinity in
-  let first_hop : Link.t option array = Array.make n None in
   let settled = Array.make n false in
   (* Each simplex link pushes at most once per source, when its tail
      settles, and the source pushes once. *)
   let cap = t.link_count + 1 in
   let heap = { dists = Array.make cap 0.; ids = Array.make cap 0; len = 0 } in
-  let rec relax ~src u = function
+  let rec relax ~src first_hop u = function
     | [] -> ()
     | (l : Link.t) :: rest ->
         let v = l.Link.dst in
@@ -135,11 +169,11 @@ let compute_routes t =
           first_hop.(v) <- (if u = src then Some l else first_hop.(u));
           heap_push heap dist v
         end;
-        relax ~src u rest
+        relax ~src first_hop u rest
   in
-  for src = 0 to n - 1 do
+  let dijkstra src =
+    let first_hop = Array.make n None in
     Array.fill dist 0 n infinity;
-    Array.fill first_hop 0 n None;
     Array.fill settled 0 n false;
     dist.(src) <- 0.;
     heap_push heap dist src;
@@ -147,17 +181,17 @@ let compute_routes t =
       let u = heap_pop heap in
       if not settled.(u) then begin
         settled.(u) <- true;
-        relax ~src u t.nodes.(u).Node.links
+        relax ~src first_hop u t.nodes.(u).Node.links
       end
     done;
-    let fib = t.nodes.(src).Node.fib in
-    Node.Itbl.reset fib;
-    for v = 0 to n - 1 do
-      if v <> src then
-        match first_hop.(v) with
-        | Some l -> Node.Itbl.replace fib v l
-        | None -> ()
-    done
+    first_hop
+  in
+  for src = 0 to n - 1 do
+    let node = t.nodes.(src) in
+    node.Node.routes <-
+      (match node.Node.links with
+      | [ l ] -> Node.Via { hop = Some l; component }
+      | _ -> Node.Table (dijkstra src))
   done
 
 let register_group t ~group ~source = Hashtbl.replace t.groups group source

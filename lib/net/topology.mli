@@ -30,16 +30,21 @@ val connect :
     [rev]) and installs delivery into the endpoints. *)
 
 val compute_routes : t -> unit
-(** Fills every node's FIB with delay-metric shortest paths: Dijkstra
-    from each node over propagation delay plus 1e-9 s a hop, so that of
-    two equal-delay paths the one with fewer hops wins.  Nodes settle in
-    (distance, id) order, each relaxes its [links] in list order, and
-    only a strictly shorter path replaces a node's first hop: among
-    paths that still tie, the first hop is the one through the node
-    that settles first, the lower id at equal distance.  It takes
-    O(N E log E) time for N nodes and E simplex links and writes N^2
-    FIB entries; on an empty topology it does nothing.  Call after the
-    topology is complete and before traffic starts. *)
+(** Sets every node's routes (read through {!Node.route}) to
+    delay-metric shortest paths over propagation delay plus 1e-9 s a
+    hop, so that of two equal-delay paths the one with fewer hops wins.
+    A node with one link reaches every other node of its connected
+    component through that link, so only the R nodes with two or more
+    links run a Dijkstra, and each keeps a table of first hops by node
+    id.  Nodes settle in (distance, id) order, each relaxes its [links]
+    in list order, and only a strictly shorter path replaces a node's
+    first hop: among paths that still tie, the first hop is the one
+    through the node that settles first, the lower id at equal
+    distance.  It takes O(R E log E + N) time for N nodes and E simplex
+    links, and R N + N words of tables and component ids, plus 5 words
+    per single-link node.  Call after the topology is complete and
+    before traffic starts; routes do not see nodes or links added
+    later. *)
 
 val register_group : t -> group:int -> source:Node.t -> unit
 (** Declares [source] as the root of [group]'s distribution tree. *)

@@ -104,9 +104,7 @@ let duplicates d = d.dups
 (* A packet that adds no information — repeat copy, repeat chunk, or any
    arrival after completion — is a suppressed duplicate: exactly the
    redundancy the FEC scheme paid for. *)
-let note_duplicate d =
-  d.dups <- d.dups + 1;
-  Mcc_obs.Metrics.tick "sigma.fec.duplicates"
+let note_duplicate d = d.dups <- d.dups + 1
 
 let complete d = d.done_
 

@@ -49,7 +49,7 @@ val complete : decoder -> bool
 val duplicates : decoder -> int
 (** Packets fed that added no information — repeat copies, repeat
     chunks, arrivals after completion: the redundancy the scheme paid
-    for actually arriving.  Also aggregated into the domain metric
-    "sigma.fec.duplicates"; {!encode} likewise counts coded packets into
-    "sigma.fec.chunks" and reports the scheme's expansion factor as the
-    "sigma.fec.expansion" gauge. *)
+    for actually arriving.  [Router_agent] sums it over its decoders and
+    reports it as the domain metric "sigma.fec.duplicates"; {!encode}
+    counts coded packets into "sigma.fec.chunks" and reports the
+    scheme's expansion factor as the "sigma.fec.expansion" gauge. *)

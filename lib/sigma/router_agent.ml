@@ -92,6 +92,7 @@ let report s add =
   add "sigma.upgrade_graces" s.upgrade_graces;
   add "sigma.grace_admissions" s.grace_admissions;
   add "sigma.suppressed_duplicates" (s.suppressed_joins + s.fec_duplicates);
+  add "sigma.fec.duplicates" s.fec_duplicates;
   add "sigma.unsubscribes" s.unsubscribes;
   add "sigma.lockouts" s.lockouts;
   add "sigma.specials" s.special_packets;
@@ -185,7 +186,7 @@ let iface_of_link t (link : Link.t) =
       i
 
 let iface_toward t receiver =
-  match Itbl.find_opt t.node.Node.fib receiver with
+  match Node.route t.node receiver with
   | Some link -> Some (iface_of_link t link)
   | None -> None
 
@@ -813,7 +814,7 @@ let on_unicast t pkt =
   | _ -> false
 
 let iface_active t ~group ~toward =
-  match Itbl.find_opt t.node.Node.fib toward with
+  match Node.route t.node toward with
   | None -> false
   | Some link -> (
       match Itbl.find_opt t.ifaces link.Link.id with

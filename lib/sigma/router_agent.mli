@@ -135,7 +135,8 @@ val failure_audit : t -> key_failure list
     keys_accepted, keys_rejected, acks, upgrade_graces,
     grace_admissions, suppressed_duplicates (suppressed joins plus FEC
     duplicates), unsubscribes, lockouts, specials (special packets) and
-    guesses (distinct guesses).  The agent also observes the
+    guesses (distinct guesses), and the FEC duplicates alone as
+    "sigma.fec.duplicates".  The agent also observes the
     "sigma.subscribe_pairs" histogram. *)
 type stats = private {
   mutable subscriptions : int;  (** Subscribe messages processed *)

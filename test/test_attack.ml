@@ -214,9 +214,9 @@ let make_env () =
   let agent = Router_agent.attach topo router in
   Node.subscribe_local router ~group:minimal (fun _ -> ());
   Multicast.graft topo ~node:router ~group:minimal
-    ~down:(Option.get (Node.Itbl.find_opt router.Node.fib d1.Node.id));
+    ~down:(Option.get (Node.route router d1.Node.id));
   Multicast.prune topo ~node:router ~group:minimal
-    ~down:(Option.get (Node.Itbl.find_opt router.Node.fib d1.Node.id));
+    ~down:(Option.get (Node.route router d1.Node.id));
   ignore
     (Special.distribute topo ~sender:src ~session:1 ~via_group:minimal
        ~width:16 ~slot:2 ~slot_duration

@@ -27,13 +27,13 @@ let test_dumbbell_structure () =
   Dumbbell.finalize db;
   (* Any sender-to-receiver route crosses the bottleneck. *)
   let via_bottleneck src =
-    match Node.Itbl.find_opt src.Node.fib d1.Node.id with
+    match Node.route src d1.Node.id with
     | Some link -> link.Link.dst = db.Dumbbell.left.Node.id
     | None -> false
   in
   Alcotest.(check bool) "s1 via left router" true (via_bottleneck s1);
   Alcotest.(check bool) "s2 via left router" true (via_bottleneck s2);
-  (match Node.Itbl.find_opt db.Dumbbell.left.Node.fib d1.Node.id with
+  (match Node.route db.Dumbbell.left d1.Node.id with
   | Some link ->
       Alcotest.(check int) "left routes via bottleneck"
         db.Dumbbell.right.Node.id link.Link.dst

@@ -123,7 +123,7 @@ let test_routing_shortest_path () =
   connect a c 0.001;
   connect c d 0.001;
   Topology.compute_routes topo;
-  match Node.Itbl.find_opt a.Node.fib d.Node.id with
+  match Node.route a d.Node.id with
   | Some link -> Alcotest.(check int) "via c" c.Node.id link.Link.dst
   | None -> Alcotest.fail "no route"
 
@@ -284,6 +284,23 @@ let test_packet_count_buffer () =
   Alcotest.(check int) "packet cap enforced" 3 !received;
   Alcotest.(check int) "drops counted" 7 ab.Link.counts.drops
 
+(* A node with one link routes to its whole connected component, as a
+   Dijkstra from it would only while every delay is finite: none reaches
+   past an infinite or NaN delay. *)
+let test_link_delay_checked () =
+  let topo = Topology.create (Sim.create ()) in
+  let a = Topology.add_node topo Node.Host in
+  let b = Topology.add_node topo Node.Host in
+  List.iter
+    (fun delay_s ->
+      Alcotest.check_raises (Printf.sprintf "delay %g" delay_s)
+        (Invalid_argument "Link.create: delay negative or not finite")
+        (fun () ->
+          ignore
+            (Topology.connect topo a b ~rate_bps:1e6 ~delay_s
+               ~buffer_bytes:10_000 ())))
+    [ -0.001; infinity; Float.nan ]
+
 let test_lan_repeats () =
   let sim = Sim.create () in
   let topo = Topology.create sim in
@@ -312,10 +329,10 @@ let test_lan_repeats () =
   Alcotest.(check int) "a snoops via promiscuous tap" 1 !a_prom
 
 (* Node.Itbl against the stdlib Hashtbl as a model: random replace,
-   remove, clear and reset steps over keys that force resizes (and
-   include negative ones); after each step every lookup agrees, and a
-   fold visits each binding once. *)
-type itbl_op = Replace of int * int | Remove of int | Clear | Reset
+   remove and clear steps over keys that force resizes (and include
+   negative ones); after each step every lookup agrees, and a fold
+   visits each binding once. *)
+type itbl_op = Replace of int * int | Remove of int | Clear
 
 let prop_itbl_matches_hashtbl =
   let op =
@@ -325,7 +342,6 @@ let prop_itbl_matches_hashtbl =
           (12, map2 (fun k v -> Replace (k, v)) (int_range (-20) 200) nat);
           (6, map (fun k -> Remove k) (int_range (-20) 200));
           (1, return Clear);
-          (1, return Reset);
         ])
   in
   QCheck.Test.make ~name:"Itbl matches Hashtbl" ~count:200
@@ -362,19 +378,18 @@ let prop_itbl_matches_hashtbl =
               Hashtbl.remove model k
           | Clear ->
               Node.Itbl.clear t;
-              Hashtbl.clear model
-          | Reset ->
-              Node.Itbl.reset t;
-              Hashtbl.reset model);
+              Hashtbl.clear model);
           agrees ())
         ops)
 
 (* --- Routes against the linear-scan Dijkstra ------------------------------ *)
 
-(* The reference model: a Dijkstra that scans for the nearest unsettled
-   node, lowest id first, reading the graph through the public
-   interface.  For each source in id order, the first hop's link id
-   toward every destination it reaches, in destination order. *)
+(* The reference model: a Dijkstra from every node that scans for the
+   nearest unsettled node, lowest id first, reading the graph through
+   the public interface.  For each source in id order, the first hop's
+   link id toward each id from -1 to N, in id order: [None] toward the
+   source itself, a node it does not reach, and the two ids outside the
+   topology. *)
 let reference_routes topo =
   let all = Topology.nodes topo in
   let n = List.length all in
@@ -409,58 +424,73 @@ let reference_routes topo =
         end
       in
       loop ();
-      List.filter_map
-        (fun v ->
-          match first_hop.(v) with
-          | Some (l : Link.t) when v <> src.Node.id -> Some (v, l.Link.id)
-          | _ -> None)
-        (List.init n Fun.id))
+      List.init (n + 2) (fun i ->
+          let v = i - 1 in
+          if v < 0 || v >= n || v = src.Node.id then None
+          else Option.map (fun (l : Link.t) -> l.Link.id) first_hop.(v)))
     all
 
-(* Every node's FIB as (destination, link id) bindings in destination
-   order. *)
-let fibs topo =
+(* [Node.route] from every node toward each id from -1 to N, as link
+   ids. *)
+let routes topo =
+  let all = Topology.nodes topo in
+  let n = List.length all in
   List.map
-    (fun (n : Node.t) ->
-      List.sort compare
-        (Node.Itbl.fold
-           (fun v (l : Link.t) acc -> (v, l.Link.id) :: acc)
-           n.Node.fib []))
-    (Topology.nodes topo)
+    (fun node ->
+      List.init (n + 2) (fun i ->
+          Option.map (fun (l : Link.t) -> l.Link.id) (Node.route node (i - 1))))
+    all
 
+(* The routes match the model, and a node added afterwards has none. *)
 let routes_match topo =
   Topology.compute_routes topo;
-  fibs topo = reference_routes topo
+  let matched = routes topo = reference_routes topo in
+  let late = Topology.add_node topo Node.Core_router in
+  matched
+  && List.for_all
+       (fun (v : Node.t) -> Node.route late v.Node.id = None)
+       (Topology.nodes topo)
 
-(* A connected graph of 2-32 hosts and routers ([hosts.(id)] is true for
-   a host): a spanning tree over a random labelling plus up to 2N extra
-   links, parallel ones allowed, wired in a random order and
-   orientation.  Delays of 1, 2 or 3 ms make equal-distance paths
-   common, so the tie rule decides many first hops. *)
+(* A graph of 2-32 hosts and routers ([hosts.(id)] is true for a host).
+   Up to two nodes, drawn at random, stay isolated.  The others are
+   wired by a spanning tree over a random labelling, each of whose
+   wires is dropped with probability 1/4, plus up to twice as many extra
+   links among them as there are wired nodes, parallel ones allowed,
+   wired in a random order and orientation.  So many graphs are disconnected, with nodes of one link
+   in components that do not hold every node.  Delays of 1, 2 or 3 ms
+   make equal-distance paths common, so the tie rule decides many first
+   hops. *)
 type graph = { hosts : bool array; wires : (int * int * float) list }
 
 let gen_graph =
   let open QCheck.Gen in
   let delay = oneofl [ 0.001; 0.002; 0.003 ] in
+  let keep = frequency [ (3, return true); (1, return false) ] in
   int_range 2 32 >>= fun n ->
+  int_bound (min 2 (n - 2)) >>= fun isolated ->
   list_repeat n bool >>= fun hosts ->
   shuffle_l (List.init n Fun.id) >>= fun order ->
-  let order = Array.of_list order in
+  let wired = Array.of_list (List.filteri (fun i _ -> i >= isolated) order) in
+  let m = Array.length wired in
   let tree =
     flatten_l
-      (List.init (n - 1) (fun i ->
-           map2 (fun p d -> (order.(i + 1), order.(p), d)) (int_bound i) delay))
+      (List.init (m - 1) (fun i ->
+           map3
+             (fun p d kept -> if kept then [ (wired.(i + 1), wired.(p), d) ] else [])
+             (int_bound i) delay keep))
   in
   let extra =
     list_size
-      (int_bound (2 * n))
+      (int_bound (2 * m))
       (map3
-         (fun a b d -> (a, (a + 1 + b) mod n, d))
-         (int_bound (n - 1))
-         (int_bound (n - 2))
+         (fun a b d -> (wired.(a), wired.((a + 1 + b) mod m), d))
+         (int_bound (m - 1))
+         (int_bound (m - 2))
          delay)
   in
-  map2 ( @ ) tree extra >>= shuffle_l >>= fun wires ->
+  map2 (fun tree extra -> List.concat tree @ extra) tree extra
+  >>= shuffle_l
+  >>= fun wires ->
   list_repeat (List.length wires) bool >>= fun flips ->
   return
     {
@@ -511,6 +541,25 @@ let test_generator_routes spec () =
         (routes_match built.Topo_gen.topo))
     [ 1; 2; 3 ]
 
+(* Routes at scale: the 1,012-node star of LANs has 11 nodes with more
+   than one link, and only they run a Dijkstra and fill a table.  A FIB
+   entry per (node, destination) pair allocated 6.2 M words here.  The
+   tables go straight to the major heap, which [Gc.minor_words] does not
+   count. *)
+let test_routes_scale () =
+  let spec =
+    Spec.Star_lans { lans = 10; hosts_per_lan = 100; core_rate_bps = 2e6 }
+  in
+  let built = Topo_gen.build (Sim.create ()) ~prng:(Prng.create 1) ~spec ~hosts:1 in
+  let before = Gc.allocated_bytes () in
+  Topology.compute_routes built.Topo_gen.topo;
+  let words =
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated, under 100,000" words)
+    true (words < 100_000.)
+
 let test_empty_routes () =
   Alcotest.(check bool) "nothing to route" true
     (routes_match (Topology.create (Sim.create ())))
@@ -533,6 +582,7 @@ let suite =
       Alcotest.test_case "router alert" `Quick test_router_alert_not_to_hosts;
       Alcotest.test_case "graft_local" `Quick test_graft_local_holds_tree;
       Alcotest.test_case "packet-count buffer" `Quick test_packet_count_buffer;
+      Alcotest.test_case "link delay checked" `Quick test_link_delay_checked;
       Alcotest.test_case "lan repeats" `Quick test_lan_repeats;
       QCheck_alcotest.to_alcotest prop_itbl_matches_hashtbl;
       QCheck_alcotest.to_alcotest prop_routes_match_linear_scan;
@@ -553,4 +603,5 @@ let suite =
                 core_rate_bps = 2_000_000.;
               }));
       Alcotest.test_case "routes: empty topology" `Quick test_empty_routes;
+      Alcotest.test_case "routes: allocation at scale" `Quick test_routes_scale;
     ] )

@@ -49,9 +49,9 @@ let make_env () =
      local subscription entry. *)
   Node.subscribe_local router ~group:minimal (fun _ -> ());
   Multicast.graft topo ~node:router ~group:minimal
-    ~down:(Option.get (Node.Itbl.find_opt router.Node.fib d1.Node.id));
+    ~down:(Option.get (Node.route router d1.Node.id));
   Multicast.prune topo ~node:router ~group:minimal
-    ~down:(Option.get (Node.Itbl.find_opt router.Node.fib d1.Node.id));
+    ~down:(Option.get (Node.route router d1.Node.id));
   { sim; topo; src; router; d1; d2; agent }
 
 (* Distribute keys for [slot], valid keys [keys] per group. *)
@@ -160,7 +160,7 @@ let test_filter_blocks_data () =
   (* Put the interface on the tree WITHOUT a grant: the SIGMA filter must
      still block forwarding. *)
   Multicast.graft env.topo ~node:env.router ~group:upper
-    ~down:(Option.get (Node.Itbl.find_opt env.router.Node.fib env.d1.Node.id));
+    ~down:(Option.get (Node.route env.router env.d1.Node.id));
   Node.originate env.src
     (Packet.make ~src:env.src.Node.id ~dst:(Packet.Multicast upper) ~size:500
        Payload.Raw);
@@ -270,9 +270,9 @@ let test_interface_keys_block_collusion () =
   let agent = Router_agent.attach ~config topo router in
   Node.subscribe_local router ~group:minimal (fun _ -> ());
   Multicast.graft topo ~node:router ~group:minimal
-    ~down:(Option.get (Node.Itbl.find_opt router.Node.fib d1.Node.id));
+    ~down:(Option.get (Node.route router d1.Node.id));
   Multicast.prune topo ~node:router ~group:minimal
-    ~down:(Option.get (Node.Itbl.find_opt router.Node.fib d1.Node.id));
+    ~down:(Option.get (Node.route router d1.Node.id));
   (* Session of two consecutive groups; upper keys lambda_1, lambda_2. *)
   let lambda1 = 0x1111 and lambda2 = 0x2222 in
   ignore
@@ -289,7 +289,7 @@ let test_interface_keys_block_collusion () =
   (* The router padded interface 1's components with p1 (group 1) and p2
      (group 2): receiver 1's lower keys. *)
   let link1 =
-    (Option.get (Node.Itbl.find_opt router.Node.fib d1.Node.id)).Mcc_net.Link.id
+    (Option.get (Node.route router d1.Node.id)).Mcc_net.Link.id
   in
   let p1 = 0x0A0A and p2 = 0x0505 in
   Router_agent.note_pad agent ~link_id:link1 ~group:minimal ~guarded_slot:2
