@@ -1,7 +1,7 @@
 (** Network nodes: hosts, routers, and LAN segments.
 
-    Routers forward unicast packets by FIB lookup and multicast packets
-    along per-group downstream interface sets.  Hosts terminate traffic
+    Routers forward unicast packets along their {!route} and multicast
+    packets along per-group downstream interface sets.  Hosts terminate traffic
     and dispatch it to registered handlers.  A LAN node models a shared
     edge-router interface: it repeats every packet to all attached
     links, which is what makes SIGMA's per-interface semantics (ack
